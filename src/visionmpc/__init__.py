@@ -18,7 +18,6 @@ from .policy import (
     TrainConfig,
     featurize,
     load_checkpoint,
-    predict_q,
     reward,
     save_checkpoint,
     select_dynamics,

@@ -13,18 +13,23 @@ direction, and velocity follows a proportional law toward its target.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .memory import Observation
+from .nmpc import NmpcConfig
 from .scene import DesiredTrajectory
 from .vehicle import ControlInput, VehicleState
 
 
 @dataclass(frozen=True)
 class DwaConfig:
-    """Dynamic-window sampling, scoring weights, and shared actuator bounds."""
+    """Dynamic-window sampling and scoring weights.
+
+    The actuator and rate bounds, dt, wheelbase and horizon come from the
+    shared NmpcConfig passed to dwa_plan as `limits`, the one the tracking
+    controller obeys.
+    """
 
     v_samples: int = 11
     omega_samples: int = 21
@@ -32,14 +37,6 @@ class DwaConfig:
     weight_heading: float = 0.8
     weight_clearance: float = 0.2
     weight_velocity: float = 0.3
-    dt: float = 0.05
-    wheelbase_L: float = 0.36
-    v_min: float = 0.0
-    v_max: float = 1.0
-    omega_min: float = -0.35
-    omega_max: float = 0.35
-    dv_max: float = 2.0
-    domega_max: float = 4.0
     vehicle_radius: float = 0.08
     clearance_cap: float = 1.0
 
@@ -49,11 +46,11 @@ class DwaConfig:
         weights = (self.weight_heading, self.weight_clearance, self.weight_velocity)
         if any(w < 0.0 for w in weights) or all(w == 0.0 for w in weights):
             raise ValueError("weights must be non-negative and not all zero")
-        if self.sim_horizon_s <= 0.0 or self.dt <= 0.0:
-            raise ValueError("horizon and dt must be positive")
+        if self.sim_horizon_s <= 0.0:
+            raise ValueError("sim_horizon_s must be positive")
 
 
-def _constant_rollouts(vehicle: VehicleState, vs, omegas, cfg: DwaConfig, n_steps: int):
+def _constant_rollouts(vehicle: VehicleState, vs, omegas, limits: NmpcConfig, n_steps: int):
     """Constant-control bicycle rollouts.
 
     Returns positions (C, H, 2) and pose headings (C, H) after each step.
@@ -61,10 +58,10 @@ def _constant_rollouts(vehicle: VehicleState, vs, omegas, cfg: DwaConfig, n_step
     v = vs[:, None]
     om = omegas[:, None]
     step_idx = np.arange(n_steps)[None, :]
-    dpsi = cfg.dt * v * np.sin(om) / cfg.wheelbase_L
+    dpsi = limits.dt * v * np.sin(om) / limits.wheelbase_L
     vel_dirs = vehicle.rho + om + dpsi * step_idx
-    dx = np.cos(vel_dirs) * v * cfg.dt
-    dy = np.sin(vel_dirs) * v * cfg.dt
+    dx = np.cos(vel_dirs) * v * limits.dt
+    dy = np.sin(vel_dirs) * v * limits.dt
     xs = vehicle.x + np.cumsum(dx, axis=1)
     ys = vehicle.y + np.cumsum(dy, axis=1)
     pose_heads = vehicle.rho + dpsi * (step_idx + 1)
@@ -91,35 +88,38 @@ def obstacle_points_from_observation(obs: Observation, vehicle: VehicleState, ma
 def dwa_plan(
     vehicle: VehicleState,
     obstacle_points: np.ndarray,
-    ref_slice: Sequence[VehicleState],
+    goal: VehicleState,
     cfg: DwaConfig,
+    limits: NmpcConfig,
     current_u: ControlInput,
-    tau_o: Optional[int] = None,
 ) -> DesiredTrajectory:
     """Best admissible constant-control rollout as a desired trajectory.
 
-    Falls back to the hold-pose stop trajectory when every sampled rollout
-    collides. The returned trajectory has tau_o poses (default: the number
-    of rollout steps) spaced cfg.dt apart.
+    The window is the set of controls within the actuator bounds of
+    `limits` and reachable from current_u under its rate bounds; rollouts
+    are scored on their end heading toward `goal`. Falls back to the
+    hold-pose stop trajectory when every sampled rollout collides. The
+    returned trajectory has limits.tau_o poses spaced limits.dt apart.
     """
-    n_steps = max(1, int(round(cfg.sim_horizon_s / cfg.dt)))
-    horizon = tau_o if tau_o is not None else n_steps
-    v_lo = max(cfg.v_min, current_u.v_cmd - cfg.dv_max * cfg.dt)
-    v_hi = min(cfg.v_max, current_u.v_cmd + cfg.dv_max * cfg.dt)
-    om_lo = max(cfg.omega_min, current_u.omega_cmd - cfg.domega_max * cfg.dt)
-    om_hi = min(cfg.omega_max, current_u.omega_cmd + cfg.domega_max * cfg.dt)
+    dt = limits.dt
+    n_steps = max(1, int(round(cfg.sim_horizon_s / dt)))
+    horizon = limits.tau_o
+    v_lo = max(limits.u_min.v_cmd, current_u.v_cmd + limits.du_min.v_cmd * dt)
+    v_hi = min(limits.u_max.v_cmd, current_u.v_cmd + limits.du_max.v_cmd * dt)
+    om_lo = max(limits.u_min.omega_cmd, current_u.omega_cmd + limits.du_min.omega_cmd * dt)
+    om_hi = min(limits.u_max.omega_cmd, current_u.omega_cmd + limits.du_max.omega_cmd * dt)
     if v_lo > v_hi or om_lo > om_hi:
-        return _stop_trajectory(vehicle, horizon, cfg.dt)
+        return _stop_trajectory(vehicle, horizon, dt)
     v_grid, om_grid = np.meshgrid(
         np.linspace(v_lo, v_hi, cfg.v_samples), np.linspace(om_lo, om_hi, cfg.omega_samples)
     )
     vs = v_grid.ravel()
     omegas = om_grid.ravel()
     n_roll = max(n_steps, horizon)
-    positions, pose_heads = _constant_rollouts(vehicle, vs, omegas, cfg, n_roll)
+    positions, pose_heads = _constant_rollouts(vehicle, vs, omegas, limits, n_roll)
     pts = np.asarray(obstacle_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] > 0:
-        reach = v_hi * cfg.dt * n_roll + cfg.vehicle_radius + cfg.clearance_cap
+        reach = v_hi * dt * n_roll + cfg.vehicle_radius + cfg.clearance_cap
         near = np.hypot(pts[:, 0] - vehicle.x, pts[:, 1] - vehicle.y) <= reach
         pts = pts[near]
     if pts.shape[0] > 0:
@@ -134,16 +134,16 @@ def dwa_plan(
         min_clear = np.full(vs.shape[0], cfg.clearance_cap + cfg.vehicle_radius)
     admissible = min_clear > cfg.vehicle_radius
     if not np.any(admissible):
-        return _stop_trajectory(vehicle, horizon, cfg.dt)
+        return _stop_trajectory(vehicle, horizon, dt)
 
-    goal = ref_slice[-1]
     end = positions[:, n_steps - 1, :]
     to_goal = np.arctan2(goal.y - end[:, 1], goal.x - end[:, 0])
     end_heads = pose_heads[:, n_steps - 1]
     misalign = np.abs(np.arctan2(np.sin(to_goal - end_heads), np.cos(to_goal - end_heads)))
     heading_score = 1.0 - misalign / math.pi
     clearance_score = np.minimum(min_clear - cfg.vehicle_radius, cfg.clearance_cap) / cfg.clearance_cap
-    velocity_score = vs / cfg.v_max if cfg.v_max > 0 else np.zeros_like(vs)
+    v_max = limits.u_max.v_cmd
+    velocity_score = vs / v_max if v_max > 0 else np.zeros_like(vs)
     score = (
         cfg.weight_heading * heading_score
         + cfg.weight_clearance * clearance_score
@@ -155,7 +155,7 @@ def dwa_plan(
         VehicleState(float(positions[best, k, 0]), float(positions[best, k, 1]), float(pose_heads[best, k]))
         for k in range(horizon)
     ]
-    return DesiredTrajectory(tuple(states), cfg.dt)
+    return DesiredTrajectory(tuple(states), dt)
 
 
 def _stop_trajectory(vehicle: VehicleState, horizon: int, dt: float) -> DesiredTrajectory:
@@ -165,18 +165,14 @@ def _stop_trajectory(vehicle: VehicleState, horizon: int, dt: float) -> DesiredT
 @dataclass(frozen=True)
 class DirectPolicyConfig:
     """Execution law of the direct policy: 0.01 degree steering steps and a
-    proportional velocity law with gain 1.6."""
+    proportional velocity law with gain 1.6.
+
+    The actuator and rate bounds and dt come from the shared NmpcConfig
+    passed to direct_policy_step as `limits`.
+    """
 
     steer_increment_deg: float = 0.01
     k_v: float = 1.6
-    v_target: float = 1.0
-    dt: float = 0.05
-    v_min: float = 0.0
-    v_max: float = 1.0
-    omega_min: float = -0.35
-    omega_max: float = 0.35
-    dv_max: float = 2.0
-    domega_max: float = 4.0
     brake_distance_m: float = 0.45
     open_tolerance: float = 0.05
 
@@ -208,31 +204,31 @@ def _open_direction_signal(obs: Observation, cfg: DirectPolicyConfig) -> tuple[f
 
 def direct_policy_step(
     obs: Observation,
-    vehicle: VehicleState,
-    ref_slice: Sequence[VehicleState],
     cfg: DirectPolicyConfig,
+    limits: NmpcConfig,
     prev_u: ControlInput,
 ) -> ControlInput:
     """One reactive control update.
 
     Steering changes by an exact integer multiple of the configured
-    increment toward the open-direction signal, clipped to the shared
-    actuator and rate bounds. Velocity follows
-    v' = v + k_v (v_target - v) dt, braking to zero when the forward cone
-    is blocked.
+    increment toward the open-direction signal, clipped to the actuator
+    and rate bounds of `limits`. Velocity follows
+    v' = v + k_v (v_target - v) dt with v_target = limits.u_max.v_cmd,
+    braking to zero when the forward cone is blocked.
     """
     signal, front_min = _open_direction_signal(obs, cfg)
     incr = math.radians(cfg.steer_increment_deg)
-    lo = max(cfg.omega_min, prev_u.omega_cmd - cfg.domega_max * cfg.dt) - prev_u.omega_cmd
-    hi = min(cfg.omega_max, prev_u.omega_cmd + cfg.domega_max * cfg.dt) - prev_u.omega_cmd
+    dt = limits.dt
+    lo = max(limits.u_min.omega_cmd, prev_u.omega_cmd + limits.du_min.omega_cmd * dt) - prev_u.omega_cmd
+    hi = min(limits.u_max.omega_cmd, prev_u.omega_cmd + limits.du_max.omega_cmd * dt) - prev_u.omega_cmd
     # integer step count toward the signal, clamped to the admissible
     # multiples inside [lo, hi]
     steps = int(round(abs(signal) / incr)) * (1 if signal >= 0.0 else -1)
     steps = min(max(steps, math.ceil(lo / incr - 1e-9)), math.floor(hi / incr + 1e-9))
     omega = prev_u.omega_cmd + steps * incr
 
-    v_target = 0.0 if front_min < cfg.brake_distance_m else cfg.v_target
-    v = prev_u.v_cmd + cfg.k_v * (v_target - prev_u.v_cmd) * cfg.dt
-    v = min(max(v, prev_u.v_cmd - cfg.dv_max * cfg.dt), prev_u.v_cmd + cfg.dv_max * cfg.dt)
-    v = min(max(v, cfg.v_min), cfg.v_max)
+    v_target = 0.0 if front_min < cfg.brake_distance_m else limits.u_max.v_cmd
+    v = prev_u.v_cmd + cfg.k_v * (v_target - prev_u.v_cmd) * dt
+    v = min(max(v, prev_u.v_cmd + limits.du_min.v_cmd * dt), prev_u.v_cmd + limits.du_max.v_cmd * dt)
+    v = min(max(v, limits.u_min.v_cmd), limits.u_max.v_cmd)
     return ControlInput(v, omega)

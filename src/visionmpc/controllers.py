@@ -1,7 +1,10 @@
 """Trial controllers: the learned scene-adaptive pipeline and both baselines.
 
-All three share the actuator and rate bounds from the pipeline's NMPC
-configuration, so benchmark comparisons stay fair.
+The actuator and rate bounds come only from `PipelineConfig.nmpc`: the
+NMPC obeys them, and the baselines' planners read the same config with its
+speed bound capped at the scenario's v_max, so benchmark comparisons stay
+fair. Each controller projects the vehicle onto the route at most once per
+step.
 """
 
 import math
@@ -44,7 +47,6 @@ class PipelineConfig:
     lookahead_time_s: float = 3.0
     min_lookahead_m: float = 0.5
     n_history: int = 4
-    memory_span_s: float = 1.0
     eps_r: float = 1e-3
     hidden_layers: tuple[int, ...] = (128, 64)
 
@@ -111,6 +113,12 @@ class PipelineConfig:
         )
 
 
+def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
+    """The shared bounds with the speed bound lowered to a scenario's v_max."""
+    u_max = ControlInput(min(nmpc_cfg.u_max.v_cmd, v_max), nmpc_cfg.u_max.omega_cmd)
+    return replace(nmpc_cfg, u_max=u_max)
+
+
 class _BoundedController:
     """Shared safe-stop behavior under the common rate limits."""
 
@@ -156,8 +164,7 @@ class LvdNmpcController(_BoundedController):
         self._u_prev: Optional[ControlInput] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        capacity = max(self.pipeline.n_history, int(round(self.pipeline.memory_span_s / params.dt)))
-        self._memory = AugmentedMemory(capacity)
+        self._memory = AugmentedMemory(self.pipeline.n_history)
         self._scenario = scenario
         self._fc = self.pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
         self.last_solution = None
@@ -169,7 +176,9 @@ class LvdNmpcController(_BoundedController):
         cfg = self.pipeline.nmpc
         self._memory.push(MemoryEntry(observation=obs, state=state, timestamp=obs.timestamp))
         window = self._memory.window(self.pipeline.n_history)
-        ref_feat = reference_slice(self._scenario, state, cfg.tau_o, cfg.dt, self._scenario.v_max)
+        route = self._scenario.route_polyline
+        s0, _ = route.project((state.x, state.y))
+        ref_feat = reference_slice(route, s0, cfg.tau_o, cfg.dt, self._scenario.v_max)
         features = featurize(window, ref_feat, self._fc)
         if self.action_source is not None:
             action = int(self.action_source(obs, features))
@@ -178,12 +187,12 @@ class LvdNmpcController(_BoundedController):
             action, dyn = select_dynamics(self.net, features, self.epsilon, self.rng)
         self.last_features = features
         self.last_action = action
-        return self._track(dyn, state)
+        return self._track(dyn, state, s0)
 
-    def _track(self, dyn: SceneDynamics, state: VehicleState) -> StepCommand:
+    def _track(self, dyn: SceneDynamics, state: VehicleState, s0: float) -> StepCommand:
         cfg = self.pipeline.nmpc
         v_ref = max(dyn.w * self._scenario.v_max, 1e-6)
-        ref = reference_slice(self._scenario, state, cfg.tau_o, cfg.dt, v_ref)
+        ref = reference_slice(self._scenario.route_polyline, s0, cfg.tau_o, cfg.dt, v_ref)
         z_d = desired_trajectory(ref, dyn, state, self.pipeline.correction())
         gains = gain_schedule(dyn, self.pipeline.eps_r)
         residual = residual_h(dyn, self.pipeline.residual_weights, state.rho)
@@ -203,31 +212,18 @@ class DwaNmpcController(_BoundedController):
     startup (low speed -> heavy input penalty -> no acceleration).
     """
 
-    def __init__(self, pipeline: PipelineConfig, dwa: Optional[DwaConfig] = None, q_diag: float = 0.9):
+    def __init__(self, pipeline: PipelineConfig):
         super().__init__(pipeline.nmpc)
         self.pipeline = pipeline
-        self._dwa_base = dwa
-        self._dwa: Optional[DwaConfig] = None
+        self._dwa = DwaConfig()
         self._scenario: Optional[Scenario] = None
         self.last_solution: Optional[NmpcSolution] = None
         self._u_prev: Optional[ControlInput] = None
         self._u_plan: Optional[ControlInput] = None
-        self._gains = gain_schedule(SceneDynamics(0.0, q_diag), pipeline.eps_r)
+        self._gains = gain_schedule(SceneDynamics(0.0, 0.9), pipeline.eps_r)
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        nm = self.pipeline.nmpc
-        base = self._dwa_base if self._dwa_base is not None else DwaConfig()
-        self._dwa = replace(
-            base,
-            dt=nm.dt,
-            wheelbase_L=nm.wheelbase_L,
-            v_min=nm.u_min.v_cmd,
-            v_max=min(nm.u_max.v_cmd, scenario.v_max),
-            omega_min=nm.u_min.omega_cmd,
-            omega_max=nm.u_max.omega_cmd,
-            dv_max=nm.du_max.v_cmd,
-            domega_max=nm.du_max.omega_cmd,
-        )
+        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
         self._scenario = scenario
         self.last_solution = None
         self._u_prev = ControlInput(0.0, 0.0)
@@ -239,10 +235,13 @@ class DwaNmpcController(_BoundedController):
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
         tau_goal = max(cfg.tau_o, int(round(2.0 * self._dwa.sim_horizon_s / cfg.dt)))
-        ref = reference_slice(self._scenario, state, tau_goal, cfg.dt, self._scenario.v_max)
+        route = self._scenario.route_polyline
+        s0, _ = route.project((state.x, state.y))
+        goal_xy, goal_rho = route.sample(s0 + self._scenario.v_max * cfg.dt * tau_goal)
+        goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
-        plan = dwa_plan(state, points, ref, self._dwa, self._u_plan, tau_o=cfg.tau_o)
+        plan = dwa_plan(state, points, goal, self._dwa, self._limits, self._u_plan)
         first = plan.states[0]
         v_plan = math.hypot(first.x - state.x, first.y - state.y) / cfg.dt
         if len(plan.states) > 1:
@@ -252,7 +251,7 @@ class DwaNmpcController(_BoundedController):
             )
         else:
             omega_plan = 0.0
-        self._u_plan = ControlInput(min(v_plan, self._dwa.v_max), omega_plan)
+        self._u_plan = ControlInput(min(v_plan, self._limits.u_max.v_cmd), omega_plan)
         w = min(max(v_plan / self._scenario.v_max, 0.0), 1.0)
         try:
             c = dynamics_from_trajectory(plan.states, min(v_plan, self._scenario.v_max), self._scenario.v_max).c
@@ -269,36 +268,21 @@ class DwaNmpcController(_BoundedController):
 class DirectController(_BoundedController):
     """Reactive execution-law baseline (no model, no optimization)."""
 
-    def __init__(self, pipeline: PipelineConfig, direct: Optional[DirectPolicyConfig] = None):
+    def __init__(self, pipeline: PipelineConfig):
         super().__init__(pipeline.nmpc)
         self.pipeline = pipeline
-        self._direct_base = direct
-        self._direct: Optional[DirectPolicyConfig] = None
+        self._direct = DirectPolicyConfig()
         self._scenario: Optional[Scenario] = None
         self._u_prev: Optional[ControlInput] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        nm = self.pipeline.nmpc
-        base = self._direct_base if self._direct_base is not None else DirectPolicyConfig()
-        self._direct = replace(
-            base,
-            dt=nm.dt,
-            v_target=min(scenario.v_max, nm.u_max.v_cmd),
-            v_min=nm.u_min.v_cmd,
-            v_max=min(nm.u_max.v_cmd, scenario.v_max),
-            omega_min=nm.u_min.omega_cmd,
-            omega_max=nm.u_max.omega_cmd,
-            dv_max=nm.du_max.v_cmd,
-            domega_max=nm.du_max.omega_cmd,
-        )
+        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
         self._scenario = scenario
         self._u_prev = ControlInput(0.0, 0.0)
 
     def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand:
-        cfg = self.pipeline.nmpc
-        ref = reference_slice(self._scenario, state, cfg.tau_o, cfg.dt, self._scenario.v_max)
-        u = direct_policy_step(obs, state, ref, self._direct, self._u_prev)
+        u = direct_policy_step(obs, self._direct, self._limits, self._u_prev)
         self._u_prev = u
-        c = math.sin(u.omega_cmd) / cfg.wheelbase_L
+        c = math.sin(u.omega_cmd) / self._limits.wheelbase_L
         w = min(max(u.v_cmd / self._scenario.v_max, 0.0), 1.0)
         return StepCommand(u=u, c=c, w=w)

@@ -41,26 +41,27 @@ class Polyline:
         self._seg_len = seg_len
         self._cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         self._tangents = seg / seg_len[:, None]
+        self._headings = np.array([math.atan2(ty, tx) for tx, ty in self._tangents])
 
     @property
     def length(self) -> float:
         return float(self._cum[-1])
 
-    def _segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        return min(max(i, 0), len(self._seg_len) - 1)
+    def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Points (N, 2) and tangent headings (N,) at arc lengths s.
+
+        s is a scalar or a 1-D array; values are clamped to [0, length].
+        """
+        s = np.clip(np.asarray(s, dtype=float).reshape(-1), 0.0, self.length)
+        i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._seg_len) - 1)
+        t = (s - self._cum[i]) / self._seg_len[i]
+        return self.points[i] + t[:, None] * self._seg[i], self._headings[i]
 
     def point_at(self, s: float) -> tuple[float, float]:
-        s = min(max(s, 0.0), self.length)
-        i = self._segment_index(s)
-        t = (s - self._cum[i]) / self._seg_len[i]
-        p = self.points[i] + t * self._seg[i]
-        return float(p[0]), float(p[1])
+        return tuple(self.sample(s)[0][0].tolist())
 
     def heading_at(self, s: float) -> float:
-        i = self._segment_index(min(max(s, 0.0), self.length))
-        tx, ty = self._tangents[i]
-        return math.atan2(ty, tx)
+        return float(self.sample(s)[1][0])
 
     def project(self, point) -> tuple[float, float]:
         """Closest point on the path to `point`.

@@ -95,7 +95,7 @@ def _sample_std(values: Sequence[float]) -> float:
 
 def trial_records(outcome: TrialOutcome) -> list[OfflineRecord]:
     """Offline records of a trial: driven pose vs route projection, speed = v_cmd."""
-    route = outcome.scenario.route_polyline()
+    route = outcome.scenario.route_polyline
     out = []
     for rec in outcome.log:
         s, _ = route.project((rec.x_m, rec.y_m))
@@ -108,7 +108,7 @@ def trial_curvature_error(outcome: TrialOutcome) -> Optional[float]:
     """Curvature error of the driven path vs its route projection, None if degenerate."""
     if len(outcome.log) < 3:
         return None
-    route = outcome.scenario.route_polyline()
+    route = outcome.scenario.route_polyline
     est = []
     gt = []
     for rec in outcome.log:

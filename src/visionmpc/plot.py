@@ -53,7 +53,7 @@ class _Canvas:
 
 
 def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: PipelineConfig) -> None:
-    route = scenario.route_polyline()
+    route = scenario.route_polyline
     left = offset_polyline(route, scenario.half_width)
     right = offset_polyline(route, -scenario.half_width)
     xs = [p[0] for p in scenario.route] + [rec.x_m for rec in outcome.log]
@@ -76,7 +76,8 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
             try:
                 dyn = SceneDynamics(rec.c, min(max(rec.w, 0.0), 1.0))
                 v_ref = max(dyn.w * scenario.v_max, 1e-6)
-                ref = reference_slice(scenario, state, cfg.tau_o, cfg.dt, v_ref)
+                s0, _ = route.project((state.x, state.y))
+                ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
                 z_d = desired_trajectory(ref, dyn, state, pipeline.correction())
                 canvas.polyline([(z.x, z.y) for z in z_d.states], "#22aa55", width=1.5, dash="3,3")
             except ValueError:

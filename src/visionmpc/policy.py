@@ -200,11 +200,6 @@ class QNetwork:
         return a, cache
 
 
-def predict_q(net: QNetwork, s: np.ndarray) -> np.ndarray:
-    """Action values for one feature vector."""
-    return net.forward(s)
-
-
 def select_dynamics(
     net: QNetwork,
     s: np.ndarray,

@@ -36,6 +36,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
@@ -106,7 +107,9 @@ class Obstacle:
     def dynamic(self) -> bool:
         return self.loop is not None and self.speed > 0.0
 
+    @cached_property
     def loop_polyline(self) -> Polyline:
+        """Closed waypoint loop, built on first use; not part of equality."""
         pts = list(self.loop)
         if pts[0] != pts[-1]:
             pts.append(pts[0])
@@ -115,7 +118,7 @@ class Obstacle:
     def position_at(self, t: float) -> tuple[float, float]:
         if not self.dynamic:
             return self.center
-        loop = self.loop_polyline()
+        loop = self.loop_polyline
         s = (self.speed * t) % loop.length
         return loop.point_at(s)
 
@@ -147,7 +150,9 @@ class Scenario:
         if self.time_limit_s < 0.0:
             raise ValueError("time_limit_s must be non-negative")
 
+    @cached_property
     def route_polyline(self) -> Polyline:
+        """Route as a polyline, built on first use; not part of equality."""
         return Polyline(self.route)
 
 
@@ -162,12 +167,15 @@ class World:
     t: float = 0.0
     crashed: bool = False
     reached: bool = False
+    # signed offset of the vehicle from the route, refreshed by sim_step
+    lateral: float = field(init=False)
     route: Polyline = field(init=False, repr=False)
     _bounds_a: np.ndarray = field(init=False, repr=False)
     _bounds_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.route = self.scenario.route_polyline()
+        self.route = self.scenario.route_polyline
+        _, self.lateral = self.route.project((self.vehicle.x, self.vehicle.y))
         left = offset_polyline(self.route, self.scenario.half_width)
         right = offset_polyline(self.route, -self.scenario.half_width)
         self._bounds_a = np.vstack([left[:-1], right[:-1]])
@@ -208,32 +216,19 @@ def sense(world: World) -> Observation:
     return Observation(rays=dist, timestamp=world.t)
 
 
-def reference_slice(
-    scenario: Scenario,
-    vehicle: VehicleState,
-    tau_o: int,
-    dt: float,
-    v_ref: float,
-    route: Optional[Polyline] = None,
-) -> list[VehicleState]:
-    """tau_o route poses ahead of the vehicle, spaced v_ref * dt in arc length.
+def reference_slice(route: Polyline, s0: float, tau_o: int, dt: float, v_ref: float) -> list[VehicleState]:
+    """tau_o route poses ahead of arc length s0, spaced v_ref * dt in arc length.
 
-    Sampling starts at the closest-point projection of the vehicle;
-    headings are route tangents. Past the route end the final waypoint is
-    repeated with the final tangent heading.
+    s0 is the vehicle's projection onto the route; headings are route
+    tangents. Past the route end the final waypoint is repeated with the
+    final tangent heading.
     """
     if v_ref <= 0.0:
         raise ValueError("v_ref must be positive")
     if tau_o < 1 or dt <= 0.0:
         raise ValueError("tau_o and dt must be positive")
-    poly = route if route is not None else scenario.route_polyline()
-    s0, _ = poly.project((vehicle.x, vehicle.y))
-    out = []
-    for i in range(1, tau_o + 1):
-        s = min(s0 + v_ref * dt * i, poly.length)
-        x, y = poly.point_at(s)
-        out.append(VehicleState(x, y, poly.heading_at(s)))
-    return out
+    points, headings = route.sample(s0 + v_ref * dt * np.arange(1, tau_o + 1))
+    return [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
 
 
 def in_goal(world: World) -> bool:
@@ -258,8 +253,8 @@ def sim_step(world: World, control: ControlInput) -> World:
         if math.hypot(px - cx, py - cy) < r:
             hit = True
             break
-    _, lateral = world.route.project((px, py))
-    if abs(lateral) > world.scenario.half_width:
+    _, world.lateral = world.route.project((px, py))
+    if abs(world.lateral) > world.scenario.half_width:
         hit = True
     world.crashed = world.crashed or hit
     world.reached = (not world.crashed) and in_goal(world)
@@ -357,7 +352,6 @@ def run_trial(
         elif world.reached:
             status = "goal"
             event = "goal"
-        _, lateral = world.route.project((world.vehicle.x, world.vehicle.y))
         records.append(
             StepRecord(
                 time_s=world.t,
@@ -368,7 +362,7 @@ def run_trial(
                 omega_cmd=cmd.u.omega_cmd,
                 c=cmd.c,
                 w=cmd.w,
-                cross_track_m=lateral,
+                cross_track_m=world.lateral,
                 solve_ms=solve_ms,
                 event=event,
             )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,23 @@ class TestControllersRespectSharedBounds:
         pipeline = small_pipeline()
         outcome = run_trial(scenario, DirectController(pipeline), ModelParams(sigma_f=0.002))
         assert outcome.status == "goal"
+        assert_bounds_and_rates(outcome, pipeline.nmpc)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda pipeline, scenario: LvdNmpcController(fresh_net(pipeline, scenario), pipeline),
+            lambda pipeline, scenario: DwaNmpcController(pipeline),
+            lambda pipeline, scenario: DirectController(pipeline),
+        ],
+        ids=["lvd", "dwa", "direct"],
+    )
+    def test_asymmetric_rate_bounds(self, make):
+        # lower rate bounds tighter than the upper ones bind every controller
+        scenario = small_scenario()
+        pipeline = PipelineConfig(nmpc=replace(small_pipeline().nmpc, du_min=ControlInput(-1.0, -1.0)))
+        outcome = run_trial(scenario, make(pipeline, scenario), ModelParams(sigma_f=0.002))
+        assert outcome.steps > 0
         assert_bounds_and_rates(outcome, pipeline.nmpc)
 
 

@@ -38,6 +38,39 @@ class TestPolyline:
         # at the vertex the later segment owns the tangent
         assert poly.heading_at(3.0) == pytest.approx(math.pi / 2)
 
+    def test_sample_is_array_form_of_arc_length_queries(self):
+        poly = Polyline([(0, 0), (3, 0), (3, 4)])
+        points, headings = poly.sample([0.0, 3.0, 5.0, 99.0, 1.0])
+        assert points.tolist() == [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [3.0, 4.0], [1.0, 0.0]]
+        # at the interior vertex s = 3 the later segment owns point and tangent
+        assert headings.tolist() == [0.0, math.pi / 2, math.pi / 2, math.pi / 2, 0.0]
+
+    def test_sample_clamps_past_both_ends(self):
+        poly = Polyline([(0, 0), (3, 0), (3, 4)])
+        points, headings = poly.sample([-2.0, 7.0, 1e9])
+        assert points.tolist() == [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]
+        assert headings.tolist() == [0.0, math.pi / 2, math.pi / 2]
+
+    def test_single_sample_shape(self):
+        points, headings = Polyline([(0, 0), (3, 0), (3, 4)]).sample(5.0)
+        assert points.shape == (1, 2) and headings.shape == (1,)
+        assert points[0].tolist() == [3.0, 2.0]
+        assert headings[0] == math.pi / 2
+
+    def test_sample_is_bit_equal_to_per_value_arithmetic(self):
+        rng = np.random.default_rng(3)
+        poly = Polyline(np.cumsum(rng.uniform(0.1, 1.0, size=(12, 2)), axis=0) * [1.0, -1.0])
+        # random arc lengths, some past either end, plus every vertex
+        s = np.concatenate([rng.uniform(-1.0, poly.length + 1.0, 200), poly._cum])
+        points, headings = poly.sample(s)
+        for k, sk in enumerate(s.tolist()):
+            sk = min(max(sk, 0.0), poly.length)
+            i = min(max(int(np.searchsorted(poly._cum, sk, side="right")) - 1, 0), len(poly._seg_len) - 1)
+            t = (sk - poly._cum[i]) / poly._seg_len[i]
+            assert points[k].tolist() == (poly.points[i] + t * poly._seg[i]).tolist()
+            tx, ty = poly._tangents[i]
+            assert headings[k] == math.atan2(ty, tx)
+
     def test_projection_signed_lateral(self):
         poly = Polyline([(0, 0), (10, 0)])
         s, lat = poly.project((2.0, 0.5))

@@ -14,7 +14,6 @@ from visionmpc.policy import (
     TrainConfig,
     featurize,
     load_checkpoint,
-    predict_q,
     reward,
     save_checkpoint,
     select_dynamics,
@@ -74,7 +73,7 @@ class TestQNetwork:
     def test_zero_parameters_give_zero_outputs(self):
         cand = CandidateSet.grid(k_c=1, k_w=2)
         net = QNetwork((3, 4, 2), [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)], cand)
-        assert np.all(predict_q(net, np.ones(3)) == 0.0)
+        assert np.all(net.forward(np.ones(3)) == 0.0)
 
     def test_hand_computed_forward_pass(self):
         cand = CandidateSet.grid(k_c=2, k_w=1)
@@ -86,22 +85,22 @@ class TestQNetwork:
         s = np.array([1.0, 2.0])
         h = np.maximum(w1 @ s + b1, 0.0)  # [max(-0.9,0)=0, max(0.8,0)=0.8]
         want = w2 @ h + b2  # [0, 3.4]
-        assert predict_q(net, s) == pytest.approx(want.tolist())
-        assert predict_q(net, s)[1] == pytest.approx(3.4)
+        assert net.forward(s) == pytest.approx(want.tolist())
+        assert net.forward(s)[1] == pytest.approx(3.4)
 
     def test_zeroed_first_layer_outputs_head_bias(self):
         cand = CandidateSet.grid(k_c=3, k_w=1)
         rng = np.random.default_rng(0)
         net = QNetwork.initialize((5, 4, 3), cand, rng)
         net.weights[0][:] = 0.0
-        out = predict_q(net, rng.normal(size=5))
+        out = net.forward(rng.normal(size=5))
         assert out == pytest.approx((net.weights[1] @ net.biases[0] + net.biases[1]).tolist())
 
     def test_dimension_mismatch_rejected(self):
         cand = CandidateSet.grid(k_c=1, k_w=2)
         net = QNetwork.initialize((3, 4, 2), cand, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            predict_q(net, np.ones(4))
+            net.forward(np.ones(4))
 
 
 class TestSelectDynamics:

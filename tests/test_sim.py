@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from visionmpc.geometry import Polyline
 from visionmpc.sim import (
     LOG_COLUMNS,
     Obstacle,
@@ -95,7 +96,7 @@ class TestSense:
 class TestReferenceSlice:
     def test_straight_route_uniform_spacing(self):
         scenario = corridor()
-        out = reference_slice(scenario, VehicleState(0, 0, 0), tau_o=5, dt=0.1, v_ref=1.0)
+        out = reference_slice(scenario.route_polyline, 0.0, tau_o=5, dt=0.1, v_ref=1.0)
         for i, z in enumerate(out):
             assert z.x == pytest.approx(0.1 * (i + 1), abs=1e-12)
             assert z.y == 0.0
@@ -103,7 +104,7 @@ class TestReferenceSlice:
 
     def test_beyond_route_end_repeats_final_waypoint(self):
         scenario = corridor()
-        out = reference_slice(scenario, VehicleState(9.95, 0, 0), tau_o=4, dt=0.1, v_ref=1.0)
+        out = reference_slice(scenario.route_polyline, 9.95, tau_o=4, dt=0.1, v_ref=1.0)
         assert out[-1].x == 10.0
         assert out[-2].x == 10.0
 
@@ -116,7 +117,8 @@ class TestReferenceSlice:
             v_max=1.0,
             sensor=RaySensorConfig(max_range_m=2.0),
         )
-        out = reference_slice(scenario, VehicleState(1.0, 0.0, 0.0), tau_o=3, dt=0.1, v_ref=1.0)
+        s0, _ = scenario.route_polyline.project((1.0, 0.0))
+        out = reference_slice(scenario.route_polyline, s0, tau_o=3, dt=0.1, v_ref=1.0)
         # projection lands exactly on the corner; slice continues up the second leg
         assert out[0].x == pytest.approx(1.0)
         assert out[0].y == pytest.approx(0.1)
@@ -136,15 +138,52 @@ class TestReferenceSlice:
             v_max=1.0,
             sensor=RaySensorConfig(max_range_m=2.0),
         )
-        out = reference_slice(scenario, VehicleState(0, 0, 0), tau_o=10, dt=0.2, v_ref=1.0)
+        out = reference_slice(scenario.route_polyline, 0.0, tau_o=10, dt=0.2, v_ref=1.0)
         for i in range(1, 10):
             s = 0.2 * (i + 1)
             expected = s / radius  # analytic tangent angle after arc length s
             assert out[i].rho == pytest.approx(expected, abs=0.05)
 
+    def test_equals_per_pose_sampling(self):
+        # one array call gives exactly the poses of the per-pose loop it replaced
+        route = Scenario(
+            route=((0.0, 0.0), (1.0, 0.3), (1.7, 1.1), (1.2, 2.0)),
+            half_width=0.5,
+            start=VehicleState(0, 0, 0),
+            goal_radius=0.2,
+            v_max=1.0,
+            sensor=RaySensorConfig(max_range_m=2.0),
+        ).route_polyline
+        s0, _ = route.project((0.9, 0.45))
+        out = reference_slice(route, s0, tau_o=100, dt=0.05, v_ref=0.7)
+        want = []
+        for i in range(1, 101):
+            s = min(s0 + 0.7 * 0.05 * i, route.length)
+            x, y = route.point_at(s)
+            want.append(VehicleState(x, y, route.heading_at(s)))
+        assert out == want
+        assert out[-1] == VehicleState(1.2, 2.0, route.heading_at(route.length))  # past the end
+
     def test_v_ref_must_be_positive(self):
         with pytest.raises(ValueError):
-            reference_slice(corridor(), VehicleState(0, 0, 0), 3, 0.1, 0.0)
+            reference_slice(corridor().route_polyline, 0.0, 3, 0.1, 0.0)
+
+
+class TestCachedPolylines:
+    def test_dynamic_obstacle_position_unchanged(self):
+        obstacle = Obstacle(center=(0.0, 0.0), radius=0.1, loop=((0.0, 0.0), (4.0, 0.0)), speed=1.0)
+        assert obstacle.position_at(1.0) == (1.0, 0.0)
+        assert obstacle.position_at(5.0) == (3.0, 0.0)  # on the way back
+        assert obstacle.position_at(5.0) == Polyline([(0.0, 0.0), (4.0, 0.0), (0.0, 0.0)]).point_at(5.0)
+        assert obstacle.loop_polyline is obstacle.loop_polyline
+        assert obstacle == Obstacle(center=(0.0, 0.0), radius=0.1, loop=((0.0, 0.0), (4.0, 0.0)), speed=1.0)
+
+    def test_scenario_equality_ignores_cached_polyline(self):
+        a, b = corridor(), corridor()
+        assert a.route_polyline is a.route_polyline  # built once
+        assert "route_polyline" in vars(a) and "route_polyline" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert replace(a, seed=9).route_polyline is not a.route_polyline
 
 
 class TestSimStep:
