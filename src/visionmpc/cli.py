@@ -10,7 +10,7 @@ measured controller latency instead.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,7 @@ import numpy as np
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from .metrics import aggregate, offline_report, read_offline_dataset, write_report_csv, write_report_json
 from .nmpc import NmpcConfig
-from .policy import CandidateSet, FeatureConfig, QNetwork, TrainConfig, load_checkpoint, save_checkpoint
-from .scene import ResidualWeights
+from .policy import CandidateSet, QNetwork, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
 from .sim import (
     ScenarioFormatError,
     load_scenario,
@@ -29,7 +28,6 @@ from .sim import (
     write_trial_log,
 )
 from .training import train, write_training_log
-from .vehicle import ControlInput
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -57,35 +55,32 @@ def _load_scenario(path):
 
 def _pipeline_from_file(path) -> PipelineConfig:
     try:
-        meta = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"unreadable pipeline config {path}: {exc}") from None
     try:
-        return PipelineConfig.from_meta(meta)
-    except (KeyError, TypeError, ValueError) as exc:
+        return config_from_dict(PipelineConfig(), raw)
+    except (TypeError, ValueError) as exc:
         raise CliError(f"invalid pipeline config {path}: {exc}") from None
 
 
 def _build_controller(method, scenario, pipeline, checkpoint, seed):
     if method == "lvd-nmpc":
-        fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
         if checkpoint is not None:
             try:
-                net, _, meta = load_checkpoint(checkpoint, expect_feature=None)
-            except (OSError, ValueError, KeyError) as exc:
+                net, trained_fc, meta = load_checkpoint(checkpoint)
+                if meta is not None:
+                    pipeline = config_from_dict(PipelineConfig(), meta)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"cannot load checkpoint {checkpoint}: {exc}") from None
-            if meta is not None:
-                pipeline = PipelineConfig.from_meta(meta)
-                fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-            if net.layer_sizes[0] != fc.dim:
-                raise CliError(
-                    f"checkpoint feature dimension {net.layer_sizes[0]} does not match scenario ({fc.dim})"
-                )
-        else:
+        fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
+        if checkpoint is None:
             # untrained, seed-initialized policy; useful for smoke runs only
             rng = np.random.default_rng(seed)
             candidates = CandidateSet.grid()
             net = QNetwork.initialize((fc.dim, *pipeline.hidden_layers, len(candidates)), candidates, rng)
+        elif trained_fc != fc:
+            raise CliError(f"checkpoint feature layout {trained_fc} does not match scenario {scenario.name}: {fc}")
         return LvdNmpcController(net, pipeline), pipeline
     if method == "dwa-nmpc":
         return DwaNmpcController(pipeline), pipeline
@@ -137,10 +132,9 @@ def _train_config_from_file(path, seed) -> TrainConfig:
         raw = json.loads(Path(path).read_text()) if path else {}
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"unreadable training config {path}: {exc}") from None
-    if seed is not None:
-        raw["seed"] = seed
     try:
-        return TrainConfig(**raw)
+        cfg = config_from_dict(TrainConfig(), raw)
+        return cfg if seed is None else replace(cfg, seed=seed)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid training config: {exc}") from None
 
@@ -158,7 +152,7 @@ def _cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     scenario = suite[0][0]
     fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-    save_checkpoint(out, net, fc, pipeline_meta=pipeline.meta())
+    save_checkpoint(out, net, fc, pipeline_meta=asdict(pipeline))
     log_path = out.with_suffix(out.suffix + ".log.csv")
     write_training_log(log_path, log)
     goals = sum(1 for rec in log if rec.status == "goal")

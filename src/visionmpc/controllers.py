@@ -67,51 +67,6 @@ class PipelineConfig:
             tau_o=self.nmpc.tau_o,
         )
 
-    def meta(self) -> dict:
-        return {
-            "tau_o": self.nmpc.tau_o,
-            "dt": self.nmpc.dt,
-            "wheelbase_L": self.nmpc.wheelbase_L,
-            "u_min": [self.nmpc.u_min.v_cmd, self.nmpc.u_min.omega_cmd],
-            "u_max": [self.nmpc.u_max.v_cmd, self.nmpc.u_max.omega_cmd],
-            "du_min": [self.nmpc.du_min.v_cmd, self.nmpc.du_min.omega_cmd],
-            "du_max": [self.nmpc.du_max.v_cmd, self.nmpc.du_max.omega_cmd],
-            "e_min": self.nmpc.e_min,
-            "e_max": self.nmpc.e_max,
-            "k_lat": self.k_lat,
-            "residual_weights": [
-                self.residual_weights.k_c,
-                self.residual_weights.k_w,
-                self.residual_weights.k_v,
-            ],
-            "n_history": self.n_history,
-            "hidden_layers": list(self.hidden_layers),
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "PipelineConfig":
-        base = cls()
-        nmpc = replace(
-            base.nmpc,
-            tau_o=int(meta["tau_o"]),
-            dt=float(meta["dt"]),
-            wheelbase_L=float(meta["wheelbase_L"]),
-            u_min=ControlInput(*meta["u_min"]),
-            u_max=ControlInput(*meta["u_max"]),
-            du_min=ControlInput(*meta["du_min"]),
-            du_max=ControlInput(*meta["du_max"]),
-            e_min=float(meta["e_min"]),
-            e_max=float(meta["e_max"]),
-        )
-        kc, kw, kv = meta["residual_weights"]
-        return cls(
-            nmpc=nmpc,
-            residual_weights=ResidualWeights(k_c=kc, k_w=kw, k_v=kv),
-            k_lat=float(meta["k_lat"]),
-            n_history=int(meta["n_history"]),
-            hidden_layers=tuple(int(h) for h in meta["hidden_layers"]),
-        )
-
 
 def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
     """The shared bounds with the speed bound lowered to a scenario's v_max."""

@@ -10,14 +10,14 @@ paths. Closed-loop trials reuse both metrics against the route.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .scene import fit_curvature
-from .sim import TrialOutcome
+from .sim import TrialOutcome, csv_cell
 from .vehicle import VehicleState
 
 REPORT_COLUMNS = (
@@ -93,33 +93,27 @@ def _sample_std(values: Sequence[float]) -> float:
     return float(np.std(np.asarray(values, dtype=float), ddof=1))
 
 
-def trial_records(outcome: TrialOutcome) -> list[OfflineRecord]:
-    """Offline records of a trial: driven pose vs route projection, speed = v_cmd."""
-    route = outcome.scenario.route_polyline
-    out = []
-    for rec in outcome.log:
-        s, _ = route.project((rec.x_m, rec.y_m))
-        gx, gy = route.point_at(s)
-        out.append(OfflineRecord(t=rec.time_s, x_est=rec.x_m, y_est=rec.y_m, x_gt=gx, y_gt=gy, v=rec.v_cmd))
-    return out
+def trial_errors(outcome: TrialOutcome) -> tuple[Optional[float], Optional[float]]:
+    """(e_xy, e_c) of the driven path against its route projection.
 
-
-def trial_curvature_error(outcome: TrialOutcome) -> Optional[float]:
-    """Curvature error of the driven path vs its route projection, None if degenerate."""
-    if len(outcome.log) < 3:
-        return None
+    Each logged pose is projected once; speed is v_cmd. e_xy is None for an
+    empty log, e_c for fewer than 3 poses or a degenerate fit.
+    """
+    log = outcome.log
+    if not log:
+        return None, None
     route = outcome.scenario.route_polyline
-    est = []
-    gt = []
-    for rec in outcome.log:
-        est.append(VehicleState(rec.x_m, rec.y_m, rec.rho_rad))
-        s, _ = route.project((rec.x_m, rec.y_m))
-        gx, gy = route.point_at(s)
-        gt.append(VehicleState(gx, gy, route.heading_at(s)))
+    points, headings = route.sample([route.project((rec.x_m, rec.y_m))[0] for rec in log])
+    gt = [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
+    exy = e_xy(
+        [OfflineRecord(rec.time_s, rec.x_m, rec.y_m, g.x, g.y, rec.v_cmd) for rec, g in zip(log, gt)]
+    )
+    if len(log) < 3:
+        return exy, None
     try:
-        return e_curvature(est, gt)
+        return exy, e_curvature([VehicleState(rec.x_m, rec.y_m, rec.rho_rad) for rec in log], gt)
     except ValueError:
-        return None
+        return exy, None
 
 
 def aggregate(outcomes_by_method: Mapping[str, Sequence[TrialOutcome]]) -> list[MetricsReport]:
@@ -145,10 +139,9 @@ def aggregate(outcomes_by_method: Mapping[str, Sequence[TrialOutcome]]) -> list[
         exy_values = []
         ec_values = []
         for o in outcomes:
-            recs = trial_records(o)
-            if recs:
-                exy_values.append(e_xy(recs))
-            ec = trial_curvature_error(o)
+            exy, ec = trial_errors(o)
+            if exy is not None:
+                exy_values.append(exy)
             if ec is not None:
                 ec_values.append(ec)
         reports.append(
@@ -173,20 +166,7 @@ def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for rep in reports:
-            writer.writerow(
-                [
-                    rep.method,
-                    repr(rep.crash_pct),
-                    repr(rep.goal_pct),
-                    repr(rep.avg_speed_mps),
-                    repr(rep.e_xy_mean),
-                    repr(rep.e_xy_std),
-                    repr(rep.e_c_mean),
-                    repr(rep.e_c_std),
-                    repr(rep.processing_ms_mean),
-                    repr(rep.timeout_pct),
-                ]
-            )
+            writer.writerow([csv_cell(getattr(rep, name)) for name in REPORT_COLUMNS])
 
 
 def write_report_json(path, reports: Sequence[MetricsReport], extra: Optional[dict] = None) -> None:
@@ -197,8 +177,8 @@ def write_report_json(path, reports: Sequence[MetricsReport], extra: Optional[di
 
 
 def read_offline_dataset(path) -> list[OfflineRecord]:
-    """Parse an offline dataset CSV with header (t, x_est, y_est, x_gt, y_gt, v)."""
-    expected = ("t", "x_est", "y_est", "x_gt", "y_gt", "v")
+    """Parse an offline dataset CSV whose header names the OfflineRecord fields in order."""
+    expected = tuple(f.name for f in fields(OfflineRecord))
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -207,8 +187,8 @@ def read_offline_dataset(path) -> list[OfflineRecord]:
             raise ValueError(f"{path}: expected header {','.join(expected)}, got {header!r}")
         last_t = None
         for i, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ValueError(f"{path}:{i}: expected 6 columns, got {len(row)}")
+            if len(row) != len(expected):
+                raise ValueError(f"{path}:{i}: expected {len(expected)} columns, got {len(row)}")
             try:
                 vals = [float(x) for x in row]
             except ValueError:

@@ -13,18 +13,45 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Polyline
 from .memory import MemoryEntry
 from .scene import SceneDynamics
 from .vehicle import VehicleState
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def config_from_dict(default, data: dict):
+    """Inverse of `dataclasses.asdict`, decoded against a default instance.
+
+    A missing key keeps the default's value; a nested config decodes against
+    the default's own nested value. An unknown key raises ValueError. A list
+    becomes a tuple whose items decode against the default's first item, and
+    a number is cast to the type of the default's value. Validation runs
+    through the config's `__post_init__`.
+    """
+    name = type(default).__name__
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} expects a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(default)})
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return replace(default, **{key: _decode(getattr(default, key), value) for key, value in data.items()})
+
+
+def _decode(default, value):
+    if is_dataclass(default):
+        return config_from_dict(default, value)
+    if isinstance(default, tuple):
+        return tuple(_decode(default[0], v) for v in value) if default else tuple(value)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,16 +112,7 @@ class FeatureConfig:
         return self.n_history * self.ray_count + 2 * self.tau_o + self.n_history
 
     def hash(self) -> str:
-        payload = json.dumps(
-            {
-                "n_history": self.n_history,
-                "ray_count": self.ray_count,
-                "max_range": self.max_range,
-                "tau_o": self.tau_o,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
 
 
 def featurize(window: Sequence[MemoryEntry], ref_slice: Sequence[VehicleState], fc: FeatureConfig) -> np.ndarray:
@@ -229,17 +247,19 @@ class RewardConfig:
 
 
 def reward(
-    prev: VehicleState,
-    nxt: VehicleState,
-    ref: Polyline,
+    s_prev: float,
+    s_next: float,
+    lateral: float,
     crashed: bool,
     reached: bool,
     cfg: RewardConfig = RewardConfig(),
 ) -> float:
-    """Progress along the reference minus lateral deviation, with terminal terms."""
-    s_prev, _ = ref.project((prev.x, prev.y))
-    s_next, lat = ref.project((nxt.x, nxt.y))
-    r = cfg.progress_gain * (s_next - s_prev) - cfg.cross_track_gain * abs(lat)
+    """Progress along the reference minus lateral deviation, with terminal terms.
+
+    s_prev and s_next are the route arc lengths of the poses before and
+    after the step, lateral the signed offset after it.
+    """
+    r = cfg.progress_gain * (s_next - s_prev) - cfg.cross_track_gain * abs(lateral)
     if crashed:
         r -= cfg.crash_penalty
     if reached:
@@ -349,13 +369,8 @@ def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: Optio
         "layer_sizes": list(net.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
-        "candidates": {"c_values": list(net.candidates.c_values), "w_values": list(net.candidates.w_values)},
-        "feature": {
-            "n_history": fc.n_history,
-            "ray_count": fc.ray_count,
-            "max_range": fc.max_range,
-            "tau_o": fc.tau_o,
-        },
+        "candidates": asdict(net.candidates),
+        "feature": asdict(fc),
         "feature_hash": fc.hash(),
     }
     if pipeline_meta:
@@ -366,24 +381,22 @@ def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: Optio
 def load_checkpoint(path, expect_feature: Optional[FeatureConfig] = None):
     """Load a checkpoint; returns (net, feature_config, pipeline_meta).
 
-    Rejects unknown versions, self-inconsistent feature hashes, and (when
-    expect_feature is given) a mismatch with the runtime feature layout.
+    pipeline_meta is the stored pipeline dict, or None. Rejects other
+    versions, self-inconsistent feature hashes, a network input size other
+    than the feature dimension, and (when expect_feature is given) a
+    mismatch with the runtime feature layout.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    feat = payload["feature"]
-    fc = FeatureConfig(
-        n_history=int(feat["n_history"]),
-        ray_count=int(feat["ray_count"]),
-        max_range=float(feat["max_range"]),
-        tau_o=int(feat["tau_o"]),
-    )
+    fc = config_from_dict(FeatureConfig(), payload["feature"])
     if fc.hash() != payload.get("feature_hash"):
         raise ValueError("checkpoint feature hash does not match its stored configuration")
     if expect_feature is not None and expect_feature.hash() != payload["feature_hash"]:
         raise ValueError("checkpoint feature hash does not match the runtime feature configuration")
-    cand = CandidateSet(tuple(payload["candidates"]["c_values"]), tuple(payload["candidates"]["w_values"]))
+    cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
     net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
+    if net.layer_sizes[0] != fc.dim:
+        raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {fc.dim}")
     return net, fc, payload.get("pipeline")

@@ -26,16 +26,15 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     dt_s 0.05
     state_noise_std 0.0
 
-Trial logs are CSV with the fixed column order
-(time_s, x_m, y_m, rho_rad, v_cmd, omega_cmd, c, w, cross_track_m,
-solve_ms, event); each row holds the state reached after applying the
+Trial logs are CSV with one column per `StepRecord` field, in field order
+(`LOG_COLUMNS`); each row holds the state reached after applying the
 logged control.
 """
 
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
@@ -45,21 +44,6 @@ import numpy as np
 from .geometry import Polyline, offset_polyline, ray_circle_hits, ray_segment_hits
 from .memory import Observation
 from .vehicle import ControlInput, ModelParams, VehicleState, step_true
-
-LOG_COLUMNS = (
-    "time_s",
-    "x_m",
-    "y_m",
-    "rho_rad",
-    "v_cmd",
-    "omega_cmd",
-    "c",
-    "w",
-    "cross_track_m",
-    "solve_ms",
-    "event",
-)
-
 
 @dataclass(frozen=True)
 class RaySensorConfig:
@@ -155,6 +139,13 @@ class Scenario:
         """Route as a polyline, built on first use; not part of equality."""
         return Polyline(self.route)
 
+    @cached_property
+    def boundary_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corridor wall segments as (starts, ends), built on first use; not part of equality."""
+        left = offset_polyline(self.route_polyline, self.half_width)
+        right = offset_polyline(self.route_polyline, -self.half_width)
+        return np.vstack([left[:-1], right[:-1]]), np.vstack([left[1:], right[1:]])
+
 
 @dataclass
 class World:
@@ -167,22 +158,14 @@ class World:
     t: float = 0.0
     crashed: bool = False
     reached: bool = False
-    # signed offset of the vehicle from the route, refreshed by sim_step
+    # route arc length and signed offset of the vehicle, refreshed by sim_step
+    s: float = field(init=False)
     lateral: float = field(init=False)
     route: Polyline = field(init=False, repr=False)
-    _bounds_a: np.ndarray = field(init=False, repr=False)
-    _bounds_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.route = self.scenario.route_polyline
-        _, self.lateral = self.route.project((self.vehicle.x, self.vehicle.y))
-        left = offset_polyline(self.route, self.scenario.half_width)
-        right = offset_polyline(self.route, -self.scenario.half_width)
-        self._bounds_a = np.vstack([left[:-1], right[:-1]])
-        self._bounds_b = np.vstack([left[1:], right[1:]])
-
-    def boundary_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._bounds_a, self._bounds_b
+        self.s, self.lateral = self.route.project((self.vehicle.x, self.vehicle.y))
 
     def obstacle_states(self) -> tuple[np.ndarray, np.ndarray]:
         obs = self.scenario.obstacles
@@ -209,7 +192,7 @@ def sense(world: World) -> Observation:
     origin = np.array([world.vehicle.x, world.vehicle.y])
     centers, radii = world.obstacle_states()
     d_obs = ray_circle_hits(origin, dirs, centers, radii)
-    seg_a, seg_b = world.boundary_segments()
+    seg_a, seg_b = world.scenario.boundary_segments
     d_wall = ray_segment_hits(origin, dirs, seg_a, seg_b)
     dist = np.minimum(np.minimum(d_obs, d_wall), cfg.max_range_m)
     dist = np.maximum(dist, 1e-9)
@@ -253,7 +236,7 @@ def sim_step(world: World, control: ControlInput) -> World:
         if math.hypot(px - cx, py - cy) < r:
             hit = True
             break
-    _, world.lateral = world.route.project((px, py))
+    world.s, world.lateral = world.route.project((px, py))
     if abs(world.lateral) > world.scenario.half_width:
         hit = True
     world.crashed = world.crashed or hit
@@ -291,6 +274,9 @@ class StepRecord:
     cross_track_m: float
     solve_ms: float
     event: str = ""
+
+
+LOG_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
 @dataclass(frozen=True)
@@ -375,21 +361,12 @@ def write_trial_log(path, outcome: TrialOutcome) -> None:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for rec in outcome.log:
-            writer.writerow(
-                [
-                    repr(rec.time_s),
-                    repr(rec.x_m),
-                    repr(rec.y_m),
-                    repr(rec.rho_rad),
-                    repr(rec.v_cmd),
-                    repr(rec.omega_cmd),
-                    repr(rec.c),
-                    repr(rec.w),
-                    repr(rec.cross_track_m),
-                    repr(rec.solve_ms),
-                    rec.event,
-                ]
-            )
+            writer.writerow([csv_cell(getattr(rec, name)) for name in LOG_COLUMNS])
+
+
+def csv_cell(value) -> str:
+    """CSV text of a record value: floats by repr, so they read back bit-exact."""
+    return value if isinstance(value, str) else repr(value)
 
 
 def read_trial_log(path, scenario: Scenario, status: Optional[str] = None) -> TrialOutcome:
@@ -400,6 +377,7 @@ def read_trial_log(path, scenario: Scenario, status: Optional[str] = None) -> Tr
     event mark).
     """
     records = []
+    types = [f.type for f in fields(StepRecord)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -408,21 +386,7 @@ def read_trial_log(path, scenario: Scenario, status: Optional[str] = None) -> Tr
         for row in reader:
             if len(row) != len(LOG_COLUMNS):
                 raise ValueError(f"{path}: malformed row {row!r}")
-            records.append(
-                StepRecord(
-                    time_s=float(row[0]),
-                    x_m=float(row[1]),
-                    y_m=float(row[2]),
-                    rho_rad=float(row[3]),
-                    v_cmd=float(row[4]),
-                    omega_cmd=float(row[5]),
-                    c=float(row[6]),
-                    w=float(row[7]),
-                    cross_track_m=float(row[8]),
-                    solve_ms=float(row[9]),
-                    event=row[10],
-                )
-            )
+            records.append(StepRecord(*(typ(cell) for typ, cell in zip(types, row))))
     final_status = status
     if records and records[-1].event in ("crash", "goal"):
         final_status = records[-1].event

@@ -151,9 +151,9 @@ def train(
             action = controller.last_action
             if pending is not None:
                 buffer.push(pending[0], pending[1], pending[2], features, False)
-            prev_state = world.vehicle
+            s_prev = world.s
             sim_step(world, cmd.u)
-            r = reward(prev_state, world.vehicle, world.route, world.crashed, world.reached, reward_cfg)
+            r = reward(s_prev, world.s, world.lateral, world.crashed, world.reached, reward_cfg)
             ep_return += r
             steps += 1
             global_step += 1

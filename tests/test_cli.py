@@ -3,9 +3,13 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from visionmpc.cli import main
+from visionmpc.cli import _build_controller, _default_training_pipeline, main
+from visionmpc.controllers import PipelineConfig
+from visionmpc.policy import CandidateSet, QNetwork, save_checkpoint
+from visionmpc.sim import load_scenario
 
 
 def scenario_path(name):
@@ -156,11 +160,76 @@ class TestTrain:
         assert log_a == log_b
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text("[1, 2]")
+        rc = run_cli(
+            "train",
+            "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
+            "--config", str(config),
+            "--seed", "1",
+            "--out", str(tmp_path / "n.json"),
+        )
+        assert rc == 1
+        assert "TrainConfig expects a JSON object" in capsys.readouterr().err
+
     def test_no_scenarios_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
         rc = run_cli("train", "--scenario-set", str(empty), "--out", str(tmp_path / "n.json"))
         assert rc == 1
+
+
+class TestCheckpointReload:
+    def test_trained_checkpoint_reloads_its_training_pipeline(self, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
+        ckpt = tmp_path / "net.json"
+        rc = run_cli(
+            "train",
+            "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
+            "--config", str(config),
+            "--out", str(ckpt),
+        )
+        assert rc == 0
+        scenario, _ = load_scenario(scenario_path("straight_corridor"))
+        _, pipeline = _build_controller("lvd-nmpc", scenario, PipelineConfig(), str(ckpt), 0)
+        assert pipeline == _default_training_pipeline()
+        assert pipeline.nmpc.max_iters == 25
+
+    def test_checkpoint_for_another_sensor_range_is_rejected(self, tmp_path, capsys):
+        # same ray count and hence the same input size, different max range
+        fc = PipelineConfig().feature_config(sensor_rays=180, max_range=2.0)
+        cand = CandidateSet.grid()
+        net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, np.random.default_rng(0))
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(ckpt, net, fc)
+        rc = run_cli(
+            "simulate",
+            "--scenario", scenario_path("straight_corridor"),
+            "--method", "lvd-nmpc",
+            "--trials", "1",
+            "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert "feature layout" in capsys.readouterr().err
+
+
+class TestPipelineFile:
+    def test_unknown_nested_key_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps({"nmpc": {"max_iter": 5}}))
+        rc = run_cli(
+            "simulate",
+            "--scenario", scenario_path("straight_corridor"),
+            "--method", "direct",
+            "--trials", "1",
+            "--pipeline", str(path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert "max_iter" in capsys.readouterr().err
 
 
 class TestEnvOverride:

@@ -1,12 +1,13 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig
-from visionmpc.policy import CandidateSet, QNetwork
+from visionmpc.policy import CandidateSet, QNetwork, config_from_dict
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, run_trial
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
@@ -120,7 +121,7 @@ class TestLvdController:
 class TestCheckpointPipelineRoundTrip:
     def test_meta_reconstructs_pipeline(self):
         pipeline = PipelineConfig(nmpc=NmpcConfig(tau_o=9, dt=0.04, e_min=-0.4, e_max=0.4))
-        rebuilt = PipelineConfig.from_meta(pipeline.meta())
+        rebuilt = config_from_dict(PipelineConfig(), json.loads(json.dumps(asdict(pipeline))))
         assert rebuilt.nmpc.tau_o == 9
         assert rebuilt.nmpc.dt == 0.04
         assert rebuilt.nmpc.e_max == 0.4

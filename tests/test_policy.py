@@ -1,8 +1,11 @@
+import json
 import math
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+from visionmpc.controllers import PipelineConfig
 from visionmpc.geometry import Polyline
 from visionmpc.memory import MemoryEntry, Observation
 from visionmpc.policy import (
@@ -12,6 +15,7 @@ from visionmpc.policy import (
     ReplayBuffer,
     RewardConfig,
     TrainConfig,
+    config_from_dict,
     featurize,
     load_checkpoint,
     reward,
@@ -141,20 +145,25 @@ class TestSelectDynamics:
 class TestReward:
     ROUTE = Polyline([(0.0, 0.0), (10.0, 0.0)])
 
+    def _reward(self, prev, nxt, *flags_and_cfg):
+        s_prev, _ = self.ROUTE.project((prev.x, prev.y))
+        s_next, lateral = self.ROUTE.project((nxt.x, nxt.y))
+        return reward(s_prev, s_next, lateral, *flags_and_cfg)
+
     def test_no_motion_on_centerline(self):
         z = VehicleState(1.0, 0.0, 0.0)
-        assert reward(z, z, self.ROUTE, False, False) == 0.0
+        assert self._reward(z, z, False, False) == 0.0
 
     def test_progress_minus_cross_track(self):
         prev = VehicleState(1.0, 0.0, 0.0)
         nxt = VehicleState(1.2, 0.1, 0.0)
-        got = reward(prev, nxt, self.ROUTE, False, False, RewardConfig())
+        got = self._reward(prev, nxt, False, False, RewardConfig())
         assert got == pytest.approx(1.0 * 0.2 - 0.5 * 0.1)
 
     def test_crash_and_goal_terms(self):
         z = VehicleState(1.0, 0.0, 0.0)
-        assert reward(z, z, self.ROUTE, True, False) == pytest.approx(-10.0)
-        assert reward(z, z, self.ROUTE, False, True) == pytest.approx(10.0)
+        assert self._reward(z, z, True, False) == pytest.approx(-10.0)
+        assert self._reward(z, z, False, True) == pytest.approx(10.0)
 
 
 class TestReplayBuffer:
@@ -320,6 +329,102 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_refuses_version_1(self, tmp_path):
+        rng = np.random.default_rng(15)
+        cand = CandidateSet.grid(k_c=2, k_w=2)
+        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
+        rng = np.random.default_rng(16)
+        cand = CandidateSet.grid(k_c=2, k_w=2)
+        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, QNetwork.initialize((fc.dim + 1, 4, len(cand)), cand, rng), fc)
+        with pytest.raises(ValueError, match="feature dimension"):
+            load_checkpoint(path)
+
+    def test_full_pipeline_round_trips(self, tmp_path):
+        rng = np.random.default_rng(17)
+        cand = CandidateSet.grid(k_c=2, k_w=2)
+        pipeline = perturbed(PipelineConfig(), rng)
+        fc = pipeline.feature_config(6, 2.0)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, pipeline_meta=asdict(pipeline))
+        _, fc2, meta = load_checkpoint(path, expect_feature=fc)
+        assert fc2 == fc
+        assert config_from_dict(PipelineConfig(), meta) == pipeline
+
+
+def test_feature_hash_is_stable():
+    # the value written by every earlier release for this layout
+    assert FeatureConfig(4, 180, 3.0, 20).hash() == "34922848a3d5c36d1df2043b2b1cc50a6e1a8a53af6f2e594634c00bb5b8c661"
+
+
+def perturbed(value, rng):
+    """A random valid variant of a config.
+
+    Each float is scaled by a factor in [0.5, 1] (a zero becomes a small
+    positive value), each int scaled likewise plus 0-2, and each tuple is
+    refilled with 1-4 variants of its first element. Signs are kept, so the
+    configs' ordering and range checks still hold.
+    """
+    if is_dataclass(value):
+        return replace(value, **{f.name: perturbed(getattr(value, f.name), rng) for f in fields(value)})
+    if isinstance(value, tuple):
+        return tuple(perturbed(value[0], rng) for _ in range(int(rng.integers(1, 5))))
+    if isinstance(value, int):
+        return int(value * rng.uniform(0.5, 1.0)) + int(rng.integers(0, 3))
+    if isinstance(value, float):
+        return value * rng.uniform(0.5, 1.0) if value else rng.uniform(0.0, 0.1)
+    return value
+
+
+class TestConfigFromDict:
+    @pytest.mark.parametrize(
+        "default",
+        [PipelineConfig(), TrainConfig(), FeatureConfig(), CandidateSet.grid()],
+        ids=lambda d: type(d).__name__,
+    )
+    def test_json_round_trip_is_lossless(self, default):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            cfg = perturbed(default, rng)
+            assert cfg != default
+            assert config_from_dict(default, json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            config_from_dict(PipelineConfig(), {"max_iter": 5})
+        with pytest.raises(ValueError, match="max_iter"):
+            config_from_dict(PipelineConfig(), {"nmpc": {"max_iter": 5}})
+
+    def test_missing_keys_keep_the_default_instance_values(self):
+        cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 10}})
+        assert cfg.nmpc.tau_o == 10
+        assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == 40
+        assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
+
+    def test_numbers_take_the_default_type_and_lists_become_tuples(self):
+        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "k_lat": 1, "hidden_layers": [8, 4.0]})
+        assert type(cfg.n_history) is int and cfg.n_history == 3
+        assert type(cfg.k_lat) is float and cfg.k_lat == 1.0
+        assert cfg.hidden_layers == (8, 4) and all(type(h) is int for h in cfg.hidden_layers)
+
+    def test_validation_still_runs(self):
+        with pytest.raises(ValueError):
+            config_from_dict(TrainConfig(), {"gamma": 1.5})
+        with pytest.raises(ValueError):
+            config_from_dict(PipelineConfig(), {"nmpc": {"e_min": 1.0}})
+        with pytest.raises(ValueError):
+            config_from_dict(PipelineConfig(), {"nmpc": 3})
 
 
 def test_candidate_set_ordering_is_curvature_major():
