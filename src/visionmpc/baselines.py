@@ -68,6 +68,17 @@ def _constant_rollouts(vehicle: VehicleState, vs, omegas, limits: NmpcConfig, n_
     return np.stack([xs, ys], axis=2), pose_heads
 
 
+def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each rollout (C, H, 2) to its nearest point (P, 2)."""
+    flat = positions.reshape(-1, 2)
+    # |f|^2 - 2 f.p + |p|^2 built in place: scaling by -2 is exact and
+    # x + (-y) == x - y, so no rounding differs from the three-temporary sum
+    d2 = (-2.0 * flat) @ pts.T
+    d2 += np.sum(flat ** 2, axis=1)[:, None]
+    d2 += np.sum(pts ** 2, axis=1)[None, :]
+    return np.sqrt(np.maximum(d2.reshape(positions.shape[0], -1).min(axis=1), 0.0))
+
+
 def obstacle_points_from_observation(obs: Observation, vehicle: VehicleState, max_range: float) -> np.ndarray:
     """Sensed ray endpoints as world-frame point obstacles.
 
@@ -123,13 +134,7 @@ def dwa_plan(
         near = np.hypot(pts[:, 0] - vehicle.x, pts[:, 1] - vehicle.y) <= reach
         pts = pts[near]
     if pts.shape[0] > 0:
-        flat = positions.reshape(-1, 2)
-        d2 = (
-            np.sum(flat ** 2, axis=1)[:, None]
-            - 2.0 * (flat @ pts.T)
-            + np.sum(pts ** 2, axis=1)[None, :]
-        )
-        min_clear = np.sqrt(np.maximum(d2.reshape(len(vs), -1).min(axis=1), 0.0))
+        min_clear = _min_clearance(positions, pts)
     else:
         min_clear = np.full(vs.shape[0], cfg.clearance_cap + cfg.vehicle_radius)
     admissible = min_clear > cfg.vehicle_radius

@@ -64,28 +64,51 @@ def _pipeline_from_file(path) -> PipelineConfig:
         raise CliError(f"invalid pipeline config {path}: {exc}") from None
 
 
-def _build_controller(method, scenario, pipeline, checkpoint, seed):
+def _run_pipeline(pipeline_path, checkpoint_path):
+    """The one pipeline every method runs, and the trained policy if given.
+
+    With a checkpoint that stores its pipeline, that pipeline is the one;
+    a --pipeline file that decodes to a different one is an error, so a
+    learned policy never runs under other bounds, horizon or solver budget
+    than the baselines beside it. Returns (pipeline, (net, feature) or None).
+    """
+    pipeline = _pipeline_from_file(pipeline_path) if pipeline_path else None
+    if checkpoint_path is None:
+        return pipeline or PipelineConfig(), None
+    try:
+        net, trained_fc, meta = load_checkpoint(checkpoint_path)
+        trained = None if meta is None else config_from_dict(PipelineConfig(), meta)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
+    if trained is None:
+        trained = pipeline or PipelineConfig()
+    elif pipeline is not None and pipeline != trained:
+        raise CliError(
+            f"pipeline config {pipeline_path} differs from the pipeline checkpoint "
+            f"{checkpoint_path} was trained with; omit --pipeline to run the checkpoint's"
+        )
+    return trained, (net, trained_fc)
+
+
+def _build_controller(method, scenario, pipeline, policy, seed):
     if method == "lvd-nmpc":
-        if checkpoint is not None:
-            try:
-                net, trained_fc, meta = load_checkpoint(checkpoint)
-                if meta is not None:
-                    pipeline = config_from_dict(PipelineConfig(), meta)
-            except (OSError, KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"cannot load checkpoint {checkpoint}: {exc}") from None
         fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-        if checkpoint is None:
+        if policy is None:
             # untrained, seed-initialized policy; useful for smoke runs only
             rng = np.random.default_rng(seed)
             candidates = CandidateSet.grid()
             net = QNetwork.initialize((fc.dim, *pipeline.hidden_layers, len(candidates)), candidates, rng)
-        elif trained_fc != fc:
-            raise CliError(f"checkpoint feature layout {trained_fc} does not match scenario {scenario.name}: {fc}")
-        return LvdNmpcController(net, pipeline), pipeline
+        else:
+            net, trained_fc = policy
+            if trained_fc != fc:
+                raise CliError(
+                    f"checkpoint feature layout {trained_fc} does not match scenario {scenario.name}: {fc}"
+                )
+        return LvdNmpcController(net, pipeline)
     if method == "dwa-nmpc":
-        return DwaNmpcController(pipeline), pipeline
+        return DwaNmpcController(pipeline)
     if method == "direct":
-        return DirectController(pipeline), pipeline
+        return DirectController(pipeline)
     raise CliError(f"unknown method {method!r}")
 
 
@@ -93,8 +116,8 @@ def _cmd_simulate(args) -> int:
     scenario, params = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = with_seed(scenario, args.seed)
-    pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else PipelineConfig()
-    controller, pipeline = _build_controller(args.method, scenario, pipeline, args.checkpoint, scenario.seed)
+    pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
+    controller = _build_controller(args.method, scenario, pipeline, policy, scenario.seed)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes = []
@@ -237,14 +260,14 @@ def _cmd_compare(args) -> int:
     if not paths:
         raise CliError(f"no .scn scenarios found in {set_dir}")
     suite = [_load_scenario(p) for p in paths]
-    pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else PipelineConfig()
+    pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
     outcomes_by_method: dict[str, list] = {}
     for method in METHODS:
         outcomes = []
         for scenario, params in suite:
             if args.seed is not None:
                 scenario = with_seed(scenario, args.seed)
-            controller, _ = _build_controller(method, scenario, pipeline, args.checkpoint, scenario.seed)
+            controller = _build_controller(method, scenario, pipeline, policy, scenario.seed)
             for trial in range(args.trials):
                 outcomes.append(
                     run_trial(scenario, controller, params, trial_index=trial, record_wall_clock=True)

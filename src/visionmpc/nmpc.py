@@ -6,6 +6,14 @@ constant residual increment forward. Actuator and rate bounds and a soft
 cross-track corridor enter as quadratic penalties; the penalized objective
 is minimized with BFGS and a backtracking line search, and the final
 controls are projected exactly onto the actuator and rate bounds.
+
+Each objective evaluation is one numpy forward pass over the horizon; the
+gradient comes from the adjoint of that same pass, so the line search's
+accepted trial supplies the next gradient without a second rollout. Only
+the wrapped heading recursion runs as a Python loop. The array code repeats
+the per-step recurrence's floating-point operations in their order, so
+costs, gradients and iterates are bit-identical to a scalar loop (the
+reference kept in tests/test_nmpc.py).
 """
 
 import math
@@ -118,157 +126,145 @@ def tracking_cost(
     return total
 
 
-def _wrap_fast(a: float) -> float:
-    return _WRAP_PI - (_WRAP_PI - a) % _TWO_PI
-
-
 class _Problem:
-    """Penalized single-shooting objective with analytic gradient."""
+    """Penalized single-shooting objective with analytic gradient.
+
+    The arrays repeat the per-step recurrence operation for operation.
+    Every running total (positions, adjoints, the cost) is an
+    np.add.accumulate, which adds in sequence where np.sum adds pairwise,
+    so the cost and gradient are bit-identical to a loop over the horizon.
+    """
 
     def __init__(self, current, zd_states, residual, g, cfg, u_prev, penalty):
-        self.T = cfg.tau_o
+        T = cfg.tau_o
+        self.T = T
         self.dt = cfg.dt
         self.L = cfg.wheelbase_L
         self.q = g.q_diag
         self.r = g.r_diag
         self.pw = penalty
-        self.cfg = cfg
-        self.x0 = current.x
-        self.y0 = current.y
         self.r0 = current.rho
         if residual is None:
-            self.res = (0.0, 0.0, 0.0)
+            res = (0.0, 0.0, 0.0)
         else:
             arr = np.asarray(residual, dtype=float).reshape(-1)
             if arr.shape[0] != 3:
                 raise ValueError("residual must be a 3-vector")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("residual must be finite")
-            self.res = (float(arr[0]), float(arr[1]), float(arr[2]))
-        self.xd = [z.x for z in zd_states]
-        self.yd = [z.y for z in zd_states]
-        self.rd = [z.rho for z in zd_states]
-        self.sin_rd = [math.sin(v) for v in self.rd]
-        self.cos_rd = [math.cos(v) for v in self.rd]
-        self.u_prev = u_prev
+            res = (float(arr[0]), float(arr[1]), float(arr[2]))
+        self.rr = res[2]
+        # x[k+1] = (x[k] + a[k]) + rx is the running sum of [x0, a0, rx, a1, rx, ...]
+        self.pos_steps = np.empty((2, 2 * T + 1))
+        self.pos_steps[:, 0] = current.x, current.y
+        self.pos_steps[0, 2::2] = res[0]
+        self.pos_steps[1, 2::2] = res[1]
+        self.zd = np.array([[z.x for z in zd_states], [z.y for z in zd_states]])
+        self.rd = np.array([z.rho for z in zd_states])
+        # e_lat = -sin(rho_d) * ex + cos(rho_d) * ey in the desired-pose frame
+        self.lat = np.array([[-math.sin(z.rho) for z in zd_states], [math.cos(z.rho) for z in zd_states]])
+        # the penalized quantities share one buffer, [u_prev | u | rates | e_lat];
+        # rate k is taken against control k-1, the first only against u_prev
+        self.first = 2 if u_prev is None else 0
+        self.box = np.empty(2 + 5 * T - self.first)
+        if u_prev is not None:
+            self.box[:2] = u_prev.v_cmd, u_prev.omega_cmd
+        self.lo = np.concatenate((
+            np.tile((cfg.u_min.v_cmd, cfg.u_min.omega_cmd), T),
+            np.tile((cfg.du_min.v_cmd, cfg.du_min.omega_cmd), T)[self.first:],
+            np.full(T, cfg.e_min),
+        ))
+        self.hi = np.concatenate((
+            np.tile((cfg.u_max.v_cmd, cfg.u_max.omega_cmd), T),
+            np.tile((cfg.du_max.v_cmd, cfg.du_max.omega_cmd), T)[self.first:],
+            np.full(T, cfg.e_max),
+        ))
 
     def value(self, u: np.ndarray) -> float:
-        return self._eval(u, need_grad=False)[0]
+        return self.forward(u)[0]
 
     def value_and_grad(self, u: np.ndarray):
-        return self._eval(u, need_grad=True)
+        cost, fwd = self.forward(u)
+        return cost, self.gradient(fwd)
 
-    def _eval(self, u: np.ndarray, need_grad: bool):
-        T, dt, L = self.T, self.dt, self.L
-        q, r, pw = self.q, self.r, self.pw
-        rx, ry, rr = self.res
-        cfg = self.cfg
-        v_lo, v_hi = cfg.u_min.v_cmd, cfg.u_max.v_cmd
-        w_lo, w_hi = cfg.u_min.omega_cmd, cfg.u_max.omega_cmd
-        dv_lo, dv_hi = cfg.du_min.v_cmd, cfg.du_max.v_cmd
-        dw_lo, dw_hi = cfg.du_min.omega_cmd, cfg.du_max.omega_cmd
+    def forward(self, u: np.ndarray):
+        """Cost at u, and the rollout arrays that gradient() reuses.
 
-        xs = [0.0] * (T + 1)
-        ys = [0.0] * (T + 1)
-        rs = [0.0] * (T + 1)
-        heads = [0.0] * T
-        xs[0], ys[0], rs[0] = self.x0, self.y0, self.r0
+        The last array holds the signed excesses over the bounds of
+        [u | control rates | lateral offsets], zero where a bound holds.
+        """
+        T, dt, L, pw = self.T, self.dt, self.L, self.pw
+        n = 2 * T
+        v, w = u[0::2], u[1::2]
+        sw = np.sin(w)
+        # the doubly wrapped heading is the one sequential recurrence
+        pi, two_pi = _WRAP_PI, _TWO_PI
+        r, rr = self.r0, self.rr
+        rho = [r]
+        for inc in (sw / L * v * dt).tolist():
+            r = pi - (pi - (r + inc)) % two_pi
+            r = pi - (pi - (r + rr)) % two_pi
+            rho.append(r)
+        rho = np.array(rho)
+        head = rho[:-1] + w
+        trig = np.empty((2, T))
+        np.cos(head, out=trig[0])
+        np.sin(head, out=trig[1])
+        steps = self.pos_steps
+        np.multiply(trig * v, dt, out=steps[:, 1::2])
+        e = np.add.accumulate(steps, axis=1)[:, 2::2] - self.zd
+        er = pi - (pi - (rho[1:] - self.rd)) % two_pi
+        box, first = self.box, self.first
+        box[2:n + 2] = u
+        np.divide(box[first + 2:n + 2] - box[first:n], dt, out=box[n + 2:-T])
+        np.add(self.lat[0] * e[0], self.lat[1] * e[1], out=box[-T:])
+        # signed excess max(0, x - hi) - max(0, lo - x); np.maximum(a, 0.0)
+        # turns -0.0 into 0.0 as Python's max(0.0, a) does, while
+        # np.maximum(0.0, a) keeps -0.0
+        x = box[2:]
+        h = np.maximum(x - self.hi, 0.0) - np.maximum(self.lo - x, 0.0)
+        # per-step terms in the order a loop adds them: tracking and input,
+        # actuator, corridor for each step, then the rate terms
+        sq = h[:-T] * h[:-T]
+        pen = pw * (sq[0::2] + sq[1::2])
+        he = h[-T:]
+        e2, u2 = e * e, u * u
+        terms = np.empty(3 * T + pen.size - T)
+        stage = terms[: 3 * T].reshape(T, 3)
+        np.add(self.q * (e2[0] + e2[1] + er * er), self.r * (u2[0::2] + u2[1::2]), out=stage[:, 0])
+        stage[:, 1] = pen[:T]
+        np.multiply(pw * he, he, out=stage[:, 2])
+        terms[3 * T:] = pen[T:]
+        return np.add.accumulate(terms)[-1], (u, sw, trig, e, er, h)
 
-        cost = 0.0
-        # forward rollout + stage costs
-        for k in range(T):
-            vk = u[2 * k]
-            wk = u[2 * k + 1]
-            head = rs[k] + wk
-            heads[k] = head
-            xs[k + 1] = xs[k] + math.cos(head) * vk * dt + rx
-            ys[k + 1] = ys[k] + math.sin(head) * vk * dt + ry
-            rs[k + 1] = _wrap_fast(_wrap_fast(rs[k] + math.sin(wk) / L * vk * dt) + rr)
-            i = k + 1
-            ex = xs[i] - self.xd[k]
-            ey = ys[i] - self.yd[k]
-            er = _wrap_fast(rs[i] - self.rd[k])
-            cost += q * (ex * ex + ey * ey + er * er) + r * (vk * vk + wk * wk)
-            # actuator bound penalties
-            hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
-            hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
-            cost += pw * (hv * hv + hw * hw)
-            # soft cross-track corridor in the desired-pose frame
-            e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
-            he = max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat)
-            cost += pw * he * he
-        # rate penalties
-        prev = self.u_prev
-        for k in range(T):
-            if k == 0:
-                if prev is None:
-                    continue
-                pv, pw_ = prev.v_cmd, prev.omega_cmd
-            else:
-                pv, pw_ = u[2 * k - 2], u[2 * k - 1]
-            rv = (u[2 * k] - pv) / dt
-            rw = (u[2 * k + 1] - pw_) / dt
-            hv = max(0.0, rv - dv_hi) - max(0.0, dv_lo - rv)
-            hw = max(0.0, rw - dw_hi) - max(0.0, dw_lo - rw)
-            cost += pw * (hv * hv + hw * hw)
-
-        if not need_grad:
-            return cost, None
-
-        grad = np.zeros(2 * T)
-        lam_x = lam_y = lam_r = 0.0
-        for k in range(T - 1, -1, -1):
-            vk = u[2 * k]
-            wk = u[2 * k + 1]
-            head = heads[k]
-            ch, sh = math.cos(head), math.sin(head)
-            i = k + 1
-            ex = xs[i] - self.xd[k]
-            ey = ys[i] - self.yd[k]
-            er = _wrap_fast(rs[i] - self.rd[k])
-            e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
-            dhinge = 2.0 * (max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat))
-            gx = 2.0 * q * ex + pw * dhinge * (-self.sin_rd[k])
-            gy = 2.0 * q * ey + pw * dhinge * self.cos_rd[k]
-            gr = 2.0 * q * er
-            lam_x += gx
-            lam_y += gy
-            lam_r += gr
-            # control gradient through the dynamics
-            gv = dt * (ch * lam_x + sh * lam_y) + dt * math.sin(wk) / L * lam_r
-            gw = dt * vk * (-sh * lam_x + ch * lam_y) + dt * vk * math.cos(wk) / L * lam_r
-            gv += 2.0 * r * vk
-            gw += 2.0 * r * wk
-            hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
-            hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
-            gv += pw * 2.0 * hv
-            gw += pw * 2.0 * hw
-            grad[2 * k] += gv
-            grad[2 * k + 1] += gw
-            # propagate the adjoint through z_k
-            lam_r = lam_r + dt * vk * (-sh * lam_x + ch * lam_y)
-            # lam_x, lam_y unchanged by A_k
-        # rate penalty gradients
-        prev = self.u_prev
-        for k in range(T):
-            if k == 0:
-                if prev is None:
-                    continue
-                pv, pw_ = prev.v_cmd, prev.omega_cmd
-                prev_idx = None
-            else:
-                pv, pw_ = u[2 * k - 2], u[2 * k - 1]
-                prev_idx = 2 * k - 2
-            rv = (u[2 * k] - pv) / dt
-            rw = (u[2 * k + 1] - pw_) / dt
-            dv = 2.0 * (max(0.0, rv - dv_hi) - max(0.0, dv_lo - rv)) * pw / dt
-            dw = 2.0 * (max(0.0, rw - dw_hi) - max(0.0, dw_lo - rw)) * pw / dt
-            grad[2 * k] += dv
-            grad[2 * k + 1] += dw
-            if prev_idx is not None:
-                grad[prev_idx] -= dv
-                grad[prev_idx + 1] -= dw
-        return cost, grad
+    def gradient(self, fwd) -> np.ndarray:
+        """Gradient at the point of a forward() pass, by the adjoint recursion."""
+        u, sw, (ch, sh), e, er, h = fwd
+        T, dt, L, pw = self.T, self.dt, self.L, self.pw
+        n = 2 * T
+        q2 = 2.0 * self.q
+        v, w = u[0::2], u[1::2]
+        # adjoints are suffix sums, accumulated backward from 0.0
+        gxy = np.zeros((2, T + 1))
+        np.add(q2 * e, pw * (2.0 * h[-T:]) * self.lat, out=gxy[:, :0:-1])
+        lam_x, lam_y = np.add.accumulate(gxy, axis=1)[:, :0:-1]
+        dtv = dt * v
+        m = dtv * (-sh * lam_x + ch * lam_y)
+        # going backward, lam_r gains q2 * er[k], is read at step k, then gains m[k]
+        gr = np.empty(n)
+        gr[0] = 0.0
+        gr[1::2] = (q2 * er)[::-1]
+        gr[2::2] = m[:0:-1]
+        lam_r = np.add.accumulate(gr)[1::2][::-1]
+        grad = np.empty(n)
+        grad[0::2] = dt * (ch * lam_x + sh * lam_y) + dt * sw / L * lam_r
+        grad[1::2] = m + dtv * np.cos(w) / L * lam_r
+        grad += 2.0 * self.r * u
+        grad += pw * 2.0 * h[:n]
+        d_rate = 2.0 * h[n:-T] * pw / dt
+        grad[self.first:] += d_rate
+        grad[:-2] -= d_rate[2 - self.first:]
+        return grad
 
 
 def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: Optional[ControlInput]) -> np.ndarray:
@@ -291,36 +287,13 @@ def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: Optional[ControlInput]) 
     return out
 
 
-def _violation(u: np.ndarray, cfg: NmpcConfig, u_prev, problem: _Problem) -> float:
-    """Worst constraint excess: actuator, rate, and cross-track corridor."""
-    worst = 0.0
-    dt = cfg.dt
-    for k in range(cfg.tau_o):
-        v, w = u[2 * k], u[2 * k + 1]
-        worst = max(worst, v - cfg.u_max.v_cmd, cfg.u_min.v_cmd - v)
-        worst = max(worst, w - cfg.u_max.omega_cmd, cfg.u_min.omega_cmd - w)
-        if k == 0:
-            if u_prev is None:
-                continue
-            pv, pw = u_prev.v_cmd, u_prev.omega_cmd
-        else:
-            pv, pw = u[2 * k - 2], u[2 * k - 1]
-        rv = (v - pv) / dt
-        rw = (w - pw) / dt
-        worst = max(worst, rv - cfg.du_max.v_cmd, cfg.du_min.v_cmd - rv)
-        worst = max(worst, rw - cfg.du_max.omega_cmd, cfg.du_min.omega_cmd - rw)
-    # cross-track along the rollout
-    x, y, r = problem.x0, problem.y0, problem.r0
-    rx, ry, rr = problem.res
-    for k in range(cfg.tau_o):
-        v, w = u[2 * k], u[2 * k + 1]
-        head = r + w
-        x = x + math.cos(head) * v * dt + rx
-        y = y + math.sin(head) * v * dt + ry
-        r = _wrap_fast(_wrap_fast(r + math.sin(w) / problem.L * v * dt) + rr)
-        e_lat = -problem.sin_rd[k] * (x - problem.xd[k]) + problem.cos_rd[k] * (y - problem.yd[k])
-        worst = max(worst, e_lat - cfg.e_max, cfg.e_min - e_lat)
-    return worst
+def _violation(fwd) -> float:
+    """Worst constraint excess of a forward() pass: actuator, rate, and corridor.
+
+    A hinge is the signed excess over its bound, so its magnitude is the
+    violation.
+    """
+    return max(0.0, float(np.abs(fwd[-1]).max()))
 
 
 def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_tol: float = 0.0):
@@ -328,10 +301,14 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
 
     Stops on gradient tolerance, iteration budget, a stalled line search, or
     a relative cost decrease below f_tol (penalty walls make the last digits
-    of the optimum expensive and worthless for control).
+    of the optimum expensive and worthless for control). Returns the final
+    iterate, its forward() pass, the iteration count and whether the
+    gradient tolerance was met. The line search's accepted pass supplies the
+    next gradient, so each iteration runs one rollout per trial step.
     """
     x = x0.copy()
-    f, g = problem.value_and_grad(x)
+    f, fwd = problem.forward(x)
+    g = problem.gradient(fwd)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         err = NmpcError("non-finite cost or gradient at the initial iterate")
         err.iterate = None
@@ -355,7 +332,7 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
         accepted = False
         for _ in range(40):
             x_new = x + alpha * p
-            f_new = problem.value(x_new)
+            f_new, fwd_new = problem.forward(x_new)
             if math.isfinite(f_new) and f_new <= f + 1e-4 * alpha * slope:
                 accepted = True
                 break
@@ -369,8 +346,8 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
                 alpha *= 0.5
         if not accepted:
             break
-        f_new, g_new = problem.value_and_grad(x_new)
-        if not (math.isfinite(f_new) and np.all(np.isfinite(g_new))):
+        g_new = problem.gradient(fwd_new)
+        if not np.all(np.isfinite(g_new)):
             err = NmpcError("non-finite cost or gradient during optimization")
             err.iterate = x
             raise err
@@ -388,12 +365,12 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
             sHy = np.outer(s, Hy)
             H = H - rho_b * (sHy + sHy.T) + rho_b * (rho_b * float(yv @ Hy) + 1.0) * np.outer(s, s)
         decrease = f - f_new
-        x, f, g = x_new, f_new, g_new
+        x, f, g, fwd = x_new, f_new, g_new, fwd_new
         gnorm = float(np.max(np.abs(g)))
         iters += 1
         if decrease <= f_tol * max(1.0, abs(f)):
             break
-    return x, f, g, iters, gnorm < grad_tol
+    return x, fwd, iters, gnorm < grad_tol
 
 
 def solve(
@@ -428,48 +405,50 @@ def solve(
             x0[2 * k + 1] = u.omega_cmd
     x0 = _clip_chain(x0, cfg, u_prev)
 
-    penalty = cfg.penalty_weight
-    x = x0
-    total_iters = 0
-    converged = False
-    problem = _Problem(current, zd_states, residual, g, cfg, u_prev, penalty)
-    try:
-        for round_idx in range(3):
-            problem.pw = penalty
-            x, _, _, iters, converged = _bfgs(problem, x, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
-            total_iters += iters
-            # excesses below this are absorbed exactly by the final projection,
-            # so escalating the penalty for them only burns iterations
-            if _violation(x, cfg, u_prev, problem) <= 1e-3 or round_idx == 2:
-                break
-            penalty *= 2.0
-    except NmpcError as err:
-        last = getattr(err, "iterate", None)
-        if last is None and np.all(np.isfinite(x)):
-            last = x
-        if last is not None and err.last_solution is None:
-            try:
-                feasible = _clip_chain(np.asarray(last, dtype=float), cfg, u_prev)
-                err.last_solution = _build_solution(
-                    current, feasible, residual, cfg, float("nan"), total_iters, False
-                )
-            except (ValueError, OverflowError):
-                pass
-        raise
+    # an overflowing rollout is reported as NmpcError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = cfg.penalty_weight
+        x = x0
+        total_iters = 0
+        converged = False
+        problem = _Problem(current, zd_states, residual, g, cfg, u_prev, penalty)
+        try:
+            for round_idx in range(3):
+                problem.pw = penalty
+                x, fwd, iters, converged = _bfgs(problem, x, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
+                total_iters += iters
+                # excesses below this are absorbed exactly by the final projection,
+                # so escalating the penalty for them only burns iterations
+                if _violation(fwd) <= 1e-3 or round_idx == 2:
+                    break
+                penalty *= 2.0
+        except NmpcError as err:
+            last = getattr(err, "iterate", None)
+            if last is None and np.all(np.isfinite(x)):
+                last = x
+            if last is not None and err.last_solution is None:
+                try:
+                    feasible = _clip_chain(np.asarray(last, dtype=float), cfg, u_prev)
+                    err.last_solution = _build_solution(
+                        current, feasible, residual, cfg, float("nan"), total_iters, False
+                    )
+                except (ValueError, OverflowError):
+                    pass
+            raise
 
-    final = _clip_chain(x, cfg, u_prev)
-    problem.pw = penalty
-    f_final = problem.value(final)
-    f_initial = problem.value(x0)
-    if f_initial < f_final:
-        final = x0
-        f_final = f_initial
-    if not math.isfinite(f_final):
-        raise NmpcError(
-            "non-finite cost at the projected iterate",
-            last_solution=_build_solution(current, x0, residual, cfg, float("inf"), total_iters, False),
-        )
-    return _build_solution(current, final, residual, cfg, f_final, total_iters, converged)
+        final = _clip_chain(x, cfg, u_prev)
+        problem.pw = penalty
+        f_final = problem.value(final)
+        f_initial = problem.value(x0)
+        if f_initial < f_final:
+            final = x0
+            f_final = f_initial
+        if not math.isfinite(f_final):
+            raise NmpcError(
+                "non-finite cost at the projected iterate",
+                last_solution=_build_solution(current, x0, residual, cfg, float("inf"), total_iters, False),
+            )
+        return _build_solution(current, final, residual, cfg, f_final, total_iters, converged)
 
 
 def _build_solution(current, u_flat, residual, cfg, cost, iterations, converged) -> NmpcSolution:

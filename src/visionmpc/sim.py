@@ -43,6 +43,7 @@ import numpy as np
 
 from .geometry import Polyline, offset_polyline, ray_circle_hits, ray_segment_hits
 from .memory import Observation
+from .nmpc import NmpcError
 from .vehicle import ControlInput, ModelParams, VehicleState, step_true
 
 @dataclass(frozen=True)
@@ -305,7 +306,10 @@ def run_trial(
     """Closed loop sense -> control -> step until crash, goal, or timeout.
 
     Randomness derives from (scenario.seed, trial_index) only, so repeated
-    runs are bit-identical. Wall-clock around the controller call is
+    runs are bit-identical. A controller step that fails numerically
+    (NmpcError, ValueError, ArithmeticError) is logged as controller_error
+    and replaced by the controller's safe stop; any other exception is a
+    bug and propagates. Wall-clock around the controller call is
     recorded only when record_wall_clock is set; otherwise solve_ms is 0 so
     logs stay byte-reproducible.
     """
@@ -326,7 +330,7 @@ def run_trial(
         event = ""
         try:
             cmd = controller.step(obs, world.vehicle, world.t)
-        except Exception:
+        except (NmpcError, ValueError, ArithmeticError):
             cmd = StepCommand(u=controller.safe_stop(u_prev))
             event = "controller_error"
         solve_ms = (time.perf_counter() - started) * 1e3 if record_wall_clock else 0.0

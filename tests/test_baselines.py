@@ -6,6 +6,8 @@ import pytest
 from visionmpc.baselines import (
     DirectPolicyConfig,
     DwaConfig,
+    _constant_rollouts,
+    _min_clearance,
     direct_policy_step,
     dwa_plan,
     obstacle_points_from_observation,
@@ -59,6 +61,23 @@ class TestDwaPlan:
         ring = np.stack([0.12 * np.cos(angles), 0.12 * np.sin(angles)], axis=1)
         plan = dwa_plan(vehicle, ring, straight_ref()[-1], cfg, NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
         assert all(z == vehicle for z in plan.states)
+
+    def test_clearance_equals_the_three_temporary_expression(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            vehicle = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
+            vs = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 60)))
+            omegas = rng.uniform(-0.35, 0.35, size=vs.size)
+            positions, _ = _constant_rollouts(vehicle, vs, omegas, LIMITS, int(rng.integers(1, 40)))
+            pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 160)), 2))
+            flat = positions.reshape(-1, 2)
+            d2 = (
+                np.sum(flat ** 2, axis=1)[:, None]
+                - 2.0 * (flat @ pts.T)
+                + np.sum(pts ** 2, axis=1)[None, :]
+            )
+            want = np.sqrt(np.maximum(d2.reshape(len(vs), -1).min(axis=1), 0.0))
+            assert np.array_equal(_min_clearance(positions, pts), want)
 
     def test_observation_endpoints_drop_max_range_rays(self):
         rays = np.full(180, 3.0)

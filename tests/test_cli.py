@@ -1,13 +1,16 @@
 import csv
 import json
+import shutil
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from visionmpc.cli import _build_controller, _default_training_pipeline, main
-from visionmpc.controllers import PipelineConfig
+from visionmpc import cli
+from visionmpc.cli import _build_controller, _default_training_pipeline, _run_pipeline, main
+from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.policy import CandidateSet, QNetwork, save_checkpoint
 from visionmpc.sim import load_scenario
 
@@ -193,7 +196,8 @@ class TestCheckpointReload:
         )
         assert rc == 0
         scenario, _ = load_scenario(scenario_path("straight_corridor"))
-        _, pipeline = _build_controller("lvd-nmpc", scenario, PipelineConfig(), str(ckpt), 0)
+        pipeline, policy = _run_pipeline(None, str(ckpt))
+        _build_controller("lvd-nmpc", scenario, pipeline, policy, 0)
         assert pipeline == _default_training_pipeline()
         assert pipeline.nmpc.max_iters == 25
 
@@ -214,6 +218,60 @@ class TestCheckpointReload:
         )
         assert rc == 1
         assert "feature layout" in capsys.readouterr().err
+
+
+def write_trained_checkpoint(path, pipeline):
+    """A checkpoint for the bundled scenarios' sensor that stores `pipeline`."""
+    fc = pipeline.feature_config(sensor_rays=180, max_range=3.0)
+    cand = CandidateSet.grid()
+    net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, np.random.default_rng(0))
+    save_checkpoint(path, net, fc, pipeline_meta=asdict(pipeline))
+
+
+class TestOnePipelinePerRun:
+    def test_pipeline_file_that_differs_from_the_checkpoint_is_an_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        write_trained_checkpoint(ckpt, _default_training_pipeline())
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps(asdict(PipelineConfig())))
+        scenario_set = tmp_path / "set"
+        scenario_set.mkdir()
+        shutil.copy(scenario_path("straight_corridor"), scenario_set)
+        for argv in (
+            ("compare", "--scenario-set", str(scenario_set), "--trials", "1", "--out", str(tmp_path / "t.csv")),
+            ("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
+             "--trials", "1", "--out", str(tmp_path / "out")),
+        ):
+            rc = run_cli(*argv, "--checkpoint", str(ckpt), "--pipeline", str(pipeline))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert str(pipeline) in err and str(ckpt) in err
+
+    def test_compare_runs_every_method_under_the_checkpoint_pipeline(self, tmp_path, monkeypatch):
+        trained = _default_training_pipeline()
+        ckpt = tmp_path / "net.json"
+        write_trained_checkpoint(ckpt, trained)
+        same = tmp_path / "pipeline.json"
+        same.write_text(json.dumps(asdict(trained)))
+        scenario_set = tmp_path / "set"
+        scenario_set.mkdir()
+        shutil.copy(scenario_path("straight_corridor"), scenario_set)
+        seen = {}
+
+        def record(method, scenario, pipeline, policy, seed):
+            # a fast stand-in controller; the pipeline handed over is what counts
+            seen[method] = (pipeline, policy is not None)
+            return DirectController(pipeline)
+
+        monkeypatch.setattr(cli, "_build_controller", record)
+        for extra in ((), ("--pipeline", str(same))):
+            seen.clear()
+            rc = run_cli(
+                "compare", "--scenario-set", str(scenario_set), "--trials", "1",
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "t.csv"), *extra,
+            )
+            assert rc == 0
+            assert seen == {m: (trained, True) for m in ("lvd-nmpc", "dwa-nmpc", "direct")}
 
 
 class TestPipelineFile:

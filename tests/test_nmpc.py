@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from visionmpc.nmpc import NmpcConfig, NmpcError, _Problem, control_step, solve, tracking_cost
+from visionmpc.nmpc import NmpcConfig, NmpcError, _Problem, _violation, control_step, solve, tracking_cost
 from visionmpc.scene import GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, VehicleState, rollout
 
@@ -106,6 +106,72 @@ class TestObjectiveInternals:
                 dn[i] -= h
                 fd = (problem.value(up) - problem.value(dn)) / (2 * h)
                 assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) <= 1e-4
+
+
+def hinge_active_problem(rng, tau_o, with_residual, with_prev):
+    """A problem whose random controls push every penalty hinge active.
+
+    Desired poses are scattered off the rollout and across the heading
+    seam so the corridor hinge and the wrap both engage.
+    """
+    cfg = NmpcConfig(tau_o=tau_o)
+    current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1))
+    z_d = [
+        VehicleState(z.x + rng.uniform(-0.9, 0.9), z.y + rng.uniform(-0.9, 0.9), rng.uniform(-3.1, 3.1))
+        for z in random_problem(rng, cfg)[1]
+    ]
+    residual = rng.uniform(-0.02, 0.02, size=3) if with_residual else None
+    u_prev = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35)) if with_prev else None
+    g = GainSchedule(rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0))
+    args = (current, tuple(z_d), residual, g, cfg, u_prev, 1e3 * rng.uniform(0.5, 4.0))
+    return cfg, u_prev, _Problem(*args), ScalarProblem(*args)
+
+
+def hinge_active_controls(rng, tau_o):
+    u = np.empty(2 * tau_o)
+    u[0::2] = rng.uniform(-0.3, 1.3, size=tau_o)
+    u[1::2] = rng.uniform(-0.6, 0.6, size=tau_o)
+    return u
+
+
+class TestBitEqualityOracle:
+    @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual, with_prev):
+        rng = np.random.default_rng(1000 * tau_o + 10 * with_residual + with_prev)
+        active = np.zeros(3, dtype=int)
+        for _ in range(25):
+            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, with_residual, with_prev)
+            for _ in range(4):
+                u = hinge_active_controls(rng, tau_o)
+                want_cost, want_grad = reference._eval(u, need_grad=True)
+                cost, fwd = problem.forward(u)
+                assert cost == want_cost
+                assert problem.value(u) == want_cost
+                assert np.array_equal(problem.gradient(fwd), want_grad)
+                got_cost, got_grad = problem.value_and_grad(u)
+                assert got_cost == want_cost and np.array_equal(got_grad, want_grad)
+                assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
+                # signed excesses over the actuator, rate and corridor bounds
+                h = fwd[-1]
+                n = 2 * tau_o
+                active += [np.any(h[:n] != 0.0), np.any(h[n:-tau_o] != 0.0), np.any(h[-tau_o:] != 0.0)]
+        # actuator, rate (absent only for a single control without u_prev), corridor
+        assert active[0] > 0 and active[2] > 0
+        assert active[1] > 0 or (tau_o == 1 and not with_prev)
+
+    def test_zero_controls_and_exact_bounds(self):
+        rng = np.random.default_rng(7)
+        for tau_o in (1, 2, 10, 20):
+            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, True, True)
+            edges = np.tile((cfg.u_max.v_cmd, cfg.u_min.omega_cmd), tau_o)
+            for u in (np.zeros(2 * tau_o), np.full(2 * tau_o, -0.0), edges):
+                want_cost, want_grad = reference._eval(u, need_grad=True)
+                got_cost, got_grad = problem.value_and_grad(u)
+                assert got_cost == want_cost
+                assert np.array_equal(got_grad, want_grad)
+                assert _violation(problem.forward(u)[1]) == scalar_violation(u, cfg, u_prev, reference)
 
 
 class TestSolve:
@@ -276,3 +342,191 @@ def brute_force_min(current, z_d, g, cfg):
         if m < best:
             best = m
     return best
+
+
+# Reference implementation: the solver's objective as a per-step scalar loop.
+# The array code in visionmpc.nmpc performs the same IEEE operations in the
+# same order, so it must agree exactly, not to a tolerance.
+
+_WRAP_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+
+
+def _wrap_fast(a: float) -> float:
+    return _WRAP_PI - (_WRAP_PI - a) % _TWO_PI
+
+
+class ScalarProblem:
+    """The objective as a per-step loop over the horizon: the reference that
+    `_Problem`'s array code must match bit for bit."""
+
+    def __init__(self, current, zd_states, residual, g, cfg, u_prev, penalty):
+        self.T = cfg.tau_o
+        self.dt = cfg.dt
+        self.L = cfg.wheelbase_L
+        self.q = g.q_diag
+        self.r = g.r_diag
+        self.pw = penalty
+        self.cfg = cfg
+        self.x0 = current.x
+        self.y0 = current.y
+        self.r0 = current.rho
+        if residual is None:
+            self.res = (0.0, 0.0, 0.0)
+        else:
+            arr = np.asarray(residual, dtype=float).reshape(-1)
+            if arr.shape[0] != 3:
+                raise ValueError("residual must be a 3-vector")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("residual must be finite")
+            self.res = (float(arr[0]), float(arr[1]), float(arr[2]))
+        self.xd = [z.x for z in zd_states]
+        self.yd = [z.y for z in zd_states]
+        self.rd = [z.rho for z in zd_states]
+        self.sin_rd = [math.sin(v) for v in self.rd]
+        self.cos_rd = [math.cos(v) for v in self.rd]
+        self.u_prev = u_prev
+
+    def _eval(self, u: np.ndarray, need_grad: bool):
+        T, dt, L = self.T, self.dt, self.L
+        q, r, pw = self.q, self.r, self.pw
+        rx, ry, rr = self.res
+        cfg = self.cfg
+        v_lo, v_hi = cfg.u_min.v_cmd, cfg.u_max.v_cmd
+        w_lo, w_hi = cfg.u_min.omega_cmd, cfg.u_max.omega_cmd
+        dv_lo, dv_hi = cfg.du_min.v_cmd, cfg.du_max.v_cmd
+        dw_lo, dw_hi = cfg.du_min.omega_cmd, cfg.du_max.omega_cmd
+
+        xs = [0.0] * (T + 1)
+        ys = [0.0] * (T + 1)
+        rs = [0.0] * (T + 1)
+        heads = [0.0] * T
+        xs[0], ys[0], rs[0] = self.x0, self.y0, self.r0
+
+        cost = 0.0
+        # forward rollout + stage costs
+        for k in range(T):
+            vk = u[2 * k]
+            wk = u[2 * k + 1]
+            head = rs[k] + wk
+            heads[k] = head
+            xs[k + 1] = xs[k] + math.cos(head) * vk * dt + rx
+            ys[k + 1] = ys[k] + math.sin(head) * vk * dt + ry
+            rs[k + 1] = _wrap_fast(_wrap_fast(rs[k] + math.sin(wk) / L * vk * dt) + rr)
+            i = k + 1
+            ex = xs[i] - self.xd[k]
+            ey = ys[i] - self.yd[k]
+            er = _wrap_fast(rs[i] - self.rd[k])
+            cost += q * (ex * ex + ey * ey + er * er) + r * (vk * vk + wk * wk)
+            # actuator bound penalties
+            hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
+            hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
+            cost += pw * (hv * hv + hw * hw)
+            # soft cross-track corridor in the desired-pose frame
+            e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
+            he = max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat)
+            cost += pw * he * he
+        # rate penalties
+        prev = self.u_prev
+        for k in range(T):
+            if k == 0:
+                if prev is None:
+                    continue
+                pv, pw_ = prev.v_cmd, prev.omega_cmd
+            else:
+                pv, pw_ = u[2 * k - 2], u[2 * k - 1]
+            rv = (u[2 * k] - pv) / dt
+            rw = (u[2 * k + 1] - pw_) / dt
+            hv = max(0.0, rv - dv_hi) - max(0.0, dv_lo - rv)
+            hw = max(0.0, rw - dw_hi) - max(0.0, dw_lo - rw)
+            cost += pw * (hv * hv + hw * hw)
+
+        if not need_grad:
+            return cost, None
+
+        grad = np.zeros(2 * T)
+        lam_x = lam_y = lam_r = 0.0
+        for k in range(T - 1, -1, -1):
+            vk = u[2 * k]
+            wk = u[2 * k + 1]
+            head = heads[k]
+            ch, sh = math.cos(head), math.sin(head)
+            i = k + 1
+            ex = xs[i] - self.xd[k]
+            ey = ys[i] - self.yd[k]
+            er = _wrap_fast(rs[i] - self.rd[k])
+            e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
+            dhinge = 2.0 * (max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat))
+            gx = 2.0 * q * ex + pw * dhinge * (-self.sin_rd[k])
+            gy = 2.0 * q * ey + pw * dhinge * self.cos_rd[k]
+            gr = 2.0 * q * er
+            lam_x += gx
+            lam_y += gy
+            lam_r += gr
+            # control gradient through the dynamics
+            gv = dt * (ch * lam_x + sh * lam_y) + dt * math.sin(wk) / L * lam_r
+            gw = dt * vk * (-sh * lam_x + ch * lam_y) + dt * vk * math.cos(wk) / L * lam_r
+            gv += 2.0 * r * vk
+            gw += 2.0 * r * wk
+            hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
+            hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
+            gv += pw * 2.0 * hv
+            gw += pw * 2.0 * hw
+            grad[2 * k] += gv
+            grad[2 * k + 1] += gw
+            # propagate the adjoint through z_k
+            lam_r = lam_r + dt * vk * (-sh * lam_x + ch * lam_y)
+            # lam_x, lam_y unchanged by A_k
+        # rate penalty gradients
+        prev = self.u_prev
+        for k in range(T):
+            if k == 0:
+                if prev is None:
+                    continue
+                pv, pw_ = prev.v_cmd, prev.omega_cmd
+                prev_idx = None
+            else:
+                pv, pw_ = u[2 * k - 2], u[2 * k - 1]
+                prev_idx = 2 * k - 2
+            rv = (u[2 * k] - pv) / dt
+            rw = (u[2 * k + 1] - pw_) / dt
+            dv = 2.0 * (max(0.0, rv - dv_hi) - max(0.0, dv_lo - rv)) * pw / dt
+            dw = 2.0 * (max(0.0, rw - dw_hi) - max(0.0, dw_lo - rw)) * pw / dt
+            grad[2 * k] += dv
+            grad[2 * k + 1] += dw
+            if prev_idx is not None:
+                grad[prev_idx] -= dv
+                grad[prev_idx + 1] -= dw
+        return cost, grad
+
+
+def scalar_violation(u, cfg, u_prev, problem):
+    """Worst constraint excess: actuator, rate, and cross-track corridor."""
+    worst = 0.0
+    dt = cfg.dt
+    for k in range(cfg.tau_o):
+        v, w = u[2 * k], u[2 * k + 1]
+        worst = max(worst, v - cfg.u_max.v_cmd, cfg.u_min.v_cmd - v)
+        worst = max(worst, w - cfg.u_max.omega_cmd, cfg.u_min.omega_cmd - w)
+        if k == 0:
+            if u_prev is None:
+                continue
+            pv, pw = u_prev.v_cmd, u_prev.omega_cmd
+        else:
+            pv, pw = u[2 * k - 2], u[2 * k - 1]
+        rv = (v - pv) / dt
+        rw = (w - pw) / dt
+        worst = max(worst, rv - cfg.du_max.v_cmd, cfg.du_min.v_cmd - rv)
+        worst = max(worst, rw - cfg.du_max.omega_cmd, cfg.du_min.omega_cmd - rw)
+    # cross-track along the rollout
+    x, y, r = problem.x0, problem.y0, problem.r0
+    rx, ry, rr = problem.res
+    for k in range(cfg.tau_o):
+        v, w = u[2 * k], u[2 * k + 1]
+        head = r + w
+        x = x + math.cos(head) * v * dt + rx
+        y = y + math.sin(head) * v * dt + ry
+        r = _wrap_fast(_wrap_fast(r + math.sin(w) / problem.L * v * dt) + rr)
+        e_lat = -problem.sin_rd[k] * (x - problem.xd[k]) + problem.cos_rd[k] * (y - problem.yd[k])
+        worst = max(worst, e_lat - cfg.e_max, cfg.e_min - e_lat)
+    return worst

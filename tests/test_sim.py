@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from visionmpc.geometry import Polyline
+from visionmpc.nmpc import NmpcError
 from visionmpc.sim import (
     LOG_COLUMNS,
     Obstacle,
@@ -221,9 +222,10 @@ class TestSimStep:
 
 
 class _ConstantController:
-    def __init__(self, u, c=0.0, w=1.0, fail_at=None):
+    def __init__(self, u, c=0.0, w=1.0, fail_at=None, error=NmpcError):
         self.u = u
         self.fail_at = fail_at
+        self.error = error
         self.c = c
         self.w = w
         self.calls = 0
@@ -234,7 +236,7 @@ class _ConstantController:
     def step(self, obs, state, t):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
-            raise RuntimeError("synthetic controller failure")
+            raise self.error("synthetic controller failure")
         return StepCommand(u=self.u, c=self.c, w=self.w)
 
     def safe_stop(self, u_prev):
@@ -281,6 +283,13 @@ class TestRunTrial:
         assert "controller_error" in events
         k = events.index("controller_error")
         assert outcome.log[k].v_cmd < outcome.log[k - 1].v_cmd
+
+    def test_controller_bug_propagates(self):
+        # a TypeError or IndexError is a defect, not a solver failure to safe-stop on
+        for error in (TypeError, IndexError):
+            controller = _ConstantController(ControlInput(1.0, 0.0), fail_at=3, error=error)
+            with pytest.raises(error):
+                run_trial(corridor(time_limit=0.5), controller, ModelParams())
 
     def test_bit_identical_logs_for_same_seed(self):
         scenario = corridor(obstacles=[Obstacle(center=(3.0, 0.4), radius=0.2)])
