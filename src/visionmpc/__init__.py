@@ -40,6 +40,7 @@ from .sim import (
     RaySensorConfig,
     Scenario,
     TrialOutcome,
+    closed_loop,
     load_scenario,
     reference_slice,
     run_trial,

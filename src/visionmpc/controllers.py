@@ -75,15 +75,22 @@ def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
 
 
 class _BoundedController:
-    """Shared safe-stop behavior under the common rate limits."""
+    """Shared safe-stop behavior under the common rate limits.
+
+    _u_prev is the control last applied, which anchors the next step's
+    rate bounds.
+    """
 
     def __init__(self, nmpc_cfg: NmpcConfig):
         self._limits = nmpc_cfg
+        self._u_prev: Optional[ControlInput] = None
 
-    def safe_stop(self, u_prev: ControlInput) -> ControlInput:
-        cfg = self._limits
+    def safe_stop(self) -> ControlInput:
+        """Decelerate from the last applied control; the result becomes the rate anchor."""
+        cfg, u_prev = self._limits, self._u_prev
         v = max(cfg.u_min.v_cmd, 0.0, u_prev.v_cmd + cfg.du_min.v_cmd * cfg.dt)
-        return ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
+        self._u_prev = ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
+        return self._u_prev
 
 
 class LvdNmpcController(_BoundedController):
@@ -116,7 +123,6 @@ class LvdNmpcController(_BoundedController):
         self._memory: Optional[AugmentedMemory] = None
         self._scenario: Optional[Scenario] = None
         self._fc: Optional[FeatureConfig] = None
-        self._u_prev: Optional[ControlInput] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         self._memory = AugmentedMemory(self.pipeline.n_history)
@@ -129,8 +135,8 @@ class LvdNmpcController(_BoundedController):
 
     def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand:
         cfg = self.pipeline.nmpc
-        self._memory.push(MemoryEntry(observation=obs, state=state, timestamp=obs.timestamp))
-        window = self._memory.window(self.pipeline.n_history)
+        self._memory.push(MemoryEntry(observation=obs, state=state))
+        window = self._memory.window()
         route = self._scenario.route_polyline
         s0, _ = route.project((state.x, state.y))
         ref_feat = reference_slice(route, s0, cfg.tau_o, cfg.dt, self._scenario.v_max)
@@ -173,7 +179,6 @@ class DwaNmpcController(_BoundedController):
         self._dwa = DwaConfig()
         self._scenario: Optional[Scenario] = None
         self.last_solution: Optional[NmpcSolution] = None
-        self._u_prev: Optional[ControlInput] = None
         self._u_plan: Optional[ControlInput] = None
         self._gains = gain_schedule(SceneDynamics(0.0, 0.9), pipeline.eps_r)
 
@@ -228,7 +233,6 @@ class DirectController(_BoundedController):
         self.pipeline = pipeline
         self._direct = DirectPolicyConfig()
         self._scenario: Optional[Scenario] = None
-        self._u_prev: Optional[ControlInput] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)

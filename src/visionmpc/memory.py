@@ -31,18 +31,14 @@ class Observation:
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    """Synchronized (observation, state) pair; timestamps must agree."""
+    """Synchronized (observation, state) pair, stamped by its observation."""
 
     observation: Observation
     state: VehicleState
-    timestamp: float
 
-    def __post_init__(self):
-        if self.observation.timestamp != self.timestamp:
-            raise ValueError(
-                "entry timestamp does not match its observation "
-                f"({self.timestamp} vs {self.observation.timestamp})"
-            )
+    @property
+    def timestamp(self) -> float:
+        return self.observation.timestamp
 
 
 @dataclass
@@ -63,10 +59,6 @@ class AugmentedMemory:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def entries(self) -> tuple[MemoryEntry, ...]:
-        return tuple(self._entries)
-
     def push(self, entry: MemoryEntry) -> "AugmentedMemory":
         """Append an entry; evicts the oldest when over capacity.
 
@@ -83,18 +75,13 @@ class AugmentedMemory:
             self._entries.popleft()
         return self
 
-    def window(self, n: int) -> list[MemoryEntry]:
-        """Last n entries, oldest first.
+    def window(self) -> list[MemoryEntry]:
+        """The stored entries, oldest first, padded to the capacity.
 
-        When fewer than n entries exist, the oldest one is repeated at the
-        front so the result has length exactly n. n = 0 returns [].
+        When fewer than capacity entries exist, the oldest one is repeated
+        at the front so the result has length exactly capacity.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return []
         if not self._entries:
             raise ValueError("window() on an empty memory")
-        tail = list(self._entries)[-n:]
-        pad = n - len(tail)
-        return [tail[0]] * pad + tail
+        tail = list(self._entries)
+        return [tail[0]] * (self.capacity - len(tail)) + tail

@@ -169,10 +169,8 @@ def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
             writer.writerow([csv_cell(getattr(rep, name)) for name in REPORT_COLUMNS])
 
 
-def write_report_json(path, reports: Sequence[MetricsReport], extra: Optional[dict] = None) -> None:
+def write_report_json(path, reports: Sequence[MetricsReport]) -> None:
     payload = {"notes": REPORT_NOTES, "reports": [asdict(rep) for rep in reports]}
-    if extra:
-        payload.update(extra)
     Path(path).write_text(json.dumps(payload, indent=2))
 
 

@@ -87,10 +87,6 @@ class CandidateSet:
         k_w = len(self.w_values)
         return SceneDynamics(self.c_values[index // k_w], self.w_values[index % k_w])
 
-    @property
-    def items(self) -> tuple[SceneDynamics, ...]:
-        return tuple(self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class FeatureConfig:

@@ -26,9 +26,10 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     dt_s 0.05
     state_noise_std 0.0
 
-Trial logs are CSV with one column per `StepRecord` field, in field order
-(`LOG_COLUMNS`); each row holds the state reached after applying the
-logged control.
+`closed_loop` is the one sense -> control -> step loop: `run_trial` logs
+it for evaluation and `training.train` learns from it. Trial logs are CSV
+with one column per `StepRecord` field, in field order (`LOG_COLUMNS`);
+each row holds the state reached after applying the logged control.
 """
 
 import csv
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -158,8 +159,8 @@ class World:
     vehicle: VehicleState
     t: float = 0.0
     crashed: bool = False
-    reached: bool = False
-    # route arc length and signed offset of the vehicle, refreshed by sim_step
+    # goal flag, route arc length and signed offset of the vehicle, refreshed by sim_step
+    reached: bool = field(init=False)
     s: float = field(init=False)
     lateral: float = field(init=False)
     route: Polyline = field(init=False, repr=False)
@@ -167,6 +168,12 @@ class World:
     def __post_init__(self):
         self.route = self.scenario.route_polyline
         self.s, self.lateral = self.route.project((self.vehicle.x, self.vehicle.y))
+        self.reached = in_goal(self)
+
+    @property
+    def status(self) -> str:
+        """Trial status once the loop has stopped: crash, goal, or timeout."""
+        return "crash" if self.crashed else "goal" if self.reached else "timeout"
 
     def obstacle_states(self) -> tuple[np.ndarray, np.ndarray]:
         obs = self.scenario.obstacles
@@ -228,7 +235,7 @@ def sim_step(world: World, control: ControlInput) -> World:
     along their loops; collision and goal flags are refreshed.
     """
     p = world.params
-    world.vehicle = step_true(world.vehicle, control, None, p, world.rng)
+    world.vehicle = step_true(world.vehicle, control, p, world.rng)
     world.t += p.dt
     centers, radii = world.obstacle_states()
     px, py = world.vehicle.x, world.vehicle.y
@@ -259,7 +266,7 @@ class TrialController(Protocol):
 
     def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand: ...
 
-    def safe_stop(self, u_prev: ControlInput) -> ControlInput: ...
+    def safe_stop(self) -> ControlInput: ...
 
 
 @dataclass(frozen=True)
@@ -296,6 +303,36 @@ class TrialOutcome:
             raise ValueError("log length must equal step count")
 
 
+def closed_loop(world: World, controller: TrialController) -> Iterator[tuple[StepCommand, str, float]]:
+    """The sense -> control -> sim_step loop; yields once per step.
+
+    Resets the controller for the world's scenario, then steps until
+    crash, goal, or the time limit. A controller step that fails
+    numerically (NmpcError, ValueError, ArithmeticError) is replaced by the
+    controller's safe stop, which becomes its next rate anchor, and is
+    marked controller_error; any other exception is a bug and propagates.
+    After each step it yields (command, event, controller seconds), where
+    the event is "crash", "goal", "controller_error" or "".
+    """
+    controller.reset(world.scenario, world.params)
+    while not (world.crashed or world.reached) and world.t + 1e-12 < world.scenario.time_limit_s:
+        obs = sense(world)
+        started = time.perf_counter()
+        event = ""
+        try:
+            cmd = controller.step(obs, world.vehicle, world.t)
+        except (NmpcError, ValueError, ArithmeticError):
+            cmd = StepCommand(u=controller.safe_stop())
+            event = "controller_error"
+        seconds = time.perf_counter() - started
+        sim_step(world, cmd.u)
+        if world.crashed:
+            event = "crash"
+        elif world.reached:
+            event = "goal"
+        yield cmd, event, seconds
+
+
 def run_trial(
     scenario: Scenario,
     controller: TrialController,
@@ -303,45 +340,16 @@ def run_trial(
     trial_index: int = 0,
     record_wall_clock: bool = False,
 ) -> TrialOutcome:
-    """Closed loop sense -> control -> step until crash, goal, or timeout.
+    """Run closed_loop on a fresh world and log every step.
 
     Randomness derives from (scenario.seed, trial_index) only, so repeated
-    runs are bit-identical. A controller step that fails numerically
-    (NmpcError, ValueError, ArithmeticError) is logged as controller_error
-    and replaced by the controller's safe stop; any other exception is a
-    bug and propagates. Wall-clock around the controller call is
+    runs are bit-identical. Wall-clock around the controller call is
     recorded only when record_wall_clock is set; otherwise solve_ms is 0 so
     logs stay byte-reproducible.
     """
-    rng = np.random.default_rng([scenario.seed, trial_index])
-    world = make_world(scenario, params, rng)
-    controller.reset(scenario, params)
+    world = make_world(scenario, params, np.random.default_rng([scenario.seed, trial_index]))
     records: list[StepRecord] = []
-    u_prev = ControlInput(0.0, 0.0)
-    status: Optional[str] = None
-    if in_goal(world):
-        status = "goal"
-    while status is None:
-        if world.t + 1e-12 >= scenario.time_limit_s:
-            status = "timeout"
-            break
-        obs = sense(world)
-        started = time.perf_counter()
-        event = ""
-        try:
-            cmd = controller.step(obs, world.vehicle, world.t)
-        except (NmpcError, ValueError, ArithmeticError):
-            cmd = StepCommand(u=controller.safe_stop(u_prev))
-            event = "controller_error"
-        solve_ms = (time.perf_counter() - started) * 1e3 if record_wall_clock else 0.0
-        sim_step(world, cmd.u)
-        u_prev = cmd.u
-        if world.crashed:
-            status = "crash"
-            event = "crash"
-        elif world.reached:
-            status = "goal"
-            event = "goal"
+    for cmd, event, seconds in closed_loop(world, controller):
         records.append(
             StepRecord(
                 time_s=world.t,
@@ -353,11 +361,11 @@ def run_trial(
                 c=cmd.c,
                 w=cmd.w,
                 cross_track_m=world.lateral,
-                solve_ms=solve_ms,
+                solve_ms=seconds * 1e3 if record_wall_clock else 0.0,
                 event=event,
             )
         )
-    return TrialOutcome(status=status, steps=len(records), log=tuple(records), scenario=scenario)
+    return TrialOutcome(status=world.status, steps=len(records), log=tuple(records), scenario=scenario)
 
 
 def write_trial_log(path, outcome: TrialOutcome) -> None:

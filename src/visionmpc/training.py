@@ -1,11 +1,13 @@
-"""Deep Q-learning episode loop over the simulator.
+"""Deep Q-learning over the simulator's closed loop.
 
-Each step runs the full decision pipeline (featurize, epsilon-greedy
-candidate selection, desired-trajectory construction, receding-horizon
-control, simulator step), rewards progress along the route, and performs
-one Bellman update against a periodically synced target network. Solver
-failures abort the episode and are recorded; training continues. Given the
-same configuration the run is bit-deterministic.
+Each episode consumes `sim.closed_loop`, the loop `run_trial` evaluates
+with. Each step runs the full decision pipeline (featurize,
+epsilon-greedy candidate selection, desired-trajectory construction,
+receding-horizon control, simulator step), rewards progress along the
+route, and performs one Bellman update against a periodically synced
+target network. A controller_error step ends its episode as "error";
+training continues. Given the same configuration the run is
+bit-deterministic.
 
 An optional demonstration phase (TrainConfig.demo_episodes) seeds the
 replay buffer with episodes driven by a scripted scan-reactive chooser,
@@ -15,14 +17,13 @@ epsilon-greedy exploration takes over.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .controllers import LvdNmpcController, PipelineConfig
 from .memory import Observation
-from .nmpc import NmpcError
 from .policy import (
     CandidateSet,
     QNetwork,
@@ -33,7 +34,8 @@ from .policy import (
     reward,
     train_step,
 )
-from .sim import Scenario, in_goal, make_world, sense, sim_step
+# sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
+from .sim import Scenario, closed_loop, csv_cell, make_world, sense, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -126,45 +128,37 @@ def train(
     for ep in range(cfg.episodes):
         scenario, params = suite[ep % len(suite)]
         eps = epsilon_at(ep, cfg)
-        world_rng = np.random.default_rng([cfg.seed, 101, ep])
-        world = make_world(scenario, params, world_rng)
-        demo = ep < cfg.demo_episodes
-        if demo:
+        world = make_world(scenario, params, np.random.default_rng([cfg.seed, 101, ep]))
+        if ep < cfg.demo_episodes:
             source = lambda obs, feats: demonstration_action(obs, candidates)  # noqa: E731
             controller = LvdNmpcController(net, pipeline, action_source=source)
         else:
             controller = LvdNmpcController(net, pipeline, epsilon=eps, rng=rng)
-        controller.reset(scenario, params)
-        pending = None  # (features, action, reward) awaiting the next features
+        # (features, action, reward) awaiting the next step's features; a
+        # transition still pending when the episode is truncated (time or
+        # step cap) is dropped rather than biased into a fake terminal
+        pending = None
         ep_return = 0.0
         losses: list[float] = []
         steps = 0
-        status = "timeout"
-        while world.t + 1e-12 < scenario.time_limit_s and steps < cfg.max_steps_per_episode:
-            obs = sense(world)
-            try:
-                cmd = controller.step(obs, world.vehicle, world.t)
-            except NmpcError:
-                status = "error"
+        failed = False
+        s_prev = world.s
+        for _, event, _ in closed_loop(world, controller):
+            if event == "controller_error":
+                failed = True
                 break
             features = controller.last_features
             action = controller.last_action
             if pending is not None:
-                buffer.push(pending[0], pending[1], pending[2], features, False)
-            s_prev = world.s
-            sim_step(world, cmd.u)
+                buffer.push(*pending, features, False)
             r = reward(s_prev, world.s, world.lateral, world.crashed, world.reached, reward_cfg)
+            s_prev = world.s
             ep_return += r
             steps += 1
             global_step += 1
             if world.crashed or world.reached:
                 # true terminal: the Bellman target is the reward alone
                 buffer.push(features, action, r, features, True)
-                pending = None
-            elif world.t + 1e-12 >= scenario.time_limit_s or steps >= cfg.max_steps_per_episode:
-                # truncation, not termination: the successor state is never
-                # observed, so the half-transition is dropped rather than
-                # biased into a fake terminal
                 pending = None
             else:
                 pending = (features, action, r)
@@ -173,11 +167,7 @@ def train(
                 losses.append(train_step(net, target, batch, cfg))
             if global_step % cfg.target_sync_every == 0:
                 target = net.copy()
-            if world.crashed:
-                status = "crash"
-                break
-            if world.reached:
-                status = "goal"
+            if steps == cfg.max_steps_per_episode:
                 break
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(
@@ -187,7 +177,7 @@ def train(
                 steps=steps,
                 ret=ep_return,
                 epsilon=eps,
-                status=status,
+                status="error" if failed else world.status,
                 mean_loss=mean_loss,
             )
         )
@@ -195,10 +185,10 @@ def train(
 
 
 def write_training_log(path, log: Sequence[EpisodeRecord]) -> None:
+    """CSV with one column per EpisodeRecord field, in field order."""
+    columns = [f.name for f in fields(EpisodeRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episode", "scenario", "steps", "return", "epsilon", "status", "mean_loss"])
+        writer.writerow(columns)
         for rec in log:
-            writer.writerow(
-                [rec.episode, rec.scenario, rec.steps, repr(rec.ret), repr(rec.epsilon), rec.status, repr(rec.mean_loss)]
-            )
+            writer.writerow([csv_cell(getattr(rec, name)) for name in columns])

@@ -1,4 +1,4 @@
-"""Kinematic bicycle model: nominal step, residual-augmented true step, rollouts.
+"""Kinematic bicycle model: nominal step, noisy true step, residual-augmented rollouts.
 
 The nominal model advances the planar pose (x, y, rho) with the controlled
 slip angle acting on both the velocity direction and the yaw rate:
@@ -38,9 +38,6 @@ class VehicleState:
         _require_finite("VehicleState", self.x, self.y, self.rho)
         object.__setattr__(self, "rho", wrap_angle(self.rho))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.rho])
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -51,9 +48,6 @@ class ControlInput:
 
     def __post_init__(self):
         _require_finite("ControlInput", self.v_cmd, self.omega_cmd)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v_cmd, self.omega_cmd])
 
 
 @dataclass(frozen=True)
@@ -91,31 +85,22 @@ def step_nominal(state: VehicleState, u: ControlInput, p: ModelParams) -> Vehicl
 def step_true(
     state: VehicleState,
     u: ControlInput,
-    residual,
     p: ModelParams,
     rng: Optional[np.random.Generator] = None,
 ) -> VehicleState:
-    """Nominal step plus a residual increment plus Gaussian state noise.
+    """Nominal step plus Gaussian state noise.
 
-    residual is a length-3 increment in (x, y, rho); None means zero.
     Noise is drawn only when sigma_f > 0, so noiseless calls leave the
     generator untouched.
     """
     nominal = step_nominal(state, u, p)
-    if residual is None:
-        rx = ry = rr = 0.0
-    else:
-        res = np.asarray(residual, dtype=float).reshape(-1)
-        if res.shape[0] != 3:
-            raise ValueError("residual must be a 3-vector")
-        rx, ry, rr = float(res[0]), float(res[1]), float(res[2])
     nx, ny, nr = 0.0, 0.0, 0.0
     if p.sigma_f > 0.0:
         if rng is None:
             raise ValueError("sigma_f > 0 requires a random generator")
         noise = rng.normal(0.0, p.sigma_f, size=3)
         nx, ny, nr = float(noise[0]), float(noise[1]), float(noise[2])
-    return VehicleState(nominal.x + rx + nx, nominal.y + ry + ny, nominal.rho + rr + nr)
+    return VehicleState(nominal.x + nx, nominal.y + ny, nominal.rho + nr)
 
 
 def rollout(

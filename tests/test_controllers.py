@@ -1,14 +1,16 @@
 import json
 import math
 from dataclasses import asdict, replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from visionmpc import controllers
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import CandidateSet, QNetwork, config_from_dict
-from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, run_trial
+from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
 
@@ -88,6 +90,30 @@ class TestControllersRespectSharedBounds:
         assert_bounds_and_rates(outcome, pipeline.nmpc)
 
 
+class TestSafeStop:
+    def test_next_step_is_rate_bounded_from_the_safe_stop(self, monkeypatch):
+        # the safe stop replaces the failed step's control, so the step after
+        # it must be rate-limited relative to the safe stop, not to the control
+        # before the failure
+        original = controllers.direct_policy_step
+        calls = []
+
+        def fails_on_tenth_call(*args):
+            calls.append(None)
+            if len(calls) == 10:
+                raise ValueError("synthetic failure")
+            return original(*args)
+
+        monkeypatch.setattr(controllers, "direct_policy_step", fails_on_tenth_call)
+        with resources.as_file(resources.files("visionmpc.scenarios") / "straight_corridor.scn") as path:
+            scenario, params = load_scenario(path)
+        pipeline = PipelineConfig()
+        outcome = run_trial(scenario, DirectController(pipeline), params)
+        assert [rec.event for rec in outcome.log].index("controller_error") == 9
+        assert outcome.steps > 11
+        assert_bounds_and_rates(outcome, pipeline.nmpc)
+
+
 class TestLvdController:
     def test_exposes_features_and_action_for_training(self):
         scenario = small_scenario()
@@ -114,7 +140,7 @@ class TestLvdController:
         net = fresh_net(pipeline, scenario, candidates=cand)
         outcome = run_trial(scenario, LvdNmpcController(net, pipeline), ModelParams())
         pairs = {(rec.c, rec.w) for rec in outcome.log}
-        allowed = {(d.c, d.w) for d in cand.items}
+        allowed = {(cand[i].c, cand[i].w) for i in range(len(cand))}
         assert pairs <= allowed
 
 

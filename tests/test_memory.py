@@ -7,7 +7,7 @@ from visionmpc.vehicle import VehicleState
 
 def entry(t, x=0.0):
     obs = Observation(rays=np.full(4, 1.0), timestamp=t)
-    return MemoryEntry(observation=obs, state=VehicleState(x, 0.0, 0.0), timestamp=t)
+    return MemoryEntry(observation=obs, state=VehicleState(x, 0.0, 0.0))
 
 
 def test_push_to_empty():
@@ -21,7 +21,7 @@ def test_capacity_eviction():
     for t in range(4):
         mem.push(entry(float(t), x=float(t)))
     assert len(mem) == 3
-    assert [e.timestamp for e in mem.entries] == [1.0, 2.0, 3.0]
+    assert [e.timestamp for e in mem.window()] == [1.0, 2.0, 3.0]
 
 
 def test_non_monotonic_timestamp_rejected():
@@ -33,34 +33,27 @@ def test_non_monotonic_timestamp_rejected():
         mem.push(entry(0.5))
 
 
-def test_window_zero_is_empty():
-    mem = AugmentedMemory(capacity=3)
-    assert mem.window(0) == []
-    mem.push(entry(0.0))
-    assert mem.window(0) == []
-
-
 def test_window_tail_in_order():
-    mem = AugmentedMemory(capacity=8)
+    mem = AugmentedMemory(capacity=3)
     for t in range(5):
         mem.push(entry(float(t)))
-    got = mem.window(3)
+    got = mem.window()
     assert [e.timestamp for e in got] == [2.0, 3.0, 4.0]
 
 
 def test_window_pads_with_oldest():
-    mem = AugmentedMemory(capacity=8)
+    mem = AugmentedMemory(capacity=4)
     e1, e2 = entry(1.0), entry(2.0)
     mem.push(e1)
     mem.push(e2)
-    got = mem.window(4)
+    got = mem.window()
     assert got == [e1, e1, e1, e2]
 
 
 def test_window_on_empty_raises():
     mem = AugmentedMemory(capacity=2)
     with pytest.raises(ValueError):
-        mem.window(1)
+        mem.window()
 
 
 def test_window_length_exact_for_random_push_sequences():
@@ -70,17 +63,18 @@ def test_window_length_exact_for_random_push_sequences():
     for _ in range(40):
         t += float(rng.uniform(0.01, 1.0))
         mem.push(entry(t))
-        stamps = [e.timestamp for e in mem.entries]
+        window = mem.window()
+        stamps = [e.timestamp for e in window[-len(mem):]]
         assert stamps == sorted(stamps)
         assert len(set(stamps)) == len(stamps)
         assert len(mem) <= 6
-        n = int(rng.integers(1, 10))
-        assert len(mem.window(n)) == n
+        assert len(window) == 6
 
 
-def test_entry_timestamp_must_match_observation():
+def test_entry_timestamp_is_its_observations():
     obs = Observation(rays=np.ones(3), timestamp=1.0)
-    with pytest.raises(ValueError):
+    assert MemoryEntry(observation=obs, state=VehicleState(0, 0, 0)).timestamp == 1.0
+    with pytest.raises(TypeError):
         MemoryEntry(observation=obs, state=VehicleState(0, 0, 0), timestamp=2.0)
 
 

@@ -34,7 +34,7 @@ def make_window(offset=(0.0, 0.0), n=3, rays_value=2.0):
         t = 0.05 * i
         obs = Observation(rays=np.full(FC.ray_count, rays_value), timestamp=t)
         state = VehicleState(0.1 * i + offset[0], offset[1], 0.0)
-        entries.append(MemoryEntry(observation=obs, state=state, timestamp=t))
+        entries.append(MemoryEntry(observation=obs, state=state))
     return entries
 
 
@@ -433,4 +433,4 @@ def test_candidate_set_ordering_is_curvature_major():
     assert (cand[0].c, cand[0].w) == (-1.0, 0.0)
     assert (cand[1].c, cand[1].w) == (-1.0, 1.0)
     assert (cand[2].c, cand[2].w) == (0.0, 0.0)
-    assert cand.items[5].c == 1.0
+    assert cand[5].c == 1.0

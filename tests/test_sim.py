@@ -14,6 +14,7 @@ from visionmpc.sim import (
     ScenarioFormatError,
     StepCommand,
     TrialOutcome,
+    closed_loop,
     in_goal,
     load_scenario,
     make_world,
@@ -232,15 +233,35 @@ class _ConstantController:
 
     def reset(self, scenario, params):
         self.calls = 0
+        self.u_prev = ControlInput(0.0, 0.0)
 
     def step(self, obs, state, t):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise self.error("synthetic controller failure")
+        self.u_prev = self.u
         return StepCommand(u=self.u, c=self.c, w=self.w)
 
-    def safe_stop(self, u_prev):
-        return ControlInput(max(0.0, u_prev.v_cmd - 0.1), u_prev.omega_cmd)
+    def safe_stop(self):
+        self.u_prev = ControlInput(max(0.0, self.u_prev.v_cmd - 0.1), self.u_prev.omega_cmd)
+        return self.u_prev
+
+
+class TestClosedLoop:
+    def test_world_starting_in_goal_runs_no_step(self):
+        world = world_for(corridor(start=VehicleState(9.9, 0, 0)))
+        assert world.reached and world.status == "goal"
+        assert list(closed_loop(world, _ConstantController(ControlInput(1.0, 0.0)))) == []
+
+    def test_yields_each_applied_command_and_event(self):
+        world = world_for(corridor(time_limit=0.5))
+        controller = _ConstantController(ControlInput(1.0, 0.0), fail_at=3)
+        steps = list(closed_loop(world, controller))
+        assert len(steps) == 10 and world.status == "timeout"
+        assert [event for _, event, _ in steps[:3]] == ["", "", "controller_error"]
+        assert steps[2][0].u == ControlInput(0.9, 0.0)  # safe stop from the last applied control
+        assert steps[3][0].u == ControlInput(0.8, 0.0)  # and the next one anchors on it
+        assert all(seconds >= 0.0 for _, _, seconds in steps)
 
 
 class TestRunTrial:

@@ -1,19 +1,24 @@
+import csv
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from visionmpc import controllers
 from visionmpc.controllers import PipelineConfig
 from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import CandidateSet, TrainConfig
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario
-from visionmpc.training import initialize_network, train
+from visionmpc.sim import csv_cell
+from visionmpc.training import EpisodeRecord, initialize_network, train, write_training_log
 from visionmpc.vehicle import ModelParams, VehicleState
 
 
-def tiny_scenario(seed=3, n_rays_deg=30.0):
+def tiny_scenario(seed=3, n_rays_deg=30.0, start=VehicleState(0, 0, 0)):
     return Scenario(
         route=((0.0, 0.0), (4.0, 0.0)),
         half_width=0.6,
-        start=VehicleState(0, 0, 0),
+        start=start,
         goal_radius=0.3,
         v_max=1.0,
         sensor=RaySensorConfig(fov_deg=360, resolution_deg=n_rays_deg, max_range_m=2.0),
@@ -97,3 +102,37 @@ def test_round_robin_visits_all_scenarios():
     suite = [(a, ModelParams()), (b, ModelParams())]
     _, log = train(suite, tiny_config(episodes=4), tiny_pipeline())
     assert [rec.scenario for rec in log] == [a.name, "other", a.name, "other"]
+
+
+def test_numeric_controller_failure_ends_only_its_episode(monkeypatch):
+    # the closed loop's failure rule: a ValueError from the solver ends the
+    # episode as "error", and training goes on with the next episode
+    original = controllers.control_step
+    calls = []
+
+    def fails_on_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("synthetic failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(controllers, "control_step", fails_on_third_call)
+    _, log = train([(tiny_scenario(), ModelParams())], tiny_config(), tiny_pipeline())
+    assert [(rec.status, rec.steps) for rec in log] == [("error", 2), ("timeout", 8)]
+
+
+def test_episode_starting_in_goal_takes_no_step():
+    suite = [(tiny_scenario(start=VehicleState(3.9, 0, 0)), ModelParams())]
+    _, log = train(suite, tiny_config(episodes=1), tiny_pipeline())
+    assert [(rec.status, rec.steps, rec.ret) for rec in log] == [("goal", 0, 0.0)]
+
+
+def test_training_log_columns_are_the_record_fields(tmp_path):
+    _, log = train([(tiny_scenario(), ModelParams())], tiny_config(), tiny_pipeline())
+    path = tmp_path / "train.log.csv"
+    write_training_log(path, log)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    names = [f.name for f in fields(EpisodeRecord)]
+    assert rows[0] == names
+    assert rows[1:] == [[csv_cell(getattr(rec, name)) for name in names] for rec in log]

@@ -44,34 +44,27 @@ def test_constant_control_traces_analytic_circle():
     assert math.hypot(z.x - x_exact, z.y - y_exact) < 5e-3
 
 
-def test_step_true_zero_noise_zero_residual_is_nominal():
+def test_step_true_zero_noise_is_nominal():
     p = ModelParams(sigma_f=0.0)
     state = VehicleState(0.3, -0.2, 0.4)
     u = ControlInput(0.7, -0.1)
-    assert step_true(state, u, None, p) == step_nominal(state, u, p)
-    assert step_true(state, u, [0.0, 0.0, 0.0], p) == step_nominal(state, u, p)
-
-
-def test_step_true_pure_residual():
-    p = ModelParams(sigma_f=0.0)
-    out = step_true(VehicleState(0.0, 0.0, 0.0), ControlInput(0.0, 0.0), [0.01, 0.0, 0.0], p)
-    assert out == VehicleState(0.01, 0.0, 0.0)
+    assert step_true(state, u, p) == step_nominal(state, u, p)
 
 
 def test_step_true_deterministic_given_seed():
     p = ModelParams(sigma_f=0.01)
     state = VehicleState(0.0, 0.0, 0.0)
     u = ControlInput(0.5, 0.1)
-    a = step_true(state, u, None, p, np.random.default_rng(42))
-    b = step_true(state, u, None, p, np.random.default_rng(42))
+    a = step_true(state, u, p, np.random.default_rng(42))
+    b = step_true(state, u, p, np.random.default_rng(42))
     assert a == b
-    c = step_true(state, u, None, p, np.random.default_rng(43))
+    c = step_true(state, u, p, np.random.default_rng(43))
     assert a != c
 
 
 def test_step_true_noise_requires_rng():
     with pytest.raises(ValueError):
-        step_true(VehicleState(0, 0, 0), ControlInput(0, 0), None, ModelParams(sigma_f=0.1))
+        step_true(VehicleState(0, 0, 0), ControlInput(0, 0), ModelParams(sigma_f=0.1))
 
 
 def test_rollout_empty_and_zero_controls():
