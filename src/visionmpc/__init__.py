@@ -5,7 +5,7 @@ controller with scene-adaptive gains, a Q-learning-trained scene-dynamics
 estimator, two baseline policies, and a metrics harness with a CLI.
 """
 
-from .baselines import DirectPolicyConfig, DwaConfig, direct_policy_step, dwa_plan
+from .baselines import direct_policy_step, dwa_plan
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .metrics import MetricsReport, OfflineRecord, aggregate, e_curvature, e_xy
@@ -25,7 +25,6 @@ from .policy import (
 )
 from .scene import (
     CorrectionConfig,
-    DesiredTrajectory,
     GainSchedule,
     ResidualWeights,
     SceneDynamics,

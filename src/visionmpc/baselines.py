@@ -9,45 +9,36 @@ becomes the desired trajectory for the tracking controller.
 The direct policy maps the scan straight to actuation: steering moves in
 exact multiples of a small increment toward the bearing of the most open
 direction, and velocity follows a proportional law toward its target.
+
+Both read their actuator and rate bounds, dt, wheelbase and horizon from the
+shared NmpcConfig passed as `limits`, the one the tracking controller obeys.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .memory import Observation
 from .nmpc import NmpcConfig
-from .scene import DesiredTrajectory
 from .vehicle import ControlInput, VehicleState
 
+# dynamic-window sampling grid, rollout length and scoring weights
+DWA_V_SAMPLES = 11
+DWA_OMEGA_SAMPLES = 21
+DWA_HORIZON_S = 1.5
+DWA_WEIGHT_HEADING = 0.8
+DWA_WEIGHT_CLEARANCE = 0.2
+DWA_WEIGHT_VELOCITY = 0.3
+DWA_VEHICLE_RADIUS = 0.08
+DWA_CLEARANCE_CAP = 1.0
 
-@dataclass(frozen=True)
-class DwaConfig:
-    """Dynamic-window sampling and scoring weights.
-
-    The actuator and rate bounds, dt, wheelbase and horizon come from the
-    shared NmpcConfig passed to dwa_plan as `limits`, the one the tracking
-    controller obeys.
-    """
-
-    v_samples: int = 11
-    omega_samples: int = 21
-    sim_horizon_s: float = 1.5
-    weight_heading: float = 0.8
-    weight_clearance: float = 0.2
-    weight_velocity: float = 0.3
-    vehicle_radius: float = 0.08
-    clearance_cap: float = 1.0
-
-    def __post_init__(self):
-        if self.v_samples < 2 or self.omega_samples < 2:
-            raise ValueError("sample counts must be at least 2")
-        weights = (self.weight_heading, self.weight_clearance, self.weight_velocity)
-        if any(w < 0.0 for w in weights) or all(w == 0.0 for w in weights):
-            raise ValueError("weights must be non-negative and not all zero")
-        if self.sim_horizon_s <= 0.0:
-            raise ValueError("sim_horizon_s must be positive")
+# direct execution law: 0.01 degree steering steps, a proportional
+# velocity law with gain 1.6, braking when the front cone is nearer than
+# 0.45 m, and rays within 5% of the longest counted as open
+DIRECT_STEER_INCREMENT_DEG = 0.01
+DIRECT_K_V = 1.6
+DIRECT_BRAKE_DISTANCE_M = 0.45
+DIRECT_OPEN_TOLERANCE = 0.05
 
 
 def _constant_rollouts(vehicle: VehicleState, vs, omegas, limits: NmpcConfig, n_steps: int):
@@ -100,10 +91,9 @@ def dwa_plan(
     vehicle: VehicleState,
     obstacle_points: np.ndarray,
     goal: VehicleState,
-    cfg: DwaConfig,
     limits: NmpcConfig,
     current_u: ControlInput,
-) -> DesiredTrajectory:
+) -> tuple[VehicleState, ...]:
     """Best admissible constant-control rollout as a desired trajectory.
 
     The window is the set of controls within the actuator bounds of
@@ -113,16 +103,16 @@ def dwa_plan(
     returned trajectory has limits.tau_o poses spaced limits.dt apart.
     """
     dt = limits.dt
-    n_steps = max(1, int(round(cfg.sim_horizon_s / dt)))
+    n_steps = max(1, int(round(DWA_HORIZON_S / dt)))
     horizon = limits.tau_o
     v_lo = max(limits.u_min.v_cmd, current_u.v_cmd + limits.du_min.v_cmd * dt)
     v_hi = min(limits.u_max.v_cmd, current_u.v_cmd + limits.du_max.v_cmd * dt)
     om_lo = max(limits.u_min.omega_cmd, current_u.omega_cmd + limits.du_min.omega_cmd * dt)
     om_hi = min(limits.u_max.omega_cmd, current_u.omega_cmd + limits.du_max.omega_cmd * dt)
     if v_lo > v_hi or om_lo > om_hi:
-        return _stop_trajectory(vehicle, horizon, dt)
+        return _stop_trajectory(vehicle, horizon)
     v_grid, om_grid = np.meshgrid(
-        np.linspace(v_lo, v_hi, cfg.v_samples), np.linspace(om_lo, om_hi, cfg.omega_samples)
+        np.linspace(v_lo, v_hi, DWA_V_SAMPLES), np.linspace(om_lo, om_hi, DWA_OMEGA_SAMPLES)
     )
     vs = v_grid.ravel()
     omegas = om_grid.ravel()
@@ -130,63 +120,43 @@ def dwa_plan(
     positions, pose_heads = _constant_rollouts(vehicle, vs, omegas, limits, n_roll)
     pts = np.asarray(obstacle_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] > 0:
-        reach = v_hi * dt * n_roll + cfg.vehicle_radius + cfg.clearance_cap
+        reach = v_hi * dt * n_roll + DWA_VEHICLE_RADIUS + DWA_CLEARANCE_CAP
         near = np.hypot(pts[:, 0] - vehicle.x, pts[:, 1] - vehicle.y) <= reach
         pts = pts[near]
     if pts.shape[0] > 0:
         min_clear = _min_clearance(positions, pts)
     else:
-        min_clear = np.full(vs.shape[0], cfg.clearance_cap + cfg.vehicle_radius)
-    admissible = min_clear > cfg.vehicle_radius
+        min_clear = np.full(vs.shape[0], DWA_CLEARANCE_CAP + DWA_VEHICLE_RADIUS)
+    admissible = min_clear > DWA_VEHICLE_RADIUS
     if not np.any(admissible):
-        return _stop_trajectory(vehicle, horizon, dt)
+        return _stop_trajectory(vehicle, horizon)
 
     end = positions[:, n_steps - 1, :]
     to_goal = np.arctan2(goal.y - end[:, 1], goal.x - end[:, 0])
     end_heads = pose_heads[:, n_steps - 1]
     misalign = np.abs(np.arctan2(np.sin(to_goal - end_heads), np.cos(to_goal - end_heads)))
     heading_score = 1.0 - misalign / math.pi
-    clearance_score = np.minimum(min_clear - cfg.vehicle_radius, cfg.clearance_cap) / cfg.clearance_cap
+    clearance_score = np.minimum(min_clear - DWA_VEHICLE_RADIUS, DWA_CLEARANCE_CAP) / DWA_CLEARANCE_CAP
     v_max = limits.u_max.v_cmd
     velocity_score = vs / v_max if v_max > 0 else np.zeros_like(vs)
     score = (
-        cfg.weight_heading * heading_score
-        + cfg.weight_clearance * clearance_score
-        + cfg.weight_velocity * velocity_score
+        DWA_WEIGHT_HEADING * heading_score
+        + DWA_WEIGHT_CLEARANCE * clearance_score
+        + DWA_WEIGHT_VELOCITY * velocity_score
     )
     score = np.where(admissible, score, -np.inf)
     best = int(np.argmax(score))
-    states = [
+    return tuple(
         VehicleState(float(positions[best, k, 0]), float(positions[best, k, 1]), float(pose_heads[best, k]))
         for k in range(horizon)
-    ]
-    return DesiredTrajectory(tuple(states), dt)
+    )
 
 
-def _stop_trajectory(vehicle: VehicleState, horizon: int, dt: float) -> DesiredTrajectory:
-    return DesiredTrajectory(tuple(vehicle for _ in range(horizon)), dt)
+def _stop_trajectory(vehicle: VehicleState, horizon: int) -> tuple[VehicleState, ...]:
+    return (vehicle,) * horizon
 
 
-@dataclass(frozen=True)
-class DirectPolicyConfig:
-    """Execution law of the direct policy: 0.01 degree steering steps and a
-    proportional velocity law with gain 1.6.
-
-    The actuator and rate bounds and dt come from the shared NmpcConfig
-    passed to direct_policy_step as `limits`.
-    """
-
-    steer_increment_deg: float = 0.01
-    k_v: float = 1.6
-    brake_distance_m: float = 0.45
-    open_tolerance: float = 0.05
-
-    def __post_init__(self):
-        if self.steer_increment_deg <= 0.0:
-            raise ValueError("steer_increment_deg must be positive")
-
-
-def _open_direction_signal(obs: Observation, cfg: DirectPolicyConfig) -> tuple[float, float]:
+def _open_direction_signal(obs: Observation) -> tuple[float, float]:
     """(steering signal rad, min forward distance) from the scan.
 
     The signal is the mean bearing of the near-maximal rays in the forward
@@ -200,7 +170,7 @@ def _open_direction_signal(obs: Observation, cfg: DirectPolicyConfig) -> tuple[f
     fb = bearings[forward]
     fd = rays[forward]
     d_max = float(fd.max())
-    open_mask = fd >= d_max - cfg.open_tolerance * d_max
+    open_mask = fd >= d_max - DIRECT_OPEN_TOLERANCE * d_max
     signal = float(np.mean(fb[open_mask]))
     front = np.abs(bearings) <= math.radians(30.0)
     front_min = float(rays[front].min()) if np.any(front) else d_max
@@ -209,20 +179,19 @@ def _open_direction_signal(obs: Observation, cfg: DirectPolicyConfig) -> tuple[f
 
 def direct_policy_step(
     obs: Observation,
-    cfg: DirectPolicyConfig,
     limits: NmpcConfig,
     prev_u: ControlInput,
 ) -> ControlInput:
     """One reactive control update.
 
-    Steering changes by an exact integer multiple of the configured
-    increment toward the open-direction signal, clipped to the actuator
-    and rate bounds of `limits`. Velocity follows
-    v' = v + k_v (v_target - v) dt with v_target = limits.u_max.v_cmd,
+    Steering changes by an exact integer multiple of
+    DIRECT_STEER_INCREMENT_DEG toward the open-direction signal, clipped to
+    the actuator and rate bounds of `limits`. Velocity follows
+    v' = v + DIRECT_K_V (v_target - v) dt with v_target = limits.u_max.v_cmd,
     braking to zero when the forward cone is blocked.
     """
-    signal, front_min = _open_direction_signal(obs, cfg)
-    incr = math.radians(cfg.steer_increment_deg)
+    signal, front_min = _open_direction_signal(obs)
+    incr = math.radians(DIRECT_STEER_INCREMENT_DEG)
     dt = limits.dt
     lo = max(limits.u_min.omega_cmd, prev_u.omega_cmd + limits.du_min.omega_cmd * dt) - prev_u.omega_cmd
     hi = min(limits.u_max.omega_cmd, prev_u.omega_cmd + limits.du_max.omega_cmd * dt) - prev_u.omega_cmd
@@ -232,8 +201,8 @@ def direct_policy_step(
     steps = min(max(steps, math.ceil(lo / incr - 1e-9)), math.floor(hi / incr + 1e-9))
     omega = prev_u.omega_cmd + steps * incr
 
-    v_target = 0.0 if front_min < cfg.brake_distance_m else limits.u_max.v_cmd
-    v = prev_u.v_cmd + cfg.k_v * (v_target - prev_u.v_cmd) * dt
+    v_target = 0.0 if front_min < DIRECT_BRAKE_DISTANCE_M else limits.u_max.v_cmd
+    v = prev_u.v_cmd + DIRECT_K_V * (v_target - prev_u.v_cmd) * dt
     v = min(max(v, prev_u.v_cmd + limits.du_min.v_cmd * dt), prev_u.v_cmd + limits.du_max.v_cmd * dt)
     v = min(max(v, limits.u_min.v_cmd), limits.u_max.v_cmd)
     return ControlInput(v, omega)

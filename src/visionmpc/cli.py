@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
+from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
 from .metrics import aggregate, offline_report, read_offline_dataset, write_report_csv, write_report_json
 from .nmpc import NmpcConfig
 from .policy import CandidateSet, QNetwork, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
@@ -90,6 +90,15 @@ def _run_pipeline(pipeline_path, checkpoint_path):
     return trained, (net, trained_fc)
 
 
+def _check_periods(pipeline, suite) -> None:
+    """Refuse, before any trial runs, a scenario whose dt_s is not the pipeline's period."""
+    for scenario, params in suite:
+        try:
+            check_period(pipeline, params)
+        except ValueError as exc:
+            raise CliError(f"{scenario.name}: {exc}") from None
+
+
 def _build_controller(method, scenario, pipeline, policy, seed):
     if method == "lvd-nmpc":
         fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
@@ -117,6 +126,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario = with_seed(scenario, args.seed)
     pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
+    _check_periods(pipeline, [(scenario, params)])
     controller = _build_controller(args.method, scenario, pipeline, policy, scenario.seed)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,6 +180,7 @@ def _cmd_train(args) -> int:
     suite = [_load_scenario(p) for p in paths]
     cfg = _train_config_from_file(args.config, args.seed)
     pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else _default_training_pipeline()
+    _check_periods(pipeline, suite)
     net, log = train(suite, cfg, pipeline)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -261,6 +272,7 @@ def _cmd_compare(args) -> int:
         raise CliError(f"no .scn scenarios found in {set_dir}")
     suite = [_load_scenario(p) for p in paths]
     pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
+    _check_periods(pipeline, suite)
     outcomes_by_method: dict[str, list] = {}
     for method in METHODS:
         outcomes = []

@@ -4,7 +4,9 @@ The actuator and rate bounds come only from `PipelineConfig.nmpc`: the
 NMPC obeys them, and the baselines' planners read the same config with its
 speed bound capped at the scenario's v_max, so benchmark comparisons stay
 fair. Each controller projects the vehicle onto the route at most once per
-step.
+step. The controllers share one skeleton, `_BoundedController`: its reset
+starts a trial at rest with no warm start, and its `_track` runs one NMPC
+step and keeps the control it applied.
 """
 
 import math
@@ -13,13 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import DirectPolicyConfig, DwaConfig, direct_policy_step, dwa_plan, obstacle_points_from_observation
+from .baselines import DWA_HORIZON_S, direct_policy_step, dwa_plan, obstacle_points_from_observation
 from .geometry import wrap_angle
 from .memory import AugmentedMemory, MemoryEntry, Observation
-from .nmpc import NmpcConfig, NmpcSolution, control_step
+from .nmpc import NmpcConfig, control_step
 from .policy import FeatureConfig, QNetwork, featurize, select_dynamics
 from .scene import (
     CorrectionConfig,
+    GainSchedule,
     ResidualWeights,
     SceneDynamics,
     desired_trajectory,
@@ -68,6 +71,20 @@ class PipelineConfig:
         )
 
 
+def check_period(pipeline: PipelineConfig, params: ModelParams) -> None:
+    """Reject a world whose sampling period differs from the controller's.
+
+    The NMPC prediction, the DWA rollouts and the rate bounds all step
+    pipeline.nmpc.dt, so a world stepping another period would silently
+    run them at the wrong rate. A wheelbase mismatch is allowed: it is a
+    model-mismatch experiment.
+    """
+    if params.dt != pipeline.nmpc.dt:
+        raise ValueError(
+            f"scenario period dt_s {params.dt!r} s differs from the controller period nmpc.dt {pipeline.nmpc.dt!r} s"
+        )
+
+
 def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
     """The shared bounds with the speed bound lowered to a scenario's v_max."""
     u_max = ControlInput(min(nmpc_cfg.u_max.v_cmd, v_max), nmpc_cfg.u_max.omega_cmd)
@@ -75,15 +92,28 @@ def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
 
 
 class _BoundedController:
-    """Shared safe-stop behavior under the common rate limits.
+    """Shared trial bookkeeping under the common rate limits.
 
-    _u_prev is the control last applied, which anchors the next step's
-    rate bounds.
+    _limits is the pipeline's NMPC config with the speed bound capped at the
+    scenario's v_max. _u_prev is the control last applied, which anchors
+    the next step's rate bounds. _warm is the last NMPC solution's control
+    array, which seeds the next solve.
     """
 
-    def __init__(self, nmpc_cfg: NmpcConfig):
-        self._limits = nmpc_cfg
+    def __init__(self, pipeline: PipelineConfig):
+        self.pipeline = pipeline
+        self._scenario: Optional[Scenario] = None
+        self._limits = pipeline.nmpc
         self._u_prev: Optional[ControlInput] = None
+        self._warm: Optional[np.ndarray] = None
+
+    def reset(self, scenario: Scenario, params: ModelParams) -> None:
+        """Start a trial at rest with no warm start; a world period other than the controller's is a ValueError."""
+        check_period(self.pipeline, params)
+        self._scenario = scenario
+        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
+        self._u_prev = ControlInput(0.0, 0.0)
+        self._warm = None
 
     def safe_stop(self) -> ControlInput:
         """Decelerate from the last applied control; the result becomes the rate anchor."""
@@ -91,6 +121,15 @@ class _BoundedController:
         v = max(cfg.u_min.v_cmd, 0.0, u_prev.v_cmd + cfg.du_min.v_cmd * cfg.dt)
         self._u_prev = ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
         return self._u_prev
+
+    def _track(self, state: VehicleState, z_d, residual, gains: GainSchedule) -> ControlInput:
+        """One NMPC step toward z_d from the last applied control; returns the control applied."""
+        u, sol = control_step(
+            state, z_d, residual, gains, self.pipeline.nmpc, warm_start=self._warm, u_prev=self._u_prev
+        )
+        self._warm = sol.u_opt
+        self._u_prev = u
+        return u
 
 
 class LvdNmpcController(_BoundedController):
@@ -109,9 +148,8 @@ class LvdNmpcController(_BoundedController):
         rng: Optional[np.random.Generator] = None,
         action_source=None,
     ):
-        super().__init__(pipeline.nmpc)
+        super().__init__(pipeline)
         self.net = net
-        self.pipeline = pipeline
         self.epsilon = epsilon
         self.rng = rng
         # optional override (observation, features) -> action index, used by
@@ -119,21 +157,17 @@ class LvdNmpcController(_BoundedController):
         self.action_source = action_source
         self.last_features: Optional[np.ndarray] = None
         self.last_action: Optional[int] = None
-        self.last_solution: Optional[NmpcSolution] = None
         self._memory: Optional[AugmentedMemory] = None
-        self._scenario: Optional[Scenario] = None
         self._fc: Optional[FeatureConfig] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
+        super().reset(scenario, params)
         self._memory = AugmentedMemory(self.pipeline.n_history)
-        self._scenario = scenario
         self._fc = self.pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-        self.last_solution = None
-        self._u_prev = ControlInput(0.0, 0.0)
         self.last_features = None
         self.last_action = None
 
-    def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand:
+    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
         cfg = self.pipeline.nmpc
         self._memory.push(MemoryEntry(observation=obs, state=state))
         window = self._memory.window()
@@ -148,21 +182,12 @@ class LvdNmpcController(_BoundedController):
             action, dyn = select_dynamics(self.net, features, self.epsilon, self.rng)
         self.last_features = features
         self.last_action = action
-        return self._track(dyn, state, s0)
-
-    def _track(self, dyn: SceneDynamics, state: VehicleState, s0: float) -> StepCommand:
-        cfg = self.pipeline.nmpc
         v_ref = max(dyn.w * self._scenario.v_max, 1e-6)
-        ref = reference_slice(self._scenario.route_polyline, s0, cfg.tau_o, cfg.dt, v_ref)
+        ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
         z_d = desired_trajectory(ref, dyn, state, self.pipeline.correction())
         gains = gain_schedule(dyn, self.pipeline.eps_r)
         residual = residual_h(dyn, self.pipeline.residual_weights, state.rho)
-        u, sol = control_step(
-            state, z_d, residual, gains, cfg, warm_start=self.last_solution, u_prev=self._u_prev
-        )
-        self.last_solution = sol
-        self._u_prev = u
-        return StepCommand(u=u, c=dyn.c, w=dyn.w)
+        return StepCommand(u=self._track(state, z_d, residual, gains), c=dyn.c, w=dyn.w)
 
 
 class DwaNmpcController(_BoundedController):
@@ -174,38 +199,30 @@ class DwaNmpcController(_BoundedController):
     """
 
     def __init__(self, pipeline: PipelineConfig):
-        super().__init__(pipeline.nmpc)
-        self.pipeline = pipeline
-        self._dwa = DwaConfig()
-        self._scenario: Optional[Scenario] = None
-        self.last_solution: Optional[NmpcSolution] = None
+        super().__init__(pipeline)
         self._u_plan: Optional[ControlInput] = None
         self._gains = gain_schedule(SceneDynamics(0.0, 0.9), pipeline.eps_r)
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
-        self._scenario = scenario
-        self.last_solution = None
-        self._u_prev = ControlInput(0.0, 0.0)
+        super().reset(scenario, params)
         self._u_plan = ControlInput(0.0, 0.0)
 
-    def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand:
+    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
         cfg = self.pipeline.nmpc
         points = obstacle_points_from_observation(obs, state, self._scenario.sensor.max_range_m)
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
-        tau_goal = max(cfg.tau_o, int(round(2.0 * self._dwa.sim_horizon_s / cfg.dt)))
+        tau_goal = max(cfg.tau_o, int(round(2.0 * DWA_HORIZON_S / cfg.dt)))
         route = self._scenario.route_polyline
         s0, _ = route.project((state.x, state.y))
         goal_xy, goal_rho = route.sample(s0 + self._scenario.v_max * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
-        plan = dwa_plan(state, points, goal, self._dwa, self._limits, self._u_plan)
-        first = plan.states[0]
-        v_plan = math.hypot(first.x - state.x, first.y - state.y) / cfg.dt
-        if len(plan.states) > 1:
-            psi_step = wrap_angle(plan.states[1].rho - plan.states[0].rho)
+        plan = dwa_plan(state, points, goal, self._limits, self._u_plan)
+        v_plan = math.hypot(plan[0].x - state.x, plan[0].y - state.y) / cfg.dt
+        if len(plan) > 1:
+            psi_step = wrap_angle(plan[1].rho - plan[0].rho)
             omega_plan = math.asin(
                 min(max(psi_step * cfg.wheelbase_L / (max(v_plan, 1e-9) * cfg.dt), -1.0), 1.0)
             )
@@ -214,33 +231,17 @@ class DwaNmpcController(_BoundedController):
         self._u_plan = ControlInput(min(v_plan, self._limits.u_max.v_cmd), omega_plan)
         w = min(max(v_plan / self._scenario.v_max, 0.0), 1.0)
         try:
-            c = dynamics_from_trajectory(plan.states, min(v_plan, self._scenario.v_max), self._scenario.v_max).c
+            c = dynamics_from_trajectory(plan, min(v_plan, self._scenario.v_max), self._scenario.v_max).c
         except ValueError:
             c = 0.0
-        u, sol = control_step(
-            state, plan, None, self._gains, cfg, warm_start=self.last_solution, u_prev=self._u_prev
-        )
-        self.last_solution = sol
-        self._u_prev = u
-        return StepCommand(u=u, c=c, w=w)
+        return StepCommand(u=self._track(state, plan, None, self._gains), c=c, w=w)
 
 
 class DirectController(_BoundedController):
     """Reactive execution-law baseline (no model, no optimization)."""
 
-    def __init__(self, pipeline: PipelineConfig):
-        super().__init__(pipeline.nmpc)
-        self.pipeline = pipeline
-        self._direct = DirectPolicyConfig()
-        self._scenario: Optional[Scenario] = None
-
-    def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
-        self._scenario = scenario
-        self._u_prev = ControlInput(0.0, 0.0)
-
-    def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand:
-        u = direct_policy_step(obs, self._direct, self._limits, self._u_prev)
+    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
+        u = direct_policy_step(obs, self._limits, self._u_prev)
         self._u_prev = u
         c = math.sin(u.omega_cmd) / self._limits.wheelbase_L
         w = min(max(u.v_cmd / self._scenario.v_max, 0.0), 1.0)

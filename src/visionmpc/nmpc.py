@@ -14,17 +14,23 @@ the wrapped heading recursion runs as a Python loop. The array code repeats
 the per-step recurrence's floating-point operations in their order, so
 costs, gradients and iterates are bit-identical to a scalar loop (the
 reference kept in tests/test_nmpc.py).
+
+A solution is the flat control array [v0, omega0, v1, omega1, ...] the
+solver works in, with its cost and solver diagnostics; a receding-horizon
+step applies its first pair and seeds the next solve with the array
+shifted by one step.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import wrap_angle
-from .scene import DesiredTrajectory, GainSchedule
-from .vehicle import ControlInput, ModelParams, VehicleState, rollout
+from .scene import GainSchedule
+# rollout is unused here; perfbench/tracer.py wraps it by attribute name on this module
+from .vehicle import ControlInput, ModelParams, VehicleState, rollout  # noqa: F401
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -77,33 +83,22 @@ class NmpcConfig:
 
 @dataclass(frozen=True)
 class NmpcSolution:
-    """Optimal control and state sequences with solver diagnostics."""
+    """Optimal controls as the flat array [v0, omega0, v1, omega1, ...], with solver diagnostics."""
 
-    u_opt: tuple[ControlInput, ...]
-    z_opt: tuple[VehicleState, ...]
+    u_opt: np.ndarray
     cost: float
     iterations: int
     converged: bool
 
 
 class NmpcError(RuntimeError):
-    """Raised on a non-finite cost or gradient; carries the last feasible iterate."""
-
-    def __init__(self, message: str, last_solution: Optional[NmpcSolution] = None):
-        super().__init__(message)
-        self.last_solution = last_solution
-
-
-def _states_of(z_d) -> tuple[VehicleState, ...]:
-    if isinstance(z_d, DesiredTrajectory):
-        return z_d.states
-    return tuple(z_d)
+    """Raised on a non-finite cost or gradient."""
 
 
 def tracking_cost(
     z_seq: Sequence[VehicleState],
     u_seq: Sequence[ControlInput],
-    z_d: Union[DesiredTrajectory, Sequence[VehicleState]],
+    z_d: Sequence[VehicleState],
     g: GainSchedule,
 ) -> float:
     """Quadratic tracking cost with wrapped heading errors.
@@ -111,13 +106,12 @@ def tracking_cost(
     J = sum_k q * ||z_d,k - z_k||^2 + r * ||u_k||^2, all sequences of equal
     length. Heading differences are wrapped to (-pi, pi].
     """
-    zd = _states_of(z_d)
-    if not (len(z_seq) == len(u_seq) == len(zd)):
+    if not (len(z_seq) == len(u_seq) == len(z_d)):
         raise ValueError(
-            f"sequence lengths differ: states {len(z_seq)}, controls {len(u_seq)}, desired {len(zd)}"
+            f"sequence lengths differ: states {len(z_seq)}, controls {len(u_seq)}, desired {len(z_d)}"
         )
     total = 0.0
-    for z, u, d in zip(z_seq, u_seq, zd):
+    for z, u, d in zip(z_seq, u_seq, z_d):
         ex = d.x - z.x
         ey = d.y - z.y
         er = wrap_angle(d.rho - z.rho)
@@ -310,9 +304,7 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
     f, fwd = problem.forward(x)
     g = problem.gradient(fwd)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
-        err = NmpcError("non-finite cost or gradient at the initial iterate")
-        err.iterate = None
-        raise err
+        raise NmpcError("non-finite cost or gradient at the initial iterate")
     n = x.size
     H = np.eye(n)
     iters = 0
@@ -348,9 +340,7 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
             break
         g_new = problem.gradient(fwd_new)
         if not np.all(np.isfinite(g_new)):
-            err = NmpcError("non-finite cost or gradient during optimization")
-            err.iterate = x
-            raise err
+            raise NmpcError("non-finite cost or gradient during optimization")
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -375,66 +365,45 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
 
 def solve(
     current: VehicleState,
-    z_d: Union[DesiredTrajectory, Sequence[VehicleState]],
+    z_d: Sequence[VehicleState],
     residual,
     g: GainSchedule,
     cfg: NmpcConfig,
-    warm_start: Union[NmpcSolution, Sequence[ControlInput], None] = None,
+    warm_start: Optional[np.ndarray] = None,
     u_prev: Optional[ControlInput] = None,
 ) -> NmpcSolution:
     """Minimize the penalized tracking objective over the control sequence.
 
-    warm_start (a previous solution or a raw control sequence) is used
-    verbatim as the initial iterate. u_prev anchors the first rate
-    constraint; without it the first control is rate-unconstrained. The
-    returned controls satisfy actuator and rate bounds exactly; the
-    returned cost never exceeds the cost of the (projected) initial iterate.
+    warm_start, a flat control array like NmpcSolution.u_opt, is projected
+    onto the bounds and used as the initial iterate. u_prev anchors the
+    first rate constraint; without it the first control is
+    rate-unconstrained. The returned controls satisfy actuator and rate
+    bounds exactly; the returned cost never exceeds the cost of the
+    (projected) initial iterate.
     """
-    zd_states = _states_of(z_d)
-    if len(zd_states) != cfg.tau_o:
-        raise ValueError(f"desired trajectory length {len(zd_states)} differs from tau_o {cfg.tau_o}")
-    if warm_start is None:
-        x0 = np.zeros(2 * cfg.tau_o)
-    else:
-        seq = warm_start.u_opt if isinstance(warm_start, NmpcSolution) else tuple(warm_start)
-        if len(seq) != cfg.tau_o:
-            raise ValueError("warm start length differs from tau_o")
-        x0 = np.empty(2 * cfg.tau_o)
-        for k, u in enumerate(seq):
-            x0[2 * k] = u.v_cmd
-            x0[2 * k + 1] = u.omega_cmd
+    if len(z_d) != cfg.tau_o:
+        raise ValueError(f"desired trajectory length {len(z_d)} differs from tau_o {cfg.tau_o}")
+    x0 = np.zeros(2 * cfg.tau_o) if warm_start is None else np.asarray(warm_start, dtype=float)
+    if x0.shape != (2 * cfg.tau_o,):
+        raise ValueError(f"warm start shape {x0.shape} differs from (2 * tau_o,)")
     x0 = _clip_chain(x0, cfg, u_prev)
 
-    # an overflowing rollout is reported as NmpcError below, not as numpy warnings
+    # an overflowing rollout is reported as NmpcError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         penalty = cfg.penalty_weight
         x = x0
         total_iters = 0
         converged = False
-        problem = _Problem(current, zd_states, residual, g, cfg, u_prev, penalty)
-        try:
-            for round_idx in range(3):
-                problem.pw = penalty
-                x, fwd, iters, converged = _bfgs(problem, x, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
-                total_iters += iters
-                # excesses below this are absorbed exactly by the final projection,
-                # so escalating the penalty for them only burns iterations
-                if _violation(fwd) <= 1e-3 or round_idx == 2:
-                    break
-                penalty *= 2.0
-        except NmpcError as err:
-            last = getattr(err, "iterate", None)
-            if last is None and np.all(np.isfinite(x)):
-                last = x
-            if last is not None and err.last_solution is None:
-                try:
-                    feasible = _clip_chain(np.asarray(last, dtype=float), cfg, u_prev)
-                    err.last_solution = _build_solution(
-                        current, feasible, residual, cfg, float("nan"), total_iters, False
-                    )
-                except (ValueError, OverflowError):
-                    pass
-            raise
+        problem = _Problem(current, z_d, residual, g, cfg, u_prev, penalty)
+        for round_idx in range(3):
+            problem.pw = penalty
+            x, fwd, iters, converged = _bfgs(problem, x, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
+            total_iters += iters
+            # excesses below this are absorbed exactly by the final projection,
+            # so escalating the penalty for them only burns iterations
+            if _violation(fwd) <= 1e-3 or round_idx == 2:
+                break
+            penalty *= 2.0
 
         final = _clip_chain(x, cfg, u_prev)
         problem.pw = penalty
@@ -444,39 +413,25 @@ def solve(
             final = x0
             f_final = f_initial
         if not math.isfinite(f_final):
-            raise NmpcError(
-                "non-finite cost at the projected iterate",
-                last_solution=_build_solution(current, x0, residual, cfg, float("inf"), total_iters, False),
-            )
-        return _build_solution(current, final, residual, cfg, f_final, total_iters, converged)
-
-
-def _build_solution(current, u_flat, residual, cfg, cost, iterations, converged) -> NmpcSolution:
-    u_opt = tuple(ControlInput(float(u_flat[2 * k]), float(u_flat[2 * k + 1])) for k in range(cfg.tau_o))
-    res_seq = None
-    if residual is not None:
-        res_seq = [np.asarray(residual, dtype=float)] * cfg.tau_o
-    z_opt = tuple(rollout(current, u_opt, res_seq, cfg.model()))
-    return NmpcSolution(u_opt=u_opt, z_opt=z_opt, cost=float(cost), iterations=iterations, converged=converged)
+            raise NmpcError("non-finite cost at the projected iterate")
+        return NmpcSolution(u_opt=final, cost=float(f_final), iterations=total_iters, converged=converged)
 
 
 def control_step(
     current: VehicleState,
-    z_d: Union[DesiredTrajectory, Sequence[VehicleState]],
+    z_d: Sequence[VehicleState],
     residual,
     g: GainSchedule,
     cfg: NmpcConfig,
-    warm_start: Optional[NmpcSolution] = None,
+    warm_start: Optional[np.ndarray] = None,
     u_prev: Optional[ControlInput] = None,
 ) -> tuple[ControlInput, NmpcSolution]:
     """One receding-horizon step: solve, apply the first optimal control.
 
-    The previous solution, shifted by one step with its last element
-    repeated, seeds the solver. The full unshifted solution is returned for
-    the next call.
+    warm_start is the previous solution's u_opt; shifted by one step with
+    its last pair repeated, it seeds the solver. The full unshifted
+    solution is returned for the next call.
     """
-    init = None
-    if warm_start is not None:
-        init = warm_start.u_opt[1:] + (warm_start.u_opt[-1],)
+    init = None if warm_start is None else np.concatenate((warm_start[2:], warm_start[-2:]))
     sol = solve(current, z_d, residual, g, cfg, warm_start=init, u_prev=u_prev)
-    return sol.u_opt[0], sol
+    return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol

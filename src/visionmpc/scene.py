@@ -32,23 +32,6 @@ class SceneDynamics:
 
 
 @dataclass(frozen=True)
-class DesiredTrajectory:
-    """Finite-horizon state sequence tracked by the controller."""
-
-    states: tuple[VehicleState, ...]
-    horizon_dt: float
-
-    def __post_init__(self):
-        if len(self.states) == 0:
-            raise ValueError("desired trajectory must be non-empty")
-        if self.horizon_dt <= 0.0:
-            raise ValueError("horizon_dt must be positive")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
 class ResidualWeights:
     """Weights mapping (c, w) to a per-step state increment.
 
@@ -118,8 +101,8 @@ def desired_trajectory(
     d: SceneDynamics,
     current: VehicleState,
     cfg: CorrectionConfig,
-) -> DesiredTrajectory:
-    """Reference slice plus the scene-dynamics correction.
+) -> tuple[VehicleState, ...]:
+    """Reference slice plus the scene-dynamics correction, one pose per slice pose.
 
     The correction is evaluated in the vehicle frame at cumulative
     arc-length samples along the slice, then rotated into world
@@ -154,7 +137,7 @@ def desired_trajectory(
         # heading into the targets destabilizes steady curve tracking
         heading = wrap_angle(z.rho + math.atan(d.c * float(x_i)))
         states.append(VehicleState(z.x + ox, z.y + oy, heading))
-    return DesiredTrajectory(tuple(states), cfg.horizon_dt)
+    return tuple(states)
 
 
 def residual_h(d: SceneDynamics, weights: ResidualWeights, rho: float = 0.0) -> np.ndarray:

@@ -23,7 +23,7 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     obstacle_static_m 2.0 0.15 0.12 # cx cy radius
     obstacle_dynamic_m 0.1 0.25 4.0 0.3 4.0 -0.3   # radius speed x1 y1 x2 y2 ...
     wheelbase_m 0.36                # optional model overrides
-    dt_s 0.05
+    dt_s 0.05                       # must equal the controller's nmpc.dt
     state_noise_std 0.0
 
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
@@ -264,7 +264,7 @@ class StepCommand:
 class TrialController(Protocol):
     def reset(self, scenario: Scenario, params: ModelParams) -> None: ...
 
-    def step(self, obs: Observation, state: VehicleState, t: float) -> StepCommand: ...
+    def step(self, obs: Observation, state: VehicleState) -> StepCommand: ...
 
     def safe_stop(self) -> ControlInput: ...
 
@@ -320,7 +320,7 @@ def closed_loop(world: World, controller: TrialController) -> Iterator[tuple[Ste
         started = time.perf_counter()
         event = ""
         try:
-            cmd = controller.step(obs, world.vehicle, world.t)
+            cmd = controller.step(obs, world.vehicle)
         except (NmpcError, ValueError, ArithmeticError):
             cmd = StepCommand(u=controller.safe_stop())
             event = "controller_error"

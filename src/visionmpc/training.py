@@ -62,30 +62,33 @@ def initialize_network(
     return QNetwork.initialize(sizes, candidates, rng)
 
 
-def demonstration_action(
-    obs: Observation,
-    candidates: CandidateSet,
-    block_dist: float = 1.2,
-    front_half_deg: float = 14.0,
-    side_lo_deg: float = 6.0,
-    side_hi_deg: float = 50.0,
-) -> int:
+# the demonstration chooser's front cone (+-14 deg) counts as blocked
+# nearer than 1.2 m; it then compares the mean range of the side sectors
+# between 6 and 50 deg off the heading
+DEMO_BLOCK_DIST_M = 1.2
+DEMO_FRONT_HALF_DEG = 14.0
+DEMO_SIDE_LO_DEG = 6.0
+DEMO_SIDE_HI_DEG = 50.0
+
+
+def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     """Scripted scan-reactive candidate choice for demonstration episodes.
 
     Straight at full width while the front cone is clear; once something
-    sits closer than block_dist, bend with the strongest curvature
+    sits closer than DEMO_BLOCK_DIST_M, bend with the strongest curvature
     candidate toward the side whose rays average farther.
     """
     rays = np.asarray(obs.rays)
     n = rays.shape[0]
     bear = np.arange(n) * (2.0 * math.pi / n)
     bear = np.where(bear > math.pi, bear - 2.0 * math.pi, bear)
-    front_min = float(rays[np.abs(bear) <= math.radians(front_half_deg)].min())
-    if front_min >= block_dist:
+    front_min = float(rays[np.abs(bear) <= math.radians(DEMO_FRONT_HALF_DEG)].min())
+    if front_min >= DEMO_BLOCK_DIST_M:
         c_target = 0.0
     else:
-        left = (bear > math.radians(side_lo_deg)) & (bear <= math.radians(side_hi_deg))
-        right = (bear < -math.radians(side_lo_deg)) & (bear >= -math.radians(side_hi_deg))
+        lo, hi = math.radians(DEMO_SIDE_LO_DEG), math.radians(DEMO_SIDE_HI_DEG)
+        left = (bear > lo) & (bear <= hi)
+        right = (bear < -lo) & (bear >= -hi)
         c_strong = max(abs(c) for c in candidates.c_values)
         c_target = c_strong if float(rays[left].mean()) >= float(rays[right].mean()) else -c_strong
     ic = int(np.argmin([abs(c - c_target) for c in candidates.c_values]))

@@ -183,6 +183,47 @@ class TestTrain:
         assert rc == 1
 
 
+class TestPeriodMismatch:
+    """A scenario whose dt_s differs from the pipeline's nmpc.dt stops the run before any trial."""
+
+    def _scenario_set(self, tmp_path):
+        # a matching scenario sorts first, so a per-trial check would run it
+        good = Path(scenario_path("straight_corridor")).read_text()
+        assert "dt_s 0.05" in good
+        root = tmp_path / "set"
+        root.mkdir()
+        (root / "a_good.scn").write_text(good)
+        bad = good.replace("dt_s 0.05", "dt_s 0.1").replace("name straight_corridor", "name bad_period")
+        (root / "b_bad.scn").write_text(bad)
+        return root
+
+    def _assert_refused(self, rc, capsys):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad_period" in err
+        assert "dt_s 0.1 s differs from the controller period nmpc.dt 0.05 s" in err
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_trial", None)
+        root = self._scenario_set(tmp_path)
+        out = tmp_path / "out"
+        rc = run_cli("simulate", "--scenario", str(root / "b_bad.scn"), "--method", "direct", "--out", str(out))
+        self._assert_refused(rc, capsys)
+        assert not out.exists()
+
+    def test_compare(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_trial", None)
+        root = self._scenario_set(tmp_path)
+        rc = run_cli("compare", "--scenario-set", str(root), "--trials", "1", "--out", str(tmp_path / "t.csv"))
+        self._assert_refused(rc, capsys)
+
+    def test_train(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", None)
+        root = self._scenario_set(tmp_path)
+        rc = run_cli("train", "--scenario-set", str(root), "--out", str(tmp_path / "n.json"))
+        self._assert_refused(rc, capsys)
+
+
 class TestCheckpointReload:
     def test_trained_checkpoint_reloads_its_training_pipeline(self, tmp_path):
         config = tmp_path / "train.json"

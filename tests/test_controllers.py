@@ -144,6 +144,41 @@ class TestLvdController:
         assert pairs <= allowed
 
 
+MAKERS = {
+    "lvd": lambda pipeline, scenario: LvdNmpcController(fresh_net(pipeline, scenario), pipeline),
+    "dwa": lambda pipeline, scenario: DwaNmpcController(pipeline),
+    "direct": lambda pipeline, scenario: DirectController(pipeline),
+}
+
+
+@pytest.mark.parametrize("method", list(MAKERS))
+class TestReset:
+    def test_world_period_other_than_the_controllers_is_rejected(self, method):
+        scenario = small_scenario()
+        controller = MAKERS[method](small_pipeline(), scenario)
+        with pytest.raises(ValueError, match=r"dt_s 0\.1 s differs from the controller period nmpc\.dt 0\.05 s"):
+            controller.reset(scenario, ModelParams(dt=0.1))
+
+    def test_wheelbase_mismatch_is_allowed(self, method):
+        scenario = small_scenario()
+        pipeline = small_pipeline()
+        outcome = run_trial(scenario, MAKERS[method](pipeline, scenario), ModelParams(wheelbase_L=0.5))
+        assert outcome.steps > 0
+        assert_bounds_and_rates(outcome, pipeline.nmpc)
+
+    def test_reused_controller_logs_like_a_fresh_one(self, method):
+        # simulate and compare run every trial of a scenario on one instance
+        scenario = small_scenario([Obstacle(center=(2.5, 0.1), radius=0.15)])
+        pipeline = small_pipeline()
+        params = ModelParams(sigma_f=0.002)
+        reused = MAKERS[method](pipeline, scenario)
+        run_trial(scenario, reused, params, trial_index=0)
+        again = run_trial(scenario, reused, params, trial_index=1)
+        fresh = run_trial(scenario, MAKERS[method](pipeline, scenario), params, trial_index=1)
+        assert again.steps > 0
+        assert again == fresh
+
+
 class TestCheckpointPipelineRoundTrip:
     def test_meta_reconstructs_pipeline(self):
         pipeline = PipelineConfig(nmpc=NmpcConfig(tau_o=9, dt=0.04, e_min=-0.4, e_max=0.4))

@@ -53,7 +53,7 @@ class TestDesiredTrajectory:
         ref = self._straight_ref(6)
         out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0), cfg)
         assert len(out) == 6
-        for got, want in zip(out.states, ref):
+        for got, want in zip(out, ref):
             assert got == want
 
     def test_curvature_correction_matches_hand_evaluation(self):
@@ -64,14 +64,14 @@ class TestDesiredTrajectory:
         out = desired_trajectory(ref, d, VehicleState(0, 0, 0), cfg)
         v_ref = spacing / cfg.horizon_dt
         lookahead = max(v_ref * cfg.lookahead_time_s, cfg.min_lookahead_m)
-        for i, z in enumerate(out.states):
+        for i, z in enumerate(out):
             x_i = spacing * (i + 1)
             y_expected = 0.5 * d.c * x_i ** 2  # w = 0, rho_rel = 0
             assert z.x == pytest.approx(ref[i].x, abs=1e-12)
             assert z.y == pytest.approx(y_expected, abs=1e-12)
             assert z.rho == pytest.approx(math.atan(d.c * x_i), abs=1e-12)
         # lateral deviation grows quadratically with longitudinal distance
-        ys = [z.y for z in out.states]
+        ys = [z.y for z in out]
         ratios = [ys[i] / (spacing * (i + 1)) ** 2 for i in range(4)]
         assert np.allclose(ratios, 0.5 * d.c, atol=1e-12)
         assert lookahead == 3.0  # v_ref = 1 m/s at this spacing, so no floor
@@ -80,7 +80,7 @@ class TestDesiredTrajectory:
         cfg = CorrectionConfig(tau_o=3, horizon_dt=0.05, k_lat=1.0)
         ref = self._straight_ref(3)
         out = desired_trajectory(ref, SceneDynamics(0.0, 0.4), VehicleState(0, 0, 0), cfg)
-        for i, z in enumerate(out.states):
+        for i, z in enumerate(out):
             assert z.y == pytest.approx(0.4, abs=1e-12)
             assert z.rho == pytest.approx(0.0, abs=1e-12)
 

@@ -235,7 +235,7 @@ class _ConstantController:
         self.calls = 0
         self.u_prev = ControlInput(0.0, 0.0)
 
-    def step(self, obs, state, t):
+    def step(self, obs, state):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise self.error("synthetic controller failure")
