@@ -24,9 +24,7 @@ from .policy import (
     train_step,
 )
 from .scene import (
-    CorrectionConfig,
     GainSchedule,
-    ResidualWeights,
     SceneDynamics,
     desired_trajectory,
     dynamics_from_trajectory,

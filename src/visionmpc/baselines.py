@@ -20,6 +20,7 @@ import numpy as np
 
 from .memory import Observation
 from .nmpc import NmpcConfig
+from .sim import ray_bearings
 from .vehicle import ControlInput, VehicleState
 
 # dynamic-window sampling grid, rollout length and scoring weights
@@ -73,12 +74,10 @@ def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def obstacle_points_from_observation(obs: Observation, vehicle: VehicleState, max_range: float) -> np.ndarray:
     """Sensed ray endpoints as world-frame point obstacles.
 
-    Rays at full range carry no hit and are dropped. Bearings are assumed
-    to sweep counter-clockwise from the heading at uniform spacing.
+    Rays at full range carry no hit and are dropped.
     """
     rays = np.asarray(obs.rays)
-    n = rays.shape[0]
-    bearings = vehicle.rho + np.arange(n) * (2.0 * math.pi / n)
+    bearings = vehicle.rho + ray_bearings(rays.shape[0])
     hit = rays < max_range * (1.0 - 1e-9)
     if not np.any(hit):
         return np.zeros((0, 2))
@@ -163,8 +162,7 @@ def _open_direction_signal(obs: Observation) -> tuple[float, float]:
     half-plane; forward distance is the minimum over a narrow front cone.
     """
     rays = np.asarray(obs.rays)
-    n = rays.shape[0]
-    bearings = np.arange(n) * (2.0 * math.pi / n)
+    bearings = ray_bearings(rays.shape[0])
     bearings = np.where(bearings > math.pi, bearings - 2.0 * math.pi, bearings)
     forward = np.abs(bearings) <= math.pi / 2.0
     fb = bearings[forward]

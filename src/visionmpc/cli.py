@@ -27,7 +27,7 @@ from .sim import (
     with_seed,
     write_trial_log,
 )
-from .training import train, write_training_log
+from .training import check_sensor_layout, train, write_training_log
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -181,6 +181,10 @@ def _cmd_train(args) -> int:
     cfg = _train_config_from_file(args.config, args.seed)
     pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else _default_training_pipeline()
     _check_periods(pipeline, suite)
+    try:
+        check_sensor_layout(suite)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     net, log = train(suite, cfg, pipeline)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

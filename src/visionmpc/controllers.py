@@ -1,9 +1,10 @@
 """Trial controllers: the learned scene-adaptive pipeline and both baselines.
 
-The actuator and rate bounds come only from `PipelineConfig.nmpc`: the
-NMPC obeys them, and the baselines' planners read the same config with its
-speed bound capped at the scenario's v_max, so benchmark comparisons stay
-fair. Each controller projects the vehicle onto the route at most once per
+Every controller reads its horizon, period and actuator and rate bounds
+from one place: `PipelineConfig.nmpc` with the speed bound capped at the
+scenario's v_max. Both NMPC trackers solve under it, and the DWA window and
+the direct law plan within it, so benchmark comparisons stay fair. Each
+controller projects the vehicle onto the route at most once per
 step. The controllers share one skeleton, `_BoundedController`: its reset
 starts a trial at rest with no warm start, and its `_track` runs one NMPC
 step and keeps the control it applied.
@@ -20,16 +21,7 @@ from .geometry import wrap_angle
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .nmpc import NmpcConfig, control_step
 from .policy import FeatureConfig, QNetwork, featurize, select_dynamics
-from .scene import (
-    CorrectionConfig,
-    GainSchedule,
-    ResidualWeights,
-    SceneDynamics,
-    desired_trajectory,
-    dynamics_from_trajectory,
-    gain_schedule,
-    residual_h,
-)
+from .scene import GainSchedule, SceneDynamics, desired_trajectory, dynamics_from_trajectory, gain_schedule, residual_h
 from .sim import Scenario, StepCommand, reference_slice
 from .vehicle import ControlInput, ModelParams, VehicleState
 
@@ -38,29 +30,15 @@ from .vehicle import ControlInput, ModelParams, VehicleState
 class PipelineConfig:
     """Scene-adaptive tracking pipeline settings.
 
-    k_lat scales the width term of the path projection inside the
-    controller; the closed-loop default is 0 so the width channel only
-    drives speed and gain scheduling (its lateral shift is one-sided and
-    destabilizes corridor tracking).
+    nmpc holds the horizon, period, bounds and solver budget every
+    controller runs under; n_history and hidden_layers fix the shape of the
+    learned network. The mapping from a scene pair (c, w) to the desired
+    trajectory, residual and gains is fixed in `scene`.
     """
 
     nmpc: NmpcConfig = NmpcConfig(max_iters=40, grad_tol=1e-4, f_tol=1e-8)
-    residual_weights: ResidualWeights = ResidualWeights()
-    k_lat: float = 0.0
-    lookahead_time_s: float = 3.0
-    min_lookahead_m: float = 0.5
     n_history: int = 4
-    eps_r: float = 1e-3
     hidden_layers: tuple[int, ...] = (128, 64)
-
-    def correction(self) -> CorrectionConfig:
-        return CorrectionConfig(
-            tau_o=self.nmpc.tau_o,
-            horizon_dt=self.nmpc.dt,
-            k_lat=self.k_lat,
-            lookahead_time_s=self.lookahead_time_s,
-            min_lookahead_m=self.min_lookahead_m,
-        )
 
     def feature_config(self, sensor_rays: int, max_range: float) -> FeatureConfig:
         return FeatureConfig(
@@ -124,9 +102,7 @@ class _BoundedController:
 
     def _track(self, state: VehicleState, z_d, residual, gains: GainSchedule) -> ControlInput:
         """One NMPC step toward z_d from the last applied control; returns the control applied."""
-        u, sol = control_step(
-            state, z_d, residual, gains, self.pipeline.nmpc, warm_start=self._warm, u_prev=self._u_prev
-        )
+        u, sol = control_step(state, z_d, residual, gains, self._limits, self._u_prev, warm_start=self._warm)
         self._warm = sol.u_opt
         self._u_prev = u
         return u
@@ -168,7 +144,7 @@ class LvdNmpcController(_BoundedController):
         self.last_action = None
 
     def step(self, obs: Observation, state: VehicleState) -> StepCommand:
-        cfg = self.pipeline.nmpc
+        cfg = self._limits
         self._memory.push(MemoryEntry(observation=obs, state=state))
         window = self._memory.window()
         route = self._scenario.route_polyline
@@ -184,10 +160,9 @@ class LvdNmpcController(_BoundedController):
         self.last_action = action
         v_ref = max(dyn.w * self._scenario.v_max, 1e-6)
         ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
-        z_d = desired_trajectory(ref, dyn, state, self.pipeline.correction())
-        gains = gain_schedule(dyn, self.pipeline.eps_r)
-        residual = residual_h(dyn, self.pipeline.residual_weights, state.rho)
-        return StepCommand(u=self._track(state, z_d, residual, gains), c=dyn.c, w=dyn.w)
+        z_d = desired_trajectory(ref, dyn, state, cfg.dt)
+        residual = residual_h(dyn, state.rho)
+        return StepCommand(u=self._track(state, z_d, residual, gain_schedule(dyn)), c=dyn.c, w=dyn.w)
 
 
 class DwaNmpcController(_BoundedController):
@@ -201,14 +176,14 @@ class DwaNmpcController(_BoundedController):
     def __init__(self, pipeline: PipelineConfig):
         super().__init__(pipeline)
         self._u_plan: Optional[ControlInput] = None
-        self._gains = gain_schedule(SceneDynamics(0.0, 0.9), pipeline.eps_r)
+        self._gains = gain_schedule(SceneDynamics(0.0, 0.9))
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         super().reset(scenario, params)
         self._u_plan = ControlInput(0.0, 0.0)
 
     def step(self, obs: Observation, state: VehicleState) -> StepCommand:
-        cfg = self.pipeline.nmpc
+        cfg = self._limits
         points = obstacle_points_from_observation(obs, state, self._scenario.sensor.max_range_m)
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
@@ -219,7 +194,7 @@ class DwaNmpcController(_BoundedController):
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
-        plan = dwa_plan(state, points, goal, self._limits, self._u_plan)
+        plan = dwa_plan(state, points, goal, cfg, self._u_plan)
         v_plan = math.hypot(plan[0].x - state.x, plan[0].y - state.y) / cfg.dt
         if len(plan) > 1:
             psi_step = wrap_angle(plan[1].rho - plan[0].rho)
@@ -228,7 +203,7 @@ class DwaNmpcController(_BoundedController):
             )
         else:
             omega_plan = 0.0
-        self._u_plan = ControlInput(min(v_plan, self._limits.u_max.v_cmd), omega_plan)
+        self._u_plan = ControlInput(min(v_plan, cfg.u_max.v_cmd), omega_plan)
         w = min(max(v_plan / self._scenario.v_max, 0.0), 1.0)
         try:
             c = dynamics_from_trajectory(plan, min(v_plan, self._scenario.v_max), self._scenario.v_max).c

@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import wrap_angle
 from .scene import GainSchedule
 # rollout is unused here; perfbench/tracer.py wraps it by attribute name on this module
-from .vehicle import ControlInput, ModelParams, VehicleState, rollout  # noqa: F401
+from .vehicle import ControlInput, VehicleState, rollout  # noqa: F401
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -76,9 +76,6 @@ class NmpcConfig:
             raise ValueError("max_iters, grad_tol, f_tol must be positive")
         if self.penalty_weight <= 0.0:
             raise ValueError("penalty_weight must be positive")
-
-    def model(self) -> ModelParams:
-        return ModelParams(wheelbase_L=self.wheelbase_L, dt=self.dt, sigma_f=0.0)
 
 
 @dataclass(frozen=True)
@@ -158,19 +155,17 @@ class _Problem:
         # e_lat = -sin(rho_d) * ex + cos(rho_d) * ey in the desired-pose frame
         self.lat = np.array([[-math.sin(z.rho) for z in zd_states], [math.cos(z.rho) for z in zd_states]])
         # the penalized quantities share one buffer, [u_prev | u | rates | e_lat];
-        # rate k is taken against control k-1, the first only against u_prev
-        self.first = 2 if u_prev is None else 0
-        self.box = np.empty(2 + 5 * T - self.first)
-        if u_prev is not None:
-            self.box[:2] = u_prev.v_cmd, u_prev.omega_cmd
+        # rate k is taken against control k-1, the first against u_prev
+        self.box = np.empty(2 + 5 * T)
+        self.box[:2] = u_prev.v_cmd, u_prev.omega_cmd
         self.lo = np.concatenate((
             np.tile((cfg.u_min.v_cmd, cfg.u_min.omega_cmd), T),
-            np.tile((cfg.du_min.v_cmd, cfg.du_min.omega_cmd), T)[self.first:],
+            np.tile((cfg.du_min.v_cmd, cfg.du_min.omega_cmd), T),
             np.full(T, cfg.e_min),
         ))
         self.hi = np.concatenate((
             np.tile((cfg.u_max.v_cmd, cfg.u_max.omega_cmd), T),
-            np.tile((cfg.du_max.v_cmd, cfg.du_max.omega_cmd), T)[self.first:],
+            np.tile((cfg.du_max.v_cmd, cfg.du_max.omega_cmd), T),
             np.full(T, cfg.e_max),
         ))
 
@@ -208,9 +203,9 @@ class _Problem:
         np.multiply(trig * v, dt, out=steps[:, 1::2])
         e = np.add.accumulate(steps, axis=1)[:, 2::2] - self.zd
         er = pi - (pi - (rho[1:] - self.rd)) % two_pi
-        box, first = self.box, self.first
+        box = self.box
         box[2:n + 2] = u
-        np.divide(box[first + 2:n + 2] - box[first:n], dt, out=box[n + 2:-T])
+        np.divide(box[2:n + 2] - box[:n], dt, out=box[n + 2:-T])
         np.add(self.lat[0] * e[0], self.lat[1] * e[1], out=box[-T:])
         # signed excess max(0, x - hi) - max(0, lo - x); np.maximum(a, 0.0)
         # turns -0.0 into 0.0 as Python's max(0.0, a) does, while
@@ -256,23 +251,21 @@ class _Problem:
         grad += 2.0 * self.r * u
         grad += pw * 2.0 * h[:n]
         d_rate = 2.0 * h[n:-T] * pw / dt
-        grad[self.first:] += d_rate
-        grad[:-2] -= d_rate[2 - self.first:]
+        grad += d_rate
+        grad[:-2] -= d_rate[2:]
         return grad
 
 
-def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: Optional[ControlInput]) -> np.ndarray:
-    """Project a control sequence onto actuator bounds and the rate chain."""
+def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: ControlInput) -> np.ndarray:
+    """Project a control sequence onto actuator bounds and the rate chain from u_prev."""
     out = u.copy()
     dt = cfg.dt
-    pv = None if u_prev is None else u_prev.v_cmd
-    pw = None if u_prev is None else u_prev.omega_cmd
+    pv, pw = u_prev.v_cmd, u_prev.omega_cmd
     for k in range(cfg.tau_o):
         v = out[2 * k]
         w = out[2 * k + 1]
-        if pv is not None:
-            v = pv + min(max(v - pv, cfg.du_min.v_cmd * dt), cfg.du_max.v_cmd * dt)
-            w = pw + min(max(w - pw, cfg.du_min.omega_cmd * dt), cfg.du_max.omega_cmd * dt)
+        v = pv + min(max(v - pv, cfg.du_min.v_cmd * dt), cfg.du_max.v_cmd * dt)
+        w = pw + min(max(w - pw, cfg.du_min.omega_cmd * dt), cfg.du_max.omega_cmd * dt)
         v = min(max(v, cfg.u_min.v_cmd), cfg.u_max.v_cmd)
         w = min(max(w, cfg.u_min.omega_cmd), cfg.u_max.omega_cmd)
         out[2 * k] = v
@@ -369,17 +362,16 @@ def solve(
     residual,
     g: GainSchedule,
     cfg: NmpcConfig,
+    u_prev: ControlInput,
     warm_start: Optional[np.ndarray] = None,
-    u_prev: Optional[ControlInput] = None,
 ) -> NmpcSolution:
     """Minimize the penalized tracking objective over the control sequence.
 
+    u_prev, the control last applied, anchors the first rate constraint.
     warm_start, a flat control array like NmpcSolution.u_opt, is projected
-    onto the bounds and used as the initial iterate. u_prev anchors the
-    first rate constraint; without it the first control is
-    rate-unconstrained. The returned controls satisfy actuator and rate
-    bounds exactly; the returned cost never exceeds the cost of the
-    (projected) initial iterate.
+    onto the bounds and used as the initial iterate. The returned controls
+    satisfy actuator and rate bounds exactly; the returned cost never
+    exceeds the cost of the (projected) initial iterate.
     """
     if len(z_d) != cfg.tau_o:
         raise ValueError(f"desired trajectory length {len(z_d)} differs from tau_o {cfg.tau_o}")
@@ -423,8 +415,8 @@ def control_step(
     residual,
     g: GainSchedule,
     cfg: NmpcConfig,
+    u_prev: ControlInput,
     warm_start: Optional[np.ndarray] = None,
-    u_prev: Optional[ControlInput] = None,
 ) -> tuple[ControlInput, NmpcSolution]:
     """One receding-horizon step: solve, apply the first optimal control.
 
@@ -433,5 +425,5 @@ def control_step(
     solution is returned for the next call.
     """
     init = None if warm_start is None else np.concatenate((warm_start[2:], warm_start[-2:]))
-    sol = solve(current, z_d, residual, g, cfg, warm_start=init, u_prev=u_prev)
+    sol = solve(current, z_d, residual, g, cfg, u_prev, warm_start=init)
     return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol

@@ -78,7 +78,7 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
                 v_ref = max(dyn.w * scenario.v_max, 1e-6)
                 s0, _ = route.project((state.x, state.y))
                 ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
-                z_d = desired_trajectory(ref, dyn, state, pipeline.correction())
+                z_d = desired_trajectory(ref, dyn, state, cfg.dt)
                 canvas.polyline([(z.x, z.y) for z in z_d], "#22aa55", width=1.5, dash="3,3")
             except ValueError:
                 continue

@@ -23,7 +23,7 @@ from .memory import MemoryEntry
 from .scene import SceneDynamics
 from .vehicle import VehicleState
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def config_from_dict(default, data: dict):

@@ -16,6 +16,21 @@ import numpy as np
 from .geometry import fit_quadratic_curvature, rotate, wrap_angle
 from .vehicle import VehicleState
 
+# the path projection's heading term is anchored LOOKAHEAD_TIME_S ahead at
+# the slice's mean speed, at least MIN_LOOKAHEAD_M and at most the slice end
+# (so a horizon up to LOOKAHEAD_TIME_S long anchors at its end)
+LOOKAHEAD_TIME_S = 3.0
+MIN_LOOKAHEAD_M = 0.5
+# floor of diag(R): keeps the input penalty positive definite at w = 1
+EPS_R = 1e-3
+# per-step residual of RESIDUAL_K_C * c heading and RESIDUAL_K_W * w lateral
+# offset: at 0.05 s steps at most 0.1*c rad/s of phantom yaw and 0.04*w m/s
+# of drift, an order of magnitude below the nominal model's steering
+# authority; larger values claim motion the vehicle never performs, and the
+# optimizer stops steering for it
+RESIDUAL_K_C = 0.005
+RESIDUAL_K_W = 0.002
+
 
 @dataclass(frozen=True)
 class SceneDynamics:
@@ -32,29 +47,6 @@ class SceneDynamics:
 
 
 @dataclass(frozen=True)
-class ResidualWeights:
-    """Weights mapping (c, w) to a per-step state increment.
-
-    k_v scales a longitudinal increment by w, k_w a lateral increment by w,
-    and k_c a heading increment by c. The increments apply at every
-    prediction step, so at a 0.05 s sampling time the defaults correspond
-    to at most 0.1*c rad/s of phantom yaw and 0.04*w m/s of lateral drift,
-    an order of magnitude below the steering authority of the nominal
-    model. Larger values let the residual claim motion the vehicle never
-    performs, and the optimizer stops steering for it.
-    """
-
-    k_c: float = 0.005
-    k_w: float = 0.002
-    k_v: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.k_c, self.k_w, self.k_v):
-            if not math.isfinite(v):
-                raise ValueError("residual weights must be finite")
-
-
-@dataclass(frozen=True)
 class GainSchedule:
     """Diagonal weights of the tracking cost: q_diag for state, r_diag for input."""
 
@@ -68,68 +60,50 @@ class GainSchedule:
             raise ValueError("r_diag must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class CorrectionConfig:
-    """Parameters of the reference-to-desired trajectory correction."""
-
-    tau_o: int = 20
-    horizon_dt: float = 0.05
-    k_lat: float = 1.0
-    lookahead_time_s: float = 3.0
-    min_lookahead_m: float = 0.5
-
-    def __post_init__(self):
-        if self.tau_o < 1:
-            raise ValueError("tau_o must be at least 1")
-        if self.horizon_dt <= 0.0:
-            raise ValueError("horizon_dt must be positive")
-
-
-def project_path(d: SceneDynamics, rho: float, lookahead: float, xs, k_lat: float = 1.0) -> np.ndarray:
+def project_path(d: SceneDynamics, rho: float, lookahead: float, xs) -> np.ndarray:
     """Lateral offsets of the predicted path at longitudinal samples xs.
 
-    y_i = k_lat * w - rho * (x_i - lookahead) + 0.5 * c * x_i^2
+    y_i = -rho * (x_i - lookahead) + 0.5 * c * x_i^2
     """
     if lookahead < 0.0:
         raise ValueError("lookahead must be non-negative")
     xs = np.asarray(xs, dtype=float)
-    return k_lat * d.w - rho * (xs - lookahead) + 0.5 * d.c * xs ** 2
+    # no width term: a lateral shift by w is one-sided and destabilizes
+    # corridor tracking, so w only drives speed and the gain schedule
+    return -rho * (xs - lookahead) + 0.5 * d.c * xs ** 2
 
 
 def desired_trajectory(
     ref_slice: Sequence[VehicleState],
     d: SceneDynamics,
     current: VehicleState,
-    cfg: CorrectionConfig,
+    horizon_dt: float,
 ) -> tuple[VehicleState, ...]:
     """Reference slice plus the scene-dynamics correction, one pose per slice pose.
 
     The correction is evaluated in the vehicle frame at cumulative
     arc-length samples along the slice, then rotated into world
-    coordinates and added to the reference poses. The lookahead anchor is
-    capped at the slice arc length: anchoring the heading term beyond the
-    horizon turns it into positive feedback on heading drift. Headings
-    pick up the slope of the curvature term (the correction is positional
-    in the lateral channel).
+    coordinates and added to the reference poses. The slice poses are
+    horizon_dt apart in time. Headings pick up the slope of the curvature
+    term (the correction is positional in the lateral channel).
     """
-    if len(ref_slice) != cfg.tau_o:
-        raise ValueError(
-            f"reference slice length {len(ref_slice)} does not match horizon {cfg.tau_o}"
-        )
+    n = len(ref_slice)
     # arc-length samples measured from the current position through the slice
-    xs = np.empty(cfg.tau_o)
+    xs = np.empty(n)
     prev_x, prev_y = current.x, current.y
     acc = 0.0
     for i, z in enumerate(ref_slice):
         acc += math.hypot(z.x - prev_x, z.y - prev_y)
         xs[i] = acc
         prev_x, prev_y = z.x, z.y
-    v_ref = acc / (cfg.tau_o * cfg.horizon_dt)
-    lookahead = max(v_ref * cfg.lookahead_time_s, cfg.min_lookahead_m)
+    v_ref = acc / (n * horizon_dt)
+    lookahead = max(v_ref * LOOKAHEAD_TIME_S, MIN_LOOKAHEAD_M)
+    # anchoring the heading term beyond the horizon turns it into positive
+    # feedback on heading drift
     if acc > 0.0:
         lookahead = min(lookahead, acc)
     rho_rel = wrap_angle(current.rho - ref_slice[0].rho)
-    ys = project_path(d, rho_rel, lookahead, xs, cfg.k_lat)
+    ys = project_path(d, rho_rel, lookahead, xs)
     states = []
     for z, y_off, x_i in zip(ref_slice, ys, xs):
         ox, oy = rotate(0.0, float(y_off), current.rho)
@@ -140,16 +114,14 @@ def desired_trajectory(
     return tuple(states)
 
 
-def residual_h(d: SceneDynamics, weights: ResidualWeights, rho: float = 0.0) -> np.ndarray:
+def residual_h(d: SceneDynamics, rho: float) -> np.ndarray:
     """Per-step state increment implied by the scene dynamics.
 
-    (k_v*w, k_w*w, k_c*c) in the vehicle frame; the position part is
-    rotated by rho into world coordinates.
+    (0, RESIDUAL_K_W*w, RESIDUAL_K_C*c) in the vehicle frame; the position
+    part is rotated by rho into world coordinates.
     """
-    local_x = weights.k_v * d.w
-    local_y = weights.k_w * d.w
-    wx, wy = rotate(local_x, local_y, rho)
-    return np.array([wx, wy, weights.k_c * d.c])
+    wx, wy = rotate(0.0, RESIDUAL_K_W * d.w, rho)
+    return np.array([wx, wy, RESIDUAL_K_C * d.c])
 
 
 def dynamics_from_trajectory(traj: Sequence[VehicleState], v: float, v_max: float) -> SceneDynamics:
@@ -184,8 +156,6 @@ def fit_curvature(traj: Sequence[VehicleState]) -> float:
     return fit_quadratic_curvature(xs, ys)
 
 
-def gain_schedule(d: SceneDynamics, eps_r: float = 1e-3) -> GainSchedule:
-    """diag(Q) = w, diag(R) = 1 - w, with R clamped positive definite."""
-    if eps_r <= 0.0:
-        raise ValueError("eps_r must be positive")
-    return GainSchedule(q_diag=d.w, r_diag=max(1.0 - d.w, eps_r))
+def gain_schedule(d: SceneDynamics) -> GainSchedule:
+    """diag(Q) = w, diag(R) = 1 - w, with R floored at EPS_R."""
+    return GainSchedule(q_diag=d.w, r_diag=max(1.0 - d.w, EPS_R))

@@ -16,7 +16,7 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     time_limit_s 30.0
     seed 3
     start_pose 0.0 0.0 0.0          # x_m y_m rho_rad
-    sensor_fov_deg 360
+    sensor_fov_deg 360              # optional; must be 360
     sensor_resolution_deg 2
     sensor_max_range_m 3.0
     waypoint_m 0.0 0.0              # repeated, at least 2
@@ -47,29 +47,31 @@ from .memory import Observation
 from .nmpc import NmpcError
 from .vehicle import ControlInput, ModelParams, VehicleState, step_true
 
+
+def ray_bearings(n_rays: int) -> np.ndarray:
+    """Bearings of a full fan of n_rays counter-clockwise from the heading, for the sensor and every scan reader."""
+    return np.arange(n_rays) * (2.0 * math.pi / n_rays)
+
+
 @dataclass(frozen=True)
 class RaySensorConfig:
-    """Ray fan geometry: bearings sweep counter-clockwise from the heading."""
+    """Ray fan geometry: a full 360 degree fan, one ray every resolution_deg."""
 
-    fov_deg: float = 360.0
     resolution_deg: float = 2.0
     max_range_m: float = 3.0
 
     def __post_init__(self):
         if self.max_range_m <= 0.0:
             raise ValueError("max_range_m must be positive")
-        if self.resolution_deg <= 0.0 or self.fov_deg <= 0.0:
-            raise ValueError("fov and resolution must be positive")
-        ratio = self.fov_deg / self.resolution_deg
+        if self.resolution_deg <= 0.0:
+            raise ValueError("resolution_deg must be positive")
+        ratio = 360.0 / self.resolution_deg
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("resolution_deg must divide fov_deg")
+            raise ValueError("resolution_deg must divide 360")
 
     @property
     def n_rays(self) -> int:
-        return int(round(self.fov_deg / self.resolution_deg))
-
-    def bearings(self) -> np.ndarray:
-        return np.deg2rad(np.arange(self.n_rays) * self.resolution_deg)
+        return int(round(360.0 / self.resolution_deg))
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def sense(world: World) -> Observation:
     capped at the sensor maximum range.
     """
     cfg = world.scenario.sensor
-    bearings = cfg.bearings() + world.vehicle.rho
+    bearings = ray_bearings(cfg.n_rays) + world.vehicle.rho
     dirs = np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
     origin = np.array([world.vehicle.x, world.vehicle.y])
     centers, radii = world.obstacle_states()
@@ -439,7 +441,6 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
         "goal_radius_m",
         "time_limit_s",
         "seed",
-        "sensor_fov_deg",
         "sensor_resolution_deg",
         "sensor_max_range_m",
         "wheelbase_m",
@@ -461,6 +462,10 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
             if len(args) != 1:
                 raise ScenarioFormatError(f"{path}:{line_no}: name expects one token")
             name = args[0]
+        elif key == "sensor_fov_deg":
+            # every scan reader assumes a full fan (see ray_bearings)
+            if _parse_floats(path, line_no, key, args, 1)[0] != 360.0:
+                raise ScenarioFormatError(f"{path}:{line_no}: sensor_fov_deg must be 360, got {args[0]}")
         elif key in scalar_keys:
             scalars[key] = _parse_floats(path, line_no, key, args, 1)[0]
         elif key == "start_pose":
@@ -505,7 +510,6 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
         raise ScenarioFormatError(f"{path}: route needs at least 2 waypoint_m lines")
     try:
         sensor = RaySensorConfig(
-            fov_deg=scalars.get("sensor_fov_deg", 360.0),
             resolution_deg=scalars.get("sensor_resolution_deg", 2.0),
             max_range_m=scalars["sensor_max_range_m"],
         )

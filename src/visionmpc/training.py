@@ -35,7 +35,7 @@ from .policy import (
     train_step,
 )
 # sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
-from .sim import Scenario, closed_loop, csv_cell, make_world, sense, sim_step  # noqa: F401
+from .sim import Scenario, closed_loop, csv_cell, make_world, ray_bearings, sense, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -79,8 +79,7 @@ def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     candidate toward the side whose rays average farther.
     """
     rays = np.asarray(obs.rays)
-    n = rays.shape[0]
-    bear = np.arange(n) * (2.0 * math.pi / n)
+    bear = ray_bearings(rays.shape[0])
     bear = np.where(bear > math.pi, bear - 2.0 * math.pi, bear)
     front_min = float(rays[np.abs(bear) <= math.radians(DEMO_FRONT_HALF_DEG)].min())
     if front_min >= DEMO_BLOCK_DIST_M:
@@ -96,6 +95,17 @@ def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     return ic * len(candidates.w_values) + iw
 
 
+def check_sensor_layout(suite: Sequence[tuple[Scenario, ModelParams]]) -> None:
+    """Reject an empty suite, or one whose sensors differ in ray count or
+    range: one network reads every scenario, so the feature space is fixed."""
+    if not suite:
+        raise ValueError("scenario suite must be non-empty")
+    layouts = {(s.sensor.n_rays, s.sensor.max_range_m): s.name for s, _ in suite}
+    if len(layouts) > 1:
+        found = ", ".join(f"{name} has {n} rays to {r:g} m" for (n, r), name in layouts.items())
+        raise ValueError(f"all scenarios in a training suite must share a sensor layout: {found}")
+
+
 def train(
     suite: Sequence[tuple[Scenario, ModelParams]],
     cfg: TrainConfig,
@@ -105,18 +115,10 @@ def train(
 ) -> tuple[QNetwork, list[EpisodeRecord]]:
     """Train the scene-dynamics estimator; returns (network, episode log).
 
-    Scenarios are visited round-robin. All sensors in the suite must share
-    one ray layout so the feature space is fixed.
+    Scenarios are visited round-robin. The suite must pass
+    check_sensor_layout.
     """
-    if not suite:
-        raise ValueError("scenario suite must be non-empty")
-    first_sensor = suite[0][0].sensor
-    for scenario, _ in suite:
-        if (
-            scenario.sensor.n_rays != first_sensor.n_rays
-            or scenario.sensor.max_range_m != first_sensor.max_range_m
-        ):
-            raise ValueError("all scenarios in a training suite must share a sensor layout")
+    check_sensor_layout(suite)
     if candidates is None:
         candidates = CandidateSet.grid()
     rng = np.random.default_rng(cfg.seed)

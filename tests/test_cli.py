@@ -183,6 +183,23 @@ class TestTrain:
         assert rc == 1
 
 
+    def test_set_with_differing_sensors_is_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", None)
+        good = Path(scenario_path("straight_corridor")).read_text()
+        assert "sensor_resolution_deg 2\n" in good
+        root = tmp_path / "set"
+        root.mkdir()
+        (root / "a.scn").write_text(good)
+        coarse = good.replace("sensor_resolution_deg 2\n", "sensor_resolution_deg 4\n")
+        (root / "b.scn").write_text(coarse.replace("name straight_corridor", "name coarse_scan"))
+        rc = run_cli("train", "--scenario-set", str(root), "--out", str(tmp_path / "n.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: all scenarios in a training suite must share a sensor layout")
+        assert "straight_corridor has 180 rays to 3 m, coarse_scan has 90 rays to 3 m" in err
+        assert not (tmp_path / "n.json").exists()
+
+
 class TestPeriodMismatch:
     """A scenario whose dt_s differs from the pipeline's nmpc.dt stops the run before any trial."""
 
@@ -329,6 +346,21 @@ class TestPipelineFile:
         )
         assert rc == 1
         assert "max_iter" in capsys.readouterr().err
+
+    def test_removed_scene_setting_is_named(self, tmp_path, capsys):
+        # the scene gains and look-ahead are constants, not pipeline keys
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps({"k_lat": 0.0}))
+        rc = run_cli(
+            "simulate",
+            "--scenario", scenario_path("straight_corridor"),
+            "--method", "direct",
+            "--trials", "1",
+            "--pipeline", str(path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert "unknown PipelineConfig key(s): k_lat" in capsys.readouterr().err
 
 
 class TestEnvOverride:

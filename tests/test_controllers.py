@@ -21,7 +21,7 @@ def small_scenario(obstacles=()):
         start=VehicleState(0, 0, 0),
         goal_radius=0.3,
         v_max=1.0,
-        sensor=RaySensorConfig(fov_deg=360, resolution_deg=6, max_range_m=2.5),
+        sensor=RaySensorConfig(resolution_deg=6, max_range_m=2.5),
         obstacles=tuple(obstacles),
         time_limit_s=12.0,
         seed=17,
@@ -50,6 +50,13 @@ def assert_bounds_and_rates(outcome, cfg):
         prev = ControlInput(rec.v_cmd, rec.omega_cmd)
 
 
+MAKERS = {
+    "lvd": lambda pipeline, scenario: LvdNmpcController(fresh_net(pipeline, scenario), pipeline),
+    "dwa": lambda pipeline, scenario: DwaNmpcController(pipeline),
+    "direct": lambda pipeline, scenario: DirectController(pipeline),
+}
+
+
 class TestControllersRespectSharedBounds:
     def test_lvd_controller(self):
         scenario = small_scenario()
@@ -72,22 +79,24 @@ class TestControllersRespectSharedBounds:
         assert outcome.status == "goal"
         assert_bounds_and_rates(outcome, pipeline.nmpc)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda pipeline, scenario: LvdNmpcController(fresh_net(pipeline, scenario), pipeline),
-            lambda pipeline, scenario: DwaNmpcController(pipeline),
-            lambda pipeline, scenario: DirectController(pipeline),
-        ],
-        ids=["lvd", "dwa", "direct"],
-    )
-    def test_asymmetric_rate_bounds(self, make):
+    @pytest.mark.parametrize("method", list(MAKERS))
+    def test_asymmetric_rate_bounds(self, method):
         # lower rate bounds tighter than the upper ones bind every controller
         scenario = small_scenario()
         pipeline = PipelineConfig(nmpc=replace(small_pipeline().nmpc, du_min=ControlInput(-1.0, -1.0)))
-        outcome = run_trial(scenario, make(pipeline, scenario), ModelParams(sigma_f=0.002))
+        outcome = run_trial(scenario, MAKERS[method](pipeline, scenario), ModelParams(sigma_f=0.002))
         assert outcome.steps > 0
         assert_bounds_and_rates(outcome, pipeline.nmpc)
+
+    @pytest.mark.parametrize("method", list(MAKERS))
+    def test_scenario_speed_cap(self, method):
+        # a scenario v_max below u_max.v_cmd caps every controller's speed
+        scenario = replace(small_scenario(), v_max=0.5)
+        pipeline = small_pipeline()
+        outcome = run_trial(scenario, MAKERS[method](pipeline, scenario), ModelParams(sigma_f=0.002))
+        assert outcome.steps > 0
+        capped = replace(pipeline.nmpc, u_max=ControlInput(0.5, pipeline.nmpc.u_max.omega_cmd))
+        assert_bounds_and_rates(outcome, capped)
 
 
 class TestSafeStop:
@@ -144,13 +153,6 @@ class TestLvdController:
         assert pairs <= allowed
 
 
-MAKERS = {
-    "lvd": lambda pipeline, scenario: LvdNmpcController(fresh_net(pipeline, scenario), pipeline),
-    "dwa": lambda pipeline, scenario: DwaNmpcController(pipeline),
-    "direct": lambda pipeline, scenario: DirectController(pipeline),
-}
-
-
 @pytest.mark.parametrize("method", list(MAKERS))
 class TestReset:
     def test_world_period_other_than_the_controllers_is_rejected(self, method):
@@ -186,5 +188,5 @@ class TestCheckpointPipelineRoundTrip:
         assert rebuilt.nmpc.tau_o == 9
         assert rebuilt.nmpc.dt == 0.04
         assert rebuilt.nmpc.e_max == 0.4
-        assert rebuilt.residual_weights == pipeline.residual_weights
         assert rebuilt.hidden_layers == pipeline.hidden_layers
+        assert rebuilt == pipeline

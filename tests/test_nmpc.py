@@ -5,7 +5,9 @@ import pytest
 
 from visionmpc.nmpc import NmpcConfig, NmpcError, _Problem, _violation, control_step, solve, tracking_cost
 from visionmpc.scene import GainSchedule, SceneDynamics, gain_schedule
-from visionmpc.vehicle import ControlInput, VehicleState, rollout
+from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
+
+AT_REST = ControlInput(0.0, 0.0)
 
 LOOSE = NmpcConfig(
     tau_o=4,
@@ -16,12 +18,17 @@ LOOSE = NmpcConfig(
 )
 
 
+def model(cfg):
+    """The noise-free vehicle model the solver predicts with."""
+    return ModelParams(wheelbase_L=cfg.wheelbase_L, dt=cfg.dt, sigma_f=0.0)
+
+
 def random_problem(rng, cfg, q=0.8):
     current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.8, 0.8))
     u_seq = [
         ControlInput(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3)) for _ in range(cfg.tau_o)
     ]
-    z_d = rollout(current, u_seq, p=cfg.model())
+    z_d = rollout(current, u_seq, p=model(cfg))
     g = gain_schedule(SceneDynamics(0.0, q))
     return current, z_d, g, u_seq
 
@@ -63,11 +70,11 @@ class TestObjectiveInternals:
         rng = np.random.default_rng(0)
         cfg = LOOSE
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), None, g, cfg, None, penalty=0.0)
+        problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, penalty=0.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.2, size=2 * cfg.tau_o)
             u_seq = [ControlInput(u[2 * k], u[2 * k + 1]) for k in range(cfg.tau_o)]
-            z_seq = rollout(current, u_seq, p=cfg.model())
+            z_seq = rollout(current, u_seq, p=model(cfg))
             assert problem.value(u) == pytest.approx(tracking_cost(z_seq, u_seq, z_d, g), rel=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -75,7 +82,7 @@ class TestObjectiveInternals:
         cfg = NmpcConfig(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
                          e_min=-10, e_max=10)
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, None, penalty=0.0)
+        problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, penalty=0.0)
         worst = 0.0
         for _ in range(30):
             u = rng.uniform(-0.2, 1.0, size=2 * cfg.tau_o)
@@ -108,7 +115,7 @@ class TestObjectiveInternals:
                 assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) <= 1e-4
 
 
-def hinge_active_problem(rng, tau_o, with_residual, with_prev):
+def hinge_active_problem(rng, tau_o, with_residual):
     """A problem whose random controls push every penalty hinge active.
 
     Desired poses are scattered off the rollout and across the heading
@@ -121,7 +128,7 @@ def hinge_active_problem(rng, tau_o, with_residual, with_prev):
         for z in random_problem(rng, cfg)[1]
     ]
     residual = rng.uniform(-0.02, 0.02, size=3) if with_residual else None
-    u_prev = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35)) if with_prev else None
+    u_prev = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
     g = GainSchedule(rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0))
     args = (current, tuple(z_d), residual, g, cfg, u_prev, 1e3 * rng.uniform(0.5, 4.0))
     return cfg, u_prev, _Problem(*args), ScalarProblem(*args)
@@ -137,12 +144,11 @@ def hinge_active_controls(rng, tau_o):
 class TestBitEqualityOracle:
     @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
     @pytest.mark.parametrize("with_residual", [False, True])
-    @pytest.mark.parametrize("with_prev", [False, True])
-    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual, with_prev):
-        rng = np.random.default_rng(1000 * tau_o + 10 * with_residual + with_prev)
+    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual):
+        rng = np.random.default_rng(1000 * tau_o + 10 * with_residual + 1)
         active = np.zeros(3, dtype=int)
         for _ in range(25):
-            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, with_residual, with_prev)
+            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, with_residual)
             for _ in range(4):
                 u = hinge_active_controls(rng, tau_o)
                 want_cost, want_grad = reference._eval(u, need_grad=True)
@@ -157,14 +163,14 @@ class TestBitEqualityOracle:
                 h = fwd[-1]
                 n = 2 * tau_o
                 active += [np.any(h[:n] != 0.0), np.any(h[n:-tau_o] != 0.0), np.any(h[-tau_o:] != 0.0)]
-        # actuator, rate (absent only for a single control without u_prev), corridor
+        # actuator, rate, corridor
         assert active[0] > 0 and active[2] > 0
-        assert active[1] > 0 or (tau_o == 1 and not with_prev)
+        assert active[1] > 0
 
     def test_zero_controls_and_exact_bounds(self):
         rng = np.random.default_rng(7)
         for tau_o in (1, 2, 10, 20):
-            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, True, True)
+            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, True)
             edges = np.tile((cfg.u_max.v_cmd, cfg.u_min.omega_cmd), tau_o)
             for u in (np.zeros(2 * tau_o), np.full(2 * tau_o, -0.0), edges):
                 want_cost, want_grad = reference._eval(u, need_grad=True)
@@ -183,7 +189,7 @@ class TestSolve:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             current, z_d, _, u_true = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg)
+            sol = solve(current, z_d, None, g, cfg, AT_REST)
             assert sol.cost <= 1e-4
             for (v, omega), want in zip(sol.u_opt.reshape(-1, 2), u_true):
                 assert v == pytest.approx(want.v_cmd, abs=1e-2)
@@ -194,7 +200,7 @@ class TestSolve:
         for seed in range(3):
             rng = np.random.default_rng(100 + seed)
             current, z_d, g, _ = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg)
+            sol = solve(current, z_d, None, g, cfg, AT_REST)
             oracle = brute_force_min(current, z_d, g, cfg)
             assert sol.cost <= 1.05 * oracle + 1e-12
 
@@ -202,8 +208,8 @@ class TestSolve:
         rng = np.random.default_rng(5)
         cfg = NmpcConfig(tau_o=5, max_iters=300)
         current, z_d, g, _ = random_problem(rng, cfg)
-        first = solve(current, z_d, None, g, cfg)
-        again = solve(current, z_d, None, g, cfg, warm_start=first.u_opt)
+        first = solve(current, z_d, None, g, cfg, AT_REST)
+        again = solve(current, z_d, None, g, cfg, AT_REST, warm_start=first.u_opt)
         assert again.converged
         assert again.iterations <= 2
         for a, b in zip(first.u_opt, again.u_opt):
@@ -213,8 +219,8 @@ class TestSolve:
         rng = np.random.default_rng(9)
         cfg = NmpcConfig(tau_o=8)
         current, z_d, g, _ = random_problem(rng, cfg)
-        a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, u_prev=ControlInput(0.1, 0.0))
-        b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, u_prev=ControlInput(0.1, 0.0))
+        a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
+        b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
         assert np.array_equal(a.u_opt, b.u_opt)
         assert a.cost == b.cost
         assert a.iterations == b.iterations
@@ -226,7 +232,7 @@ class TestSolve:
         current = VehicleState(0, 0, 0)
         z_d = [VehicleState(0.5 * (i + 1), 0.0, 0.0) for i in range(6)]  # 10 m/s
         u_prev = ControlInput(0.0, 0.0)
-        sol = solve(current, z_d, None, g, cfg, u_prev=u_prev)
+        sol = solve(current, z_d, None, g, cfg, u_prev)
         prev = u_prev
         for u in (ControlInput(v, omega) for v, omega in sol.u_opt.reshape(-1, 2)):
             assert cfg.u_min.v_cmd <= u.v_cmd <= cfg.u_max.v_cmd
@@ -240,19 +246,19 @@ class TestSolve:
     def test_desired_length_mismatch(self):
         cfg = NmpcConfig(tau_o=4)
         with pytest.raises(ValueError):
-            solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg)
+            solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg, AT_REST)
 
     def test_non_finite_residual_raises_nmpc_error(self):
         cfg = NmpcConfig(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with pytest.raises(ValueError):
-            solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg)
+            solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
 
     def test_overflowing_objective_raises_with_context(self):
         cfg = NmpcConfig(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg)
+            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
 
 
 class TestControlStep:
@@ -261,7 +267,7 @@ class TestControlStep:
         g = GainSchedule(1.0, 1e-3)
         current = VehicleState(0.4, -0.2, 0.3)
         z_d = [current] * 8
-        u, sol = control_step(current, z_d, None, g, cfg, u_prev=ControlInput(0.0, 0.0))
+        u, sol = control_step(current, z_d, None, g, cfg, AT_REST)
         assert math.hypot(u.v_cmd, u.omega_cmd) <= 1e-2
 
     def test_speed_converges_on_straight_line(self):
@@ -274,9 +280,9 @@ class TestControlStep:
         u = None
         for _ in range(3):
             z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
-            u, sol = control_step(state, z_d, None, g, cfg, warm_start=warm, u_prev=u_prev)
+            u, sol = control_step(state, z_d, None, g, cfg, u_prev, warm_start=warm)
             warm = sol.u_opt
-            state = rollout(state, [u], p=cfg.model())[0]
+            state = rollout(state, [u], p=model(cfg))[0]
             u_prev = u
         assert u.v_cmd == pytest.approx(v_star, rel=0.05)
 
@@ -284,7 +290,7 @@ class TestControlStep:
         cfg = NmpcConfig(tau_o=4)
         z_d = [VehicleState(0.05 * i, 0, 0) for i in range(1, 5)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg)
+            control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
 
 
 def brute_force_min(current, z_d, g, cfg):
@@ -426,8 +432,6 @@ class ScalarProblem:
         prev = self.u_prev
         for k in range(T):
             if k == 0:
-                if prev is None:
-                    continue
                 pv, pw_ = prev.v_cmd, prev.omega_cmd
             else:
                 pv, pw_ = u[2 * k - 2], u[2 * k - 1]
@@ -477,8 +481,6 @@ class ScalarProblem:
         prev = self.u_prev
         for k in range(T):
             if k == 0:
-                if prev is None:
-                    continue
                 pv, pw_ = prev.v_cmd, prev.omega_cmd
                 prev_idx = None
             else:
@@ -505,8 +507,6 @@ def scalar_violation(u, cfg, u_prev, problem):
         worst = max(worst, v - cfg.u_max.v_cmd, cfg.u_min.v_cmd - v)
         worst = max(worst, w - cfg.u_max.omega_cmd, cfg.u_min.omega_cmd - w)
         if k == 0:
-            if u_prev is None:
-                continue
             pv, pw = u_prev.v_cmd, u_prev.omega_cmd
         else:
             pv, pw = u[2 * k - 2], u[2 * k - 1]

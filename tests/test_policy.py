@@ -330,16 +330,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    def test_refuses_version_1(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_refuses_older_versions(self, tmp_path, version):
+        # v1 stored part of the pipeline; a v2 pipeline block names scene
+        # settings that are now constants
         rng = np.random.default_rng(15)
         cand = CandidateSet.grid(k_c=2, k_w=2)
         fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         path = tmp_path / "net.json"
         save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 1
+        payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version 1"):
+        with pytest.raises(ValueError, match=f"version {version}"):
             load_checkpoint(path)
 
     def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
@@ -413,9 +416,9 @@ class TestConfigFromDict:
         assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):
-        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "k_lat": 1, "hidden_layers": [8, 4.0]})
+        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "nmpc": {"e_max": 1}, "hidden_layers": [8, 4.0]})
         assert type(cfg.n_history) is int and cfg.n_history == 3
-        assert type(cfg.k_lat) is float and cfg.k_lat == 1.0
+        assert type(cfg.nmpc.e_max) is float and cfg.nmpc.e_max == 1.0
         assert cfg.hidden_layers == (8, 4) and all(type(h) is int for h in cfg.hidden_layers)
 
     def test_validation_still_runs(self):

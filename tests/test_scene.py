@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from visionmpc.scene import (
-    CorrectionConfig,
+    LOOKAHEAD_TIME_S,
+    MIN_LOOKAHEAD_M,
+    RESIDUAL_K_C,
+    RESIDUAL_K_W,
     GainSchedule,
-    ResidualWeights,
     SceneDynamics,
     desired_trajectory,
     dynamics_from_trajectory,
@@ -27,8 +29,8 @@ class TestProjectPath:
         assert ys[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_substitution(self):
-        ys = project_path(SceneDynamics(0.2, 0.5), rho=0.0, lookahead=0.0, xs=[2.0], k_lat=1.0)
-        assert ys[0] == pytest.approx(0.9, abs=1e-12)
+        ys = project_path(SceneDynamics(0.2, 0.5), rho=0.0, lookahead=0.0, xs=[2.0])
+        assert ys[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_joint_linearity(self):
         xs = np.linspace(0.0, 3.0, 7)
@@ -49,21 +51,20 @@ class TestDesiredTrajectory:
         return [VehicleState((i + 1) * spacing, 0.0, 0.0) for i in range(n)]
 
     def test_zero_dynamics_zero_relative_heading_is_identity(self):
-        cfg = CorrectionConfig(tau_o=6, horizon_dt=0.05)
         ref = self._straight_ref(6)
-        out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0), cfg)
+        out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0), 0.05)
         assert len(out) == 6
         for got, want in zip(out, ref):
             assert got == want
 
     def test_curvature_correction_matches_hand_evaluation(self):
-        cfg = CorrectionConfig(tau_o=4, horizon_dt=0.1, k_lat=1.0, min_lookahead_m=0.5)
+        horizon_dt = 0.1
         spacing = 0.1
         ref = self._straight_ref(4, spacing)
         d = SceneDynamics(0.1, 0.0)
-        out = desired_trajectory(ref, d, VehicleState(0, 0, 0), cfg)
-        v_ref = spacing / cfg.horizon_dt
-        lookahead = max(v_ref * cfg.lookahead_time_s, cfg.min_lookahead_m)
+        out = desired_trajectory(ref, d, VehicleState(0, 0, 0), horizon_dt)
+        v_ref = spacing / horizon_dt
+        lookahead = max(v_ref * LOOKAHEAD_TIME_S, MIN_LOOKAHEAD_M)
         for i, z in enumerate(out):
             x_i = spacing * (i + 1)
             y_expected = 0.5 * d.c * x_i ** 2  # w = 0, rho_rel = 0
@@ -76,34 +77,25 @@ class TestDesiredTrajectory:
         assert np.allclose(ratios, 0.5 * d.c, atol=1e-12)
         assert lookahead == 3.0  # v_ref = 1 m/s at this spacing, so no floor
 
-    def test_width_term_shifts_laterally_in_vehicle_frame(self):
-        cfg = CorrectionConfig(tau_o=3, horizon_dt=0.05, k_lat=1.0)
-        ref = self._straight_ref(3)
-        out = desired_trajectory(ref, SceneDynamics(0.0, 0.4), VehicleState(0, 0, 0), cfg)
-        for i, z in enumerate(out):
-            assert z.y == pytest.approx(0.4, abs=1e-12)
-            assert z.rho == pytest.approx(0.0, abs=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        cfg = CorrectionConfig(tau_o=5, horizon_dt=0.05)
-        with pytest.raises(ValueError):
-            desired_trajectory(self._straight_ref(4), SceneDynamics(0, 0), VehicleState(0, 0, 0), cfg)
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_one_pose_per_slice_pose(self, n):
+        out = desired_trajectory(self._straight_ref(n), SceneDynamics(0.2, 0.5), VehicleState(0, 0, 0), 0.05)
+        assert len(out) == n
 
 
 class TestResidual:
     def test_zero_dynamics_zero_increment(self):
-        res = residual_h(SceneDynamics(0.0, 0.0), ResidualWeights())
+        res = residual_h(SceneDynamics(0.0, 0.0), rho=0.0)
         assert np.all(res == 0.0)
 
     def test_heading_component_direct_product(self):
-        res = residual_h(SceneDynamics(0.5, 0.0), ResidualWeights(k_c=0.1, k_w=0.0, k_v=0.0), rho=0.0)
-        assert res == pytest.approx([0.0, 0.0, 0.05])
+        res = residual_h(SceneDynamics(0.5, 0.0), rho=0.0)
+        assert res == pytest.approx([0.0, 0.0, 0.5 * RESIDUAL_K_C])
 
     def test_rotated_into_world_frame(self):
-        w = ResidualWeights(k_c=0.0, k_w=0.1, k_v=0.2)
-        res = residual_h(SceneDynamics(0.0, 1.0), w, rho=math.pi / 2)
-        assert res[0] == pytest.approx(-0.1, abs=1e-12)
-        assert res[1] == pytest.approx(0.2, abs=1e-12)
+        res = residual_h(SceneDynamics(0.0, 1.0), rho=math.pi / 2)
+        assert res[0] == pytest.approx(-RESIDUAL_K_W, abs=1e-12)
+        assert res[1] == pytest.approx(0.0, abs=1e-12)
         assert res[2] == 0.0
 
 
@@ -122,7 +114,7 @@ class TestDynamicsFromTrajectory:
     def test_roundtrip_with_project_path(self):
         c_true = 0.3
         xs = np.linspace(0.0, 2.0, 15)
-        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, lookahead=0.7, xs=xs, k_lat=1.0)
+        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, lookahead=0.7, xs=xs)
         traj = [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
         d = dynamics_from_trajectory(traj, v=0.5, v_max=1.0)
         assert d.c == pytest.approx(c_true, abs=1e-6)
@@ -143,7 +135,7 @@ class TestGainSchedule:
         assert (g.q_diag, g.r_diag) == (0.5, 0.5)
 
     def test_clamp_keeps_r_positive_definite(self):
-        g = gain_schedule(SceneDynamics(0.0, 1.0), eps_r=1e-3)
+        g = gain_schedule(SceneDynamics(0.0, 1.0))
         assert (g.q_diag, g.r_diag) == (1.0, 1e-3)
 
     def test_zero_width_pure_input_penalty(self):

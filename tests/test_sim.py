@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def corridor(obstacles=(), half_width=1.0, time_limit=30.0, start=VehicleState(0
         start=start,
         goal_radius=goal_radius,
         v_max=1.0,
-        sensor=RaySensorConfig(fov_deg=360, resolution_deg=2, max_range_m=3.0),
+        sensor=RaySensorConfig(resolution_deg=2, max_range_m=3.0),
         obstacles=tuple(obstacles),
         time_limit_s=time_limit,
         seed=5,
@@ -341,8 +342,6 @@ class TestLogRoundTrip:
 
 class TestScenarioFiles:
     def test_bundled_scenarios_load(self):
-        from importlib import resources
-
         for name in ("straight_corridor", "corridor_two_obstacles", "loop", "s_curve"):
             with resources.as_file(resources.files("visionmpc.scenarios") / f"{name}.scn") as p:
                 scenario, params = load_scenario(p)
@@ -369,4 +368,14 @@ class TestScenarioFiles:
 
     def test_sensor_resolution_must_divide_fov(self):
         with pytest.raises(ValueError):
-            RaySensorConfig(fov_deg=360, resolution_deg=7)
+            RaySensorConfig(resolution_deg=7)
+
+    def test_field_of_view_other_than_360_is_refused(self, tmp_path):
+        # every scan reader spaces its bearings over a full fan
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        assert "sensor_fov_deg 360\n" in text
+        path = tmp_path / "half_fan.scn"
+        path.write_text(text.replace("sensor_fov_deg 360\n", "sensor_fov_deg 180\n"))
+        line = text[: text.index("sensor_fov_deg")].count("\n") + 1
+        with pytest.raises(ScenarioFormatError, match=rf"half_fan\.scn:{line}: sensor_fov_deg must be 360, got 180"):
+            load_scenario(path)

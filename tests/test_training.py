@@ -21,7 +21,7 @@ def tiny_scenario(seed=3, n_rays_deg=30.0, start=VehicleState(0, 0, 0)):
         start=start,
         goal_radius=0.3,
         v_max=1.0,
-        sensor=RaySensorConfig(fov_deg=360, resolution_deg=n_rays_deg, max_range_m=2.0),
+        sensor=RaySensorConfig(resolution_deg=n_rays_deg, max_range_m=2.0),
         time_limit_s=10.0,
         seed=seed,
     )
