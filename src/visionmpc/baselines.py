@@ -104,10 +104,7 @@ def dwa_plan(
     dt = limits.dt
     n_steps = max(1, int(round(DWA_HORIZON_S / dt)))
     horizon = limits.tau_o
-    v_lo = max(limits.u_min.v_cmd, current_u.v_cmd + limits.du_min.v_cmd * dt)
-    v_hi = min(limits.u_max.v_cmd, current_u.v_cmd + limits.du_max.v_cmd * dt)
-    om_lo = max(limits.u_min.omega_cmd, current_u.omega_cmd + limits.du_min.omega_cmd * dt)
-    om_hi = min(limits.u_max.omega_cmd, current_u.omega_cmd + limits.du_max.omega_cmd * dt)
+    (v_lo, v_hi), (om_lo, om_hi) = limits.reachable(current_u)
     if v_lo > v_hi or om_lo > om_hi:
         return _stop_trajectory(vehicle, horizon)
     v_grid, om_grid = np.meshgrid(
@@ -190,9 +187,8 @@ def direct_policy_step(
     """
     signal, front_min = _open_direction_signal(obs)
     incr = math.radians(DIRECT_STEER_INCREMENT_DEG)
-    dt = limits.dt
-    lo = max(limits.u_min.omega_cmd, prev_u.omega_cmd + limits.du_min.omega_cmd * dt) - prev_u.omega_cmd
-    hi = min(limits.u_max.omega_cmd, prev_u.omega_cmd + limits.du_max.omega_cmd * dt) - prev_u.omega_cmd
+    (v_lo, v_hi), (om_lo, om_hi) = limits.reachable(prev_u)
+    lo, hi = om_lo - prev_u.omega_cmd, om_hi - prev_u.omega_cmd
     # integer step count toward the signal, clamped to the admissible
     # multiples inside [lo, hi]
     steps = int(round(abs(signal) / incr)) * (1 if signal >= 0.0 else -1)
@@ -200,7 +196,5 @@ def direct_policy_step(
     omega = prev_u.omega_cmd + steps * incr
 
     v_target = 0.0 if front_min < DIRECT_BRAKE_DISTANCE_M else limits.u_max.v_cmd
-    v = prev_u.v_cmd + DIRECT_K_V * (v_target - prev_u.v_cmd) * dt
-    v = min(max(v, prev_u.v_cmd + limits.du_min.v_cmd * dt), prev_u.v_cmd + limits.du_max.v_cmd * dt)
-    v = min(max(v, limits.u_min.v_cmd), limits.u_max.v_cmd)
-    return ControlInput(v, omega)
+    v = prev_u.v_cmd + DIRECT_K_V * (v_target - prev_u.v_cmd) * limits.dt
+    return ControlInput(min(max(v, v_lo), v_hi), omega)

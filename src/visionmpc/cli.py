@@ -18,7 +18,7 @@ import numpy as np
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
 from .metrics import aggregate, offline_report, read_offline_dataset, write_report_csv, write_report_json
 from .nmpc import NmpcConfig
-from .policy import CandidateSet, QNetwork, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
+from .policy import CandidateSet, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
 from .sim import (
     ScenarioFormatError,
     load_scenario,
@@ -27,7 +27,7 @@ from .sim import (
     with_seed,
     write_trial_log,
 )
-from .training import check_sensor_layout, train, write_training_log
+from .training import check_sensor_layout, initialize_network, train, write_training_log
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -67,22 +67,20 @@ def _pipeline_from_file(path) -> PipelineConfig:
 def _run_pipeline(pipeline_path, checkpoint_path):
     """The one pipeline every method runs, and the trained policy if given.
 
-    With a checkpoint that stores its pipeline, that pipeline is the one;
-    a --pipeline file that decodes to a different one is an error, so a
-    learned policy never runs under other bounds, horizon or solver budget
-    than the baselines beside it. Returns (pipeline, (net, feature) or None).
+    With a checkpoint, the pipeline it stores is the one; a --pipeline file
+    that decodes to a different one is an error, so a learned policy never
+    runs under other bounds, horizon or solver budget than the baselines
+    beside it. Returns (pipeline, (net, feature) or None).
     """
     pipeline = _pipeline_from_file(pipeline_path) if pipeline_path else None
     if checkpoint_path is None:
         return pipeline or PipelineConfig(), None
     try:
         net, trained_fc, meta = load_checkpoint(checkpoint_path)
-        trained = None if meta is None else config_from_dict(PipelineConfig(), meta)
+        trained = config_from_dict(PipelineConfig(), meta)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
-    if trained is None:
-        trained = pipeline or PipelineConfig()
-    elif pipeline is not None and pipeline != trained:
+    if pipeline is not None and pipeline != trained:
         raise CliError(
             f"pipeline config {pipeline_path} differs from the pipeline checkpoint "
             f"{checkpoint_path} was trained with; omit --pipeline to run the checkpoint's"
@@ -101,14 +99,12 @@ def _check_periods(pipeline, suite) -> None:
 
 def _build_controller(method, scenario, pipeline, policy, seed):
     if method == "lvd-nmpc":
-        fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
         if policy is None:
             # untrained, seed-initialized policy; useful for smoke runs only
-            rng = np.random.default_rng(seed)
-            candidates = CandidateSet.grid()
-            net = QNetwork.initialize((fc.dim, *pipeline.hidden_layers, len(candidates)), candidates, rng)
+            net = initialize_network([(scenario, None)], pipeline, CandidateSet.grid(), np.random.default_rng(seed))
         else:
             net, trained_fc = policy
+            fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
             if trained_fc != fc:
                 raise CliError(
                     f"checkpoint feature layout {trained_fc} does not match scenario {scenario.name}: {fc}"
@@ -200,7 +196,7 @@ def _cmd_train(args) -> int:
 
 def _default_training_pipeline() -> PipelineConfig:
     # shorter horizon and iteration budget keep per-step solve cost low
-    return PipelineConfig(nmpc=NmpcConfig(tau_o=10, max_iters=25, grad_tol=1e-4, f_tol=1e-8))
+    return PipelineConfig(nmpc=NmpcConfig(tau_o=10, max_iters=25))
 
 
 def _cmd_evaluate(args) -> int:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import DWA_HORIZON_S, direct_policy_step, dwa_plan, obstacle_points_from_observation
-from .geometry import wrap_angle
+from .geometry import Polyline, wrap_angle
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .nmpc import NmpcConfig, control_step
 from .policy import FeatureConfig, QNetwork, featurize, select_dynamics
@@ -36,7 +36,7 @@ class PipelineConfig:
     trajectory, residual and gains is fixed in `scene`.
     """
 
-    nmpc: NmpcConfig = NmpcConfig(max_iters=40, grad_tol=1e-4, f_tol=1e-8)
+    nmpc: NmpcConfig = NmpcConfig()
     n_history: int = 4
     hidden_layers: tuple[int, ...] = (128, 64)
 
@@ -95,8 +95,9 @@ class _BoundedController:
 
     def safe_stop(self) -> ControlInput:
         """Decelerate from the last applied control; the result becomes the rate anchor."""
-        cfg, u_prev = self._limits, self._u_prev
-        v = max(cfg.u_min.v_cmd, 0.0, u_prev.v_cmd + cfg.du_min.v_cmd * cfg.dt)
+        u_prev = self._u_prev
+        (v_lo, _), _ = self._limits.reachable(u_prev)
+        v = max(v_lo, 0.0)
         self._u_prev = ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
         return self._u_prev
 
@@ -106,6 +107,15 @@ class _BoundedController:
         self._warm = sol.u_opt
         self._u_prev = u
         return u
+
+
+def lvd_desired_path(
+    route: Polyline, s0: float, dyn: SceneDynamics, state: VehicleState, cfg: NmpcConfig, v_max: float
+) -> tuple[VehicleState, ...]:
+    """The desired trajectory of the scene pair dyn: the route slice ahead of
+    arc length s0 at the scene speed dyn.w * v_max, corrected by dyn."""
+    ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, max(dyn.w * v_max, 1e-6))
+    return desired_trajectory(ref, dyn, state)
 
 
 class LvdNmpcController(_BoundedController):
@@ -158,9 +168,7 @@ class LvdNmpcController(_BoundedController):
             action, dyn = select_dynamics(self.net, features, self.epsilon, self.rng)
         self.last_features = features
         self.last_action = action
-        v_ref = max(dyn.w * self._scenario.v_max, 1e-6)
-        ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
-        z_d = desired_trajectory(ref, dyn, state, cfg.dt)
+        z_d = lvd_desired_path(route, s0, dyn, state, cfg, self._scenario.v_max)
         residual = residual_h(dyn, state.rho)
         return StepCommand(u=self._track(state, z_d, residual, gain_schedule(dyn)), c=dyn.c, w=dyn.w)
 

@@ -34,6 +34,8 @@ from .vehicle import ControlInput, VehicleState, rollout  # noqa: F401
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
+# weight of the first penalty round; solve doubles it for each further round
+PENALTY_WEIGHT = 1e3
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class NmpcConfig:
 
     Rate bounds are per second; both rate intervals must contain zero so a
     held control is always feasible. The cross-track corridor [e_min, e_max]
-    is soft (penalty only); actuator and rate bounds are hard.
+    is soft (penalty only); actuator and rate bounds are hard. The solver
+    defaults are the ones every pipeline runs.
     """
 
     tau_o: int = 20
@@ -54,10 +57,9 @@ class NmpcConfig:
     du_max: ControlInput = ControlInput(2.0, 4.0)
     e_min: float = -0.5
     e_max: float = 0.5
-    max_iters: int = 80
-    grad_tol: float = 1e-6
-    f_tol: float = 1e-12
-    penalty_weight: float = 1e3
+    max_iters: int = 40
+    grad_tol: float = 1e-4
+    f_tol: float = 1e-8
 
     def __post_init__(self):
         if self.tau_o < 1:
@@ -74,8 +76,21 @@ class NmpcConfig:
             raise ValueError("e_min must be below e_max")
         if self.max_iters < 1 or self.grad_tol <= 0.0 or self.f_tol < 0.0:
             raise ValueError("max_iters, grad_tol, f_tol must be positive")
-        if self.penalty_weight <= 0.0:
-            raise ValueError("penalty_weight must be positive")
+
+    def reachable(self, u_prev: ControlInput) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((v_lo, v_hi), (omega_lo, omega_hi)): the controls inside the
+        actuator bounds that the rate bounds let one period reach from u_prev."""
+        dt = self.dt
+        return (
+            (
+                max(self.u_min.v_cmd, u_prev.v_cmd + self.du_min.v_cmd * dt),
+                min(self.u_max.v_cmd, u_prev.v_cmd + self.du_max.v_cmd * dt),
+            ),
+            (
+                max(self.u_min.omega_cmd, u_prev.omega_cmd + self.du_min.omega_cmd * dt),
+                min(self.u_max.omega_cmd, u_prev.omega_cmd + self.du_max.omega_cmd * dt),
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -172,10 +187,6 @@ class _Problem:
     def value(self, u: np.ndarray) -> float:
         return self.forward(u)[0]
 
-    def value_and_grad(self, u: np.ndarray):
-        cost, fwd = self.forward(u)
-        return cost, self.gradient(fwd)
-
     def forward(self, u: np.ndarray):
         """Cost at u, and the rollout arrays that gradient() reuses.
 
@@ -257,7 +268,13 @@ class _Problem:
 
 
 def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: ControlInput) -> np.ndarray:
-    """Project a control sequence onto actuator bounds and the rate chain from u_prev."""
+    """Project a control sequence onto actuator bounds and the rate chain from u_prev.
+
+    The rate bound clips the change v - pv rather than clipping v to the
+    window of NmpcConfig.reachable: where no rate bound binds, pv + (v - pv)
+    can differ from v in the last bit, and the solver's iterates follow
+    that rounding.
+    """
     out = u.copy()
     dt = cfg.dt
     pv, pw = u_prev.v_cmd, u_prev.omega_cmd
@@ -382,7 +399,7 @@ def solve(
 
     # an overflowing rollout is reported as NmpcError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        penalty = cfg.penalty_weight
+        penalty = PENALTY_WEIGHT
         x = x0
         total_iters = 0
         converged = False

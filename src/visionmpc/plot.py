@@ -3,10 +3,10 @@ driven path, and the reconstructed desired path at three instants."""
 
 from pathlib import Path
 
-from .controllers import PipelineConfig
+from .controllers import PipelineConfig, lvd_desired_path
 from .geometry import offset_polyline
-from .scene import SceneDynamics, desired_trajectory
-from .sim import Scenario, TrialOutcome, reference_slice
+from .scene import SceneDynamics
+from .sim import Scenario, TrialOutcome
 from .vehicle import VehicleState
 
 _W = 800
@@ -69,16 +69,13 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
         canvas.polyline([(rec.x_m, rec.y_m) for rec in outcome.log], "#2266cc", width=2.5)
         # desired path reconstructed from the logged scene pair at 3 instants
         n = len(outcome.log)
-        cfg = pipeline.nmpc
         for frac in (0.25, 0.5, 0.75):
             rec = outcome.log[min(int(frac * n), n - 1)]
             state = VehicleState(rec.x_m, rec.y_m, rec.rho_rad)
             try:
                 dyn = SceneDynamics(rec.c, min(max(rec.w, 0.0), 1.0))
-                v_ref = max(dyn.w * scenario.v_max, 1e-6)
                 s0, _ = route.project((state.x, state.y))
-                ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, v_ref)
-                z_d = desired_trajectory(ref, dyn, state, cfg.dt)
+                z_d = lvd_desired_path(route, s0, dyn, state, pipeline.nmpc, scenario.v_max)
                 canvas.polyline([(z.x, z.y) for z in z_d], "#22aa55", width=1.5, dash="3,3")
             except ValueError:
                 continue

@@ -23,7 +23,14 @@ from .memory import MemoryEntry
 from .scene import SceneDynamics
 from .vehicle import VehicleState
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+# reward per step: progress along the route minus the absolute lateral
+# offset, both in meters, and the terminal crash penalty and goal bonus
+REWARD_PROGRESS_GAIN = 1.0
+REWARD_CROSS_TRACK_GAIN = 0.5
+REWARD_CRASH_PENALTY = 10.0
+REWARD_GOAL_BONUS = 10.0
 
 
 def config_from_dict(default, data: dict):
@@ -234,32 +241,17 @@ def select_dynamics(
     return idx, net.candidates[idx]
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    progress_gain: float = 1.0
-    cross_track_gain: float = 0.5
-    crash_penalty: float = 10.0
-    goal_bonus: float = 10.0
-
-
-def reward(
-    s_prev: float,
-    s_next: float,
-    lateral: float,
-    crashed: bool,
-    reached: bool,
-    cfg: RewardConfig = RewardConfig(),
-) -> float:
+def reward(s_prev: float, s_next: float, lateral: float, crashed: bool, reached: bool) -> float:
     """Progress along the reference minus lateral deviation, with terminal terms.
 
     s_prev and s_next are the route arc lengths of the poses before and
     after the step, lateral the signed offset after it.
     """
-    r = cfg.progress_gain * (s_next - s_prev) - cfg.cross_track_gain * abs(lateral)
+    r = REWARD_PROGRESS_GAIN * (s_next - s_prev) - REWARD_CROSS_TRACK_GAIN * abs(lateral)
     if crashed:
-        r -= cfg.crash_penalty
+        r -= REWARD_CRASH_PENALTY
     if reached:
-        r += cfg.goal_bonus
+        r += REWARD_GOAL_BONUS
     return r
 
 
@@ -358,8 +350,9 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
     return loss
 
 
-def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: Optional[dict] = None) -> None:
-    """Write the network, candidate grid, and feature configuration as JSON."""
+def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: dict) -> None:
+    """Write the network, candidate grid, feature configuration and the
+    pipeline it was trained under (as `dataclasses.asdict` gives it) as JSON."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": list(net.layer_sizes),
@@ -368,31 +361,29 @@ def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: Optio
         "candidates": asdict(net.candidates),
         "feature": asdict(fc),
         "feature_hash": fc.hash(),
+        "pipeline": pipeline_meta,
     }
-    if pipeline_meta:
-        payload["pipeline"] = pipeline_meta
     Path(path).write_text(json.dumps(payload))
 
 
-def load_checkpoint(path, expect_feature: Optional[FeatureConfig] = None):
+def load_checkpoint(path):
     """Load a checkpoint; returns (net, feature_config, pipeline_meta).
 
-    pipeline_meta is the stored pipeline dict, or None. Rejects other
-    versions, self-inconsistent feature hashes, a network input size other
-    than the feature dimension, and (when expect_feature is given) a
-    mismatch with the runtime feature layout.
+    pipeline_meta is the stored pipeline dict. Rejects other versions, a
+    file without a pipeline, self-inconsistent feature hashes, and a
+    network input size other than the feature dimension.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+        raise ValueError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
+    if not payload.get("pipeline"):
+        raise ValueError("checkpoint stores no pipeline, so the one the policy was trained under is unknown")
     fc = config_from_dict(FeatureConfig(), payload["feature"])
     if fc.hash() != payload.get("feature_hash"):
         raise ValueError("checkpoint feature hash does not match its stored configuration")
-    if expect_feature is not None and expect_feature.hash() != payload["feature_hash"]:
-        raise ValueError("checkpoint feature hash does not match the runtime feature configuration")
     cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
     net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
     if net.layer_sizes[0] != fc.dim:
         raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {fc.dim}")
-    return net, fc, payload.get("pipeline")
+    return net, fc, payload["pipeline"]

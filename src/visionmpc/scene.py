@@ -16,11 +16,6 @@ import numpy as np
 from .geometry import fit_quadratic_curvature, rotate, wrap_angle
 from .vehicle import VehicleState
 
-# the path projection's heading term is anchored LOOKAHEAD_TIME_S ahead at
-# the slice's mean speed, at least MIN_LOOKAHEAD_M and at most the slice end
-# (so a horizon up to LOOKAHEAD_TIME_S long anchors at its end)
-LOOKAHEAD_TIME_S = 3.0
-MIN_LOOKAHEAD_M = 0.5
 # floor of diag(R): keeps the input penalty positive definite at w = 1
 EPS_R = 1e-3
 # per-step residual of RESIDUAL_K_C * c heading and RESIDUAL_K_W * w lateral
@@ -60,32 +55,32 @@ class GainSchedule:
             raise ValueError("r_diag must be in (0, 1]")
 
 
-def project_path(d: SceneDynamics, rho: float, lookahead: float, xs) -> np.ndarray:
+def project_path(d: SceneDynamics, rho: float, xs) -> np.ndarray:
     """Lateral offsets of the predicted path at longitudinal samples xs.
 
-    y_i = -rho * (x_i - lookahead) + 0.5 * c * x_i^2
+    y_i = -rho * (x_i - x_n) + 0.5 * c * x_i^2, with the heading term
+    anchored at the last sample x_n: anchored beyond the horizon it turns
+    into positive feedback on heading drift.
     """
-    if lookahead < 0.0:
-        raise ValueError("lookahead must be non-negative")
     xs = np.asarray(xs, dtype=float)
     # no width term: a lateral shift by w is one-sided and destabilizes
-    # corridor tracking, so w only drives speed and the gain schedule
-    return -rho * (xs - lookahead) + 0.5 * d.c * xs ** 2
+    # corridor tracking, so w only drives speed and the gain schedule;
+    # xs[-1:] keeps an empty xs empty
+    return -rho * (xs - xs[-1:]) + 0.5 * d.c * xs ** 2
 
 
 def desired_trajectory(
     ref_slice: Sequence[VehicleState],
     d: SceneDynamics,
     current: VehicleState,
-    horizon_dt: float,
 ) -> tuple[VehicleState, ...]:
     """Reference slice plus the scene-dynamics correction, one pose per slice pose.
 
     The correction is evaluated in the vehicle frame at cumulative
     arc-length samples along the slice, then rotated into world
-    coordinates and added to the reference poses. The slice poses are
-    horizon_dt apart in time. Headings pick up the slope of the curvature
-    term (the correction is positional in the lateral channel).
+    coordinates and added to the reference poses. Headings pick up the
+    slope of the curvature term (the correction is positional in the
+    lateral channel).
     """
     n = len(ref_slice)
     # arc-length samples measured from the current position through the slice
@@ -96,14 +91,8 @@ def desired_trajectory(
         acc += math.hypot(z.x - prev_x, z.y - prev_y)
         xs[i] = acc
         prev_x, prev_y = z.x, z.y
-    v_ref = acc / (n * horizon_dt)
-    lookahead = max(v_ref * LOOKAHEAD_TIME_S, MIN_LOOKAHEAD_M)
-    # anchoring the heading term beyond the horizon turns it into positive
-    # feedback on heading drift
-    if acc > 0.0:
-        lookahead = min(lookahead, acc)
     rho_rel = wrap_angle(current.rho - ref_slice[0].rho)
-    ys = project_path(d, rho_rel, lookahead, xs)
+    ys = project_path(d, rho_rel, xs)
     states = []
     for z, y_off, x_i in zip(ref_slice, ys, xs):
         ox, oy = rotate(0.0, float(y_off), current.rho)

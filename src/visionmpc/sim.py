@@ -165,11 +165,9 @@ class World:
     reached: bool = field(init=False)
     s: float = field(init=False)
     lateral: float = field(init=False)
-    route: Polyline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.route = self.scenario.route_polyline
-        self.s, self.lateral = self.route.project((self.vehicle.x, self.vehicle.y))
+        self.s, self.lateral = self.scenario.route_polyline.project((self.vehicle.x, self.vehicle.y))
         self.reached = in_goal(self)
 
     @property
@@ -246,7 +244,7 @@ def sim_step(world: World, control: ControlInput) -> World:
         if math.hypot(px - cx, py - cy) < r:
             hit = True
             break
-    world.s, world.lateral = world.route.project((px, py))
+    world.s, world.lateral = world.scenario.route_polyline.project((px, py))
     if abs(world.lateral) > world.scenario.half_width:
         hit = True
     world.crashed = world.crashed or hit
@@ -383,12 +381,12 @@ def csv_cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def read_trial_log(path, scenario: Scenario, status: Optional[str] = None) -> TrialOutcome:
+def read_trial_log(path, scenario: Scenario) -> TrialOutcome:
     """Rebuild a TrialOutcome from a CSV log.
 
-    The terminal status is taken from the last row's event when present,
-    else `status`, else "timeout" (the only terminal state that leaves no
-    event mark).
+    The terminal status is the last row's event when that is crash or
+    goal, else "timeout" (the only terminal state that leaves no event
+    mark).
     """
     records = []
     types = [f.type for f in fields(StepRecord)]
@@ -401,11 +399,9 @@ def read_trial_log(path, scenario: Scenario, status: Optional[str] = None) -> Tr
             if len(row) != len(LOG_COLUMNS):
                 raise ValueError(f"{path}: malformed row {row!r}")
             records.append(StepRecord(*(typ(cell) for typ, cell in zip(types, row))))
-    final_status = status
+    final_status = "timeout"
     if records and records[-1].event in ("crash", "goal"):
         final_status = records[-1].event
-    if final_status is None:
-        final_status = "timeout"
     return TrialOutcome(status=final_status, steps=len(records), log=tuple(records), scenario=scenario)
 
 
@@ -422,6 +418,23 @@ def _parse_floats(path, line_no, key, tokens, count):
         raise ScenarioFormatError(f"{path}:{line_no}: {key} has a non-numeric value ({exc})") from None
 
 
+# scalar file keys: the object each one sets and the field it sets there;
+# a key the file omits keeps that field's default
+_SCALAR_FIELDS = {
+    "track_half_width_m": ("scenario", "half_width"),
+    "v_max_mps": ("scenario", "v_max"),
+    "goal_radius_m": ("scenario", "goal_radius"),
+    "time_limit_s": ("scenario", "time_limit_s"),
+    "seed": ("scenario", "seed"),
+    "sensor_resolution_deg": ("sensor", "resolution_deg"),
+    "sensor_max_range_m": ("sensor", "max_range_m"),
+    "wheelbase_m": ("params", "wheelbase_L"),
+    "dt_s": ("params", "dt"),
+    "state_noise_std": ("params", "sigma_f"),
+}
+_REQUIRED_SCALARS = ("track_half_width_m", "v_max_mps", "goal_radius_m", "sensor_max_range_m")
+
+
 def load_scenario(path) -> tuple[Scenario, ModelParams]:
     """Parse a scenario file; returns the scenario and its model parameters."""
     path = Path(path)
@@ -435,18 +448,6 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
     obstacles: list[Obstacle] = []
     start: Optional[VehicleState] = None
     seen_version = False
-    scalar_keys = {
-        "track_half_width_m",
-        "v_max_mps",
-        "goal_radius_m",
-        "time_limit_s",
-        "seed",
-        "sensor_resolution_deg",
-        "sensor_max_range_m",
-        "wheelbase_m",
-        "dt_s",
-        "state_noise_std",
-    }
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -466,7 +467,7 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
             # every scan reader assumes a full fan (see ray_bearings)
             if _parse_floats(path, line_no, key, args, 1)[0] != 360.0:
                 raise ScenarioFormatError(f"{path}:{line_no}: sensor_fov_deg must be 360, got {args[0]}")
-        elif key in scalar_keys:
+        elif key in _SCALAR_FIELDS:
             scalars[key] = _parse_floats(path, line_no, key, args, 1)[0]
         elif key == "start_pose":
             vals = _parse_floats(path, line_no, key, args, 3)
@@ -497,39 +498,28 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
             raise ScenarioFormatError(f"{path}:{line_no}: unknown key {key!r}")
     if not seen_version:
         raise ScenarioFormatError(f"{path}: missing format_version")
-    missing = [
-        k
-        for k in ("track_half_width_m", "v_max_mps", "goal_radius_m", "sensor_max_range_m")
-        if k not in scalars
-    ]
+    missing = [k for k in _REQUIRED_SCALARS if k not in scalars]
     if missing:
         raise ScenarioFormatError(f"{path}: missing required keys: {', '.join(missing)}")
     if start is None:
         raise ScenarioFormatError(f"{path}: missing start_pose")
     if len(waypoints) < 2:
         raise ScenarioFormatError(f"{path}: route needs at least 2 waypoint_m lines")
+    kwargs: dict[str, dict] = {"scenario": {}, "sensor": {}, "params": {}}
+    for key, value in scalars.items():
+        owner, attr = _SCALAR_FIELDS[key]
+        kwargs[owner][attr] = int(value) if key == "seed" else value
     try:
-        sensor = RaySensorConfig(
-            resolution_deg=scalars.get("sensor_resolution_deg", 2.0),
-            max_range_m=scalars["sensor_max_range_m"],
-        )
+        sensor = RaySensorConfig(**kwargs["sensor"])
         scenario = Scenario(
             route=tuple(waypoints),
-            half_width=scalars["track_half_width_m"],
             start=start,
-            goal_radius=scalars["goal_radius_m"],
-            v_max=scalars["v_max_mps"],
             sensor=sensor,
             obstacles=tuple(obstacles),
-            time_limit_s=scalars.get("time_limit_s", 30.0),
-            seed=int(scalars.get("seed", 0)),
             name=name,
+            **kwargs["scenario"],
         )
-        params = ModelParams(
-            wheelbase_L=scalars.get("wheelbase_m", 0.36),
-            dt=scalars.get("dt_s", 0.05),
-            sigma_f=scalars.get("state_noise_std", 0.0),
-        )
+        params = ModelParams(**kwargs["params"])
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from None
     return scenario, params

@@ -18,7 +18,7 @@ epsilon-greedy exploration takes over.
 import csv
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .policy import (
     CandidateSet,
     QNetwork,
     ReplayBuffer,
-    RewardConfig,
     TrainConfig,
     epsilon_at,
     reward,
@@ -110,17 +109,15 @@ def train(
     suite: Sequence[tuple[Scenario, ModelParams]],
     cfg: TrainConfig,
     pipeline: PipelineConfig = PipelineConfig(),
-    candidates: Optional[CandidateSet] = None,
-    reward_cfg: RewardConfig = RewardConfig(),
 ) -> tuple[QNetwork, list[EpisodeRecord]]:
-    """Train the scene-dynamics estimator; returns (network, episode log).
+    """Train the scene-dynamics estimator over the default candidate grid;
+    returns (network, episode log).
 
     Scenarios are visited round-robin. The suite must pass
     check_sensor_layout.
     """
     check_sensor_layout(suite)
-    if candidates is None:
-        candidates = CandidateSet.grid()
+    candidates = CandidateSet.grid()
     rng = np.random.default_rng(cfg.seed)
     net = initialize_network(suite, pipeline, candidates, rng)
     if cfg.episodes == 0:
@@ -156,7 +153,7 @@ def train(
             action = controller.last_action
             if pending is not None:
                 buffer.push(*pending, features, False)
-            r = reward(s_prev, world.s, world.lateral, world.crashed, world.reached, reward_cfg)
+            r = reward(s_prev, world.s, world.lateral, world.crashed, world.reached)
             s_prev = world.s
             ep_return += r
             steps += 1

@@ -265,7 +265,7 @@ class TestCheckpointReload:
         cand = CandidateSet.grid()
         net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, np.random.default_rng(0))
         ckpt = tmp_path / "net.json"
-        save_checkpoint(ckpt, net, fc)
+        save_checkpoint(ckpt, net, fc, pipeline_meta=asdict(PipelineConfig()))
         rc = run_cli(
             "simulate",
             "--scenario", scenario_path("straight_corridor"),
@@ -276,6 +276,28 @@ class TestCheckpointReload:
         )
         assert rc == 1
         assert "feature layout" in capsys.readouterr().err
+
+
+    def test_checkpoint_without_its_pipeline_is_refused(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        write_trained_checkpoint(ckpt, PipelineConfig())
+        payload = json.loads(ckpt.read_text())
+        del payload["pipeline"]
+        ckpt.write_text(json.dumps(payload))
+        # at version 3 a pipeline file stood in for the missing block
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps(asdict(PipelineConfig())))
+        rc = run_cli(
+            "simulate",
+            "--scenario", scenario_path("straight_corridor"),
+            "--method", "lvd-nmpc",
+            "--trials", "1",
+            "--checkpoint", str(ckpt),
+            "--pipeline", str(pipeline),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert "stores no pipeline" in capsys.readouterr().err
 
 
 def write_trained_checkpoint(path, pipeline):

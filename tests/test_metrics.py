@@ -84,7 +84,7 @@ class TestExy:
 class TestECurvature:
     def _traj(self, c, n=12):
         xs = np.linspace(0.0, 2.0, n)
-        ys = project_path(SceneDynamics(c, 0.0), rho=0.0, lookahead=0.0, xs=xs)
+        ys = project_path(SceneDynamics(c, 0.0), rho=0.0, xs=xs)
         return [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
 
     def test_identical_trajectories(self):

@@ -9,7 +9,14 @@ from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
 AT_REST = ControlInput(0.0, 0.0)
 
-LOOSE = NmpcConfig(
+
+def config(**kw):
+    """NmpcConfig with the tight solver stop these tests were written for
+    (the pipeline's defaults stop at 40 iterations, 1e-4 and 1e-8)."""
+    return NmpcConfig(**{"max_iters": 80, "grad_tol": 1e-6, "f_tol": 1e-12, **kw})
+
+
+LOOSE = config(
     tau_o=4,
     du_min=ControlInput(-100.0, -100.0),
     du_max=ControlInput(100.0, 100.0),
@@ -79,14 +86,14 @@ class TestObjectiveInternals:
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(1)
-        cfg = NmpcConfig(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
-                         e_min=-10, e_max=10)
+        cfg = config(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
+                     e_min=-10, e_max=10)
         current, z_d, g, _ = random_problem(rng, cfg)
         problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, penalty=0.0)
         worst = 0.0
         for _ in range(30):
             u = rng.uniform(-0.2, 1.0, size=2 * cfg.tau_o)
-            _, grad = problem.value_and_grad(u)
+            grad = problem.gradient(problem.forward(u)[1])
             for i in range(u.size):
                 h = 1e-6 * max(1.0, abs(u[i]))
                 up, dn = u.copy(), u.copy()
@@ -100,12 +107,12 @@ class TestObjectiveInternals:
     def test_penalized_gradient_matches_central_differences(self):
         # hinge penalties are C1; random points almost surely avoid the kinks
         rng = np.random.default_rng(2)
-        cfg = NmpcConfig(tau_o=4)
+        cfg = config(tau_o=4)
         current, z_d, g, _ = random_problem(rng, cfg)
         problem = _Problem(current, tuple(z_d), None, g, cfg, ControlInput(0.2, 0.0), penalty=100.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.5, size=2 * cfg.tau_o)
-            _, grad = problem.value_and_grad(u)
+            grad = problem.gradient(problem.forward(u)[1])
             for i in range(u.size):
                 h = 1e-6 * max(1.0, abs(u[i]))
                 up, dn = u.copy(), u.copy()
@@ -121,7 +128,7 @@ def hinge_active_problem(rng, tau_o, with_residual):
     Desired poses are scattered off the rollout and across the heading
     seam so the corridor hinge and the wrap both engage.
     """
-    cfg = NmpcConfig(tau_o=tau_o)
+    cfg = config(tau_o=tau_o)
     current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1))
     z_d = [
         VehicleState(z.x + rng.uniform(-0.9, 0.9), z.y + rng.uniform(-0.9, 0.9), rng.uniform(-3.1, 3.1))
@@ -156,8 +163,6 @@ class TestBitEqualityOracle:
                 assert cost == want_cost
                 assert problem.value(u) == want_cost
                 assert np.array_equal(problem.gradient(fwd), want_grad)
-                got_cost, got_grad = problem.value_and_grad(u)
-                assert got_cost == want_cost and np.array_equal(got_grad, want_grad)
                 assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
                 # signed excesses over the actuator, rate and corridor bounds
                 h = fwd[-1]
@@ -174,17 +179,38 @@ class TestBitEqualityOracle:
             edges = np.tile((cfg.u_max.v_cmd, cfg.u_min.omega_cmd), tau_o)
             for u in (np.zeros(2 * tau_o), np.full(2 * tau_o, -0.0), edges):
                 want_cost, want_grad = reference._eval(u, need_grad=True)
-                got_cost, got_grad = problem.value_and_grad(u)
+                got_cost, fwd = problem.forward(u)
                 assert got_cost == want_cost
-                assert np.array_equal(got_grad, want_grad)
-                assert _violation(problem.forward(u)[1]) == scalar_violation(u, cfg, u_prev, reference)
+                assert np.array_equal(problem.gradient(fwd), want_grad)
+                assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
+
+
+class TestReachable:
+    def test_window_is_the_actuator_box_cut_by_one_period_of_rate(self):
+        cfg = NmpcConfig()
+        v_window, omega_window = cfg.reachable(ControlInput(0.95, 0.3))
+        assert v_window == (0.95 + cfg.du_min.v_cmd * cfg.dt, cfg.u_max.v_cmd)
+        assert omega_window == (0.3 + cfg.du_min.omega_cmd * cfg.dt, cfg.u_max.omega_cmd)
+
+    def test_clipping_to_the_window_equals_rate_then_actuator_clipping(self):
+        # the baselines' former two-stage clip, for any anchor inside the bounds
+        cfg = NmpcConfig(u_max=ControlInput(0.5, 0.35))
+        rng = np.random.default_rng(3)
+        dt = cfg.dt
+        for _ in range(2000):
+            prev = ControlInput(rng.uniform(0.0, 0.5), rng.uniform(-0.35, 0.35))
+            v = rng.uniform(-0.5, 1.5)
+            (v_lo, v_hi), _ = cfg.reachable(prev)
+            staged = min(max(v, prev.v_cmd + cfg.du_min.v_cmd * dt), prev.v_cmd + cfg.du_max.v_cmd * dt)
+            staged = min(max(staged, cfg.u_min.v_cmd), cfg.u_max.v_cmd)
+            assert min(max(v, v_lo), v_hi) == staged
 
 
 class TestSolve:
     def test_inverse_crime_recovery(self):
         # a near-zero input weight makes the generating sequence the optimum
-        cfg = NmpcConfig(tau_o=6, max_iters=300, du_min=ControlInput(-100, -100),
-                         du_max=ControlInput(100, 100), e_min=-10, e_max=10)
+        cfg = config(tau_o=6, max_iters=300, du_min=ControlInput(-100, -100),
+                     du_max=ControlInput(100, 100), e_min=-10, e_max=10)
         g = GainSchedule(1.0, 1e-6)
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -206,7 +232,7 @@ class TestSolve:
 
     def test_warm_start_fixed_point(self):
         rng = np.random.default_rng(5)
-        cfg = NmpcConfig(tau_o=5, max_iters=300)
+        cfg = config(tau_o=5, max_iters=300)
         current, z_d, g, _ = random_problem(rng, cfg)
         first = solve(current, z_d, None, g, cfg, AT_REST)
         again = solve(current, z_d, None, g, cfg, AT_REST, warm_start=first.u_opt)
@@ -217,7 +243,7 @@ class TestSolve:
 
     def test_solve_deterministic(self):
         rng = np.random.default_rng(9)
-        cfg = NmpcConfig(tau_o=8)
+        cfg = config(tau_o=8)
         current, z_d, g, _ = random_problem(rng, cfg)
         a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
         b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
@@ -227,7 +253,7 @@ class TestSolve:
 
     def test_solution_respects_bounds_and_rates_exactly(self):
         # desired trajectory demands more speed than the actuator allows
-        cfg = NmpcConfig(tau_o=6)
+        cfg = config(tau_o=6)
         g = GainSchedule(1.0, 1e-3)
         current = VehicleState(0, 0, 0)
         z_d = [VehicleState(0.5 * (i + 1), 0.0, 0.0) for i in range(6)]  # 10 m/s
@@ -244,18 +270,18 @@ class TestSolve:
             prev = u
 
     def test_desired_length_mismatch(self):
-        cfg = NmpcConfig(tau_o=4)
+        cfg = config(tau_o=4)
         with pytest.raises(ValueError):
             solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg, AT_REST)
 
     def test_non_finite_residual_raises_nmpc_error(self):
-        cfg = NmpcConfig(tau_o=3)
+        cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with pytest.raises(ValueError):
             solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
 
     def test_overflowing_objective_raises_with_context(self):
-        cfg = NmpcConfig(tau_o=3)
+        cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
             solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
@@ -263,7 +289,7 @@ class TestSolve:
 
 class TestControlStep:
     def test_stationary_hold_emits_small_control(self):
-        cfg = NmpcConfig(tau_o=8)
+        cfg = config(tau_o=8)
         g = GainSchedule(1.0, 1e-3)
         current = VehicleState(0.4, -0.2, 0.3)
         z_d = [current] * 8
@@ -271,7 +297,7 @@ class TestControlStep:
         assert math.hypot(u.v_cmd, u.omega_cmd) <= 1e-2
 
     def test_speed_converges_on_straight_line(self):
-        cfg = NmpcConfig(tau_o=8)
+        cfg = config(tau_o=8)
         g = GainSchedule(1.0, 1e-3)
         v_star = 0.25
         state = VehicleState(0.0, 0.0, 0.0)
@@ -287,7 +313,7 @@ class TestControlStep:
         assert u.v_cmd == pytest.approx(v_star, rel=0.05)
 
     def test_solver_failure_surfaces_to_caller(self):
-        cfg = NmpcConfig(tau_o=4)
+        cfg = config(tau_o=4)
         z_d = [VehicleState(0.05 * i, 0, 0) for i in range(1, 5)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
             control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)

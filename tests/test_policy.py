@@ -8,12 +8,14 @@ import pytest
 from visionmpc.controllers import PipelineConfig
 from visionmpc.geometry import Polyline
 from visionmpc.memory import MemoryEntry, Observation
+from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import (
     CandidateSet,
     FeatureConfig,
     QNetwork,
+    REWARD_CROSS_TRACK_GAIN,
+    REWARD_PROGRESS_GAIN,
     ReplayBuffer,
-    RewardConfig,
     TrainConfig,
     config_from_dict,
     featurize,
@@ -145,10 +147,10 @@ class TestSelectDynamics:
 class TestReward:
     ROUTE = Polyline([(0.0, 0.0), (10.0, 0.0)])
 
-    def _reward(self, prev, nxt, *flags_and_cfg):
+    def _reward(self, prev, nxt, *flags):
         s_prev, _ = self.ROUTE.project((prev.x, prev.y))
         s_next, lateral = self.ROUTE.project((nxt.x, nxt.y))
-        return reward(s_prev, s_next, lateral, *flags_and_cfg)
+        return reward(s_prev, s_next, lateral, *flags)
 
     def test_no_motion_on_centerline(self):
         z = VehicleState(1.0, 0.0, 0.0)
@@ -157,7 +159,8 @@ class TestReward:
     def test_progress_minus_cross_track(self):
         prev = VehicleState(1.0, 0.0, 0.0)
         nxt = VehicleState(1.2, 0.1, 0.0)
-        got = self._reward(prev, nxt, False, False, RewardConfig())
+        got = self._reward(prev, nxt, False, False)
+        assert (REWARD_PROGRESS_GAIN, REWARD_CROSS_TRACK_GAIN) == (1.0, 0.5)
         assert got == pytest.approx(1.0 * 0.2 - 0.5 * 0.1)
 
     def test_crash_and_goal_terms(self):
@@ -285,6 +288,9 @@ class TestTrainStep:
             train_step(net, net.copy(), (S, A, R, S2, term), TrainConfig())
 
 
+PIPELINE_META = asdict(PipelineConfig())
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -292,34 +298,21 @@ class TestCheckpoint:
         fc = FeatureConfig(n_history=2, ray_count=6, max_range=2.0, tau_o=3)
         net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, rng)
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc, pipeline_meta={"tau_o": 3})
-        loaded, fc2, meta = load_checkpoint(path, expect_feature=fc)
+        save_checkpoint(path, net, fc, PIPELINE_META)
+        loaded, fc2, meta = load_checkpoint(path)
         assert fc2 == fc
-        assert meta == {"tau_o": 3}
+        assert config_from_dict(PipelineConfig(), meta) == PipelineConfig()
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
         assert loaded.candidates == cand
 
-    def test_rejects_feature_mismatch(self, tmp_path):
-        rng = np.random.default_rng(13)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
-        fc = FeatureConfig(n_history=2, ray_count=6, max_range=2.0, tau_o=3)
-        net = QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng)
-        path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc)
-        other = FeatureConfig(n_history=2, ray_count=6, max_range=2.5, tau_o=3)
-        with pytest.raises(ValueError):
-            load_checkpoint(path, expect_feature=other)
-
     def test_rejects_tampered_payload(self, tmp_path):
-        import json
-
         rng = np.random.default_rng(14)
         cand = CandidateSet.grid(k_c=2, k_w=2)
         fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         net = QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng)
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc)
+        save_checkpoint(path, net, fc, PIPELINE_META)
         payload = json.loads(path.read_text())
         payload["feature"]["max_range"] = 9.0
         path.write_text(json.dumps(payload))
@@ -330,19 +323,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_refuses_older_versions(self, tmp_path, version):
         # v1 stored part of the pipeline; a v2 pipeline block names scene
-        # settings that are now constants
+        # settings that are now constants; a v3 file may hold no pipeline
         rng = np.random.default_rng(15)
         cand = CandidateSet.grid(k_c=2, k_w=2)
         fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc)
+        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, PIPELINE_META)
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"version {version}"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 4"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", ["absent", None, {}])
+    def test_refuses_a_file_without_its_pipeline(self, tmp_path, stored):
+        rng = np.random.default_rng(18)
+        cand = CandidateSet.grid(k_c=2, k_w=2)
+        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, PIPELINE_META)
+        payload = json.loads(path.read_text())
+        if stored == "absent":
+            del payload["pipeline"]
+        else:
+            payload["pipeline"] = stored
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="stores no pipeline"):
             load_checkpoint(path)
 
     def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
@@ -350,7 +359,7 @@ class TestCheckpoint:
         cand = CandidateSet.grid(k_c=2, k_w=2)
         fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim + 1, 4, len(cand)), cand, rng), fc)
+        save_checkpoint(path, QNetwork.initialize((fc.dim + 1, 4, len(cand)), cand, rng), fc, PIPELINE_META)
         with pytest.raises(ValueError, match="feature dimension"):
             load_checkpoint(path)
 
@@ -359,11 +368,14 @@ class TestCheckpoint:
         cand = CandidateSet.grid(k_c=2, k_w=2)
         pipeline = perturbed(PipelineConfig(), rng)
         fc = pipeline.feature_config(6, 2.0)
+        net = QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng)
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, pipeline_meta=asdict(pipeline))
-        _, fc2, meta = load_checkpoint(path, expect_feature=fc)
+        save_checkpoint(path, net, fc, pipeline_meta=asdict(pipeline))
+        loaded, fc2, meta = load_checkpoint(path)
         assert fc2 == fc
         assert config_from_dict(PipelineConfig(), meta) == pipeline
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases))
+        assert loaded.candidates == cand
 
 
 def test_feature_hash_is_stable():
@@ -412,7 +424,7 @@ class TestConfigFromDict:
     def test_missing_keys_keep_the_default_instance_values(self):
         cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 10}})
         assert cfg.nmpc.tau_o == 10
-        assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == 40
+        assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == NmpcConfig().max_iters == 40
         assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from visionmpc.scene import (
-    LOOKAHEAD_TIME_S,
-    MIN_LOOKAHEAD_M,
     RESIDUAL_K_C,
     RESIDUAL_K_W,
     GainSchedule,
@@ -21,28 +19,31 @@ from visionmpc.vehicle import VehicleState
 
 class TestProjectPath:
     def test_all_zero_inputs_give_zero(self):
-        ys = project_path(SceneDynamics(0.0, 0.0), rho=0.0, lookahead=1.0, xs=[0.0, 0.5, 2.0])
+        ys = project_path(SceneDynamics(0.0, 0.0), rho=0.0, xs=[0.0, 0.5, 2.0])
         assert np.all(ys == 0.0)
 
-    def test_heading_term_vanishes_at_lookahead(self):
-        ys = project_path(SceneDynamics(0.0, 0.0), rho=0.1, lookahead=1.0, xs=[1.0])
-        assert ys[0] == pytest.approx(0.0, abs=1e-15)
+    def test_heading_term_vanishes_at_the_last_sample(self):
+        ys = project_path(SceneDynamics(0.0, 0.0), rho=0.1, xs=[0.5, 1.0])
+        assert ys[0] == pytest.approx(0.05, abs=1e-15)
+        assert ys[1] == 0.0
 
     def test_direct_substitution(self):
-        ys = project_path(SceneDynamics(0.2, 0.5), rho=0.0, lookahead=0.0, xs=[2.0])
+        ys = project_path(SceneDynamics(0.2, 0.5), rho=0.0, xs=[2.0])
         assert ys[0] == pytest.approx(0.4, abs=1e-12)
+
+    def test_empty_samples_give_no_offsets(self):
+        assert project_path(SceneDynamics(0.2, 0.5), rho=0.1, xs=[]).shape == (0,)
 
     def test_joint_linearity(self):
         xs = np.linspace(0.0, 3.0, 7)
-        lookahead = 0.8
         rng = np.random.default_rng(2)
         for _ in range(20):
             c1, c2 = rng.uniform(-1, 1, 2)
             w1, w2 = rng.uniform(0, 0.5, 2)
             r1, r2 = rng.uniform(-1, 1, 2)
-            a = project_path(SceneDynamics(c1, w1), r1, lookahead, xs)
-            b = project_path(SceneDynamics(c2, w2), r2, lookahead, xs)
-            both = project_path(SceneDynamics(c1 + c2, w1 + w2), r1 + r2, lookahead, xs)
+            a = project_path(SceneDynamics(c1, w1), r1, xs)
+            b = project_path(SceneDynamics(c2, w2), r2, xs)
+            both = project_path(SceneDynamics(c1 + c2, w1 + w2), r1 + r2, xs)
             assert np.allclose(a + b, both, atol=1e-12)
 
 
@@ -52,19 +53,16 @@ class TestDesiredTrajectory:
 
     def test_zero_dynamics_zero_relative_heading_is_identity(self):
         ref = self._straight_ref(6)
-        out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0), 0.05)
+        out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0))
         assert len(out) == 6
         for got, want in zip(out, ref):
             assert got == want
 
     def test_curvature_correction_matches_hand_evaluation(self):
-        horizon_dt = 0.1
         spacing = 0.1
         ref = self._straight_ref(4, spacing)
         d = SceneDynamics(0.1, 0.0)
-        out = desired_trajectory(ref, d, VehicleState(0, 0, 0), horizon_dt)
-        v_ref = spacing / horizon_dt
-        lookahead = max(v_ref * LOOKAHEAD_TIME_S, MIN_LOOKAHEAD_M)
+        out = desired_trajectory(ref, d, VehicleState(0, 0, 0))
         for i, z in enumerate(out):
             x_i = spacing * (i + 1)
             y_expected = 0.5 * d.c * x_i ** 2  # w = 0, rho_rel = 0
@@ -75,12 +73,25 @@ class TestDesiredTrajectory:
         ys = [z.y for z in out]
         ratios = [ys[i] / (spacing * (i + 1)) ** 2 for i in range(4)]
         assert np.allclose(ratios, 0.5 * d.c, atol=1e-12)
-        assert lookahead == 3.0  # v_ref = 1 m/s at this spacing, so no floor
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_one_pose_per_slice_pose(self, n):
-        out = desired_trajectory(self._straight_ref(n), SceneDynamics(0.2, 0.5), VehicleState(0, 0, 0), 0.05)
+        out = desired_trajectory(self._straight_ref(n), SceneDynamics(0.2, 0.5), VehicleState(0, 0, 0))
         assert len(out) == n
+
+    @pytest.mark.parametrize("rho", [-0.3, 0.2])
+    def test_long_horizon_anchors_the_heading_term_at_the_slice_end(self, rho):
+        # 40 poses 0.1 m apart: a 4 s horizon at 0.1 s steps and 1 m/s; the
+        # relative heading offsets every pose but the last
+        ref = self._straight_ref(40, 0.1)
+        out = desired_trajectory(ref, SceneDynamics(0.0, 1.0), VehicleState(0, 0, rho))
+        assert out[-1] == ref[-1]
+        assert out[0] != ref[0]
+
+    def test_poses_at_the_vehicle_get_no_heading_offset(self):
+        at_rest = VehicleState(1.0, 2.0, 0.4)
+        ref = [VehicleState(1.0, 2.0, 0.0)] * 5
+        assert desired_trajectory(ref, SceneDynamics(0.0, 0.5), at_rest) == tuple(ref)
 
 
 class TestResidual:
@@ -114,7 +125,7 @@ class TestDynamicsFromTrajectory:
     def test_roundtrip_with_project_path(self):
         c_true = 0.3
         xs = np.linspace(0.0, 2.0, 15)
-        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, lookahead=0.7, xs=xs)
+        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, xs=xs)
         traj = [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
         d = dynamics_from_trajectory(traj, v=0.5, v_max=1.0)
         assert d.c == pytest.approx(c_true, abs=1e-6)
@@ -163,7 +174,7 @@ def test_roundtrip_curvature_property():
         c_true = float(rng.uniform(-1.0, 1.0))
         x_hi = float(rng.uniform(0.5, 3.0))
         xs = np.linspace(0.0, x_hi, 12)
-        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, lookahead=0.0, xs=xs)
+        ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, xs=xs)
         traj = [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
         got = dynamics_from_trajectory(traj, 0.5, 1.0).c
         assert got == pytest.approx(c_true, abs=1e-6)

@@ -366,6 +366,30 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match="missing required keys"):
             load_scenario(path)
 
+    def test_omitted_optional_keys_keep_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.scn"
+        required = (
+            "format_version 1\nstart_pose 0 0 0\nwaypoint_m 0 0\nwaypoint_m 1 0\n"
+            "track_half_width_m 0.5\nv_max_mps 1.0\ngoal_radius_m 0.3\nsensor_max_range_m 2.0\n"
+        )
+        path.write_text(required)
+        scenario, params = load_scenario(path)
+        assert params == ModelParams()
+        assert scenario == Scenario(
+            route=((0.0, 0.0), (1.0, 0.0)),
+            half_width=0.5,
+            start=VehicleState(0.0, 0.0, 0.0),
+            goal_radius=0.3,
+            v_max=1.0,
+            sensor=RaySensorConfig(max_range_m=2.0),
+            name="minimal",
+        )
+        path.write_text(required + "seed 4\ndt_s 0.04\nsensor_resolution_deg 3\n")
+        scenario, params = load_scenario(path)
+        assert type(scenario.seed) is int and scenario.seed == 4
+        assert params == ModelParams(dt=0.04)
+        assert scenario.sensor == RaySensorConfig(resolution_deg=3.0, max_range_m=2.0)
+
     def test_sensor_resolution_must_divide_fov(self):
         with pytest.raises(ValueError):
             RaySensorConfig(resolution_deg=7)

@@ -45,10 +45,9 @@ def tiny_config(episodes=2):
 def test_zero_episodes_returns_initialized_network_unchanged():
     suite = [(tiny_scenario(), ModelParams())]
     pipeline = tiny_pipeline()
-    candidates = CandidateSet.grid(k_c=3, k_w=2)
-    net, log = train(suite, tiny_config(episodes=0), pipeline, candidates)
+    net, log = train(suite, tiny_config(episodes=0), pipeline)
     assert log == []
-    reference = initialize_network(suite, pipeline, candidates, np.random.default_rng(11))
+    reference = initialize_network(suite, pipeline, CandidateSet.grid(), np.random.default_rng(11))
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, reference.weights))
 
 
