@@ -6,6 +6,14 @@ come within the inflation radius of a sensed obstacle point, and scores
 the survivors on goal heading, clearance, and speed. The winning rollout
 becomes the desired trajectory for the tracking controller.
 
+A rollout's clearance is the exact minimum, over its poses and the sensed
+points, of (x - px)^2 + (y - py)^2, square-rooted once. It is found in
+tiles of nearby poses: a point is skipped for a tile only when the triangle
+inequality puts every pose of the tile farther from it than a known upper
+bound on the minimum, with a margin far above rounding, so the pairs that
+remain hold the minimum and the result is bit-identical to evaluating
+every pair.
+
 The direct policy maps the scan straight to actuation: steering moves in
 exact multiples of a small increment toward the bearing of the most open
 direction, and velocity follows a proportional law toward its target.
@@ -32,6 +40,11 @@ DWA_WEIGHT_CLEARANCE = 0.2
 DWA_WEIGHT_VELOCITY = 0.3
 DWA_VEHICLE_RADIUS = 0.08
 DWA_CLEARANCE_CAP = 1.0
+# clearance tiles span this many steps; the relative and absolute widening
+# of each pruning bound lies far above the rounding of its few operations
+_SEGMENT_STEPS = 3
+_PRUNE_SLACK = 1e-9
+_PRUNE_ABS_M = 1e-12
 
 # direct execution law: 0.01 degree steering steps, a proportional
 # velocity law with gain 1.6, braking when the front cone is nearer than
@@ -60,15 +73,100 @@ def _constant_rollouts(vehicle: VehicleState, vs, omegas, limits: NmpcConfig, n_
     return np.stack([xs, ys], axis=2), pose_heads
 
 
+def _square_sum(dx, dy):
+    """dx^2 + dy^2, written into dx; from differences x - px and y - py
+    it rounds each pair as (x - px)^2 + (y - py)^2 does."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _gathered_square_sum(xs, ys, cols, px, py):
+    """_square_sum of xs - px and ys - py over the columns cols of xs and ys."""
+    dx = np.take(xs, cols, axis=1)
+    dx -= px
+    dy = np.take(ys, cols, axis=1)
+    dy -= py
+    return _square_sum(dx, dy)
+
+
+def _pruning_bound(upper, radius):
+    """Squared distance from a centre beyond which no pose within radius of
+    it can come nearer a point than upper, widened well past rounding."""
+    reach = upper * (1.0 + _PRUNE_SLACK) + radius + _PRUNE_ABS_M
+    return reach * reach
+
+
 def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each rollout (C, H, 2) to its nearest point (P, 2)."""
-    flat = positions.reshape(-1, 2)
-    # |f|^2 - 2 f.p + |p|^2 built in place: scaling by -2 is exact and
-    # x + (-y) == x - y, so no rounding differs from the three-temporary sum
-    d2 = (-2.0 * flat) @ pts.T
-    d2 += np.sum(flat ** 2, axis=1)[:, None]
-    d2 += np.sum(pts ** 2, axis=1)[None, :]
-    return np.sqrt(np.maximum(d2.reshape(positions.shape[0], -1).min(axis=1), 0.0))
+    """Distance from each rollout (C, H, 2) to its nearest point (P >= 1, 2).
+
+    The result is sqrt of the minimum of (x - px)^2 + (y - py)^2 over every
+    pose and point, bit for bit, but only pairs that can hold the minimum
+    are evaluated. The poses form tiles of DWA_V_SAMPLES consecutive
+    rollouts by _SEGMENT_STEPS steps (dwa_plan orders its rollouts speed
+    first, so a tile follows one steering arc), and each tile one segment
+    per rollout; padding repeats the last rollout and the last pose, which
+    moves no minimum. The centre of a segment is its middle pose, that of a
+    tile the middle rollout's segment centre, and each radius bounds the
+    distance from the centre to every pose it covers.
+
+    1. Each tile centre against every point bounds the minimum of every
+       rollout in the tile's block: centre distance plus tile radius.
+    2. For the (tile, point) pairs left, each segment centre is a pose of
+       its rollout, so its distances give a tighter bound per rollout.
+    3. For the (segment, point) pairs left, every pose is evaluated and
+       each rollout keeps its smallest square.
+
+    Pass 1 drops a point for a tile, and pass 2 for a segment, only when its
+    distance from the centre exceeds the bound plus the radius, widened by
+    _PRUNE_SLACK and _PRUNE_ABS_M. Every pose covered is then farther from
+    that point than the rollout's minimum by far more than rounding can
+    close, so no dropped pair holds or ties the minimum.
+    """
+    C, H, _ = positions.shape
+    B, K = DWA_V_SAMPLES, _SEGMENT_STEPS
+    nb, nk = -(-C // B), -(-H // K)
+    if (nb * B, nk * K) != (C, H):
+        positions = np.pad(positions, ((0, nb * B - C), (0, nk * K - H), (0, 0)), mode="edge")
+    # pose coordinates as (pose in segment, block, rollout in block, segment)
+    X = positions[..., 0].reshape(nb, B, nk, K).transpose(3, 0, 1, 2).copy()
+    Y = positions[..., 1].reshape(nb, B, nk, K).transpose(3, 0, 1, 2).copy()
+    px, py = pts[:, 0], pts[:, 1]
+    sx, sy = X[K // 2], Y[K // 2]
+    seg_rad = np.sqrt(_square_sum(X - sx, Y - sy).max(axis=0))
+    tx, ty = sx[:, B // 2], sy[:, B // 2]
+    tile_rad = (np.sqrt(_square_sum(sx - tx[:, None], sy - ty[:, None])) + seg_rad).max(axis=1)
+
+    d = _square_sum(tx[..., None] - px, ty[..., None] - py)
+    upper = (np.sqrt(d.min(axis=2)) + tile_rad).min(axis=1)
+    kept = np.flatnonzero(d <= _pruning_bound(upper[:, None, None], tile_rad[..., None]))
+    tile, point = np.divmod(kept, pts.shape[0])
+    block = tile // nk
+    # each pass frees its squares before the next allocates: memory fresh
+    # from the system on every call costs more than the arithmetic
+    del d
+
+    # (rollout in block, tile) layouts; every block keeps the pair that set its bound
+    sx_t = sx.transpose(1, 0, 2).reshape(B, nb * nk)
+    sy_t = sy.transpose(1, 0, 2).reshape(B, nb * nk)
+    d = _gathered_square_sum(sx_t, sy_t, tile, px[point], py[point])
+    upper_roll = np.sqrt(np.minimum.reduceat(d, np.searchsorted(block, np.arange(nb)), axis=1))
+    bound = _pruning_bound(np.repeat(upper_roll, nk, axis=1), seg_rad.transpose(1, 0, 2).reshape(B, nb * nk))
+    kept = np.flatnonzero(d <= np.take(bound, tile, axis=1))
+    b, pair = np.divmod(kept, tile.shape[0])
+    del d
+
+    rollout = block[pair] * B + b
+    seg = rollout * nk + tile[pair] % nk
+    point = point[pair]
+    d = _gathered_square_sum(X.reshape(K, -1), Y.reshape(K, -1), seg, px[point], py[point]).min(axis=0)
+    # pairs run rollout-in-block major, block minor: one run per rollout
+    key = b * nb + block[pair]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    out = np.full(nb * B, np.inf)
+    out[rollout[starts]] = np.minimum.reduceat(d, starts)
+    return np.sqrt(out[:C])
 
 
 def obstacle_points_from_observation(obs: Observation, vehicle: VehicleState, max_range: float) -> np.ndarray:

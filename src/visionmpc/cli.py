@@ -252,6 +252,7 @@ def _cmd_offline_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     scenario, params = _load_scenario(args.scenario)
+    pipeline, _ = _run_pipeline(args.pipeline, args.checkpoint)
     try:
         outcome = read_trial_log(args.log, scenario)
     except (OSError, ValueError) as exc:
@@ -260,7 +261,7 @@ def _cmd_plot(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     from .plot import render_trial_svg
 
-    render_trial_svg(out, scenario, outcome, pipeline=PipelineConfig())
+    render_trial_svg(out, scenario, outcome, pipeline=pipeline)
     print(f"wrote {out}")
     return 0
 
@@ -335,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--checkpoint", default=None, help="trained policy the log ran with; its pipeline draws the paths")
+    p.add_argument("--pipeline", default=None, help="pipeline config JSON the log ran with")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("compare", help="benchmark-table comparison across all methods")

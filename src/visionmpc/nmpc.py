@@ -104,7 +104,7 @@ class NmpcSolution:
 
 
 class NmpcError(RuntimeError):
-    """Raised on a non-finite cost or gradient."""
+    """Raised on a non-finite residual, cost or gradient."""
 
 
 def tracking_cost(
@@ -156,8 +156,8 @@ class _Problem:
             arr = np.asarray(residual, dtype=float).reshape(-1)
             if arr.shape[0] != 3:
                 raise ValueError("residual must be a 3-vector")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("residual must be finite")
+            if not np.isfinite(arr).all():
+                raise NmpcError("non-finite residual")
             res = (float(arr[0]), float(arr[1]), float(arr[2]))
         self.rr = res[2]
         # x[k+1] = (x[k] + a[k]) + rx is the running sum of [x0, a0, rx, a1, rx, ...]
@@ -300,6 +300,20 @@ def _violation(fwd) -> float:
     return max(0.0, float(np.abs(fwd[-1]).max()))
 
 
+def _update_inverse_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray, rho: float) -> None:
+    """BFGS update of the inverse Hessian H, in place:
+    H - rho (s Hy' + Hy s') + rho (rho y'Hy + 1) s s', rounded as that
+    expression evaluates left to right."""
+    Hy = H @ y
+    sHy = s[:, None] * Hy
+    sym = sHy + sHy.T
+    sym *= rho
+    H -= sym
+    ss = s[:, None] * s
+    ss *= rho * (rho * float(y @ Hy) + 1.0)
+    H += ss
+
+
 def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_tol: float = 0.0):
     """Minimize with BFGS + Armijo backtracking; accepted costs never increase.
 
@@ -313,13 +327,13 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
     x = x0.copy()
     f, fwd = problem.forward(x)
     g = problem.gradient(fwd)
-    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+    if not (math.isfinite(f) and np.isfinite(g).all()):
         raise NmpcError("non-finite cost or gradient at the initial iterate")
     n = x.size
     H = np.eye(n)
     iters = 0
     scaled = False
-    gnorm = float(np.max(np.abs(g)))
+    gnorm = float(np.abs(g).max())
     while gnorm >= grad_tol and iters < max_iters:
         p = -H @ g
         slope = float(g @ p)
@@ -330,7 +344,7 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
             slope = float(g @ p)
         # before any curvature information a unit step along -g can be huge
         # against the penalty walls; damp the very first trial step
-        alpha = 1.0 if scaled else min(1.0, 1.0 / max(1.0, float(np.linalg.norm(p))))
+        alpha = 1.0 if scaled else min(1.0, 1.0 / max(1.0, math.sqrt(float(p @ p))))
         accepted = False
         for _ in range(40):
             x_new = x + alpha * p
@@ -349,24 +363,21 @@ def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_
         if not accepted:
             break
         g_new = problem.gradient(fwd_new)
-        if not np.all(np.isfinite(g_new)):
+        if not np.isfinite(g_new).all():
             raise NmpcError("non-finite cost or gradient during optimization")
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)) and sy > 0.0:
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(yv @ yv)) and sy > 0.0:
             if not scaled:
                 # Shanno-Phua: size the initial inverse Hessian from the first
                 # curvature pair so unit steps become well-scaled
                 H = (sy / float(yv @ yv)) * np.eye(n)
                 scaled = True
-            rho_b = 1.0 / sy
-            Hy = H @ yv
-            sHy = np.outer(s, Hy)
-            H = H - rho_b * (sHy + sHy.T) + rho_b * (rho_b * float(yv @ Hy) + 1.0) * np.outer(s, s)
+            _update_inverse_hessian(H, s, yv, 1.0 / sy)
         decrease = f - f_new
         x, f, g, fwd = x_new, f_new, g_new, fwd_new
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         iters += 1
         if decrease <= f_tol * max(1.0, abs(f)):
             break

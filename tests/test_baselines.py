@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from visionmpc import baselines
 from visionmpc.baselines import (
     DIRECT_STEER_INCREMENT_DEG,
     DWA_CLEARANCE_CAP,
@@ -13,6 +14,7 @@ from visionmpc.baselines import (
     DWA_WEIGHT_CLEARANCE,
     DWA_WEIGHT_HEADING,
     DWA_WEIGHT_VELOCITY,
+    _SEGMENT_STEPS,
     _constant_rollouts,
     _min_clearance,
     direct_policy_step,
@@ -66,23 +68,6 @@ class TestDwaPlan:
         plan = dwa_plan(vehicle, ring, straight_ref()[-1], NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
         assert all(z == vehicle for z in plan)
 
-    def test_clearance_equals_the_three_temporary_expression(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            vehicle = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
-            vs = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 60)))
-            omegas = rng.uniform(-0.35, 0.35, size=vs.size)
-            positions, _ = _constant_rollouts(vehicle, vs, omegas, LIMITS, int(rng.integers(1, 40)))
-            pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 160)), 2))
-            flat = positions.reshape(-1, 2)
-            d2 = (
-                np.sum(flat ** 2, axis=1)[:, None]
-                - 2.0 * (flat @ pts.T)
-                + np.sum(pts ** 2, axis=1)[None, :]
-            )
-            want = np.sqrt(np.maximum(d2.reshape(len(vs), -1).min(axis=1), 0.0))
-            assert np.array_equal(_min_clearance(positions, pts), want)
-
     def test_observation_endpoints_drop_max_range_rays(self):
         rays = np.full(180, 3.0)
         rays[0] = 1.0
@@ -90,6 +75,147 @@ class TestDwaPlan:
         pts = obstacle_points_from_observation(obs, VehicleState(0, 0, 0), max_range=3.0)
         assert pts.shape == (1, 2)
         assert pts[0] == pytest.approx([1.0, 0.0])
+
+
+def scalar_clearance(positions, pts):
+    """Per-pair loop of (x - px)^2 + (y - py)^2, square-rooted after the minimum."""
+    out = []
+    for rollout in positions.tolist():
+        best = math.inf
+        for x, y in rollout:
+            for px, py in pts.tolist():
+                dx = x - px
+                dy = y - py
+                best = min(best, dx * dx + dy * dy)
+        out.append(math.sqrt(best))
+    return np.array(out)
+
+
+def monolithic_min_clearance(positions, pts):
+    """The clearance kernel before tiling: one (C*H) x P matrix, then row minima."""
+    flat = positions.reshape(-1, 2)
+    d2 = (-2.0 * flat) @ pts.T
+    d2 += np.sum(flat ** 2, axis=1)[:, None]
+    d2 += np.sum(pts ** 2, axis=1)[None, :]
+    return np.sqrt(np.maximum(d2.reshape(positions.shape[0], -1).min(axis=1), 0.0))
+
+
+def random_rollouts(rng, n_rollouts, n_steps):
+    vehicle = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
+    vs = rng.uniform(0.0, 1.0, size=n_rollouts)
+    omegas = rng.uniform(-0.35, 0.35, size=n_rollouts)
+    return vehicle, _constant_rollouts(vehicle, vs, omegas, LIMITS, n_steps)[0]
+
+
+class TestMinClearance:
+    def assert_exact(self, positions, pts):
+        got = _min_clearance(positions, pts)
+        assert got.shape == (positions.shape[0],)
+        assert np.array_equal(got, scalar_clearance(positions, pts))
+
+    def test_equals_the_scalar_loop_on_random_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            _, positions = random_rollouts(rng, int(rng.integers(1, 40)), int(rng.integers(1, 32)))
+            pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 40)), 2))
+            self.assert_exact(positions, pts)
+
+    def test_equals_the_scalar_loop_on_the_planner_grid(self):
+        # dwa_plan's own shapes: 11 speeds x 21 steering angles, speed fastest
+        rng = np.random.default_rng(12)
+        vs, omegas = np.meshgrid(np.linspace(0.3, 0.5, DWA_V_SAMPLES), np.linspace(-0.35, 0.35, DWA_OMEGA_SAMPLES))
+        for _ in range(3):
+            vehicle = VehicleState(0.0, 0.0, rng.uniform(-3, 3))
+            positions, _ = _constant_rollouts(vehicle, vs.ravel(), omegas.ravel(), LIMITS, 30)
+            pts = rng.uniform(-1.5, 1.5, size=(60, 2))
+            self.assert_exact(positions, pts)
+
+    def test_single_rollout_single_step_single_point(self):
+        rng = np.random.default_rng(13)
+        for n_rollouts, n_steps in ((1, 1), (1, 30), (231, 1)):
+            _, positions = random_rollouts(rng, n_rollouts, n_steps)
+            self.assert_exact(positions, rng.uniform(-3, 3, size=(1, 2)))
+            self.assert_exact(positions, rng.uniform(-3, 3, size=(25, 2)))
+
+    def test_tiles_far_from_every_point_keep_none(self):
+        # straight, fast rollouts with the only points beside their start:
+        # the tiles at the far end are pruned against every point
+        vs = np.linspace(0.9, 1.0, DWA_V_SAMPLES)
+        positions, _ = _constant_rollouts(VehicleState(0, 0, 0), vs, np.zeros_like(vs), LIMITS, 30)
+        pts = np.array([[0.0, 0.3], [0.05, -0.4], [-0.2, 0.0]])
+        self.assert_exact(positions, pts)
+        assert np.all(_min_clearance(positions, pts) < 0.3)
+
+    def test_points_on_a_pruning_boundary(self):
+        # one rollout through x = 0, 1, 2: one three-pose segment centred on
+        # x = 1 with radius 1. (1, 3) is nearest the centre and bounds the
+        # minimum by 3; pass 1 keeps points within 3 + 1 + 1 of the centre,
+        # pass 2 within 3 + 1. (6, 0) lies on the first boundary, (1, 4) on
+        # the second, and (-3, 0) on the second while tying the minimum.
+        assert _SEGMENT_STEPS == 3
+        positions = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+        pts = np.array([[1.0, 3.0], [6.0, 0.0], [1.0, 4.0], [-3.0, 0.0]])
+        self.assert_exact(positions, pts)
+        assert _min_clearance(positions, pts)[0] == 3.0
+        assert _min_clearance(positions, pts[3:])[0] == 3.0
+
+    def test_minimum_just_inside_a_pruning_boundary(self):
+        # as above, but (-2.95, 0) lies 3.95 from the centre, 0.05 inside the
+        # pass 2 boundary, and 2.95 from the first pose: the minimum is its
+        # alone, not that of (1, 3), the point nearest the centre
+        positions = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+        pts = np.array([[1.0, 3.0], [-2.95, 0.0]])
+        self.assert_exact(positions, pts)
+        assert _min_clearance(positions, pts)[0] == pytest.approx(2.95, abs=1e-15)
+
+    def test_stationary_rollouts_and_tied_points(self):
+        # zero speed: every pose coincides, every radius is 0, and a ring of
+        # points is equidistant from the pose
+        positions, _ = _constant_rollouts(VehicleState(0.5, -0.5, 1.0), np.zeros(3), np.zeros(3), LIMITS, 12)
+        angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        ring = np.stack([0.5 + np.cos(angles), -0.5 + np.sin(angles)], axis=1)
+        self.assert_exact(positions, ring)
+        self.assert_exact(positions, np.array([[0.5, -0.5]]))
+
+    def test_points_behind_the_vehicle(self):
+        rng = np.random.default_rng(14)
+        vs, omegas = np.meshgrid(np.linspace(0.0, 0.2, DWA_V_SAMPLES), np.linspace(-0.35, 0.35, DWA_OMEGA_SAMPLES))
+        positions, _ = _constant_rollouts(VehicleState(0, 0, 0), vs.ravel(), omegas.ravel(), LIMITS, 30)
+        pts = np.stack([rng.uniform(-2.0, -0.05, size=30), rng.uniform(-1.0, 1.0, size=30)], axis=1)
+        self.assert_exact(positions, pts)
+        # the nearest pose to a point straight behind is the start
+        got = _min_clearance(positions, np.array([[-0.5, 0.0]]))
+        assert np.all(got >= 0.5) and np.all(got < 0.5 + 1e-12 + 0.2 * LIMITS.dt)
+
+
+def test_plans_equal_those_of_the_monolithic_kernel(monkeypatch):
+    """On seeded random scenes the tiled kernel picks the same rollout as
+    the single-matrix kernel it replaced, which differs from it by at most
+    rounding (about 1e-11 m)."""
+    rng = np.random.default_rng(15)
+    scenes = []
+    for _ in range(200):
+        vehicle = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+        n_wall = int(rng.integers(1, 120))
+        side = rng.uniform(0.2, 1.2) * rng.choice((-1.0, 1.0))
+        along = rng.uniform(-0.5, 2.5, size=n_wall)
+        wall = np.stack([along, np.full(n_wall, side) + rng.normal(0.0, 0.03, n_wall)], axis=1)
+        clutter = rng.uniform(-2.0, 2.5, size=(int(rng.integers(0, 40)), 2))
+        local = np.concatenate([wall, clutter])
+        c, s = math.cos(vehicle.rho), math.sin(vehicle.rho)
+        points = np.stack(
+            [vehicle.x + c * local[:, 0] - s * local[:, 1], vehicle.y + s * local[:, 0] + c * local[:, 1]], axis=1
+        )
+        goal = VehicleState(vehicle.x + 3.0 * c, vehicle.y + 3.0 * s, vehicle.rho)
+        lim = NmpcConfig(tau_o=int(rng.choice((10, 20))))
+        u = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
+        scenes.append((vehicle, points, goal, lim, u))
+    tiled = [dwa_plan(*scene) for scene in scenes]
+    monkeypatch.setattr(baselines, "_min_clearance", monolithic_min_clearance)
+    reference = [dwa_plan(*scene) for scene in scenes]
+    assert tiled == reference
+    # the scenes exercise swerves, not only straight free runs and stops
+    assert len({round(plan[-1].rho - scene[0].rho, 6) for plan, scene in zip(tiled, scenes)}) > 50
 
 
 def _independent_best_is_admissible(vehicle, points, goal, lim, current_u, plan):

@@ -136,6 +136,34 @@ class TestPlot:
         assert "circle" in svg  # obstacles and goal
         assert "polyline" in svg
 
+    def test_desired_paths_use_the_checkpoint_horizon(self, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
+        ckpt = tmp_path / "net.json"
+        scenario = scenario_path("straight_corridor")
+        assert run_cli(
+            "train", "--scenario-set", str(Path(scenario).parent), "--config", str(config), "--out", str(ckpt)
+        ) == 0
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--scenario", scenario, "--method", "lvd-nmpc", "--trials", "1",
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ) == 0
+        svg_path = tmp_path / "trial.svg"
+        assert run_cli(
+            "plot", "--log", str(out / "trial_000.csv"), "--scenario", scenario,
+            "--checkpoint", str(ckpt), "--out", str(svg_path),
+        ) == 0
+        desired = [
+            line.split('points="')[1].split('"')[0].split()
+            for line in svg_path.read_text().splitlines()
+            if 'stroke="#22aa55"' in line
+        ]
+        tau_o = _default_training_pipeline().nmpc.tau_o
+        assert tau_o != PipelineConfig().nmpc.tau_o
+        assert len(desired) == 3
+        assert all(len(path) == tau_o for path in desired)
+
 
 class TestTrain:
     def test_tiny_training_run_deterministic(self, tmp_path):

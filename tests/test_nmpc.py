@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from visionmpc.nmpc import NmpcConfig, NmpcError, _Problem, _violation, control_step, solve, tracking_cost
+from visionmpc.nmpc import (
+    NmpcConfig,
+    NmpcError,
+    _Problem,
+    _update_inverse_hessian,
+    _violation,
+    control_step,
+    solve,
+    tracking_cost,
+)
 from visionmpc.scene import GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
@@ -184,6 +193,23 @@ class TestBitEqualityOracle:
                 assert np.array_equal(problem.gradient(fwd), want_grad)
                 assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
 
+    def test_inverse_hessian_update_equals_the_textbook_expression(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 20, 40):
+            for _ in range(25):
+                a = rng.normal(size=(n, n))
+                H = a @ a.T + n * np.eye(n)
+                s, y = rng.normal(size=n), rng.normal(size=n)
+                rho = 1.0 / float(s @ y)
+                Hy = H @ y
+                want = (
+                    H
+                    - rho * (np.outer(s, Hy) + np.outer(Hy, s))
+                    + rho * (rho * float(y @ Hy) + 1.0) * np.outer(s, s)
+                )
+                _update_inverse_hessian(H, s, y, rho)
+                assert np.array_equal(H, want)
+
 
 class TestReachable:
     def test_window_is_the_actuator_box_cut_by_one_period_of_rate(self):
@@ -277,8 +303,11 @@ class TestSolve:
     def test_non_finite_residual_raises_nmpc_error(self):
         cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
-        with pytest.raises(ValueError):
+        with pytest.raises(NmpcError, match="non-finite residual"):
             solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
+        # a wrongly shaped residual is a caller bug, not a numeric failure
+        with pytest.raises(ValueError, match="3-vector"):
+            solve(VehicleState(0, 0, 0), z_d, [0.0, 0.0], GainSchedule(1, 0.5), cfg, AT_REST)
 
     def test_overflowing_objective_raises_with_context(self):
         cfg = config(tau_o=3)
