@@ -12,7 +12,6 @@ from .metrics import MetricsReport, OfflineRecord, aggregate, e_curvature, e_xy
 from .nmpc import NmpcConfig, NmpcError, NmpcSolution, control_step, solve, tracking_cost
 from .policy import (
     CandidateSet,
-    FeatureConfig,
     QNetwork,
     ReplayBuffer,
     TrainConfig,

@@ -70,13 +70,13 @@ def _run_pipeline(pipeline_path, checkpoint_path):
     With a checkpoint, the pipeline it stores is the one; a --pipeline file
     that decodes to a different one is an error, so a learned policy never
     runs under other bounds, horizon or solver budget than the baselines
-    beside it. Returns (pipeline, (net, feature) or None).
+    beside it. Returns (pipeline, (net, sensor) or None).
     """
     pipeline = _pipeline_from_file(pipeline_path) if pipeline_path else None
     if checkpoint_path is None:
         return pipeline or PipelineConfig(), None
     try:
-        net, trained_fc, meta = load_checkpoint(checkpoint_path)
+        net, sensor, meta = load_checkpoint(checkpoint_path)
         trained = config_from_dict(PipelineConfig(), meta)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
@@ -85,7 +85,7 @@ def _run_pipeline(pipeline_path, checkpoint_path):
             f"pipeline config {pipeline_path} differs from the pipeline checkpoint "
             f"{checkpoint_path} was trained with; omit --pipeline to run the checkpoint's"
         )
-    return trained, (net, trained_fc)
+    return trained, (net, sensor)
 
 
 def _check_periods(pipeline, suite) -> None:
@@ -103,12 +103,9 @@ def _build_controller(method, scenario, pipeline, policy, seed):
             # untrained, seed-initialized policy; useful for smoke runs only
             net = initialize_network([(scenario, None)], pipeline, CandidateSet.grid(), np.random.default_rng(seed))
         else:
-            net, trained_fc = policy
-            fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-            if trained_fc != fc:
-                raise CliError(
-                    f"checkpoint feature layout {trained_fc} does not match scenario {scenario.name}: {fc}"
-                )
+            net, sensor = policy
+            if sensor != scenario.sensor:
+                raise CliError(f"checkpoint sensor {sensor} does not match scenario {scenario.name}: {scenario.sensor}")
         return LvdNmpcController(net, pipeline)
     if method == "dwa-nmpc":
         return DwaNmpcController(pipeline)
@@ -184,9 +181,7 @@ def _cmd_train(args) -> int:
     net, log = train(suite, cfg, pipeline)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    scenario = suite[0][0]
-    fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-    save_checkpoint(out, net, fc, pipeline_meta=asdict(pipeline))
+    save_checkpoint(out, net, suite[0][0].sensor, pipeline_meta=asdict(pipeline))
     log_path = out.with_suffix(out.suffix + ".log.csv")
     write_training_log(log_path, log)
     goals = sum(1 for rec in log if rec.status == "goal")

@@ -3,11 +3,12 @@
 Every controller reads its horizon, period and actuator and rate bounds
 from one place: `PipelineConfig.nmpc` with the speed bound capped at the
 scenario's v_max. Both NMPC trackers solve under it, and the DWA window and
-the direct law plan within it, so benchmark comparisons stay fair. Each
-controller projects the vehicle onto the route at most once per
-step. The controllers share one skeleton, `_BoundedController`: its reset
-starts a trial at rest with no warm start, and its `_track` runs one NMPC
-step and keeps the control it applied.
+the direct law plan within it, so benchmark comparisons stay fair. No
+controller projects the vehicle onto the route: each step receives the
+state's route arc length s from the closed loop, which the simulator
+computed when it reached that state. The controllers share one skeleton,
+`_BoundedController`: its reset starts a trial at rest with no warm start,
+and its `_track` runs one NMPC step and keeps the control it applied.
 """
 
 import math
@@ -20,7 +21,7 @@ from .baselines import DWA_HORIZON_S, direct_policy_step, dwa_plan, obstacle_poi
 from .geometry import Polyline, wrap_angle
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .nmpc import NmpcConfig, control_step
-from .policy import FeatureConfig, QNetwork, featurize, select_dynamics
+from .policy import QNetwork, featurize, select_dynamics
 from .scene import GainSchedule, SceneDynamics, desired_trajectory, dynamics_from_trajectory, gain_schedule, residual_h
 from .sim import Scenario, StepCommand, reference_slice
 from .vehicle import ControlInput, ModelParams, VehicleState
@@ -39,14 +40,6 @@ class PipelineConfig:
     nmpc: NmpcConfig = NmpcConfig()
     n_history: int = 4
     hidden_layers: tuple[int, ...] = (128, 64)
-
-    def feature_config(self, sensor_rays: int, max_range: float) -> FeatureConfig:
-        return FeatureConfig(
-            n_history=self.n_history,
-            ray_count=sensor_rays,
-            max_range=max_range,
-            tau_o=self.nmpc.tau_o,
-        )
 
 
 def check_period(pipeline: PipelineConfig, params: ModelParams) -> None:
@@ -144,23 +137,20 @@ class LvdNmpcController(_BoundedController):
         self.last_features: Optional[np.ndarray] = None
         self.last_action: Optional[int] = None
         self._memory: Optional[AugmentedMemory] = None
-        self._fc: Optional[FeatureConfig] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         super().reset(scenario, params)
         self._memory = AugmentedMemory(self.pipeline.n_history)
-        self._fc = self.pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
         self.last_features = None
         self.last_action = None
 
-    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
+    def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         cfg = self._limits
         self._memory.push(MemoryEntry(observation=obs, state=state))
         window = self._memory.window()
         route = self._scenario.route_polyline
-        s0, _ = route.project((state.x, state.y))
-        ref_feat = reference_slice(route, s0, cfg.tau_o, cfg.dt, self._scenario.v_max)
-        features = featurize(window, ref_feat, self._fc)
+        ref_feat = reference_slice(route, s, cfg.tau_o, cfg.dt, self._scenario.v_max)
+        features = featurize(window, ref_feat, self._scenario.sensor.max_range_m)
         if self.action_source is not None:
             action = int(self.action_source(obs, features))
             dyn = self.net.candidates[action]
@@ -168,7 +158,7 @@ class LvdNmpcController(_BoundedController):
             action, dyn = select_dynamics(self.net, features, self.epsilon, self.rng)
         self.last_features = features
         self.last_action = action
-        z_d = lvd_desired_path(route, s0, dyn, state, cfg, self._scenario.v_max)
+        z_d = lvd_desired_path(route, s, dyn, state, cfg, self._scenario.v_max)
         residual = residual_h(dyn, state.rho)
         return StepCommand(u=self._track(state, z_d, residual, gain_schedule(dyn)), c=dyn.c, w=dyn.w)
 
@@ -190,15 +180,13 @@ class DwaNmpcController(_BoundedController):
         super().reset(scenario, params)
         self._u_plan = ControlInput(0.0, 0.0)
 
-    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
+    def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         cfg = self._limits
         points = obstacle_points_from_observation(obs, state, self._scenario.sensor.max_range_m)
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
         tau_goal = max(cfg.tau_o, int(round(2.0 * DWA_HORIZON_S / cfg.dt)))
-        route = self._scenario.route_polyline
-        s0, _ = route.project((state.x, state.y))
-        goal_xy, goal_rho = route.sample(s0 + self._scenario.v_max * cfg.dt * tau_goal)
+        goal_xy, goal_rho = self._scenario.route_polyline.sample(s + self._scenario.v_max * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
@@ -223,7 +211,7 @@ class DwaNmpcController(_BoundedController):
 class DirectController(_BoundedController):
     """Reactive execution-law baseline (no model, no optimization)."""
 
-    def step(self, obs: Observation, state: VehicleState) -> StepCommand:
+    def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         u = direct_policy_step(obs, self._limits, self._u_prev)
         self._u_prev = u
         c = math.sin(u.omega_cmd) / self._limits.wheelbase_L

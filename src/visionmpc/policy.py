@@ -21,9 +21,10 @@ import numpy as np
 
 from .memory import MemoryEntry
 from .scene import SceneDynamics
+from .sim import RaySensorConfig
 from .vehicle import VehicleState
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # reward per step: progress along the route minus the absolute lateral
 # offset, both in meters, and the terminal crash penalty and goal bonus
@@ -76,16 +77,9 @@ class CandidateSet:
                 raise ValueError("candidate widths must be in [0, 1]")
 
     @classmethod
-    def grid(
-        cls,
-        k_c: int = 9,
-        c_range: tuple[float, float] = (-0.5, 0.5),
-        k_w: int = 5,
-        w_range: tuple[float, float] = (0.0, 1.0),
-    ) -> "CandidateSet":
-        cs = tuple(np.linspace(c_range[0], c_range[1], k_c).tolist())
-        ws = tuple(np.linspace(w_range[0], w_range[1], k_w).tolist())
-        return cls(cs, ws)
+    def grid(cls) -> "CandidateSet":
+        """The default grid: 9 curvatures evenly over [-0.5, 0.5], 5 widths over [0, 1]."""
+        return cls(tuple(np.linspace(-0.5, 0.5, 9).tolist()), tuple(np.linspace(0.0, 1.0, 5).tolist()))
 
     def __len__(self) -> int:
         return len(self.c_values) * len(self.w_values)
@@ -95,50 +89,33 @@ class CandidateSet:
         return SceneDynamics(self.c_values[index // k_w], self.w_values[index % k_w])
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Shape of the feature vector fed to the network."""
-
-    n_history: int = 4
-    ray_count: int = 180
-    max_range: float = 3.0
-    tau_o: int = 20
-
-    def __post_init__(self):
-        if self.n_history < 1 or self.ray_count < 1 or self.tau_o < 1:
-            raise ValueError("feature dimensions must be positive")
-        if self.max_range <= 0.0:
-            raise ValueError("max_range must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.n_history * self.ray_count + 2 * self.tau_o + self.n_history
-
-    def hash(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
+def input_size(n_history: int, n_rays: int, tau_o: int) -> int:
+    """Length of the feature vector `featurize` builds from n_history scans
+    of n_rays rays and a reference slice of tau_o waypoints."""
+    return n_history * n_rays + 2 * tau_o + n_history
 
 
-def featurize(window: Sequence[MemoryEntry], ref_slice: Sequence[VehicleState], fc: FeatureConfig) -> np.ndarray:
+def featurize(window: Sequence[MemoryEntry], ref_slice: Sequence[VehicleState], max_range: float) -> np.ndarray:
     """Stacked memory features in the frame of the newest entry.
 
-    Layout: normalized ray distances per entry (oldest first), reference
+    Layout: ray distances over max_range per entry (oldest first), reference
     waypoints as (x, y) in the current vehicle frame, then a derived speed
     per entry (position difference over time difference, zero when padded).
+    The layout follows the inputs: every scan must have the first one's ray
+    count, and the length is `input_size(len(window), ray count,
+    len(ref_slice))`.
     """
     if len(window) == 0:
         raise ValueError("featurize() needs a non-empty window")
-    if len(window) != fc.n_history:
-        raise ValueError(f"window length {len(window)} differs from configured history {fc.n_history}")
-    if len(ref_slice) != fc.tau_o:
-        raise ValueError(f"reference slice length {len(ref_slice)} differs from tau_o {fc.tau_o}")
-    out = np.empty(fc.dim)
+    n_rays = window[0].observation.rays.shape[0]
+    out = np.empty(input_size(len(window), n_rays, len(ref_slice)))
     pos = 0
     for entry in window:
         rays = entry.observation.rays
-        if rays.shape[0] != fc.ray_count:
-            raise ValueError(f"observation has {rays.shape[0]} rays, expected {fc.ray_count}")
-        out[pos : pos + fc.ray_count] = rays / fc.max_range
-        pos += fc.ray_count
+        if rays.shape[0] != n_rays:
+            raise ValueError(f"observation has {rays.shape[0]} rays, expected {n_rays}")
+        out[pos : pos + n_rays] = rays / max_range
+        pos += n_rays
     current = window[-1].state
     cos_r, sin_r = math.cos(-current.rho), math.sin(-current.rho)
     for z in ref_slice:
@@ -350,40 +327,47 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
     return loss
 
 
-def save_checkpoint(path, net: QNetwork, fc: FeatureConfig, pipeline_meta: dict) -> None:
-    """Write the network, candidate grid, feature configuration and the
-    pipeline it was trained under (as `dataclasses.asdict` gives it) as JSON."""
+def _sensor_hash(sensor: RaySensorConfig) -> str:
+    return hashlib.sha256(json.dumps(asdict(sensor), sort_keys=True).encode()).hexdigest()
+
+
+def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline_meta: dict) -> None:
+    """Write the network, candidate grid, and the pipeline (as
+    `dataclasses.asdict` gives it) and sensor it was trained with as JSON."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": list(net.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "candidates": asdict(net.candidates),
-        "feature": asdict(fc),
-        "feature_hash": fc.hash(),
         "pipeline": pipeline_meta,
+        "sensor": asdict(sensor),
+        "sensor_hash": _sensor_hash(sensor),
     }
     Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (net, feature_config, pipeline_meta).
+    """Load a checkpoint; returns (net, sensor, pipeline_meta).
 
     pipeline_meta is the stored pipeline dict. Rejects other versions, a
-    file without a pipeline, self-inconsistent feature hashes, and a
-    network input size other than the feature dimension.
+    file without a pipeline, a sensor block that does not match its stored
+    hash, and a network input size other than the one the stored pipeline's
+    n_history and nmpc.tau_o and the sensor's ray count give.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
-    if not payload.get("pipeline"):
+    pipeline = payload.get("pipeline")
+    if not pipeline:
         raise ValueError("checkpoint stores no pipeline, so the one the policy was trained under is unknown")
-    fc = config_from_dict(FeatureConfig(), payload["feature"])
-    if fc.hash() != payload.get("feature_hash"):
-        raise ValueError("checkpoint feature hash does not match its stored configuration")
+    sensor = config_from_dict(RaySensorConfig(), payload["sensor"])
+    if _sensor_hash(sensor) != payload.get("sensor_hash"):
+        raise ValueError("checkpoint sensor hash does not match its stored sensor")
     cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
     net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
-    if net.layer_sizes[0] != fc.dim:
-        raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {fc.dim}")
-    return net, fc, payload["pipeline"]
+    expected = input_size(pipeline["n_history"], sensor.n_rays, pipeline["nmpc"]["tau_o"])
+    if net.layer_sizes[0] != expected:
+        raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {expected}")
+    return net, sensor, pipeline

@@ -264,7 +264,7 @@ class StepCommand:
 class TrialController(Protocol):
     def reset(self, scenario: Scenario, params: ModelParams) -> None: ...
 
-    def step(self, obs: Observation, state: VehicleState) -> StepCommand: ...
+    def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand: ...
 
     def safe_stop(self) -> ControlInput: ...
 
@@ -307,10 +307,12 @@ def closed_loop(world: World, controller: TrialController) -> Iterator[tuple[Ste
     """The sense -> control -> sim_step loop; yields once per step.
 
     Resets the controller for the world's scenario, then steps until
-    crash, goal, or the time limit. A controller step that fails
-    numerically (NmpcError, ValueError, ArithmeticError) is replaced by the
-    controller's safe stop, which becomes its next rate anchor, and is
-    marked controller_error; any other exception is a bug and propagates.
+    crash, goal, or the time limit. Each controller step gets the
+    observation, the vehicle state and its route arc length world.s. A
+    step that raises NmpcError (the solver's numeric failure) is replaced
+    by the controller's safe stop, which becomes its next rate anchor, and
+    is marked controller_error; any other exception, a ValueError from a
+    shape bug included, is a defect and propagates.
     After each step it yields (command, event, controller seconds), where
     the event is "crash", "goal", "controller_error" or "".
     """
@@ -320,8 +322,8 @@ def closed_loop(world: World, controller: TrialController) -> Iterator[tuple[Ste
         started = time.perf_counter()
         event = ""
         try:
-            cmd = controller.step(obs, world.vehicle)
-        except (NmpcError, ValueError, ArithmeticError):
+            cmd = controller.step(obs, world.vehicle, world.s)
+        except NmpcError:
             cmd = StepCommand(u=controller.safe_stop())
             event = "controller_error"
         seconds = time.perf_counter() - started

@@ -30,6 +30,7 @@ from .policy import (
     ReplayBuffer,
     TrainConfig,
     epsilon_at,
+    input_size,
     reward,
     train_step,
 )
@@ -55,10 +56,8 @@ def initialize_network(
     candidates: CandidateSet,
     rng: np.random.Generator,
 ) -> QNetwork:
-    scenario = suite[0][0]
-    fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-    sizes = (fc.dim, *pipeline.hidden_layers, len(candidates))
-    return QNetwork.initialize(sizes, candidates, rng)
+    n_inputs = input_size(pipeline.n_history, suite[0][0].sensor.n_rays, pipeline.nmpc.tau_o)
+    return QNetwork.initialize((n_inputs, *pipeline.hidden_layers, len(candidates)), candidates, rng)
 
 
 # the demonstration chooser's front cone (+-14 deg) counts as blocked
@@ -95,13 +94,15 @@ def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
 
 
 def check_sensor_layout(suite: Sequence[tuple[Scenario, ModelParams]]) -> None:
-    """Reject an empty suite, or one whose sensors differ in ray count or
-    range: one network reads every scenario, so the feature space is fixed."""
+    """Reject an empty suite, or one whose sensors differ: one network
+    reads every scenario, so the feature space is fixed."""
     if not suite:
         raise ValueError("scenario suite must be non-empty")
-    layouts = {(s.sensor.n_rays, s.sensor.max_range_m): s.name for s, _ in suite}
+    layouts = {s.sensor: s.name for s, _ in suite}
     if len(layouts) > 1:
-        found = ", ".join(f"{name} has {n} rays to {r:g} m" for (n, r), name in layouts.items())
+        found = ", ".join(
+            f"{name} has {sensor.n_rays} rays to {sensor.max_range_m:g} m" for sensor, name in layouts.items()
+        )
         raise ValueError(f"all scenarios in a training suite must share a sensor layout: {found}")
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from visionmpc import cli
 from visionmpc.cli import _build_controller, _default_training_pipeline, _run_pipeline, main
-from visionmpc.controllers import DirectController, PipelineConfig
-from visionmpc.policy import CandidateSet, QNetwork, save_checkpoint
-from visionmpc.sim import load_scenario
+from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
+from visionmpc.policy import CandidateSet, QNetwork, input_size, save_checkpoint
+from visionmpc.sim import RaySensorConfig, load_scenario, run_trial, write_trial_log
+from visionmpc.training import train
 
 
 def scenario_path(name):
@@ -287,13 +288,38 @@ class TestCheckpointReload:
         assert pipeline == _default_training_pipeline()
         assert pipeline.nmpc.max_iters == 25
 
+    def test_reloaded_policy_drives_like_the_trained_one(self, tmp_path, monkeypatch):
+        # the network train wrote, reloaded by simulate, logs the same bytes
+        # as the in-memory network under the same pipeline
+        trained = {}
+
+        def keep_network(suite, cfg, pipeline):
+            net, log = train(suite, cfg, pipeline)
+            trained.update(net=net, pipeline=pipeline)
+            return net, log
+
+        monkeypatch.setattr(cli, "train", keep_network)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 5, "batch_size": 4}))
+        ckpt = tmp_path / "net.json"
+        scenario_file = scenario_path("straight_corridor")
+        assert run_cli(
+            "train", "--scenario-set", str(Path(scenario_file).parent), "--config", str(config),
+            "--seed", "0", "--out", str(ckpt),
+        ) == 0
+        assert run_cli(
+            "simulate", "--scenario", scenario_file, "--method", "lvd-nmpc", "--trials", "1",
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "sim"),
+        ) == 0
+        scenario, params = load_scenario(scenario_file)
+        outcome = run_trial(scenario, LvdNmpcController(trained["net"], trained["pipeline"]), params)
+        write_trial_log(tmp_path / "in_memory.csv", outcome)
+        assert (tmp_path / "sim" / "trial_000.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
     def test_checkpoint_for_another_sensor_range_is_rejected(self, tmp_path, capsys):
         # same ray count and hence the same input size, different max range
-        fc = PipelineConfig().feature_config(sensor_rays=180, max_range=2.0)
-        cand = CandidateSet.grid()
-        net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, np.random.default_rng(0))
         ckpt = tmp_path / "net.json"
-        save_checkpoint(ckpt, net, fc, pipeline_meta=asdict(PipelineConfig()))
+        write_trained_checkpoint(ckpt, PipelineConfig(), RaySensorConfig(max_range_m=2.0))
         rc = run_cli(
             "simulate",
             "--scenario", scenario_path("straight_corridor"),
@@ -303,7 +329,9 @@ class TestCheckpointReload:
             "--out", str(tmp_path / "out"),
         )
         assert rc == 1
-        assert "feature layout" in capsys.readouterr().err
+        assert "checkpoint sensor RaySensorConfig(resolution_deg=2.0, max_range_m=2.0) does not match" in (
+            capsys.readouterr().err
+        )
 
 
     def test_checkpoint_without_its_pipeline_is_refused(self, tmp_path, capsys):
@@ -328,12 +356,12 @@ class TestCheckpointReload:
         assert "stores no pipeline" in capsys.readouterr().err
 
 
-def write_trained_checkpoint(path, pipeline):
-    """A checkpoint for the bundled scenarios' sensor that stores `pipeline`."""
-    fc = pipeline.feature_config(sensor_rays=180, max_range=3.0)
+def write_trained_checkpoint(path, pipeline, sensor=RaySensorConfig()):
+    """A checkpoint that stores `pipeline` and `sensor`, by default the bundled scenarios' sensor."""
     cand = CandidateSet.grid()
-    net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, np.random.default_rng(0))
-    save_checkpoint(path, net, fc, pipeline_meta=asdict(pipeline))
+    n_inputs = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
+    net = QNetwork.initialize((n_inputs, 8, len(cand)), cand, np.random.default_rng(0))
+    save_checkpoint(path, net, sensor, pipeline_meta=asdict(pipeline))
 
 
 class TestOnePipelinePerRun:

@@ -8,8 +8,8 @@ import pytest
 
 from visionmpc import controllers
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
-from visionmpc.nmpc import NmpcConfig
-from visionmpc.policy import CandidateSet, QNetwork, config_from_dict
+from visionmpc.nmpc import NmpcConfig, NmpcError
+from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
@@ -33,9 +33,9 @@ def small_pipeline():
 
 
 def fresh_net(pipeline, scenario, seed=0, candidates=None):
-    cand = candidates if candidates is not None else CandidateSet.grid(k_c=3, k_w=2, w_range=(0.5, 1.0))
-    fc = pipeline.feature_config(scenario.sensor.n_rays, scenario.sensor.max_range_m)
-    return QNetwork.initialize((fc.dim, 16, len(cand)), cand, np.random.default_rng(seed))
+    cand = candidates if candidates is not None else CandidateSet((-0.5, 0.0, 0.5), (0.5, 1.0))
+    n_inputs = input_size(pipeline.n_history, scenario.sensor.n_rays, pipeline.nmpc.tau_o)
+    return QNetwork.initialize((n_inputs, 16, len(cand)), cand, np.random.default_rng(seed))
 
 
 def assert_bounds_and_rates(outcome, cfg):
@@ -110,7 +110,7 @@ class TestSafeStop:
         def fails_on_tenth_call(*args):
             calls.append(None)
             if len(calls) == 10:
-                raise ValueError("synthetic failure")
+                raise NmpcError("synthetic failure")
             return original(*args)
 
         monkeypatch.setattr(controllers, "direct_policy_step", fails_on_tenth_call)

@@ -11,7 +11,6 @@ from visionmpc.memory import MemoryEntry, Observation
 from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import (
     CandidateSet,
-    FeatureConfig,
     QNetwork,
     REWARD_CROSS_TRACK_GAIN,
     REWARD_PROGRESS_GAIN,
@@ -19,22 +18,25 @@ from visionmpc.policy import (
     TrainConfig,
     config_from_dict,
     featurize,
+    input_size,
     load_checkpoint,
     reward,
     save_checkpoint,
     select_dynamics,
     train_step,
 )
+from visionmpc.sim import RaySensorConfig
 from visionmpc.vehicle import VehicleState
 
-FC = FeatureConfig(n_history=3, ray_count=8, max_range=2.0, tau_o=4)
+# window length, rays per scan, sensor range and reference slice length
+N_HISTORY, N_RAYS, MAX_RANGE, TAU_O = 3, 8, 2.0, 4
 
 
 def make_window(offset=(0.0, 0.0), n=3, rays_value=2.0):
     entries = []
     for i in range(n):
         t = 0.05 * i
-        obs = Observation(rays=np.full(FC.ray_count, rays_value), timestamp=t)
+        obs = Observation(rays=np.full(N_RAYS, rays_value), timestamp=t)
         state = VehicleState(0.1 * i + offset[0], offset[1], 0.0)
         entries.append(MemoryEntry(observation=obs, state=state))
     return entries
@@ -47,42 +49,46 @@ def make_ref(offset=(0.0, 0.0), n=4):
 
 class TestFeaturize:
     def test_shape_and_saturated_rays(self):
-        f = featurize(make_window(), make_ref(), FC)
-        assert f.shape == (FC.dim,)
-        assert np.all(f[: FC.n_history * FC.ray_count] == 1.0)
+        f = featurize(make_window(), make_ref(), MAX_RANGE)
+        assert f.shape == (input_size(N_HISTORY, N_RAYS, TAU_O),)
+        assert np.all(f[: N_HISTORY * N_RAYS] == 1.0)
         # reference dead ahead: lateral waypoint coordinates all zero
-        wp = f[FC.n_history * FC.ray_count : FC.n_history * FC.ray_count + 2 * FC.tau_o]
+        wp = f[N_HISTORY * N_RAYS : N_HISTORY * N_RAYS + 2 * TAU_O]
         assert np.all(wp[1::2] == 0.0)
 
     def test_translation_invariance(self):
-        base = featurize(make_window(), make_ref(), FC)
-        moved = featurize(make_window(offset=(10.0, -5.0)), make_ref(offset=(10.0, -5.0)), FC)
+        base = featurize(make_window(), make_ref(), MAX_RANGE)
+        moved = featurize(make_window(offset=(10.0, -5.0)), make_ref(offset=(10.0, -5.0)), MAX_RANGE)
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_speed_block(self):
-        f = featurize(make_window(), make_ref(), FC)
-        speeds = f[-FC.n_history :]
+        f = featurize(make_window(), make_ref(), MAX_RANGE)
+        speeds = f[-N_HISTORY:]
         assert speeds[0] == 0.0
         assert speeds[1] == pytest.approx(0.1 / 0.05)
         assert speeds[2] == pytest.approx(0.1 / 0.05)
 
-    def test_window_length_enforced(self):
+    def test_layout_follows_the_inputs(self):
+        assert featurize(make_window(n=2), make_ref(n=3), MAX_RANGE).shape == (input_size(2, N_RAYS, 3),)
         with pytest.raises(ValueError):
-            featurize(make_window(n=2), make_ref(), FC)
-        with pytest.raises(ValueError):
-            featurize([], make_ref(), FC)
-        with pytest.raises(ValueError):
-            featurize(make_window(), make_ref(n=3), FC)
+            featurize([], make_ref(), MAX_RANGE)
+
+    def test_scans_of_differing_ray_counts_rejected(self):
+        window = make_window()
+        short = Observation(rays=np.full(N_RAYS - 1, 2.0), timestamp=window[-1].timestamp)
+        window[-1] = MemoryEntry(observation=short, state=window[-1].state)
+        with pytest.raises(ValueError, match=f"observation has {N_RAYS - 1} rays, expected {N_RAYS}"):
+            featurize(window, make_ref(), MAX_RANGE)
 
 
 class TestQNetwork:
     def test_zero_parameters_give_zero_outputs(self):
-        cand = CandidateSet.grid(k_c=1, k_w=2)
+        cand = CandidateSet((-0.5,), (0.0, 1.0))
         net = QNetwork((3, 4, 2), [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)], cand)
         assert np.all(net.forward(np.ones(3)) == 0.0)
 
     def test_hand_computed_forward_pass(self):
-        cand = CandidateSet.grid(k_c=2, k_w=1)
+        cand = CandidateSet((-0.5, 0.5), (0.0,))
         w1 = np.array([[1.0, -1.0], [0.5, 0.25]])
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[2.0, 0.0], [0.0, 3.0]])
@@ -95,7 +101,7 @@ class TestQNetwork:
         assert net.forward(s)[1] == pytest.approx(3.4)
 
     def test_zeroed_first_layer_outputs_head_bias(self):
-        cand = CandidateSet.grid(k_c=3, k_w=1)
+        cand = CandidateSet((-0.5, 0.0, 0.5), (0.0,))
         rng = np.random.default_rng(0)
         net = QNetwork.initialize((5, 4, 3), cand, rng)
         net.weights[0][:] = 0.0
@@ -103,7 +109,7 @@ class TestQNetwork:
         assert out == pytest.approx((net.weights[1] @ net.biases[0] + net.biases[1]).tolist())
 
     def test_dimension_mismatch_rejected(self):
-        cand = CandidateSet.grid(k_c=1, k_w=2)
+        cand = CandidateSet((-0.5,), (0.0, 1.0))
         net = QNetwork.initialize((3, 4, 2), cand, np.random.default_rng(1))
         with pytest.raises(ValueError):
             net.forward(np.ones(4))
@@ -111,7 +117,7 @@ class TestQNetwork:
 
 class TestSelectDynamics:
     def _net(self, q_values):
-        cand = CandidateSet.grid(k_c=len(q_values), k_w=1)
+        cand = CandidateSet(tuple(0.1 * i for i in range(len(q_values))), (0.0,))
         net = QNetwork((1, len(q_values)), [np.zeros((len(q_values), 1))], [np.array(q_values, dtype=float)], cand)
         return net
 
@@ -205,7 +211,7 @@ def make_batch(rng, net, n=8):
 
 class TestTrainStep:
     def _net(self, rng):
-        cand = CandidateSet.grid(k_c=3, k_w=1)
+        cand = CandidateSet((-0.5, 0.0, 0.5), (0.0,))
         return QNetwork.initialize((5, 6, 3), cand, rng)
 
     def test_gamma_zero_targets_equal_rewards(self):
@@ -288,63 +294,69 @@ class TestTrainStep:
             train_step(net, net.copy(), (S, A, R, S2, term), TrainConfig())
 
 
-PIPELINE_META = asdict(PipelineConfig())
+PIPELINE = PipelineConfig(n_history=2, nmpc=NmpcConfig(tau_o=3))
+SENSOR = RaySensorConfig(resolution_deg=60.0, max_range_m=2.0)
+SMALL_GRID = CandidateSet((-0.5, 0.5), (0.0, 1.0))
+
+
+def small_net(rng, candidates=SMALL_GRID, extra_inputs=0):
+    """A network for PIPELINE and SENSOR (6 rays), extra_inputs wider than they give."""
+    n_inputs = input_size(PIPELINE.n_history, SENSOR.n_rays, PIPELINE.nmpc.tau_o) + extra_inputs
+    return QNetwork.initialize((n_inputs, 4, len(candidates)), candidates, rng)
 
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        cand = CandidateSet.grid()
-        fc = FeatureConfig(n_history=2, ray_count=6, max_range=2.0, tau_o=3)
-        net = QNetwork.initialize((fc.dim, 8, len(cand)), cand, rng)
+        net = small_net(np.random.default_rng(12), candidates=CandidateSet.grid())
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc, PIPELINE_META)
-        loaded, fc2, meta = load_checkpoint(path)
-        assert fc2 == fc
-        assert config_from_dict(PipelineConfig(), meta) == PipelineConfig()
+        save_checkpoint(path, net, SENSOR, asdict(PIPELINE))
+        loaded, sensor, meta = load_checkpoint(path)
+        assert sensor == SENSOR
+        assert config_from_dict(PipelineConfig(), meta) == PIPELINE
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
-        assert loaded.candidates == cand
+        assert loaded.candidates == CandidateSet.grid()
+
+    def test_stores_each_layout_setting_once(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, asdict(PIPELINE))
+        payload = json.loads(path.read_text())
+        assert set(payload) == {
+            "format_version", "layer_sizes", "weights", "biases", "candidates", "pipeline", "sensor", "sensor_hash",
+        }
+        assert payload["sensor"] == asdict(SENSOR)
+        assert payload["pipeline"]["n_history"] == 2 and payload["pipeline"]["nmpc"]["tau_o"] == 3
 
     def test_rejects_tampered_payload(self, tmp_path):
-        rng = np.random.default_rng(14)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
-        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
-        net = QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng)
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc, PIPELINE_META)
+        save_checkpoint(path, small_net(np.random.default_rng(14)), SENSOR, asdict(PIPELINE))
         payload = json.loads(path.read_text())
-        payload["feature"]["max_range"] = 9.0
+        payload["sensor"]["max_range_m"] = 9.0
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sensor hash"):
             load_checkpoint(path)
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_refuses_older_versions(self, tmp_path, version):
         # v1 stored part of the pipeline; a v2 pipeline block names scene
-        # settings that are now constants; a v3 file may hold no pipeline
-        rng = np.random.default_rng(15)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
-        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
+        # settings that are now constants; a v3 file may hold no pipeline;
+        # a v4 file stores n_history and tau_o a second time, in its feature block
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, PIPELINE_META)
+        save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, asdict(PIPELINE))
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 4"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 5"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("stored", ["absent", None, {}])
     def test_refuses_a_file_without_its_pipeline(self, tmp_path, stored):
-        rng = np.random.default_rng(18)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
-        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng), fc, PIPELINE_META)
+        save_checkpoint(path, small_net(np.random.default_rng(18)), SENSOR, asdict(PIPELINE))
         payload = json.loads(path.read_text())
         if stored == "absent":
             del payload["pipeline"]
@@ -355,32 +367,24 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
-        rng = np.random.default_rng(16)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
-        fc = FeatureConfig(n_history=1, ray_count=4, max_range=1.0, tau_o=2)
         path = tmp_path / "net.json"
-        save_checkpoint(path, QNetwork.initialize((fc.dim + 1, 4, len(cand)), cand, rng), fc, PIPELINE_META)
+        save_checkpoint(path, small_net(np.random.default_rng(16), extra_inputs=1), SENSOR, asdict(PIPELINE))
         with pytest.raises(ValueError, match="feature dimension"):
             load_checkpoint(path)
 
     def test_full_pipeline_round_trips(self, tmp_path):
         rng = np.random.default_rng(17)
-        cand = CandidateSet.grid(k_c=2, k_w=2)
         pipeline = perturbed(PipelineConfig(), rng)
-        fc = pipeline.feature_config(6, 2.0)
-        net = QNetwork.initialize((fc.dim, 4, len(cand)), cand, rng)
+        net = QNetwork.initialize(
+            (input_size(pipeline.n_history, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
+        )
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, fc, pipeline_meta=asdict(pipeline))
-        loaded, fc2, meta = load_checkpoint(path)
-        assert fc2 == fc
+        save_checkpoint(path, net, SENSOR, pipeline_meta=asdict(pipeline))
+        loaded, sensor, meta = load_checkpoint(path)
+        assert sensor == SENSOR
         assert config_from_dict(PipelineConfig(), meta) == pipeline
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases))
-        assert loaded.candidates == cand
-
-
-def test_feature_hash_is_stable():
-    # the value written by every earlier release for this layout
-    assert FeatureConfig(4, 180, 3.0, 20).hash() == "34922848a3d5c36d1df2043b2b1cc50a6e1a8a53af6f2e594634c00bb5b8c661"
+        assert loaded.candidates == SMALL_GRID
 
 
 def perturbed(value, rng):
@@ -389,8 +393,11 @@ def perturbed(value, rng):
     Each float is scaled by a factor in [0.5, 1] (a zero becomes a small
     positive value), each int scaled likewise plus 0-2, and each tuple is
     refilled with 1-4 variants of its first element. Signs are kept, so the
-    configs' ordering and range checks still hold.
+    configs' ordering and range checks still hold. A sensor's ray spacing is
+    drawn from the divisors 360 / n of the full turn.
     """
+    if isinstance(value, RaySensorConfig):
+        return RaySensorConfig(360.0 / int(rng.integers(1, 361)), perturbed(value.max_range_m, rng))
     if is_dataclass(value):
         return replace(value, **{f.name: perturbed(getattr(value, f.name), rng) for f in fields(value)})
     if isinstance(value, tuple):
@@ -405,7 +412,7 @@ def perturbed(value, rng):
 class TestConfigFromDict:
     @pytest.mark.parametrize(
         "default",
-        [PipelineConfig(), TrainConfig(), FeatureConfig(), CandidateSet.grid()],
+        [PipelineConfig(), TrainConfig(), RaySensorConfig(), CandidateSet.grid()],
         ids=lambda d: type(d).__name__,
     )
     def test_json_round_trip_is_lossless(self, default):
@@ -443,7 +450,7 @@ class TestConfigFromDict:
 
 
 def test_candidate_set_ordering_is_curvature_major():
-    cand = CandidateSet.grid(k_c=3, c_range=(-1.0, 1.0), k_w=2, w_range=(0.0, 1.0))
+    cand = CandidateSet((-1.0, 0.0, 1.0), (0.0, 1.0))
     assert len(cand) == 6
     assert (cand[0].c, cand[0].w) == (-1.0, 0.0)
     assert (cand[1].c, cand[1].w) == (-1.0, 1.0)

@@ -236,7 +236,7 @@ class _ConstantController:
         self.calls = 0
         self.u_prev = ControlInput(0.0, 0.0)
 
-    def step(self, obs, state):
+    def step(self, obs, state, s):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise self.error("synthetic controller failure")
@@ -307,8 +307,9 @@ class TestRunTrial:
         assert outcome.log[k].v_cmd < outcome.log[k - 1].v_cmd
 
     def test_controller_bug_propagates(self):
-        # a TypeError or IndexError is a defect, not a solver failure to safe-stop on
-        for error in (TypeError, IndexError):
+        # only an NmpcError is a solver failure to safe-stop on; anything else,
+        # a ValueError from a numpy shape bug included, is a defect
+        for error in (TypeError, IndexError, ValueError, ArithmeticError):
             controller = _ConstantController(ControlInput(1.0, 0.0), fail_at=3, error=error)
             with pytest.raises(error):
                 run_trial(corridor(time_limit=0.5), controller, ModelParams())

@@ -6,7 +6,7 @@ import pytest
 
 from visionmpc import controllers
 from visionmpc.controllers import PipelineConfig
-from visionmpc.nmpc import NmpcConfig
+from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, TrainConfig
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario
 from visionmpc.sim import csv_cell
@@ -104,7 +104,7 @@ def test_round_robin_visits_all_scenarios():
 
 
 def test_numeric_controller_failure_ends_only_its_episode(monkeypatch):
-    # the closed loop's failure rule: a ValueError from the solver ends the
+    # the closed loop's failure rule: an NmpcError from the solver ends the
     # episode as "error", and training goes on with the next episode
     original = controllers.control_step
     calls = []
@@ -112,7 +112,7 @@ def test_numeric_controller_failure_ends_only_its_episode(monkeypatch):
     def fails_on_third_call(*args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
-            raise ValueError("synthetic failure")
+            raise NmpcError("synthetic failure")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(controllers, "control_step", fails_on_third_call)
