@@ -16,18 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
-from .metrics import aggregate, offline_report, read_offline_dataset, write_report_csv, write_report_json
+from .metrics import MetricsReport, aggregate, offline_report, read_offline_dataset, write_report_json
 from .nmpc import NmpcConfig
 from .policy import CandidateSet, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
-from .sim import (
-    ScenarioFormatError,
-    load_scenario,
-    read_trial_log,
-    run_trial,
-    with_seed,
-    write_trial_log,
-)
-from .training import check_sensor_layout, initialize_network, train, write_training_log
+from .sim import ScenarioFormatError, StepRecord, load_scenario, read_trial_log, run_trial, with_seed, write_csv
+from .training import EpisodeRecord, check_sensor_layout, initialize_network, train
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -51,6 +44,15 @@ def _load_scenario(path):
         return load_scenario(path)
     except ScenarioFormatError as exc:
         raise CliError(str(exc)) from None
+
+
+def _load_scenario_set(raw_dir):
+    """Every .scn file of a directory, in name order; an empty set is an error."""
+    set_dir = Path(raw_dir)
+    paths = sorted(set_dir.glob("*.scn"))
+    if not paths:
+        raise CliError(f"no .scn scenarios found in {set_dir}")
+    return [_load_scenario(p) for p in paths]
 
 
 def _pipeline_from_file(path) -> PipelineConfig:
@@ -129,7 +131,7 @@ def _cmd_simulate(args) -> int:
         outcome = run_trial(scenario, controller, params, trial_index=trial, record_wall_clock=args.wall_clock)
         outcomes.append(outcome)
         name = f"trial_{trial:03d}.csv"
-        write_trial_log(out_dir / name, outcome)
+        write_csv(out_dir / name, StepRecord, outcome.log)
         files.append(name)
     manifest = {
         "method": args.method,
@@ -142,7 +144,7 @@ def _cmd_simulate(args) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     reports = aggregate({args.method: outcomes})
-    write_report_csv(out_dir / "report.csv", reports)
+    write_csv(out_dir / "report.csv", MetricsReport, reports)
     write_report_json(out_dir / "report.json", reports)
     statuses = manifest["statuses"]
     print(
@@ -166,11 +168,7 @@ def _train_config_from_file(path, seed) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    set_dir = Path(args.scenario_set)
-    paths = sorted(set_dir.glob("*.scn"))
-    if not paths:
-        raise CliError(f"no .scn scenarios found in {set_dir}")
-    suite = [_load_scenario(p) for p in paths]
+    suite = _load_scenario_set(args.scenario_set)
     cfg = _train_config_from_file(args.config, args.seed)
     pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else _default_training_pipeline()
     _check_periods(pipeline, suite)
@@ -183,7 +181,7 @@ def _cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net, suite[0][0].sensor, pipeline_meta=asdict(pipeline))
     log_path = out.with_suffix(out.suffix + ".log.csv")
-    write_training_log(log_path, log)
+    write_csv(log_path, EpisodeRecord, log)
     goals = sum(1 for rec in log if rec.status == "goal")
     print(f"trained {cfg.episodes} episodes ({goals} reached goal) -> {out}")
     return 0
@@ -221,13 +219,13 @@ def _write_report(raw_out, reports) -> None:
     out = _out_path(raw_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.suffix == ".csv":
-        write_report_csv(out, reports)
+        write_csv(out, MetricsReport, reports)
         print(f"wrote {out}")
     elif out.suffix == ".json":
         write_report_json(out, reports)
         print(f"wrote {out}")
     else:
-        write_report_csv(out.with_suffix(".csv"), reports)
+        write_csv(out.with_suffix(".csv"), MetricsReport, reports)
         write_report_json(out.with_suffix(".json"), reports)
         print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
 
@@ -262,11 +260,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    set_dir = Path(args.scenario_set)
-    paths = sorted(set_dir.glob("*.scn"))
-    if not paths:
-        raise CliError(f"no .scn scenarios found in {set_dir}")
-    suite = [_load_scenario(p) for p in paths]
+    suite = _load_scenario_set(args.scenario_set)
     pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
     _check_periods(pipeline, suite)
     outcomes_by_method: dict[str, list] = {}
@@ -284,7 +278,7 @@ def _cmd_compare(args) -> int:
     reports = aggregate(outcomes_by_method)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out, reports)
+    write_csv(out, MetricsReport, reports)
     for rep in reports:
         print(
             f"{rep.method}: crash {rep.crash_pct:.0f}% goal {rep.goal_pct:.0f}% "

@@ -2,11 +2,13 @@
 
 Every controller reads its horizon, period and actuator and rate bounds
 from one place: `PipelineConfig.nmpc` with the speed bound capped at the
-scenario's v_max. Both NMPC trackers solve under it, and the DWA window and
-the direct law plan within it, so benchmark comparisons stay fair. No
-controller projects the vehicle onto the route: each step receives the
-state's route arc length s from the closed loop, which the simulator
-computed when it reached that state. The controllers share one skeleton,
+scenario's v_max (`speed_capped`). Both NMPC trackers solve under it, and
+the DWA window and the direct law plan within it, so benchmark comparisons
+stay fair. The capped speed bound is also full speed, the scale of every
+logged width w and of the LVD scene speed. No controller projects the
+vehicle onto the route: each step receives the state's route arc length s
+from the closed loop, which the simulator computed when it reached that
+state. The controllers share one skeleton,
 `_BoundedController`: its reset starts a trial at rest with no warm start,
 and its `_track` runs one NMPC step and keeps the control it applied.
 """
@@ -32,14 +34,13 @@ class PipelineConfig:
     """Scene-adaptive tracking pipeline settings.
 
     nmpc holds the horizon, period, bounds and solver budget every
-    controller runs under; n_history and hidden_layers fix the shape of the
-    learned network. The mapping from a scene pair (c, w) to the desired
+    controller runs under; n_history is the memory window the learned
+    network reads. The mapping from a scene pair (c, w) to the desired
     trajectory, residual and gains is fixed in `scene`.
     """
 
     nmpc: NmpcConfig = NmpcConfig()
     n_history: int = 4
-    hidden_layers: tuple[int, ...] = (128, 64)
 
 
 def check_period(pipeline: PipelineConfig, params: ModelParams) -> None:
@@ -56,9 +57,10 @@ def check_period(pipeline: PipelineConfig, params: ModelParams) -> None:
         )
 
 
-def _speed_capped(nmpc_cfg: NmpcConfig, v_max: float) -> NmpcConfig:
-    """The shared bounds with the speed bound lowered to a scenario's v_max."""
-    u_max = ControlInput(min(nmpc_cfg.u_max.v_cmd, v_max), nmpc_cfg.u_max.omega_cmd)
+def speed_capped(nmpc_cfg: NmpcConfig, scenario: Scenario) -> NmpcConfig:
+    """The shared bounds with the speed bound lowered to the scenario's v_max;
+    that bound is the full speed every controller scales w by."""
+    u_max = ControlInput(min(nmpc_cfg.u_max.v_cmd, scenario.v_max), nmpc_cfg.u_max.omega_cmd)
     return replace(nmpc_cfg, u_max=u_max)
 
 
@@ -66,9 +68,9 @@ class _BoundedController:
     """Shared trial bookkeeping under the common rate limits.
 
     _limits is the pipeline's NMPC config with the speed bound capped at the
-    scenario's v_max. _u_prev is the control last applied, which anchors
-    the next step's rate bounds. _warm is the last NMPC solution's control
-    array, which seeds the next solve.
+    scenario's v_max; its u_max.v_cmd is full speed. _u_prev is the control
+    last applied, which anchors the next step's rate bounds. _warm is the
+    last NMPC solution's control array, which seeds the next solve.
     """
 
     def __init__(self, pipeline: PipelineConfig):
@@ -82,7 +84,7 @@ class _BoundedController:
         """Start a trial at rest with no warm start; a world period other than the controller's is a ValueError."""
         check_period(self.pipeline, params)
         self._scenario = scenario
-        self._limits = _speed_capped(self.pipeline.nmpc, scenario.v_max)
+        self._limits = speed_capped(self.pipeline.nmpc, scenario)
         self._u_prev = ControlInput(0.0, 0.0)
         self._warm = None
 
@@ -103,11 +105,12 @@ class _BoundedController:
 
 
 def lvd_desired_path(
-    route: Polyline, s0: float, dyn: SceneDynamics, state: VehicleState, cfg: NmpcConfig, v_max: float
+    route: Polyline, s0: float, dyn: SceneDynamics, state: VehicleState, cfg: NmpcConfig
 ) -> tuple[VehicleState, ...]:
-    """The desired trajectory of the scene pair dyn: the route slice ahead of
-    arc length s0 at the scene speed dyn.w * v_max, corrected by dyn."""
-    ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, max(dyn.w * v_max, 1e-6))
+    """The desired trajectory of the scene pair dyn under the capped bounds
+    cfg: the route slice ahead of arc length s0 at the scene speed
+    dyn.w * cfg.u_max.v_cmd, corrected by dyn."""
+    ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, max(dyn.w * cfg.u_max.v_cmd, 1e-6))
     return desired_trajectory(ref, dyn, state)
 
 
@@ -149,7 +152,7 @@ class LvdNmpcController(_BoundedController):
         self._memory.push(MemoryEntry(observation=obs, state=state))
         window = self._memory.window()
         route = self._scenario.route_polyline
-        ref_feat = reference_slice(route, s, cfg.tau_o, cfg.dt, self._scenario.v_max)
+        ref_feat = reference_slice(route, s, cfg.tau_o, cfg.dt, cfg.u_max.v_cmd)
         features = featurize(window, ref_feat, self._scenario.sensor.max_range_m)
         if self.action_source is not None:
             action = int(self.action_source(obs, features))
@@ -158,7 +161,7 @@ class LvdNmpcController(_BoundedController):
             action, dyn = select_dynamics(self.net, features, self.epsilon, self.rng)
         self.last_features = features
         self.last_action = action
-        z_d = lvd_desired_path(route, s, dyn, state, cfg, self._scenario.v_max)
+        z_d = lvd_desired_path(route, s, dyn, state, cfg)
         residual = residual_h(dyn, state.rho)
         return StepCommand(u=self._track(state, z_d, residual, gain_schedule(dyn)), c=dyn.c, w=dyn.w)
 
@@ -182,11 +185,12 @@ class DwaNmpcController(_BoundedController):
 
     def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         cfg = self._limits
+        v_full = cfg.u_max.v_cmd
         points = obstacle_points_from_observation(obs, state, self._scenario.sensor.max_range_m)
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
         tau_goal = max(cfg.tau_o, int(round(2.0 * DWA_HORIZON_S / cfg.dt)))
-        goal_xy, goal_rho = self._scenario.route_polyline.sample(s + self._scenario.v_max * cfg.dt * tau_goal)
+        goal_xy, goal_rho = self._scenario.route_polyline.sample(s + v_full * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
@@ -199,10 +203,10 @@ class DwaNmpcController(_BoundedController):
             )
         else:
             omega_plan = 0.0
-        self._u_plan = ControlInput(min(v_plan, cfg.u_max.v_cmd), omega_plan)
-        w = min(max(v_plan / self._scenario.v_max, 0.0), 1.0)
+        self._u_plan = ControlInput(min(v_plan, v_full), omega_plan)
+        w = min(max(v_plan / v_full, 0.0), 1.0)
         try:
-            c = dynamics_from_trajectory(plan, min(v_plan, self._scenario.v_max), self._scenario.v_max).c
+            c = dynamics_from_trajectory(plan, min(v_plan, v_full), v_full).c
         except ValueError:
             c = 0.0
         return StepCommand(u=self._track(state, plan, None, self._gains), c=c, w=w)
@@ -215,5 +219,5 @@ class DirectController(_BoundedController):
         u = direct_policy_step(obs, self._limits, self._u_prev)
         self._u_prev = u
         c = math.sin(u.omega_cmd) / self._limits.wheelbase_L
-        w = min(max(u.v_cmd / self._scenario.v_max, 0.0), 1.0)
+        w = min(max(u.v_cmd / self._limits.u_max.v_cmd, 0.0), 1.0)
         return StepCommand(u=u, c=c, w=w)

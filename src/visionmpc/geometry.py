@@ -60,9 +60,6 @@ class Polyline:
     def point_at(self, s: float) -> tuple[float, float]:
         return tuple(self.sample(s)[0][0].tolist())
 
-    def heading_at(self, s: float) -> float:
-        return float(self.sample(s)[1][0])
-
     def project(self, point) -> tuple[float, float]:
         """Closest point on the path to `point`.
 

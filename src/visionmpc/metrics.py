@@ -17,21 +17,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .scene import fit_curvature
-from .sim import TrialOutcome, csv_cell
+from .sim import TrialOutcome
 from .vehicle import VehicleState
-
-REPORT_COLUMNS = (
-    "method",
-    "crash_pct",
-    "goal_pct",
-    "avg_speed_mps",
-    "e_xy_mean",
-    "e_xy_std",
-    "e_c_mean",
-    "e_c_std",
-    "processing_ms_mean",
-    "timeout_pct",
-)
 
 REPORT_NOTES = (
     "e_xy normalization m = number of summed samples; "
@@ -53,18 +40,18 @@ class OfflineRecord:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One benchmark-table row."""
+    """One benchmark-table row; its fields in order are the report columns."""
 
     method: str
     crash_pct: float
     goal_pct: float
-    timeout_pct: float
     avg_speed_mps: float
     e_xy_mean: float
     e_xy_std: float
     e_c_mean: float
     e_c_std: float
     processing_ms_mean: float
+    timeout_pct: float
 
 
 def e_xy(records: Sequence[OfflineRecord]) -> float:
@@ -149,24 +136,16 @@ def aggregate(outcomes_by_method: Mapping[str, Sequence[TrialOutcome]]) -> list[
                 method=method,
                 crash_pct=100.0 * crash / n,
                 goal_pct=100.0 * goal / n,
-                timeout_pct=100.0 * timeout / n,
                 avg_speed_mps=float(np.mean(speeds)) if speeds else 0.0,
                 e_xy_mean=float(np.mean(exy_values)) if exy_values else 0.0,
                 e_xy_std=_sample_std(exy_values),
                 e_c_mean=float(np.mean(ec_values)) if ec_values else 0.0,
                 e_c_std=_sample_std(ec_values),
                 processing_ms_mean=float(np.mean(solve_times)) if solve_times else 0.0,
+                timeout_pct=100.0 * timeout / n,
             )
         )
     return reports
-
-
-def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for rep in reports:
-            writer.writerow([csv_cell(getattr(rep, name)) for name in REPORT_COLUMNS])
 
 
 def write_report_json(path, reports: Sequence[MetricsReport]) -> None:

@@ -3,7 +3,7 @@ driven path, and the reconstructed desired path at three instants."""
 
 from pathlib import Path
 
-from .controllers import PipelineConfig, lvd_desired_path
+from .controllers import PipelineConfig, lvd_desired_path, speed_capped
 from .geometry import offset_polyline
 from .scene import SceneDynamics
 from .sim import Scenario, TrialOutcome
@@ -69,13 +69,14 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
         canvas.polyline([(rec.x_m, rec.y_m) for rec in outcome.log], "#2266cc", width=2.5)
         # desired path reconstructed from the logged scene pair at 3 instants
         n = len(outcome.log)
+        limits = speed_capped(pipeline.nmpc, scenario)
         for frac in (0.25, 0.5, 0.75):
             rec = outcome.log[min(int(frac * n), n - 1)]
             state = VehicleState(rec.x_m, rec.y_m, rec.rho_rad)
             try:
                 dyn = SceneDynamics(rec.c, min(max(rec.w, 0.0), 1.0))
                 s0, _ = route.project((state.x, state.y))
-                z_d = lvd_desired_path(route, s0, dyn, state, pipeline.nmpc, scenario.v_max)
+                z_d = lvd_desired_path(route, s0, dyn, state, limits)
                 canvas.polyline([(z.x, z.y) for z in z_d], "#22aa55", width=1.5, dash="3,3")
             except ValueError:
                 continue

@@ -24,7 +24,11 @@ from .scene import SceneDynamics
 from .sim import RaySensorConfig
 from .vehicle import VehicleState
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
+
+# hidden layer widths of every network `training.initialize_network` builds;
+# a network's shape is its layer_sizes, so a checkpoint stores it once
+HIDDEN_LAYERS = (128, 64)
 
 # reward per step: progress along the route minus the absolute lateral
 # offset, both in meters, and the terminal crash penalty and goal bonus
@@ -56,7 +60,7 @@ def _decode(default, value):
     if is_dataclass(default):
         return config_from_dict(default, value)
     if isinstance(default, tuple):
-        return tuple(_decode(default[0], v) for v in value) if default else tuple(value)
+        return tuple(_decode(default[0], v) for v in value)
     if isinstance(default, (int, float)):
         return type(default)(value)
     return value
@@ -176,15 +180,11 @@ class QNetwork:
         )
 
     def forward(self, s: np.ndarray) -> np.ndarray:
+        """Action values of one feature vector: forward_batch on one row."""
         a = np.asarray(s, dtype=float)
         if a.shape != (self.layer_sizes[0],):
             raise ValueError(f"feature dimension {a.shape} differs from input size {self.layer_sizes[0]}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = w @ a + b
-            if i != last:
-                a = np.maximum(a, 0.0)
-        return a
+        return self.forward_batch(a[None])[0][0]
 
     def forward_batch(self, S: np.ndarray):
         """Batched forward pass; returns (outputs, pre-activation cache)."""
@@ -332,8 +332,9 @@ def _sensor_hash(sensor: RaySensorConfig) -> str:
 
 
 def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline_meta: dict) -> None:
-    """Write the network, candidate grid, and the pipeline (as
-    `dataclasses.asdict` gives it) and sensor it was trained with as JSON."""
+    """Write the network (its layer_sizes are its shape), candidate grid,
+    and the pipeline (as `dataclasses.asdict` gives it) and sensor it was
+    trained with as JSON."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": list(net.layer_sizes),

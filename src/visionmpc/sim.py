@@ -28,8 +28,9 @@ Scenario file format (one `key value...` statement per line, `#` comments):
 
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
 it for evaluation and `training.train` learns from it. Trial logs are CSV
-with one column per `StepRecord` field, in field order (`LOG_COLUMNS`);
-each row holds the state reached after applying the logged control.
+with one column per `StepRecord` field, in field order (`LOG_COLUMNS`),
+written by `write_csv`, the writer of every record CSV; each row holds the
+state reached after applying the logged control.
 """
 
 import csv
@@ -370,17 +371,22 @@ def run_trial(
     return TrialOutcome(status=world.status, steps=len(records), log=tuple(records), scenario=scenario)
 
 
-def write_trial_log(path, outcome: TrialOutcome) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for rec in outcome.log:
-            writer.writerow([csv_cell(getattr(rec, name)) for name in LOG_COLUMNS])
-
-
 def csv_cell(value) -> str:
     """CSV text of a record value: floats by repr, so they read back bit-exact."""
     return value if isinstance(value, str) else repr(value)
+
+
+def write_csv(path, record_type, records) -> None:
+    """CSV of records of the dataclass record_type: a header of its field
+    names, then one row per record, its fields in field order through
+    csv_cell. Trial logs, training logs and report tables are all written
+    here."""
+    columns = [f.name for f in fields(record_type)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([csv_cell(getattr(rec, name)) for name in columns])
 
 
 def read_trial_log(path, scenario: Scenario) -> TrialOutcome:

@@ -15,9 +15,8 @@ so the value function sees successful avoidance maneuvers before
 epsilon-greedy exploration takes over.
 """
 
-import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .controllers import LvdNmpcController, PipelineConfig
 from .memory import Observation
 from .policy import (
+    HIDDEN_LAYERS,
     CandidateSet,
     QNetwork,
     ReplayBuffer,
@@ -35,7 +35,7 @@ from .policy import (
     train_step,
 )
 # sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
-from .sim import Scenario, closed_loop, csv_cell, make_world, ray_bearings, sense, sim_step  # noqa: F401
+from .sim import Scenario, closed_loop, make_world, ray_bearings, sense, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -57,7 +57,7 @@ def initialize_network(
     rng: np.random.Generator,
 ) -> QNetwork:
     n_inputs = input_size(pipeline.n_history, suite[0][0].sensor.n_rays, pipeline.nmpc.tau_o)
-    return QNetwork.initialize((n_inputs, *pipeline.hidden_layers, len(candidates)), candidates, rng)
+    return QNetwork.initialize((n_inputs, *HIDDEN_LAYERS, len(candidates)), candidates, rng)
 
 
 # the demonstration chooser's front cone (+-14 deg) counts as blocked
@@ -185,13 +185,3 @@ def train(
             )
         )
     return net, log
-
-
-def write_training_log(path, log: Sequence[EpisodeRecord]) -> None:
-    """CSV with one column per EpisodeRecord field, in field order."""
-    columns = [f.name for f in fields(EpisodeRecord)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in log:
-            writer.writerow([csv_cell(getattr(rec, name)) for name in columns])

@@ -12,7 +12,7 @@ from visionmpc import cli
 from visionmpc.cli import _build_controller, _default_training_pipeline, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
 from visionmpc.policy import CandidateSet, QNetwork, input_size, save_checkpoint
-from visionmpc.sim import RaySensorConfig, load_scenario, run_trial, write_trial_log
+from visionmpc.sim import RaySensorConfig, StepRecord, load_scenario, run_trial, write_csv
 from visionmpc.training import train
 
 
@@ -313,7 +313,7 @@ class TestCheckpointReload:
         ) == 0
         scenario, params = load_scenario(scenario_file)
         outcome = run_trial(scenario, LvdNmpcController(trained["net"], trained["pipeline"]), params)
-        write_trial_log(tmp_path / "in_memory.csv", outcome)
+        write_csv(tmp_path / "in_memory.csv", StepRecord, outcome.log)
         assert (tmp_path / "sim" / "trial_000.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
 
     def test_checkpoint_for_another_sensor_range_is_rejected(self, tmp_path, capsys):

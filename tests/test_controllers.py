@@ -10,6 +10,7 @@ from visionmpc import controllers
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
+from visionmpc.scene import SceneDynamics
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
@@ -99,6 +100,41 @@ class TestControllersRespectSharedBounds:
         assert_bounds_and_rates(outcome, capped)
 
 
+# the README's example pipeline: a speed bound below every bundled scenario's v_max
+CAPPED_PIPELINE = PipelineConfig(nmpc=NmpcConfig(u_max=ControlInput(0.8, 0.35)))
+
+
+def straight_corridor():
+    with resources.as_file(resources.files("visionmpc.scenarios") / "straight_corridor.scn") as path:
+        return load_scenario(path)
+
+
+class TestFullSpeedIsTheCappedBound:
+    """Full speed, the scale of w, is min(nmpc.u_max.v_cmd, v_max) for every method."""
+
+    def test_lvd_path_at_full_width_is_spaced_by_the_capped_speed(self):
+        scenario, _ = straight_corridor()
+        cfg = controllers.speed_capped(CAPPED_PIPELINE.nmpc, scenario)
+        z_d = controllers.lvd_desired_path(scenario.route_polyline, 0.0, SceneDynamics(0.0, 1.0), scenario.start, cfg)
+        steps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(z_d, z_d[1:])]
+        assert len(steps) == cfg.tau_o - 1
+        assert steps == pytest.approx([0.8 * cfg.dt] * len(steps), rel=1e-12)
+
+    def test_dwa_logs_full_width_at_the_capped_speed(self):
+        scenario, params = straight_corridor()
+        outcome = run_trial(scenario, DwaNmpcController(CAPPED_PIPELINE), params)
+        assert max(rec.v_cmd for rec in outcome.log) <= 0.8
+        assert max(rec.w for rec in outcome.log) == pytest.approx(1.0, abs=1e-6)
+
+    def test_direct_logs_its_speed_over_the_capped_bound(self):
+        # the direct law's fastest command here is 2.1e-6 m/s short of the cap,
+        # so its largest w is 1 - 2.7e-6
+        scenario, params = straight_corridor()
+        outcome = run_trial(scenario, DirectController(CAPPED_PIPELINE), params)
+        assert all(rec.w == min(max(rec.v_cmd / 0.8, 0.0), 1.0) for rec in outcome.log)
+        assert max(rec.w for rec in outcome.log) == pytest.approx(1.0, abs=1e-5)
+
+
 class TestSafeStop:
     def test_next_step_is_rate_bounded_from_the_safe_stop(self, monkeypatch):
         # the safe stop replaces the failed step's control, so the step after
@@ -114,8 +150,7 @@ class TestSafeStop:
             return original(*args)
 
         monkeypatch.setattr(controllers, "direct_policy_step", fails_on_tenth_call)
-        with resources.as_file(resources.files("visionmpc.scenarios") / "straight_corridor.scn") as path:
-            scenario, params = load_scenario(path)
+        scenario, params = straight_corridor()
         pipeline = PipelineConfig()
         outcome = run_trial(scenario, DirectController(pipeline), params)
         assert [rec.event for rec in outcome.log].index("controller_error") == 9
@@ -188,5 +223,4 @@ class TestCheckpointPipelineRoundTrip:
         assert rebuilt.nmpc.tau_o == 9
         assert rebuilt.nmpc.dt == 0.04
         assert rebuilt.nmpc.e_max == 0.4
-        assert rebuilt.hidden_layers == pipeline.hidden_layers
         assert rebuilt == pipeline

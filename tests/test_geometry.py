@@ -34,9 +34,9 @@ class TestPolyline:
         assert poly.point_at(3.0) == pytest.approx((3.0, 0.0))
         assert poly.point_at(5.0) == pytest.approx((3.0, 2.0))
         assert poly.point_at(99.0) == pytest.approx((3.0, 4.0))
-        assert poly.heading_at(1.0) == 0.0
+        assert poly.sample(1.0)[1][0] == 0.0
         # at the vertex the later segment owns the tangent
-        assert poly.heading_at(3.0) == pytest.approx(math.pi / 2)
+        assert poly.sample(3.0)[1][0] == pytest.approx(math.pi / 2)
 
     def test_sample_is_array_form_of_arc_length_queries(self):
         poly = Polyline([(0, 0), (3, 0), (3, 4)])

@@ -12,10 +12,9 @@ from visionmpc.metrics import (
     e_xy,
     offline_report,
     read_offline_dataset,
-    write_report_csv,
 )
 from visionmpc.scene import SceneDynamics, project_path
-from visionmpc.sim import RaySensorConfig, Scenario, StepRecord, TrialOutcome
+from visionmpc.sim import RaySensorConfig, Scenario, StepRecord, TrialOutcome, write_csv
 from visionmpc.vehicle import VehicleState
 
 
@@ -220,7 +219,7 @@ def test_report_csv_column_order(tmp_path):
         processing_ms_mean=12.0,
     )
     path = tmp_path / "report.csv"
-    write_report_csv(path, [rep])
+    write_csv(path, MetricsReport, [rep])
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     assert header == [

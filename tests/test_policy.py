@@ -321,9 +321,12 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, asdict(PIPELINE))
         payload = json.loads(path.read_text())
+        assert payload["format_version"] == 6
         assert set(payload) == {
             "format_version", "layer_sizes", "weights", "biases", "candidates", "pipeline", "sensor", "sensor_hash",
         }
+        # the network's shape is stored once, as its layer sizes
+        assert set(payload["pipeline"]) == {"nmpc", "n_history"}
         assert payload["sensor"] == asdict(SENSOR)
         assert payload["pipeline"]["n_history"] == 2 and payload["pipeline"]["nmpc"]["tau_o"] == 3
 
@@ -340,17 +343,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_refuses_older_versions(self, tmp_path, version):
         # v1 stored part of the pipeline; a v2 pipeline block names scene
         # settings that are now constants; a v3 file may hold no pipeline;
-        # a v4 file stores n_history and tau_o a second time, in its feature block
+        # a v4 file stores n_history and tau_o a second time, in its feature
+        # block; a v5 pipeline block stores the hidden layers beside layer_sizes
         path = tmp_path / "net.json"
         save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, asdict(PIPELINE))
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 5"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 6"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("stored", ["absent", None, {}])
@@ -435,10 +439,11 @@ class TestConfigFromDict:
         assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):
-        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "nmpc": {"e_max": 1}, "hidden_layers": [8, 4.0]})
+        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "nmpc": {"e_max": 1}})
         assert type(cfg.n_history) is int and cfg.n_history == 3
         assert type(cfg.nmpc.e_max) is float and cfg.nmpc.e_max == 1.0
-        assert cfg.hidden_layers == (8, 4) and all(type(h) is int for h in cfg.hidden_layers)
+        grid = config_from_dict(CandidateSet.grid(), {"c_values": [-1, 0.5, 1]})
+        assert grid.c_values == (-1.0, 0.5, 1.0) and all(type(c) is float for c in grid.c_values)
 
     def test_validation_still_runs(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from visionmpc.sim import (
     Scenario,
     ScenarioFormatError,
     StepCommand,
+    StepRecord,
     TrialOutcome,
     closed_loop,
     in_goal,
@@ -24,7 +25,7 @@ from visionmpc.sim import (
     run_trial,
     sense,
     sim_step,
-    write_trial_log,
+    write_csv,
 )
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
@@ -163,9 +164,9 @@ class TestReferenceSlice:
         for i in range(1, 101):
             s = min(s0 + 0.7 * 0.05 * i, route.length)
             x, y = route.point_at(s)
-            want.append(VehicleState(x, y, route.heading_at(s)))
+            want.append(VehicleState(x, y, float(route.sample(s)[1][0])))
         assert out == want
-        assert out[-1] == VehicleState(1.2, 2.0, route.heading_at(route.length))  # past the end
+        assert out[-1] == VehicleState(1.2, 2.0, float(route.sample(route.length)[1][0]))  # past the end
 
     def test_v_ref_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -329,7 +330,7 @@ class TestLogRoundTrip:
         scenario = corridor()
         outcome = run_trial(scenario, _ConstantController(ControlInput(1.0, 0.01)), ModelParams(sigma_f=0.003))
         path = tmp_path / "trial.csv"
-        write_trial_log(path, outcome)
+        write_csv(path, StepRecord, outcome.log)
         back = read_trial_log(path, scenario)
         assert back.status == outcome.status
         assert back.log == outcome.log

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from visionmpc import controllers
-from visionmpc.controllers import PipelineConfig
+from visionmpc.controllers import DirectController, PipelineConfig
+from visionmpc.metrics import MetricsReport, aggregate
 from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, TrainConfig
-from visionmpc.sim import Obstacle, RaySensorConfig, Scenario
-from visionmpc.sim import csv_cell
-from visionmpc.training import EpisodeRecord, initialize_network, train, write_training_log
+from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, StepRecord, csv_cell, run_trial, write_csv
+from visionmpc.training import EpisodeRecord, initialize_network, train
 from visionmpc.vehicle import ModelParams, VehicleState
 
 
@@ -126,12 +126,28 @@ def test_episode_starting_in_goal_takes_no_step():
     assert [(rec.status, rec.steps, rec.ret) for rec in log] == [("goal", 0, 0.0)]
 
 
-def test_training_log_columns_are_the_record_fields(tmp_path):
-    _, log = train([(tiny_scenario(), ModelParams())], tiny_config(), tiny_pipeline())
-    path = tmp_path / "train.log.csv"
-    write_training_log(path, log)
+def _training_log():
+    return EpisodeRecord, train([(tiny_scenario(), ModelParams())], tiny_config(), tiny_pipeline())[1]
+
+
+def _trial_log():
+    return StepRecord, run_trial(tiny_scenario(), DirectController(tiny_pipeline()), ModelParams()).log
+
+
+def _report():
+    outcome = run_trial(tiny_scenario(), DirectController(tiny_pipeline()), ModelParams())
+    return MetricsReport, aggregate({"direct": [outcome], "again": [outcome]})
+
+
+@pytest.mark.parametrize("records", [_training_log, _trial_log, _report], ids=["training_log", "trial_log", "report"])
+def test_csv_columns_are_the_record_fields(tmp_path, records):
+    # training logs, trial logs and report tables share one writer
+    record_type, rows_in = records()
+    path = tmp_path / "out.csv"
+    write_csv(path, record_type, rows_in)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    names = [f.name for f in fields(EpisodeRecord)]
+    names = [f.name for f in fields(record_type)]
     assert rows[0] == names
-    assert rows[1:] == [[csv_cell(getattr(rec, name)) for name in names] for rec in log]
+    assert len(rows) > 2
+    assert rows[1:] == [[csv_cell(getattr(rec, name)) for name in names] for rec in rows_in]
