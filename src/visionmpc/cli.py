@@ -135,7 +135,8 @@ def _cmd_simulate(args) -> int:
         files.append(name)
     manifest = {
         "method": args.method,
-        "scenario": str(args.scenario),
+        # absolute, so evaluate finds the scenario from any working directory
+        "scenario": str(Path(args.scenario).resolve()),
         "scenario_name": scenario.name,
         "seed": scenario.seed,
         "trials": files,

@@ -3,17 +3,27 @@
 Single-shooting transcription: the decision variables are the control
 sequence, the predicted states come from rolling the nominal model plus a
 constant residual increment forward. Actuator and rate bounds and a soft
-cross-track corridor enter as quadratic penalties; the penalized objective
-is minimized with BFGS and a backtracking line search, and the final
-controls are projected exactly onto the actuator and rate bounds.
+cross-track corridor enter as squared-hinge penalties of one weight,
+PENALTY_WEIGHT, and the final controls are projected exactly onto the
+actuator and rate bounds.
+
+The penalized objective is minimized by Gauss-Newton iterations (the
+real-time iteration of Diehl, Bock and Schloeder, SIAM J. Control Optim.
+2005, here run to a stop rule). Each iteration builds a convex model: the
+tracking errors linearized through their exact Jacobian, the input term
+exact, and every hinge a squared hinge of its linearized argument. A
+semismooth Newton loop minimizes that model, and an Armijo backtracking
+step on the true cost accepts its minimizer. The NmpcConfig stop fields keep
+their meaning: grad_tol bounds the largest gradient component (meeting it
+sets NmpcSolution.converged), f_tol the relative cost decrease of an
+iteration, and max_iters caps the iterations.
 
 Each objective evaluation is one numpy forward pass over the horizon; the
-gradient comes from the adjoint of that same pass, so the line search's
-accepted trial supplies the next gradient without a second rollout. Only
-the wrapped heading recursion runs as a Python loop. The array code repeats
-the per-step recurrence's floating-point operations in their order, so
-costs, gradients and iterates are bit-identical to a scalar loop (the
-reference kept in tests/test_nmpc.py).
+gradient comes from the adjoint of that same pass and the Jacobian from
+prefix sums over it. Only the wrapped heading recursion runs as a Python
+loop. The array code repeats the per-step recurrence's floating-point
+operations in their order, so costs and gradients are bit-identical to a
+scalar loop (the reference kept in tests/test_nmpc.py).
 
 A solution is the flat control array [v0, omega0, v1, omega1, ...] the
 solver works in, with its cost and solver diagnostics; a receding-horizon
@@ -34,8 +44,15 @@ from .vehicle import ControlInput, VehicleState, rollout  # noqa: F401
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
-# weight of the first penalty round; solve doubles it for each further round
+# weight of the squared hinge penalties on the actuator, rate and corridor
+# bounds; every solve uses it as it is, with no rounds that raise it
 PENALTY_WEIGHT = 1e3
+# Levenberg damping of the Gauss-Newton model: it keeps the model's curvature
+# positive along controls that move nothing the cost sees, such as the
+# steering of a car at rest under r = 0
+_DAMPING = 1e-9
+# cap on the semismooth Newton steps that minimize one model
+_INNER_ITERS = 8
 
 
 @dataclass(frozen=True)
@@ -45,7 +62,9 @@ class NmpcConfig:
     Rate bounds are per second; both rate intervals must contain zero so a
     held control is always feasible. The cross-track corridor [e_min, e_max]
     is soft (penalty only); actuator and rate bounds are hard. The solver
-    defaults are the ones every pipeline runs.
+    stops when the largest gradient component is below grad_tol, when an
+    iteration lowers the cost by no more than f_tol relative to it, or after
+    max_iters iterations; its defaults are the ones every pipeline runs.
     """
 
     tau_o: int = 20
@@ -75,7 +94,7 @@ class NmpcConfig:
         if self.e_min >= self.e_max:
             raise ValueError("e_min must be below e_max")
         if self.max_iters < 1 or self.grad_tol <= 0.0 or self.f_tol < 0.0:
-            raise ValueError("max_iters, grad_tol, f_tol must be positive")
+            raise ValueError("max_iters must be at least 1, grad_tol positive and f_tol non-negative")
 
     def reachable(self, u_prev: ControlInput) -> tuple[tuple[float, float], tuple[float, float]]:
         """((v_lo, v_hi), (omega_lo, omega_hi)): the controls inside the
@@ -132,6 +151,15 @@ def tracking_cost(
     return total
 
 
+def _hinges(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Signed excesses max(0, z - hi) - max(0, lo - z), zero inside [lo, hi].
+
+    np.maximum(a, 0.0) turns -0.0 into 0.0 as Python's max(0.0, a) does,
+    while np.maximum(0.0, a) keeps -0.0.
+    """
+    return np.maximum(z - hi, 0.0) - np.maximum(lo - z, 0.0)
+
+
 class _Problem:
     """Penalized single-shooting objective with analytic gradient.
 
@@ -173,16 +201,16 @@ class _Problem:
         # rate k is taken against control k-1, the first against u_prev
         self.box = np.empty(2 + 5 * T)
         self.box[:2] = u_prev.v_cmd, u_prev.omega_cmd
-        self.lo = np.concatenate((
-            np.tile((cfg.u_min.v_cmd, cfg.u_min.omega_cmd), T),
-            np.tile((cfg.du_min.v_cmd, cfg.du_min.omega_cmd), T),
-            np.full(T, cfg.e_min),
-        ))
-        self.hi = np.concatenate((
-            np.tile((cfg.u_max.v_cmd, cfg.u_max.omega_cmd), T),
-            np.tile((cfg.du_max.v_cmd, cfg.du_max.omega_cmd), T),
-            np.full(T, cfg.e_max),
-        ))
+        self.lo = np.array(
+            (cfg.u_min.v_cmd, cfg.u_min.omega_cmd) * T + (cfg.du_min.v_cmd, cfg.du_min.omega_cmd) * T + (cfg.e_min,) * T
+        )
+        self.hi = np.array(
+            (cfg.u_max.v_cmd, cfg.u_max.omega_cmd) * T + (cfg.du_max.v_cmd, cfg.du_max.omega_cmd) * T + (cfg.e_max,) * T
+        )
+        # step[j] is the horizon step of flat control j; predicted state
+        # k + 1 depends on control j where causal[k, j] holds
+        self.step = np.arange(2 * T) // 2
+        self.causal = np.arange(T)[:, None] >= self.step
 
     def value(self, u: np.ndarray) -> float:
         return self.forward(u)[0]
@@ -218,11 +246,7 @@ class _Problem:
         box[2:n + 2] = u
         np.divide(box[2:n + 2] - box[:n], dt, out=box[n + 2:-T])
         np.add(self.lat[0] * e[0], self.lat[1] * e[1], out=box[-T:])
-        # signed excess max(0, x - hi) - max(0, lo - x); np.maximum(a, 0.0)
-        # turns -0.0 into 0.0 as Python's max(0.0, a) does, while
-        # np.maximum(0.0, a) keeps -0.0
-        x = box[2:]
-        h = np.maximum(x - self.hi, 0.0) - np.maximum(self.lo - x, 0.0)
+        h = _hinges(box[2:], self.lo, self.hi)
         # per-step terms in the order a loop adds them: tracking and input,
         # actuator, corridor for each step, then the rate terms
         sq = h[:-T] * h[:-T]
@@ -266,6 +290,37 @@ class _Problem:
         grad[:-2] -= d_rate[2:]
         return grad
 
+    def jacobian(self, fwd) -> np.ndarray:
+        """Jacobian of the tracking errors at the point of a forward() pass.
+
+        Returns a (3, T, 2T) array whose [0, k], [1, k] and [2, k] rows are
+        the derivatives of the x, y and heading errors of predicted state
+        k + 1 in the flat controls. Control j moves its own step's
+        displacement, and turns every later heading by a_j, the derivative
+        of its heading increment; a heading change at step i turns that
+        step's displacement by dt v_i (-sin, cos) of its heading, so the
+        sum over the steps j < i <= k is a difference of prefix sums. The
+        heading wrap has derivative one.
+        """
+        u, sw, trig, _, _, _ = fwd
+        T, dt, L = self.T, self.dt, self.L
+        v, w = u[0::2], u[1::2]
+        a = np.empty(2 * T)
+        a[0::2] = dt * sw / L
+        a[1::2] = dt * v * np.cos(w) / L
+        own = np.empty((2, 2 * T))
+        np.multiply(dt, trig, out=own[:, 0::2])
+        turn = own[:, 1::2]
+        np.multiply(dt * v, trig[::-1], out=turn)
+        turn[0] *= -1.0
+        turned = np.cumsum(turn, axis=1)
+        jac = np.empty((3, T, 2 * T))
+        np.multiply(turned[:, :, None], a, out=jac[:2])
+        jac[:2] += (own - a * turned[:, self.step])[:, None, :]
+        jac[2] = a
+        jac *= self.causal
+        return jac
+
 
 def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: ControlInput) -> np.ndarray:
     """Project a control sequence onto actuator bounds and the rate chain from u_prev.
@@ -275,113 +330,235 @@ def _clip_chain(u: np.ndarray, cfg: NmpcConfig, u_prev: ControlInput) -> np.ndar
     can differ from v in the last bit, and the solver's iterates follow
     that rounding.
     """
-    out = u.copy()
     dt = cfg.dt
-    pv, pw = u_prev.v_cmd, u_prev.omega_cmd
-    for k in range(cfg.tau_o):
-        v = out[2 * k]
-        w = out[2 * k + 1]
-        v = pv + min(max(v - pv, cfg.du_min.v_cmd * dt), cfg.du_max.v_cmd * dt)
-        w = pw + min(max(w - pw, cfg.du_min.omega_cmd * dt), cfg.du_max.omega_cmd * dt)
-        v = min(max(v, cfg.u_min.v_cmd), cfg.u_max.v_cmd)
-        w = min(max(w, cfg.u_min.omega_cmd), cfg.u_max.omega_cmd)
-        out[2 * k] = v
-        out[2 * k + 1] = w
-        pv, pw = v, w
-    return out
+    dv_lo, dv_hi = cfg.du_min.v_cmd * dt, cfg.du_max.v_cmd * dt
+    dw_lo, dw_hi = cfg.du_min.omega_cmd * dt, cfg.du_max.omega_cmd * dt
+    v_lo, v_hi = cfg.u_min.v_cmd, cfg.u_max.v_cmd
+    w_lo, w_hi = cfg.u_min.omega_cmd, cfg.u_max.omega_cmd
+    out = u.tolist()
+    pv, pw = float(u_prev.v_cmd), float(u_prev.omega_cmd)
+    for k in range(0, len(out), 2):
+        v = pv + min(max(out[k] - pv, dv_lo), dv_hi)
+        w = pw + min(max(out[k + 1] - pw, dw_lo), dw_hi)
+        pv = out[k] = min(max(v, v_lo), v_hi)
+        pw = out[k + 1] = min(max(w, w_lo), w_hi)
+    return np.array(out)
 
 
-def _violation(fwd) -> float:
-    """Worst constraint excess of a forward() pass: actuator, rate, and corridor.
+def _line_minimum(slope: float, curv: float, z, c, lo, hi, pw: float) -> float:
+    """Exact minimizer beta >= 0 of the model along a direction.
 
-    A hinge is the signed excess over its bound, so its magnitude is the
-    violation.
+    Along the line, the model's derivative is slope + curv * beta from the
+    quadratic part plus pw * sum c_i * hinge_i(z_i + beta * c_i): piecewise
+    linear and nondecreasing, with a kink where a hinge argument meets a
+    bound. Each kink adds or removes one hinge's share of intercept and
+    slope, so running totals over the sorted kinks give the derivative on
+    every segment, and the minimum is the zero of the segment where it
+    turns nonnegative.
     """
-    return max(0.0, float(np.abs(fwd[-1]).max()))
+    # hinges active just past beta = 0: outside a bound, or on it and leaving
+    above = (z > hi) | ((z == hi) & (c > 0.0))
+    below = (z < lo) | ((z == lo) & (c < 0.0))
+    active = above | below
+    cc = pw * c
+    a = slope + float(cc[active] @ (z - np.where(above, hi, lo))[active])
+    b = curv + float(cc[active] @ c[active])
+    if a >= 0.0:
+        return 0.0
+    moving = np.flatnonzero(c)
+    cm, zm, ccm = c[moving], z[moving], cc[moving]
+    # each moving argument has a kink at hi, then one at lo; a rising
+    # argument enters the upper hinge at hi and leaves the lower one at lo,
+    # a falling one does the opposite
+    rising = np.where(cm > 0.0, 1.0, -1.0)
+    sign = np.concatenate((rising, -rising))
+    edge = np.concatenate((hi[moving], lo[moving]))
+    cm, zm, ccm = np.concatenate((cm, cm)), np.concatenate((zm, zm)), np.concatenate((ccm, ccm))
+    kink = (edge - zm) / cm
+    d_a = sign * ccm * (zm - edge)
+    d_b = sign * (ccm * cm)
+    ahead = np.flatnonzero(kink > 0.0)
+    ahead = ahead[np.argsort(kink[ahead], kind="stable")]
+    kink = kink[ahead]
+    seg_a = np.concatenate(([a], a + np.cumsum(d_a[ahead])))
+    seg_b = np.concatenate(([b], b + np.cumsum(d_b[ahead])))
+    turned = np.flatnonzero(seg_a[:-1] + seg_b[:-1] * kink >= 0.0)
+    seg = int(turned[0]) if turned.size else kink.size
+    return -seg_a[seg] / seg_b[seg]
 
 
-def _update_inverse_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray, rho: float) -> None:
-    """BFGS update of the inverse Hessian H, in place:
-    H - rho (s Hy' + Hy s') + rho (rho y'Hy + 1) s s', rounded as that
-    expression evaluates left to right."""
-    Hy = H @ y
-    sHy = s[:, None] * Hy
-    sym = sHy + sHy.T
-    sym *= rho
-    H -= sym
-    ss = s[:, None] * s
-    ss *= rho * (rho * float(y @ Hy) + 1.0)
-    H += ss
+class _GaussNewtonModel:
+    """Convex model of the penalized objective around an iterate u, in the step d.
 
-
-def _bfgs(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_tol: float = 0.0):
-    """Minimize with BFGS + Armijo backtracking; accepted costs never increase.
-
-    Stops on gradient tolerance, iteration budget, a stalled line search, or
-    a relative cost decrease below f_tol (penalty walls make the last digits
-    of the optimum expensive and worthless for control). Returns the final
-    iterate, its forward() pass, the iteration count and whether the
-    gradient tolerance was met. The line search's accepted pass supplies the
-    next gradient, so each iteration runs one rollout per trial step.
+    The tracking errors become e + J d with J their exact Jacobian, the
+    input term stays exact, and each hinge keeps its squared-hinge form of
+    a linearized argument z0 + A d: the actuator and rate arguments are
+    linear in u already, and the cross-track offset uses its Jacobian. The
+    model is piecewise quadratic; the damping term _DAMPING * |d|^2 keeps
+    it strictly convex.
     """
-    x = x0.copy()
+
+    def __init__(self, problem: _Problem, fwd):
+        T, n = problem.T, 2 * problem.T
+        u, _, _, e, er, _ = fwd
+        jac = problem.jacobian(fwd)
+        flat = jac.reshape(3 * T, n)
+        q, r = problem.q, problem.r
+        self.problem = problem
+        # half the model's Hessian and gradient at d = 0, hinges aside
+        self.hess = q * (flat.T @ flat)
+        self.hess.reshape(-1)[:: n + 1] += r + _DAMPING
+        self.grad = q * (flat.T @ np.concatenate((e[0], e[1], er))) + r * u
+        self.lat_jac = problem.lat[0][:, None] * jac[0] + problem.lat[1][:, None] * jac[1]
+        # hinge arguments [u | rates | e_lat] at d = 0; forward() reuses its buffer
+        self.z0 = problem.box[2:].copy()
+
+    def hinge_args(self, d: np.ndarray) -> np.ndarray:
+        """A d, the change of the hinge arguments under the step d."""
+        n = d.size
+        out = np.empty(self.z0.size)
+        out[:n] = d
+        np.divide(d, self.problem.dt, out=out[n:2 * n])
+        out[n + 2:2 * n] -= out[n:2 * n - 2]
+        np.matmul(self.lat_jac, d, out=out[2 * n:])
+        return out
+
+    def hinge_grad(self, y: np.ndarray) -> np.ndarray:
+        """A' y, the adjoint of hinge_args."""
+        n = self.grad.size
+        rate = y[n:2 * n] / self.problem.dt
+        out = y[:n] + rate
+        out[:-2] -= rate[2:]
+        out += y[2 * n:] @ self.lat_jac
+        return out
+
+    def minimize(self) -> np.ndarray:
+        """Semismooth Newton from d = 0, monotone in the model.
+
+        Each step minimizes the quadratic in which the hinges active at d
+        (on or past a bound) are linear against the bound they meet. It
+        moves to that minimizer when this lowers the model, and otherwise
+        to the exact minimum along the way there. It stops when a full step
+        keeps the active set it was solved with, which makes the step the
+        model's minimizer, when no step lowers the model, or after
+        _INNER_ITERS steps.
+        """
+        problem = self.problem
+        pw = problem.pw
+        lo, hi = problem.lo, problem.hi
+        d = np.zeros(self.grad.size)
+        hd = np.zeros(d.size)  # hess @ d
+        z = self.z0
+        h = _hinges(z, lo, hi)
+        above = z >= hi
+        active = above | (z <= lo)
+        for _ in range(_INNER_ITERS):
+            p = self._quadratic_minimizer(above, active) - d
+            hp = self.hess @ p
+            c = self.hinge_args(p)
+            slope = float((self.grad + hd) @ p)
+            curv = float(hp @ p)
+            z_full = z + c
+            h_full = _hinges(z_full, lo, hi)
+            if slope + 0.5 * curv + 0.5 * pw * (float(h_full @ h_full) - float(h @ h)) < 0.0:
+                d += p
+                hd += hp
+                z, h = z_full, h_full
+                was = active
+                above = z >= hi
+                active = above | (z <= lo)
+                if np.array_equal(active, was):
+                    break
+            else:
+                beta = _line_minimum(slope, curv, z, c, lo, hi, pw)
+                if not (math.isfinite(beta) and beta > 0.0):
+                    break
+                d += beta * p
+                hd += beta * hp
+                z = z + beta * c
+                h = _hinges(z, lo, hi)
+                above = z >= hi
+                active = above | (z <= lo)
+        return d
+
+    def _quadratic_minimizer(self, above, active) -> np.ndarray:
+        """Minimizer of the model with the active hinges linear against
+        their bound (hi where above, lo elsewhere) and the others zero.
+
+        Its matrix is assembled from the structure of A: an actuator hinge
+        adds pw to the diagonal, a rate hinge a stride-2 band of
+        pw / dt^2 (e_k - e_{k-1})(e_k - e_{k-1})', and a corridor hinge its
+        Jacobian row's outer product.
+        """
+        problem = self.problem
+        pw, dt = problem.pw, problem.dt
+        n = self.grad.size
+        weight = pw * active
+        rate_w = weight[n:2 * n] / (dt * dt)
+        H = self.hess.copy()
+        flat = H.reshape(-1)
+        diag = weight[:n] + rate_w
+        diag[:-2] += rate_w[2:]
+        flat[:: n + 1] += diag
+        band = slice(2 * n, 2 * n + (n - 2) * (n + 1), n + 1)
+        flat[band] -= rate_w[2:]
+        band = slice(2, 2 + (n - 2) * (n + 1), n + 1)
+        flat[band] -= rate_w[2:]
+        lat_active = active[2 * n:]
+        if lat_active.any():
+            rows = self.lat_jac[lat_active]
+            H += pw * (rows.T @ rows)
+        excess = (self.z0 - np.where(above, problem.hi, problem.lo)) * active
+        rhs = self.grad + pw * self.hinge_grad(excess)
+        try:
+            return np.linalg.solve(H, -rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NmpcError(f"singular Gauss-Newton model: {exc}") from None
+
+
+def _gauss_newton(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_tol: float):
+    """Minimize by Gauss-Newton steps with Armijo backtracking on the true cost.
+
+    Stops when the largest gradient component falls below grad_tol, after
+    max_iters steps, when no step along the model's minimizer lowers the
+    cost, or when a step lowers it by no more than f_tol relative to the
+    cost. Returns the initial cost, the final iterate, the iteration count
+    and whether the gradient tolerance was met.
+    """
+    x = x0
     f, fwd = problem.forward(x)
+    f0 = f
     g = problem.gradient(fwd)
     if not (math.isfinite(f) and np.isfinite(g).all()):
         raise NmpcError("non-finite cost or gradient at the initial iterate")
-    n = x.size
-    H = np.eye(n)
     iters = 0
-    scaled = False
     gnorm = float(np.abs(g).max())
     while gnorm >= grad_tol and iters < max_iters:
-        p = -H @ g
-        slope = float(g @ p)
-        if slope >= 0.0:
-            H = np.eye(n)
-            scaled = False
-            p = -g
-            slope = float(g @ p)
-        # before any curvature information a unit step along -g can be huge
-        # against the penalty walls; damp the very first trial step
-        alpha = 1.0 if scaled else min(1.0, 1.0 / max(1.0, math.sqrt(float(p @ p))))
-        accepted = False
-        for _ in range(40):
-            x_new = x + alpha * p
-            f_new, fwd_new = problem.forward(x_new)
-            if math.isfinite(f_new) and f_new <= f + 1e-4 * alpha * slope:
-                accepted = True
-                break
-            # quadratic interpolation on the failed trial, clamped so progress
-            # stays geometric even when the model is degenerate
-            denom = f_new - f - slope * alpha
-            if math.isfinite(denom) and denom > 0.0:
-                alpha_q = -slope * alpha * alpha / (2.0 * denom)
-                alpha = min(max(alpha_q, 0.1 * alpha), 0.5 * alpha)
-            else:
-                alpha *= 0.5
-        if not accepted:
+        d = _GaussNewtonModel(problem, fwd).minimize()
+        # the model is convex and matches the cost's gradient at d = 0, so a
+        # step that lowers it is a descent direction
+        slope = float(g @ d)
+        if not slope < 0.0:
             break
-        g_new = problem.gradient(fwd_new)
-        if not np.isfinite(g_new).all():
+        alpha = 1.0
+        for _ in range(30):
+            x_new = x + alpha * d
+            f_new, fwd_new = problem.forward(x_new)
+            if f_new <= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break
+        g = problem.gradient(fwd_new)
+        if not np.isfinite(g).all():
             raise NmpcError("non-finite cost or gradient during optimization")
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(yv @ yv)) and sy > 0.0:
-            if not scaled:
-                # Shanno-Phua: size the initial inverse Hessian from the first
-                # curvature pair so unit steps become well-scaled
-                H = (sy / float(yv @ yv)) * np.eye(n)
-                scaled = True
-            _update_inverse_hessian(H, s, yv, 1.0 / sy)
         decrease = f - f_new
-        x, f, g, fwd = x_new, f_new, g_new, fwd_new
+        x, f, fwd = x_new, f_new, fwd_new
         gnorm = float(np.abs(g).max())
         iters += 1
         if decrease <= f_tol * max(1.0, abs(f)):
             break
-    return x, fwd, iters, gnorm < grad_tol
+    return f0, x, iters, gnorm < grad_tol
 
 
 def solve(
@@ -410,31 +587,16 @@ def solve(
 
     # an overflowing rollout is reported as NmpcError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        penalty = PENALTY_WEIGHT
-        x = x0
-        total_iters = 0
-        converged = False
-        problem = _Problem(current, z_d, residual, g, cfg, u_prev, penalty)
-        for round_idx in range(3):
-            problem.pw = penalty
-            x, fwd, iters, converged = _bfgs(problem, x, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
-            total_iters += iters
-            # excesses below this are absorbed exactly by the final projection,
-            # so escalating the penalty for them only burns iterations
-            if _violation(fwd) <= 1e-3 or round_idx == 2:
-                break
-            penalty *= 2.0
-
+        problem = _Problem(current, z_d, residual, g, cfg, u_prev, PENALTY_WEIGHT)
+        f_initial, x, iters, converged = _gauss_newton(problem, x0, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
         final = _clip_chain(x, cfg, u_prev)
-        problem.pw = penalty
         f_final = problem.value(final)
-        f_initial = problem.value(x0)
         if f_initial < f_final:
             final = x0
             f_final = f_initial
         if not math.isfinite(f_final):
             raise NmpcError("non-finite cost at the projected iterate")
-        return NmpcSolution(u_opt=final, cost=float(f_final), iterations=total_iters, converged=converged)
+        return NmpcSolution(u_opt=final, cost=float(f_final), iterations=iters, converged=converged)
 
 
 def control_step(

@@ -89,6 +89,25 @@ class TestEvaluateRoundTrip:
         assert rc == 0
         assert (tmp_path / "again.csv").read_bytes() == (out / "report.csv").read_bytes()
 
+    def test_relative_scenario_path_evaluates_from_another_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "scenarios").mkdir()
+        shutil.copy(scenario_path("straight_corridor"), tmp_path / "scenarios" / "corridor.scn")
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli(
+            "simulate",
+            "--scenario", "scenarios/corridor.scn",
+            "--method", "direct",
+            "--trials", "1",
+            "--out", str(tmp_path / "sim"),
+        )
+        assert rc == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        rc = run_cli("evaluate", "--logs", str(tmp_path / "sim"), "--out", str(tmp_path / "again.csv"))
+        assert rc == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "sim" / "report.csv").read_bytes()
+
     def test_empty_dir_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

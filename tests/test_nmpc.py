@@ -1,19 +1,22 @@
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from visionmpc import nmpc
 from visionmpc.nmpc import (
+    PENALTY_WEIGHT,
     NmpcConfig,
     NmpcError,
+    _GaussNewtonModel,
     _Problem,
-    _update_inverse_hessian,
-    _violation,
     control_step,
     solve,
     tracking_cost,
 )
-from visionmpc.scene import GainSchedule, SceneDynamics, gain_schedule
+from visionmpc.scene import EPS_R, GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
 AT_REST = ControlInput(0.0, 0.0)
@@ -150,6 +153,12 @@ def hinge_active_problem(rng, tau_o, with_residual):
     return cfg, u_prev, _Problem(*args), ScalarProblem(*args)
 
 
+def worst_excess(fwd):
+    """Worst constraint excess of a forward() pass: its last array holds the
+    signed excesses over the actuator, rate and corridor bounds."""
+    return max(0.0, float(np.abs(fwd[-1]).max()))
+
+
 def hinge_active_controls(rng, tau_o):
     u = np.empty(2 * tau_o)
     u[0::2] = rng.uniform(-0.3, 1.3, size=tau_o)
@@ -172,7 +181,7 @@ class TestBitEqualityOracle:
                 assert cost == want_cost
                 assert problem.value(u) == want_cost
                 assert np.array_equal(problem.gradient(fwd), want_grad)
-                assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
+                assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
                 # signed excesses over the actuator, rate and corridor bounds
                 h = fwd[-1]
                 n = 2 * tau_o
@@ -191,25 +200,174 @@ class TestBitEqualityOracle:
                 got_cost, fwd = problem.forward(u)
                 assert got_cost == want_cost
                 assert np.array_equal(problem.gradient(fwd), want_grad)
-                assert _violation(fwd) == scalar_violation(u, cfg, u_prev, reference)
+                assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
 
-    def test_inverse_hessian_update_equals_the_textbook_expression(self):
-        rng = np.random.default_rng(23)
-        for n in (2, 20, 40):
-            for _ in range(25):
-                a = rng.normal(size=(n, n))
-                H = a @ a.T + n * np.eye(n)
-                s, y = rng.normal(size=n), rng.normal(size=n)
-                rho = 1.0 / float(s @ y)
-                Hy = H @ y
-                want = (
-                    H
-                    - rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                    + rho * (rho * float(y @ Hy) + 1.0) * np.outer(s, s)
-                )
-                _update_inverse_hessian(H, s, y, rho)
-                assert np.array_equal(H, want)
 
+class TestGaussNewton:
+    def test_jacobian_matches_central_differences_across_the_heading_wrap(self):
+        rng = np.random.default_rng(31)
+        cfg = config(tau_o=8)
+        wrapped = 0
+        for trial in range(20):
+            # headings start near the seam and steer across it
+            current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.0, 0.05))
+            z_d = [VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1)) for _ in range(8)]
+            problem = _Problem(current, tuple(z_d), rng.uniform(-0.02, 0.02, size=3), GainSchedule(1.0, 0.1),
+                               cfg, AT_REST, PENALTY_WEIGHT)
+            u = np.empty(16)
+            u[0::2] = rng.uniform(0.2, 1.0, size=8)
+            u[1::2] = rng.uniform(0.0, 0.35, size=8) * (1 if trial % 2 else -1)
+            fwd = problem.forward(u)[1]
+            jac = problem.jacobian(fwd)
+            # the predicted heading is the desired one plus its wrapped error
+            rho = np.concatenate(([current.rho], _wrap_fast(fwd[4] + problem.rd)))
+            wrapped += np.any(np.abs(np.diff(rho)) > math.pi)
+            for j in range(u.size):
+                h = 1e-6
+                up, dn = u.copy(), u.copy()
+                up[j] += h
+                dn[j] -= h
+                _, fu = problem.forward(up)
+                eu_xy, eu_r = fu[3].copy(), fu[4].copy()
+                _, fd = problem.forward(dn)
+                fd_xy = (eu_xy - fd[3]) / (2 * h)
+                # heading errors are wrapped; so is their difference
+                fd_r = (math.pi - (math.pi - (eu_r - fd[4])) % (2 * math.pi)) / (2 * h)
+                got = jac[:, :, j]
+                assert np.abs(got[:2] - fd_xy).max() <= 1e-7
+                assert np.abs(got[2] - fd_r).max() <= 1e-7
+                # state k + 1 does not depend on later controls
+                assert not got[:, : j // 2].any()
+        assert wrapped > 0
+
+    @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
+    def test_twice_the_residual_jacobian_times_the_residual_is_the_gradient(self, tau_o):
+        rng = np.random.default_rng(4000 + tau_o)
+        active = np.zeros(3, dtype=int)
+        for _ in range(25):
+            _, _, problem, _ = hinge_active_problem(rng, tau_o, True)
+            u = hinge_active_controls(rng, tau_o)
+            _, fwd = problem.forward(u)
+            jac, (e, er, h) = problem.jacobian(fwd), fwd[3:]
+            model = _GaussNewtonModel(problem, fwd)
+            A = np.stack([model.hinge_args(col) for col in np.eye(2 * tau_o)], axis=1)
+            # residuals sqrt(q) (ex, ey, e_rho), sqrt(r) u and sqrt(pw) hinges, and their Jacobian
+            sq, sr, sp = math.sqrt(problem.q), math.sqrt(problem.r), math.sqrt(problem.pw)
+            res = np.concatenate((sq * e[0], sq * e[1], sq * er, sr * u, sp * h))
+            J = np.vstack((sq * jac.reshape(3 * tau_o, -1), sr * np.eye(2 * tau_o), sp * A))
+            want = problem.gradient(fwd)
+            assert np.abs(2.0 * J.T @ res - want).max() <= 1e-12 * np.abs(want).max()
+            n = 2 * tau_o
+            active += [np.any(h[:n] != 0.0), np.any(h[n:-tau_o] != 0.0), np.any(h[-tau_o:] != 0.0)]
+        assert (active > 0).all()
+
+    @pytest.mark.parametrize("tau_o", [2, 10, 20])
+    def test_inner_loop_step_minimizes_the_model(self, tau_o, monkeypatch):
+        # uncapped, the semismooth Newton steps end at the model's minimizer
+        monkeypatch.setattr(nmpc, "_INNER_ITERS", 200)
+        rng = np.random.default_rng(5000 + tau_o)
+        for _ in range(10):
+            _, _, problem, _ = hinge_active_problem(rng, tau_o, True)
+            _, fwd = problem.forward(hinge_active_controls(rng, tau_o))
+            model = _GaussNewtonModel(problem, fwd)
+            d = model.minimize()
+
+            def value(step):
+                h = nmpc._hinges(model.z0 + model.hinge_args(step), problem.lo, problem.hi)
+                return float(step @ (0.5 * (model.hess @ step) + model.grad)) + 0.5 * problem.pw * float(h @ h)
+
+            def slope(step):
+                h = nmpc._hinges(model.z0 + model.hinge_args(step), problem.lo, problem.hi)
+                return model.hess @ step + model.grad + problem.pw * model.hinge_grad(h)
+
+            # the model is C1, so its subgradient is its gradient
+            assert np.abs(slope(d)).max() <= 1e-7 * max(1.0, np.abs(slope(np.zeros_like(d))).max())
+            best = value(d)
+            assert best < value(np.zeros_like(d))
+            for _ in range(50):
+                assert value(d + rng.normal(scale=1e-3, size=d.size)) >= best
+
+    def test_capped_inner_loop_still_lowers_the_model(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            _, _, problem, _ = hinge_active_problem(rng, 20, True)
+            _, fwd = problem.forward(hinge_active_controls(rng, 20))
+            model = _GaussNewtonModel(problem, fwd)
+            d = model.minimize()
+            g = problem.gradient(fwd)
+            assert float(g @ d) < 0.0
+
+    @pytest.mark.parametrize("r_diag", [EPS_R, 0.0])
+    def test_solve_at_rest_with_full_tracking_weight(self, r_diag):
+        # at w = 1 the schedule gives r = EPS_R; GainSchedule refuses r = 0,
+        # so a stand-in carries it: at rest the steering columns of J are
+        # zero and J'J alone is singular
+        g = SimpleNamespace(q_diag=1.0, r_diag=r_diag)
+        cfg = NmpcConfig(tau_o=10, max_iters=25)
+        at_rest = [VehicleState(0.0, 0.0, 0.0)] * 10
+        sol = solve(VehicleState(0.0, 0.0, 0.0), at_rest, None, g, cfg, AT_REST)
+        assert np.isfinite(sol.u_opt).all() and math.isfinite(sol.cost)
+        moving = [VehicleState(0.05 * (k + 1), 0.0, 0.0) for k in range(10)]
+        sol = solve(VehicleState(0.0, 0.0, 0.0), moving, None, g, cfg, AT_REST)
+        assert np.isfinite(sol.u_opt).all()
+        assert 0.0 < sol.u_opt[0] <= cfg.du_max.v_cmd * cfg.dt
+
+
+FIXTURE = Path(__file__).parent / "data" / "nmpc_fixture.npz"
+
+
+def fixture_cases(data, tag):
+    """The fixture's solve inputs for one workload, with the config they ran under."""
+    c = data[f"{tag}_config"]
+    cfg = NmpcConfig(
+        tau_o=int(c[0]), dt=c[1], wheelbase_L=c[2],
+        u_min=ControlInput(c[3], c[4]), u_max=ControlInput(c[5], c[6]),
+        du_min=ControlInput(c[7], c[8]), du_max=ControlInput(c[9], c[10]),
+        e_min=c[11], e_max=c[12], max_iters=int(c[13]), grad_tol=c[14], f_tol=c[15],
+    )
+    for i in range(data[f"{tag}_cost"].size):
+        warm = data[f"{tag}_warm"][i]
+        yield (
+            VehicleState(*data[f"{tag}_state"][i]),
+            tuple(VehicleState(*row) for row in data[f"{tag}_z_d"][i]),
+            data[f"{tag}_residual"][i],
+            GainSchedule(*data[f"{tag}_gains"][i]),
+            cfg,
+            ControlInput(*data[f"{tag}_u_prev"][i]),
+            None if np.isnan(warm).all() else warm,
+        ), float(data[f"{tag}_cost"][i])
+
+
+class TestCostGate:
+    """Solve inputs recorded from the dwa_suite and train_short benchmark
+    workloads, seeds 1-3, each with the cost at PENALTY_WEIGHT that the
+    former penalty-BFGS solver reached (see CHANGES.md for how they were made)."""
+
+    @pytest.mark.parametrize("tag", ["dwa", "train"])
+    def test_no_solve_costs_more_than_the_recorded_one(self, tag):
+        with np.load(FIXTURE, allow_pickle=False) as data:
+            cases = list(fixture_cases(data, tag))
+        assert len(cases) > 150
+        ratios = []
+        for args, recorded in cases:
+            sol = solve(*args[:6], warm_start=args[6])
+            assert sol.cost <= recorded * (1.0 + 1e-3) + 1e-9
+            if recorded > 0.0:
+                ratios.append(sol.cost / recorded)
+        assert np.median(ratios) <= 1.0
+
+
+
+class TestConfig:
+    def test_zero_f_tol_is_accepted_and_negative_refused(self):
+        assert NmpcConfig(f_tol=0.0).f_tol == 0.0
+        with pytest.raises(ValueError, match="f_tol non-negative"):
+            NmpcConfig(f_tol=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("max_iters", 0), ("grad_tol", 0.0)])
+    def test_stop_fields_outside_their_range_are_refused(self, field, value):
+        with pytest.raises(ValueError, match="max_iters must be at least 1, grad_tol positive"):
+            NmpcConfig(**{field: value})
 
 class TestReachable:
     def test_window_is_the_actuator_box_cut_by_one_period_of_rate(self):
