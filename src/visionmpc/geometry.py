@@ -1,4 +1,26 @@
-"""Planar geometry: angle wrapping, polyline arc-length queries, ray casting."""
+"""Planar geometry: angle wrapping, polyline arc-length queries, ray casting.
+
+The scan is a full fan: ray k has bearing rho + k * 2*pi/n. A wall segment
+can only be hit by the rays inside its angular extent as seen from the
+origin, so `ray_fan_segment_hits` evaluates just those (ray, segment)
+pairs, with the extent widened by one ray spacing on each side. Each kept
+pair runs the all-pairs expressions for denom, t and u and the all-pairs
+validity test, so a ray's minimum is bit-identical to evaluating every pair
+as long as every dropped pair is a miss there too. It is: a dropped ray
+lies at least one spacing (angle delta) outside the extent, so where its
+line meets the segment's line, that point lies at least r * sin(delta)
+beyond the nearer endpoint, r being the origin's distance to that endpoint.
+In segment units u that is r * sin(delta) / |b - a|, and the fast path
+requires it above 1e-6 (`_NEAR`), far over the 1e-9 endpoint slack of the
+validity test and the rounding of u. The fast path also requires the origin
+off the segment's line by more than 1e-6 of the endpoint distance, so the
+sign of t and the side of the extent are not left to rounding. A segment
+that fails either condition (the origin on or within rounding of its line or
+an endpoint) is tested against every ray.
+
+`Polyline.project` is `project_batch` on one point; both resolve ties the
+same way.
+"""
 
 import math
 
@@ -61,24 +83,33 @@ class Polyline:
         return tuple(self.sample(s)[0][0].tolist())
 
     def project(self, point) -> tuple[float, float]:
-        """Closest point on the path to `point`.
+        """Closest point on the path to `point`: project_batch on one point."""
+        s, lateral = self.project_batch(np.asarray(point, dtype=float)[None])
+        return float(s[0]), float(lateral[0])
 
-        Returns (arc_length, signed_lateral); lateral is positive to the
-        left of the local tangent. Equidistant candidates prefer the later
-        segment.
+    def project_batch(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Closest points on the path to the (N, 2) `points`.
+
+        Returns arrays (arc_length, signed_lateral) of shape (N,); lateral is
+        positive to the left of the local tangent. Equidistant candidates
+        prefer the later segment.
         """
-        q = np.asarray(point, dtype=float)
-        rel = q[None, :] - self.points[:-1]
-        t = np.einsum("ij,ij->i", rel, self._seg) / (self._seg_len ** 2)
+        q = np.asarray(points, dtype=float).reshape(-1, 2)
+        n_seg = self._seg_len.shape[0]
+        rel = q[:, None, :] - self.points[:-1]
+        t = np.einsum("pij,ij->pi", rel, self._seg) / (self._seg_len ** 2)
         t = np.clip(t, 0.0, 1.0)
-        foot = self.points[:-1] + t[:, None] * self._seg
-        d2 = np.sum((q[None, :] - foot) ** 2, axis=1)
-        i = len(d2) - 1 - int(np.argmin(d2[::-1]))
-        s = self._cum[i] + t[i] * self._seg_len[i]
-        dx, dy = q - foot[i]
-        tx, ty = self._tangents[i]
+        foot = self.points[:-1] + t[:, :, None] * self._seg
+        sq = (q[:, None, :] - foot) ** 2
+        d2 = sq[:, :, 0] + sq[:, :, 1]
+        i = n_seg - 1 - np.argmin(d2[:, ::-1], axis=1)
+        # row-wise picks by flat index (`take` is much faster than fancy indexing)
+        flat = np.arange(0, q.shape[0] * n_seg, n_seg) + i
+        s = self._cum.take(i) + t.take(flat) * self._seg_len.take(i)
+        dx, dy = (q - foot.reshape(-1, 2).take(flat, axis=0)).T
+        tx, ty = self._tangents.take(i, axis=0).T
         lateral = tx * dy - ty * dx
-        return float(s), float(lateral)
+        return s, lateral
 
 
 def offset_polyline(poly: Polyline, offset: float) -> np.ndarray:
@@ -135,24 +166,66 @@ def ray_circle_hits(origin, directions, centers, radii) -> np.ndarray:
     return dist.min(axis=1)
 
 
-def ray_segment_hits(origin, directions, seg_a, seg_b) -> np.ndarray:
-    """Distance to the nearest segment intersection per ray, inf if missed."""
+# rays kept on each side of a segment's angular extent, in ray spacings
+_WINDOW_MARGIN_RAYS = 1
+# relative distance below which the origin counts as on a segment's line or
+# endpoint, and the segment is tested against every ray (module docstring)
+_NEAR = 1e-6
+
+
+def ray_fan_segment_hits(origin, rho: float, directions, seg_a, seg_b) -> np.ndarray:
+    """Distance to the nearest segment intersection per ray, inf if missed.
+
+    directions (R, 2) must be the unit vectors of a full fan, ray k at
+    bearing rho + k * 2*pi/R. Each segment is tested only against the rays
+    of its widened angular extent; the result equals the all-pairs test bit
+    for bit (module docstring).
+    """
     directions = np.asarray(directions, dtype=float)
     n_rays = directions.shape[0]
+    out = np.full(n_rays, np.inf)
     a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
     b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
     if a.shape[0] == 0:
-        return np.full(n_rays, np.inf)
+        return out
+    o = np.asarray(origin, dtype=float)
     d = b - a
-    w = a - np.asarray(origin, dtype=float)[None, :]
-    denom = directions[:, 0:1] * d[None, :, 1] - directions[:, 1:2] * d[None, :, 0]
+    w = a - o
+    wb = b - o
+    t_num = w[:, 0] * d[:, 1] - w[:, 1] * d[:, 0]
+
+    # endpoint bearings in ray units counted from ray 0, b reached the short way from a
+    per_rad = n_rays / TWO_PI
+    x_a = (np.arctan2(w[:, 1], w[:, 0]) - rho) * per_rad
+    x_b = (np.arctan2(wb[:, 1], wb[:, 0]) - rho) * per_rad
+    half = 0.5 * n_rays
+    x_b = x_a + (half - (half - (x_b - x_a)) % n_rays)
+    k_lo = np.ceil(np.minimum(x_a, x_b) - _WINDOW_MARGIN_RAYS)
+    count = np.floor(np.maximum(x_a, x_b) + _WINDOW_MARGIN_RAYS) - k_lo + 1.0
+    r_a = np.hypot(w[:, 0], w[:, 1])
+    r_b = np.hypot(wb[:, 0], wb[:, 1])
+    tol = _NEAR * np.hypot(d[:, 0], d[:, 1])
+    sin_spacing = math.sin(min(TWO_PI / n_rays, 0.5 * math.pi))
+    near = (np.abs(t_num) <= tol * np.maximum(r_a, r_b)) | (np.minimum(r_a, r_b) * sin_spacing <= tol)
+    k_lo[near] = 0.0
+    count[near] = n_rays
+    count = np.minimum(count, n_rays).astype(np.intp)
+
+    # the kept pairs, segment-major, each window's rays wrapped around the fan
+    # (`take` gathers rows several times faster than fancy indexing)
+    seg = np.repeat(np.arange(a.shape[0]), count)
+    ray = np.arange(seg.shape[0]) + (k_lo.astype(np.intp) - (np.cumsum(count) - count)).take(seg)
+    ray %= n_rays
+    dirs = directions.take(ray, axis=0)
+    dd, ww = d.take(seg, axis=0), w.take(seg, axis=0)
+    denom = dirs[:, 0] * dd[:, 1] - dirs[:, 1] * dd[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[None, :, 0] * d[None, :, 1] - w[None, :, 1] * d[None, :, 0]) / denom
-        u = (w[None, :, 0] * directions[:, 1:2] - w[None, :, 1] * directions[:, 0:1]) / denom
+        t = t_num.take(seg) / denom
+        u = (ww[:, 0] * dirs[:, 1] - ww[:, 1] * dirs[:, 0]) / denom
     # small slack on the segment parameter so endpoint hits survive rounding
     valid = (np.abs(denom) > 1e-14) & (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    dist = np.where(valid, t, np.inf)
-    return dist.min(axis=1)
+    np.minimum.at(out, ray[valid], t[valid])
+    return out
 
 
 def fit_quadratic_curvature(xs, ys) -> float:

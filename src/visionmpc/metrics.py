@@ -83,14 +83,14 @@ def _sample_std(values: Sequence[float]) -> float:
 def trial_errors(outcome: TrialOutcome) -> tuple[Optional[float], Optional[float]]:
     """(e_xy, e_c) of the driven path against its route projection.
 
-    Each logged pose is projected once; speed is v_cmd. e_xy is None for an
-    empty log, e_c for fewer than 3 poses or a degenerate fit.
+    The logged poses are projected in one batch; speed is v_cmd. e_xy is
+    None for an empty log, e_c for fewer than 3 poses or a degenerate fit.
     """
     log = outcome.log
     if not log:
         return None, None
     route = outcome.scenario.route_polyline
-    points, headings = route.sample([route.project((rec.x_m, rec.y_m))[0] for rec in log])
+    points, headings = route.sample(route.project_batch([(rec.x_m, rec.y_m) for rec in log])[0])
     gt = [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
     exy = e_xy(
         [OfflineRecord(rec.time_s, rec.x_m, rec.y_m, g.x, g.y, rec.v_cmd) for rec, g in zip(log, gt)]

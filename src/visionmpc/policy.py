@@ -161,6 +161,9 @@ class QNetwork:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("network parameters must be finite")
         self.candidates = candidates
+        # weight gradients of train_step, kept between calls so an update
+        # allocates (and faults in) no fresh memory; every network owns its own
+        self._grad_w = [np.empty_like(w) for w in self.weights]
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], candidates: CandidateSet, rng: np.random.Generator) -> "QNetwork":
@@ -289,6 +292,13 @@ class TrainConfig:
             raise ValueError("epsilon_decay_episodes and max_steps_per_episode must be positive")
         if self.demo_episodes < 0:
             raise ValueError("demo_episodes must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.replay_capacity < self.batch_size:
+            # the buffer would never hold a batch, so no Bellman update would run
+            raise ValueError(
+                f"replay_capacity ({self.replay_capacity}) must be at least batch_size ({self.batch_size})"
+            )
 
 
 def epsilon_at(episode: int, cfg: TrainConfig) -> float:
@@ -312,18 +322,18 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
 
     d_out = np.zeros_like(q_all)
     d_out[np.arange(n), A] = 2.0 * delta / n
-    grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.weights)
     d = d_out
     for i in range(len(net.weights) - 1, -1, -1):
-        a_prev = cache[i]
-        grads_w[i] = d.T @ a_prev
+        np.matmul(d.T, cache[i], out=net._grad_w[i])
         grads_b[i] = d.sum(axis=0)
         if i > 0:
             d = (d @ net.weights[i]) * (cache[i] > 0.0)
-    for i in range(len(net.weights)):
-        net.weights[i] -= cfg.learning_rate * grads_w[i]
-        net.biases[i] -= cfg.learning_rate * grads_b[i]
+    # w -= lr * grad, in place in the gradient buffer and the weights
+    for w, grad_w, b, grad_b in zip(net.weights, net._grad_w, net.biases, grads_b):
+        np.multiply(cfg.learning_rate, grad_w, out=grad_w)
+        np.subtract(w, grad_w, out=w)
+        b -= cfg.learning_rate * grad_b
     return loss
 
 

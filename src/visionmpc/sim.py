@@ -43,7 +43,7 @@ from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
-from .geometry import Polyline, offset_polyline, ray_circle_hits, ray_segment_hits
+from .geometry import Polyline, offset_polyline, ray_circle_hits, ray_fan_segment_hits
 from .memory import Observation
 from .nmpc import NmpcError
 from .vehicle import ControlInput, ModelParams, VehicleState, step_true
@@ -202,7 +202,7 @@ def sense(world: World) -> Observation:
     centers, radii = world.obstacle_states()
     d_obs = ray_circle_hits(origin, dirs, centers, radii)
     seg_a, seg_b = world.scenario.boundary_segments
-    d_wall = ray_segment_hits(origin, dirs, seg_a, seg_b)
+    d_wall = ray_fan_segment_hits(origin, world.vehicle.rho, dirs, seg_a, seg_b)
     dist = np.minimum(np.minimum(d_obs, d_wall), cfg.max_range_m)
     dist = np.maximum(dist, 1e-9)
     return Observation(rays=dist, timestamp=world.t)

@@ -1,16 +1,62 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from visionmpc import geometry
 from visionmpc.geometry import (
     Polyline,
     fit_quadratic_curvature,
     offset_polyline,
     ray_circle_hits,
-    ray_segment_hits,
+    ray_fan_segment_hits,
     wrap_angle,
 )
+from visionmpc.sim import load_scenario, ray_bearings
+
+BUNDLED = sorted(p for p in resources.files("visionmpc").joinpath("scenarios").iterdir() if p.name.endswith(".scn"))
+
+
+def ray_segment_hits(origin, directions, seg_a, seg_b) -> np.ndarray:
+    """All-pairs oracle: distance to the nearest segment intersection per ray, inf if missed."""
+    directions = np.asarray(directions, dtype=float)
+    n_rays = directions.shape[0]
+    a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
+    if a.shape[0] == 0:
+        return np.full(n_rays, np.inf)
+    d = b - a
+    w = a - np.asarray(origin, dtype=float)[None, :]
+    denom = directions[:, 0:1] * d[None, :, 1] - directions[:, 1:2] * d[None, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[None, :, 0] * d[None, :, 1] - w[None, :, 1] * d[None, :, 0]) / denom
+        u = (w[None, :, 0] * directions[:, 1:2] - w[None, :, 1] * directions[:, 0:1]) / denom
+    valid = (np.abs(denom) > 1e-14) & (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    dist = np.where(valid, t, np.inf)
+    return dist.min(axis=1)
+
+
+def fan(rho, n_rays=180):
+    """Unit vectors of the sensor's full fan, as `sim.sense` builds them."""
+    bearings = ray_bearings(n_rays) + rho
+    return np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
+
+
+def old_project(poly, point):
+    """The per-point projection `project_batch` replaced, kept as its oracle."""
+    q = np.asarray(point, dtype=float)
+    rel = q[None, :] - poly.points[:-1]
+    t = np.einsum("ij,ij->i", rel, poly._seg) / (poly._seg_len ** 2)
+    t = np.clip(t, 0.0, 1.0)
+    foot = poly.points[:-1] + t[:, None] * poly._seg
+    d2 = np.sum((q[None, :] - foot) ** 2, axis=1)
+    i = len(d2) - 1 - int(np.argmin(d2[::-1]))
+    s = poly._cum[i] + t[i] * poly._seg_len[i]
+    dx, dy = q - foot[i]
+    tx, ty = poly._tangents[i]
+    lateral = tx * dy - ty * dx
+    return float(s), float(lateral)
 
 
 class TestWrapAngle:
@@ -86,6 +132,41 @@ class TestPolyline:
         s, _ = poly.project((7.0, 1.0))
         assert s == pytest.approx(1.0)
 
+    def test_projection_batch_is_bit_equal_to_per_point_code(self):
+        rng = np.random.default_rng(5)
+        poly = Polyline(np.cumsum(rng.uniform(0.1, 1.0, size=(15, 2)), axis=0) * [1.0, -1.0])
+        lo, hi = poly.points.min(axis=0) - 2.0, poly.points.max(axis=0) + 2.0
+        # random points, every vertex, and points beyond both ends along the end tangents
+        beyond = [poly.points[0] - 0.7 * poly._tangents[0], poly.points[-1] + 0.7 * poly._tangents[-1]]
+        points = np.vstack([rng.uniform(lo, hi, size=(400, 2)), poly.points, beyond])
+        s, lateral = poly.project_batch(points)
+        expect = [old_project(poly, q) for q in points]
+        assert s.tolist() == [e[0] for e in expect]
+        assert lateral.tolist() == [e[1] for e in expect]
+        assert [poly.project(q) for q in points] == expect
+
+    def test_projection_batch_ties_prefer_the_later_segment(self):
+        poly = Polyline([(0, 0), (2, 0), (2, 2), (0, 2)])
+        # each vertex, points equidistant from several segments, and points past both ends
+        points = [(2.0, 0.0), (2.0, 2.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 0.0), (-1.0, 2.5)]
+        s, lateral = poly.project_batch(points)
+        expect = [old_project(poly, q) for q in points]
+        assert s.tolist() == [e[0] for e in expect]
+        assert lateral.tolist() == [e[1] for e in expect]
+        # (0, 1) is as far from the first segment as from the last, (1, 1) from all
+        # three: the last wins, with the point on its left
+        assert s[2] == 6.0 and lateral[2] == 1.0
+        assert s[3] == 5.0 and lateral[3] == 1.0
+        assert s[0] == 2.0 and s[1] == 4.0
+        assert s[4] == 0.0 and s[5] == 6.0
+
+    def test_projection_batch_shapes(self):
+        poly = Polyline([(0, 0), (3, 0), (3, 4)])
+        s, lateral = poly.project_batch(np.zeros((0, 2)))
+        assert s.shape == (0,) and lateral.shape == (0,)
+        s, lateral = poly.project_batch([(1.0, 0.5)])
+        assert s.tolist() == [1.0] and lateral.tolist() == [0.5]
+
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             Polyline([(0, 0)])
@@ -127,15 +208,96 @@ class TestRayHits:
         assert dist[0] == 0.0
 
     def test_segment_hits(self):
-        dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        dist = ray_segment_hits((0.0, 0.0), dirs, [(2.0, -1.0)], [(2.0, 1.0)])
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 2), [(2.0, -1.0)], [(2.0, 1.0)])
         assert dist[0] == pytest.approx(2.0)
         assert dist[1] == np.inf
 
     def test_parallel_segment_missed(self):
-        dirs = np.array([[1.0, 0.0]])
-        dist = ray_segment_hits((0.0, 0.0), dirs, [(0.0, 1.0)], [(5.0, 1.0)])
-        assert dist[0] == np.inf
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 4), [(0.0, 1.0)], [(5.0, 1.0)])
+        assert dist[0] == np.inf and dist[2] == np.inf
+        assert dist[1] == pytest.approx(1.0)
+
+    def test_no_segments_misses_every_ray(self):
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.3, fan(0.3), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert dist.shape == (180,) and np.all(dist == np.inf)
+
+
+def fan_and_oracle(origin, rho, seg_a, seg_b, n_rays=180):
+    dirs = fan(rho, n_rays)
+    return ray_fan_segment_hits(origin, rho, dirs, seg_a, seg_b), ray_segment_hits(origin, dirs, seg_a, seg_b)
+
+
+def adversarial_cases():
+    """(origin, rho, seg_a, seg_b) poses where rounding decides a hit."""
+    cases = []
+    for path in BUNDLED:
+        seg_a, seg_b = load_scenario(path)[0].boundary_segments
+        for k in range(0, len(seg_a), max(1, len(seg_a) // 6)):
+            a, b = seg_a[k], seg_b[k]
+            for rho in (0.0, math.pi, -math.pi, 0.4):
+                cases.append((a, rho, seg_a, seg_b))  # on a wall vertex
+                cases.append((b + 1e-12, rho, seg_a, seg_b))  # within 1e-12 of an endpoint
+                cases.append((a - 0.5 * (b - a), rho, seg_a, seg_b))  # on a wall's line, beyond its end
+                cases.append((0.5 * (a + b), rho, seg_a, seg_b))  # on the wall itself
+    ring = np.array([(2.0, -0.5), (2.0, 0.5), (-2.0, 0.5), (-2.0, -0.5)])
+    box = (ring, np.roll(ring, -1, axis=0))
+    for rho in (0.0, math.pi, -math.pi, 1e-15, -1e-15, 2.0 * math.pi / 180.0 * 0.5):
+        cases.append((np.zeros(2), rho, *box))  # walls straddling ray 0 / ray n-1
+    # rays grazing an endpoint inside the validity test's 1e-9 slack
+    for eps in (1e-12, 1e-11, -1e-12):
+        cases.append((np.zeros(2), 0.0, [(2.0, eps)], [(2.0, 1.0)]))
+        cases.append((np.zeros(2), math.pi, [(-2.0, -eps)], [(-2.0, -1.0)]))
+        cases.append((np.zeros(2), 0.0, [(2.0, -1.0)], [(2.0, -eps)]))
+    return cases
+
+
+class TestFanSegmentKernel:
+    """The windowed kernel against the all-pairs oracle, bit for bit, inf included."""
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
+    def test_equals_all_pairs_on_random_poses(self, path):
+        scenario = load_scenario(path)[0]
+        seg_a, seg_b = scenario.boundary_segments
+        rng = np.random.default_rng(sum(map(ord, path.name)))
+        corners = np.vstack([seg_a, seg_b])
+        lo, hi = corners.min(axis=0) - 1.0, corners.max(axis=0) + 1.0
+        route = scenario.route_polyline
+        s = rng.uniform(0.0, route.length, 150)
+        near_route = route.sample(s)[0] + rng.normal(0.0, 0.3, (150, 2))
+        for origin in np.vstack([rng.uniform(lo, hi, (150, 2)), near_route]):
+            rho = float(rng.uniform(-4.0, 4.0))
+            got, expect = fan_and_oracle(origin, rho, seg_a, seg_b, scenario.sensor.n_rays)
+            assert np.array_equal(got, expect)
+
+    def test_equals_all_pairs_on_adversarial_poses(self):
+        for origin, rho, seg_a, seg_b in adversarial_cases():
+            got, expect = fan_and_oracle(origin, rho, seg_a, seg_b)
+            assert np.array_equal(got, expect), (origin, rho)
+
+    @pytest.mark.parametrize("n_rays", [2, 3, 4, 7, 720])
+    def test_equals_all_pairs_for_other_fan_sizes(self, n_rays):
+        rng = np.random.default_rng(n_rays)
+        seg_a, seg_b = load_scenario(BUNDLED[0])[0].boundary_segments
+        corners = np.vstack([seg_a, seg_b])
+        for origin in rng.uniform(corners.min(axis=0), corners.max(axis=0), (60, 2)):
+            got, expect = fan_and_oracle(origin, float(rng.uniform(-4.0, 4.0)), seg_a, seg_b, n_rays)
+            assert np.array_equal(got, expect)
+
+    def test_some_adversarial_pose_fails_without_the_widening(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_WINDOW_MARGIN_RAYS", 0)
+        mismatches = 0
+        for origin, rho, seg_a, seg_b in adversarial_cases():
+            got, expect = fan_and_oracle(origin, rho, seg_a, seg_b)
+            mismatches += not np.array_equal(got, expect)
+        assert mismatches > 0
+
+    def test_some_adversarial_pose_fails_without_the_near_fallback(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_NEAR", 0.0)
+        mismatches = 0
+        for origin, rho, seg_a, seg_b in adversarial_cases():
+            got, expect = fan_and_oracle(origin, rho, seg_a, seg_b)
+            mismatches += not np.array_equal(got, expect)
+        assert mismatches > 0
 
 
 class TestQuadraticFit:

@@ -209,6 +209,29 @@ def make_batch(rng, net, n=8):
     return S, A, R, S2, term
 
 
+def reference_train_step(net, target_net, batch, cfg):
+    """The Bellman update with fresh gradient arrays on every call, as the
+    in-place update must reproduce bit for bit."""
+    S, A, R, S2, term = batch
+    n = S.shape[0]
+    q_all, cache = net.forward_batch(S)
+    q_next, _ = target_net.forward_batch(S2)
+    targets = R + cfg.gamma * q_next.max(axis=1) * (1.0 - term)
+    delta = q_all[np.arange(n), A] - targets
+    d = np.zeros_like(q_all)
+    d[np.arange(n), A] = 2.0 * delta / n
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = d.T @ cache[i]
+        grads_b[i] = d.sum(axis=0)
+        if i > 0:
+            d = (d @ net.weights[i]) * (cache[i] > 0.0)
+    for i in range(len(net.weights)):
+        net.weights[i] -= cfg.learning_rate * grads_w[i]
+        net.biases[i] -= cfg.learning_rate * grads_b[i]
+
+
 class TestTrainStep:
     def _net(self, rng):
         cand = CandidateSet((-0.5, 0.0, 0.5), (0.0,))
@@ -219,10 +242,9 @@ class TestTrainStep:
         net = self._net(rng)
         target = net.copy()
         S, A, R, S2, term = make_batch(rng, net)
-        cfg = TrainConfig(gamma=0.0, learning_rate=0.0)
-        loss = train_step(net, target, (S, A, R, S2, term), cfg)
         q, _ = net.forward_batch(S)
         expect = float(np.mean((q[np.arange(len(A)), A] - R) ** 2))
+        loss = train_step(net, target, (S, A, R, S2, term), TrainConfig(gamma=0.0))
         assert loss == pytest.approx(expect, rel=1e-12)
 
     def test_all_terminal_batch_ignores_target_net(self):
@@ -232,18 +254,55 @@ class TestTrainStep:
         t2 = self._net(np.random.default_rng(99))
         S, A, R, S2, _ = make_batch(rng, net)
         term = np.ones(len(A))
-        cfg = TrainConfig(learning_rate=0.0)
-        assert train_step(net, t1, (S, A, R, S2, term), cfg) == train_step(
-            net, t2, (S, A, R, S2, term), cfg
+        cfg = TrainConfig()
+        updated = [net.copy(), net.copy()]
+        assert train_step(updated[0], t1, (S, A, R, S2, term), cfg) == train_step(
+            updated[1], t2, (S, A, R, S2, term), cfg
         )
+        for a, b in zip(updated[0].weights + updated[0].biases, updated[1].weights + updated[1].biases):
+            assert np.array_equal(a, b)
 
-    def test_zero_learning_rate_keeps_parameters_bit_identical(self):
+    def test_updates_are_bit_equal_to_the_allocating_expression(self):
         rng = np.random.default_rng(2)
+        cand = CandidateSet.grid()
+        net = QNetwork.initialize((40, 16, 12, len(cand)), cand, rng)
+        ref = net.copy()
+        target = net.copy()
+        cfg = TrainConfig(learning_rate=1e-2)
+        for _ in range(50):
+            batch = make_batch(rng, net, n=16)
+            train_step(net, target, batch, cfg)
+            reference_train_step(ref, target, batch, cfg)
+            for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+                assert np.array_equal(a, b)
+
+    def test_target_copy_is_unchanged_by_later_steps(self):
+        rng = np.random.default_rng(6)
         net = self._net(rng)
-        before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-        train_step(net, net.copy(), make_batch(rng, net), TrainConfig(learning_rate=0.0))
-        after = net.weights + net.biases
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        target = net.copy()
+        frozen = [p.copy() for p in target.weights + target.biases]
+        for _ in range(5):
+            train_step(net, target, make_batch(rng, net), TrainConfig(learning_rate=0.1))
+        assert not np.array_equal(net.weights[0], frozen[0])
+        for a, b in zip(target.weights + target.biases, frozen):
+            assert np.array_equal(a, b)
+        assert all(g is not h for g, h in zip(net._grad_w, target._grad_w))
+
+    def test_bellman_update_faults_in_no_fresh_memory(self):
+        resource = pytest.importorskip("resource")
+        rng = np.random.default_rng(8)
+        cand = CandidateSet.grid()
+        net = QNetwork.initialize((744, 128, 64, len(cand)), cand, rng)
+        target = net.copy()
+        batch = make_batch(rng, net, n=32)
+        cfg = TrainConfig(learning_rate=1e-6)
+        for _ in range(5):
+            train_step(net, target, batch, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            train_step(net, target, batch, cfg)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
+        assert faults < 20
 
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -411,6 +470,26 @@ def perturbed(value, rng):
     if isinstance(value, float):
         return value * rng.uniform(0.5, 1.0) if value else rng.uniform(0.0, 0.1)
     return value
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [0.0, -1e-3])
+    def test_non_positive_learning_rate_is_refused(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_is_refused(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    def test_replay_capacity_below_batch_size_is_refused(self):
+        # the buffer would never hold a batch, so train would run no update
+        with pytest.raises(ValueError, match="replay_capacity"):
+            TrainConfig(replay_capacity=31, batch_size=32)
+        with pytest.raises(ValueError, match="replay_capacity"):
+            config_from_dict(TrainConfig(), {"replay_capacity": 8, "batch_size": 16})
+        assert TrainConfig(replay_capacity=32, batch_size=32).replay_capacity == 32
 
 
 class TestConfigFromDict:
