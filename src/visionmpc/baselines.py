@@ -82,13 +82,26 @@ def _square_sum(dx, dy):
     return dx
 
 
-def _gathered_square_sum(xs, ys, cols, px, py):
-    """_square_sum of xs - px and ys - py over the columns cols of xs and ys."""
-    dx = np.take(xs, cols, axis=1)
+def _gathered_square_sum(xs, ys, cols, px, py, work):
+    """_square_sum of xs - px and ys - py over the columns cols of xs and
+    ys, in the buffers work["x"] and work["y"]."""
+    shape = (xs.shape[0], cols.size)
+    # mode="clip" writes straight into out; the indices are in range
+    dx = np.take(xs, cols, axis=1, out=_buffer(work, "x", shape), mode="clip")
     dx -= px
-    dy = np.take(ys, cols, axis=1)
+    dy = np.take(ys, cols, axis=1, out=_buffer(work, "y", shape), mode="clip")
     dy -= py
     return _square_sum(dx, dy)
+
+
+def _buffer(work: dict, key: str, shape, dtype=float) -> np.ndarray:
+    """An uninitialized array of `shape` on the buffer work[key], which is
+    grown to fit and kept in `work` for the next call."""
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)
+    return buf[:size].reshape(shape)
 
 
 def _pruning_bound(upper, radius):
@@ -98,7 +111,7 @@ def _pruning_bound(upper, radius):
     return reach * reach
 
 
-def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _min_clearance(positions: np.ndarray, pts: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Distance from each rollout (C, H, 2) to its nearest point (P >= 1, 2).
 
     The result is sqrt of the minimum of (x - px)^2 + (y - py)^2 over every
@@ -123,7 +136,13 @@ def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
     _PRUNE_SLACK and _PRUNE_ABS_M. Every pose covered is then farther from
     that point than the rollout's minimum by far more than rounding can
     close, so no dropped pair holds or ties the minimum.
+
+    The squares, bounds and masks of the passes are written into buffers
+    kept in `work`, grown to fit. A caller that passes the same dict on
+    every call reuses them; allocating them afresh costs hundreds of page
+    faults whenever the allocator has handed the last call's memory back.
     """
+    work = {} if work is None else work
     C, H, _ = positions.shape
     B, K = DWA_V_SAMPLES, _SEGMENT_STEPS
     nb, nk = -(-C // B), -(-H // K)
@@ -138,29 +157,29 @@ def _min_clearance(positions: np.ndarray, pts: np.ndarray) -> np.ndarray:
     tx, ty = sx[:, B // 2], sy[:, B // 2]
     tile_rad = (np.sqrt(_square_sum(sx - tx[:, None], sy - ty[:, None])) + seg_rad).max(axis=1)
 
-    d = _square_sum(tx[..., None] - px, ty[..., None] - py)
+    shape = (nb, nk, pts.shape[0])
+    dx = np.subtract(tx[..., None], px, out=_buffer(work, "x", shape))
+    d = _square_sum(dx, np.subtract(ty[..., None], py, out=_buffer(work, "y", shape)))
     upper = (np.sqrt(d.min(axis=2)) + tile_rad).min(axis=1)
-    kept = np.flatnonzero(d <= _pruning_bound(upper[:, None, None], tile_rad[..., None]))
+    bound = _pruning_bound(upper[:, None, None], tile_rad[..., None])
+    kept = np.flatnonzero(np.less_equal(d, bound, out=_buffer(work, "kept", shape, bool)))
     tile, point = np.divmod(kept, pts.shape[0])
     block = tile // nk
-    # each pass frees its squares before the next allocates: memory fresh
-    # from the system on every call costs more than the arithmetic
-    del d
 
     # (rollout in block, tile) layouts; every block keeps the pair that set its bound
     sx_t = sx.transpose(1, 0, 2).reshape(B, nb * nk)
     sy_t = sy.transpose(1, 0, 2).reshape(B, nb * nk)
-    d = _gathered_square_sum(sx_t, sy_t, tile, px[point], py[point])
+    d = _gathered_square_sum(sx_t, sy_t, tile, px[point], py[point], work)
     upper_roll = np.sqrt(np.minimum.reduceat(d, np.searchsorted(block, np.arange(nb)), axis=1))
     bound = _pruning_bound(np.repeat(upper_roll, nk, axis=1), seg_rad.transpose(1, 0, 2).reshape(B, nb * nk))
-    kept = np.flatnonzero(d <= np.take(bound, tile, axis=1))
+    bound = np.take(bound, tile, axis=1, out=_buffer(work, "bound", d.shape), mode="clip")
+    kept = np.flatnonzero(np.less_equal(d, bound, out=_buffer(work, "kept", d.shape, bool)))
     b, pair = np.divmod(kept, tile.shape[0])
-    del d
 
     rollout = block[pair] * B + b
     seg = rollout * nk + tile[pair] % nk
     point = point[pair]
-    d = _gathered_square_sum(X.reshape(K, -1), Y.reshape(K, -1), seg, px[point], py[point]).min(axis=0)
+    d = _gathered_square_sum(X.reshape(K, -1), Y.reshape(K, -1), seg, px[point], py[point], work).min(axis=0)
     # pairs run rollout-in-block major, block minor: one run per rollout
     key = b * nb + block[pair]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -190,6 +209,7 @@ def dwa_plan(
     goal: VehicleState,
     limits: NmpcConfig,
     current_u: ControlInput,
+    work: dict | None = None,
 ) -> tuple[VehicleState, ...]:
     """Best admissible constant-control rollout as a desired trajectory.
 
@@ -198,6 +218,8 @@ def dwa_plan(
     are scored on their end heading toward `goal`. Falls back to the
     hold-pose stop trajectory when every sampled rollout collides. The
     returned trajectory has limits.tau_o poses spaced limits.dt apart.
+    A caller that plans every step passes one dict as `work` on every
+    call, and the clearance kernel keeps its buffers there.
     """
     dt = limits.dt
     n_steps = max(1, int(round(DWA_HORIZON_S / dt)))
@@ -218,7 +240,7 @@ def dwa_plan(
         near = np.hypot(pts[:, 0] - vehicle.x, pts[:, 1] - vehicle.y) <= reach
         pts = pts[near]
     if pts.shape[0] > 0:
-        min_clear = _min_clearance(positions, pts)
+        min_clear = _min_clearance(positions, pts, work)
     else:
         min_clear = np.full(vs.shape[0], DWA_CLEARANCE_CAP + DWA_VEHICLE_RADIUS)
     admissible = min_clear > DWA_VEHICLE_RADIUS

@@ -189,8 +189,8 @@ def _cmd_train(args) -> int:
 
 
 def _default_training_pipeline() -> PipelineConfig:
-    # shorter horizon and iteration budget keep per-step solve cost low
-    return PipelineConfig(nmpc=NmpcConfig(tau_o=10, max_iters=25))
+    # a shorter horizon keeps the per-step solve cost low
+    return PipelineConfig(nmpc=NmpcConfig(tau_o=10))
 
 
 def _cmd_evaluate(args) -> int:

@@ -178,6 +178,8 @@ class DwaNmpcController(_BoundedController):
         super().__init__(pipeline)
         self._u_plan: Optional[ControlInput] = None
         self._gains = gain_schedule(SceneDynamics(0.0, 0.9))
+        # the planner's clearance buffers, kept from one step to the next
+        self._work: dict = {}
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         super().reset(scenario, params)
@@ -194,7 +196,7 @@ class DwaNmpcController(_BoundedController):
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         # the window anchors on the planner's own last command; anchoring on
         # the applied control couples plan and tracker into a slow fixed point
-        plan = dwa_plan(state, points, goal, cfg, self._u_plan)
+        plan = dwa_plan(state, points, goal, cfg, self._u_plan, self._work)
         v_plan = math.hypot(plan[0].x - state.x, plan[0].y - state.y) / cfg.dt
         if len(plan) > 1:
             psi_step = wrap_angle(plan[1].rho - plan[0].rho)

@@ -91,8 +91,9 @@ def scalar_clearance(positions, pts):
     return np.array(out)
 
 
-def monolithic_min_clearance(positions, pts):
-    """The clearance kernel before tiling: one (C*H) x P matrix, then row minima."""
+def monolithic_min_clearance(positions, pts, work=None):
+    """The clearance kernel before tiling: one (C*H) x P matrix, then row
+    minima; it takes the tiled kernel's buffer dict and leaves it unused."""
     flat = positions.reshape(-1, 2)
     d2 = (-2.0 * flat) @ pts.T
     d2 += np.sum(flat ** 2, axis=1)[:, None]
@@ -176,6 +177,17 @@ class TestMinClearance:
         ring = np.stack([0.5 + np.cos(angles), -0.5 + np.sin(angles)], axis=1)
         self.assert_exact(positions, ring)
         self.assert_exact(positions, np.array([[0.5, -0.5]]))
+
+    def test_buffers_kept_across_calls_change_no_result(self):
+        # one buffer dict through calls whose passes need more, then less,
+        # room than the last: each result equals that of fresh buffers
+        rng = np.random.default_rng(16)
+        work = {}
+        for _ in range(20):
+            _, positions = random_rollouts(rng, int(rng.integers(1, 240)), int(rng.integers(1, 32)))
+            pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 150)), 2))
+            assert np.array_equal(_min_clearance(positions, pts, work), _min_clearance(positions, pts))
+        assert {"x", "y", "bound", "kept"} <= work.keys()
 
     def test_points_behind_the_vehicle(self):
         rng = np.random.default_rng(14)

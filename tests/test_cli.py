@@ -305,7 +305,7 @@ class TestCheckpointReload:
         pipeline, policy = _run_pipeline(None, str(ckpt))
         _build_controller("lvd-nmpc", scenario, pipeline, policy, 0)
         assert pipeline == _default_training_pipeline()
-        assert pipeline.nmpc.max_iters == 25
+        assert pipeline.nmpc.max_iters == 4
 
     def test_reloaded_policy_drives_like_the_trained_one(self, tmp_path, monkeypatch):
         # the network train wrote, reloaded by simulate, logs the same bytes

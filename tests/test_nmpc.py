@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,8 +15,8 @@ from visionmpc.nmpc import (
     _Problem,
     control_step,
     solve,
-    tracking_cost,
 )
+from visionmpc.geometry import wrap_angle
 from visionmpc.scene import EPS_R, GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
@@ -24,7 +25,7 @@ AT_REST = ControlInput(0.0, 0.0)
 
 def config(**kw):
     """NmpcConfig with the tight solver stop these tests were written for
-    (the pipeline's defaults stop at 40 iterations, 1e-4 and 1e-8)."""
+    (the pipeline's defaults stop at 4 iterations, 1e-4 and 1e-8)."""
     return NmpcConfig(**{"max_iters": 80, "grad_tol": 1e-6, "f_tol": 1e-12, **kw})
 
 
@@ -35,6 +36,27 @@ LOOSE = config(
     e_min=-10.0,
     e_max=10.0,
 )
+
+
+def tracking_cost(z_seq, u_seq, z_d, g):
+    """Quadratic tracking cost with wrapped heading errors, the scalar
+    reference for the tracking and input terms of _Problem.forward.
+
+    J = sum_k q * ||z_d,k - z_k||^2 + r * ||u_k||^2, all sequences of equal
+    length. Heading differences are wrapped to (-pi, pi].
+    """
+    if not (len(z_seq) == len(u_seq) == len(z_d)):
+        raise ValueError(
+            f"sequence lengths differ: states {len(z_seq)}, controls {len(u_seq)}, desired {len(z_d)}"
+        )
+    total = 0.0
+    for z, u, d in zip(z_seq, u_seq, z_d):
+        ex = d.x - z.x
+        ey = d.y - z.y
+        er = wrap_angle(d.rho - z.rho)
+        total += g.q_diag * (ex * ex + ey * ey + er * er)
+        total += g.r_diag * (u.v_cmd * u.v_cmd + u.omega_cmd * u.omega_cmd)
+    return total
 
 
 def model(cfg):
@@ -351,6 +373,23 @@ class TestCostGate:
         ratios = []
         for args, recorded in cases:
             sol = solve(*args[:6], warm_start=args[6])
+            assert sol.cost <= recorded * (1.0 + 1e-3) + 1e-9
+            if recorded > 0.0:
+                ratios.append(sol.cost / recorded)
+        assert np.median(ratios) <= 1.0
+
+    @pytest.mark.parametrize("tag", ["dwa", "train"])
+    def test_the_shipped_budget_passes_the_same_gate(self, tag):
+        # the recorded configs ran 40 and 25 iterations; NmpcConfig's
+        # budget, which every pipeline runs, must meet the same bound
+        budget = NmpcConfig().max_iters
+        with np.load(FIXTURE, allow_pickle=False) as data:
+            cases = list(fixture_cases(data, tag))
+        ratios = []
+        for args, recorded in cases:
+            cfg = replace(args[4], max_iters=min(args[4].max_iters, budget))
+            sol = solve(*args[:4], cfg, args[5], warm_start=args[6])
+            assert sol.iterations <= budget
             assert sol.cost <= recorded * (1.0 + 1e-3) + 1e-9
             if recorded > 0.0:
                 ratios.append(sol.cost / recorded)

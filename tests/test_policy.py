@@ -514,7 +514,7 @@ class TestConfigFromDict:
     def test_missing_keys_keep_the_default_instance_values(self):
         cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 10}})
         assert cfg.nmpc.tau_o == 10
-        assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == NmpcConfig().max_iters == 40
+        assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == NmpcConfig().max_iters == 4
         assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):
