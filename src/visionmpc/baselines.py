@@ -23,12 +23,14 @@ shared NmpcConfig passed as `limits`, the one the tracking controller obeys.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
+from .geometry import read_only
 from .memory import Observation
 from .nmpc import NmpcConfig
-from .sim import ray_bearings
+from .sim import ray_bearings, signed_ray_bearings
 from .vehicle import ControlInput, VehicleState
 
 # dynamic-window sampling grid, rollout length and scoring weights
@@ -47,11 +49,12 @@ _PRUNE_SLACK = 1e-9
 _PRUNE_ABS_M = 1e-12
 
 # direct execution law: 0.01 degree steering steps, a proportional
-# velocity law with gain 1.6, braking when the front cone is nearer than
-# 0.45 m, and rays within 5% of the longest counted as open
+# velocity law with gain 1.6, braking when the front cone (+-30 deg) is
+# nearer than 0.45 m, and rays within 5% of the longest counted as open
 DIRECT_STEER_INCREMENT_DEG = 0.01
 DIRECT_K_V = 1.6
 DIRECT_BRAKE_DISTANCE_M = 0.45
+DIRECT_FRONT_HALF_DEG = 30.0
 DIRECT_OPEN_TOLERANCE = 0.05
 
 
@@ -272,6 +275,17 @@ def _stop_trajectory(vehicle: VehicleState, horizon: int) -> tuple[VehicleState,
     return (vehicle,) * horizon
 
 
+@cache
+def _direct_fan(n_rays: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of a fan of n_rays for the direct law: the rays
+    of the forward half-plane, their signed bearings, and the rays of the
+    front cone."""
+    bearings = signed_ray_bearings(n_rays)
+    forward = np.flatnonzero(np.abs(bearings) <= math.pi / 2.0)
+    front = np.flatnonzero(np.abs(bearings) <= math.radians(DIRECT_FRONT_HALF_DEG))
+    return read_only(forward), read_only(bearings[forward]), read_only(front)
+
+
 def _open_direction_signal(obs: Observation) -> tuple[float, float]:
     """(steering signal rad, min forward distance) from the scan.
 
@@ -279,16 +293,12 @@ def _open_direction_signal(obs: Observation) -> tuple[float, float]:
     half-plane; forward distance is the minimum over a narrow front cone.
     """
     rays = np.asarray(obs.rays)
-    bearings = ray_bearings(rays.shape[0])
-    bearings = np.where(bearings > math.pi, bearings - 2.0 * math.pi, bearings)
-    forward = np.abs(bearings) <= math.pi / 2.0
-    fb = bearings[forward]
-    fd = rays[forward]
+    forward, fb, front = _direct_fan(rays.shape[0])
+    fd = rays.take(forward)
     d_max = float(fd.max())
     open_mask = fd >= d_max - DIRECT_OPEN_TOLERANCE * d_max
     signal = float(np.mean(fb[open_mask]))
-    front = np.abs(bearings) <= math.radians(30.0)
-    front_min = float(rays[front].min()) if np.any(front) else d_max
+    front_min = float(rays.take(front).min()) if front.shape[0] > 0 else d_max
     return signal, front_min
 
 

@@ -18,8 +18,13 @@ sign of t and the side of the extent are not left to rounding. A segment
 that fails either condition (the origin on or within rounding of its line or
 an endpoint) is tested against every ray.
 
-`Polyline.project` is `project_batch` on one point; both resolve ties the
-same way.
+The values that no pose changes are computed once. A `SegmentSet` holds
+each segment's endpoints, `b - a` and its `_NEAR` tolerance, and
+`sim.Scenario.walls` builds one per scenario. `Polyline.project` is the
+per-point form that `sim_step` calls every step, and `project_batch` the
+form for a whole trial log; both give the same bits and resolve ties the
+same way. Every cached array is read-only (`read_only`), so no caller can
+change what later calls read.
 """
 
 import math
@@ -27,6 +32,12 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, marked read-only: a value cached once and shared by later calls."""
+    array.setflags(write=False)
+    return array
 
 
 def wrap_angle(angle: float) -> float:
@@ -64,6 +75,9 @@ class Polyline:
         self._cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         self._tangents = seg / seg_len[:, None]
         self._headings = np.array([math.atan2(ty, tx) for tx, ty in self._tangents])
+        self._seg_len_sq = seg_len ** 2
+        # per-segment values that `project` picks one of, as Python floats
+        self._picks = list(zip(self._cum.tolist(), seg_len.tolist(), self._tangents.tolist()))
 
     @property
     def length(self) -> float:
@@ -83,9 +97,24 @@ class Polyline:
         return tuple(self.sample(s)[0][0].tolist())
 
     def project(self, point) -> tuple[float, float]:
-        """Closest point on the path to `point`: project_batch on one point."""
-        s, lateral = self.project_batch(np.asarray(point, dtype=float)[None])
-        return float(s[0]), float(lateral[0])
+        """Closest point on the path to one `point`: (arc_length,
+        signed_lateral), the values project_batch gives for it, with the
+        same ties."""
+        q = np.asarray(point, dtype=float)
+        t = np.einsum("ij,ij->i", q - self.points[:-1], self._seg)
+        t /= self._seg_len_sq
+        np.clip(t, 0.0, 1.0, out=t)
+        foot = t[:, None] * self._seg
+        foot += self.points[:-1]
+        sq = q - foot
+        sq *= sq
+        d2 = sq[:, 0] + sq[:, 1]
+        i = d2.shape[0] - 1 - int(d2[::-1].argmin())
+        cum, seg_len, (tx, ty) = self._picks[i]
+        fx, fy = foot[i].tolist()
+        qx, qy = q.tolist()
+        dx, dy = qx - fx, qy - fy
+        return cum + float(t[i]) * seg_len, tx * dy - ty * dx
 
     def project_batch(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Closest points on the path to the (N, 2) `points`.
@@ -97,7 +126,7 @@ class Polyline:
         q = np.asarray(points, dtype=float).reshape(-1, 2)
         n_seg = self._seg_len.shape[0]
         rel = q[:, None, :] - self.points[:-1]
-        t = np.einsum("pij,ij->pi", rel, self._seg) / (self._seg_len ** 2)
+        t = np.einsum("pij,ij->pi", rel, self._seg) / self._seg_len_sq
         t = np.clip(t, 0.0, 1.0)
         foot = self.points[:-1] + t[:, :, None] * self._seg
         sq = (q[:, None, :] - foot) ** 2
@@ -173,7 +202,29 @@ _WINDOW_MARGIN_RAYS = 1
 _NEAR = 1e-6
 
 
-def ray_fan_segment_hits(origin, rho: float, directions, seg_a, seg_b) -> np.ndarray:
+class SegmentSet:
+    """Line segments a[i] -> b[i] with the values of each that no pose
+    changes: d = b - a and tol = `_NEAR` * |d|, the distance within which
+    `ray_fan_segment_hits` counts an origin as on the segment's line or an
+    endpoint. Every array is read-only."""
+
+    def __init__(self, a, b):
+        a = np.array(a, dtype=float).reshape(-1, 2)
+        b = np.array(b, dtype=float).reshape(-1, 2)
+        if a.shape != b.shape:
+            raise ValueError("segment starts and ends must pair up")
+        d = b - a
+        self.a, self.b, self.d = read_only(a), read_only(b), read_only(d)
+        self.tol = read_only(_NEAR * np.hypot(d[:, 0], d[:, 1]))
+        # both endpoint rows in one array, so one subtraction moves them to a pose
+        self._ends = read_only(np.vstack([a, b]))
+        self._index = read_only(np.arange(a.shape[0]))
+
+    def __len__(self) -> int:
+        return self.a.shape[0]
+
+
+def ray_fan_segment_hits(origin, rho: float, directions, segments: SegmentSet) -> np.ndarray:
     """Distance to the nearest segment intersection per ray, inf if missed.
 
     directions (R, 2) must be the unit vectors of a full fan, ray k at
@@ -184,27 +235,27 @@ def ray_fan_segment_hits(origin, rho: float, directions, seg_a, seg_b) -> np.nda
     directions = np.asarray(directions, dtype=float)
     n_rays = directions.shape[0]
     out = np.full(n_rays, np.inf)
-    a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
-    if a.shape[0] == 0:
+    n_seg = len(segments)
+    if n_seg == 0:
         return out
-    o = np.asarray(origin, dtype=float)
-    d = b - a
-    w = a - o
-    wb = b - o
+    # endpoint offsets from the origin: the rows of a, then the rows of b
+    rel = segments._ends - np.asarray(origin, dtype=float)
+    w = rel[:n_seg]
+    d = segments.d
     t_num = w[:, 0] * d[:, 1] - w[:, 1] * d[:, 0]
 
     # endpoint bearings in ray units counted from ray 0, b reached the short way from a
-    per_rad = n_rays / TWO_PI
-    x_a = (np.arctan2(w[:, 1], w[:, 0]) - rho) * per_rad
-    x_b = (np.arctan2(wb[:, 1], wb[:, 0]) - rho) * per_rad
+    x = np.arctan2(rel[:, 1], rel[:, 0])
+    x -= rho
+    x *= n_rays / TWO_PI
+    x_a, x_b = x[:n_seg], x[n_seg:]
     half = 0.5 * n_rays
     x_b = x_a + (half - (half - (x_b - x_a)) % n_rays)
     k_lo = np.ceil(np.minimum(x_a, x_b) - _WINDOW_MARGIN_RAYS)
     count = np.floor(np.maximum(x_a, x_b) + _WINDOW_MARGIN_RAYS) - k_lo + 1.0
-    r_a = np.hypot(w[:, 0], w[:, 1])
-    r_b = np.hypot(wb[:, 0], wb[:, 1])
-    tol = _NEAR * np.hypot(d[:, 0], d[:, 1])
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    r_a, r_b = r[:n_seg], r[n_seg:]
+    tol = segments.tol
     sin_spacing = math.sin(min(TWO_PI / n_rays, 0.5 * math.pi))
     near = (np.abs(t_num) <= tol * np.maximum(r_a, r_b)) | (np.minimum(r_a, r_b) * sin_spacing <= tol)
     k_lo[near] = 0.0
@@ -212,19 +263,21 @@ def ray_fan_segment_hits(origin, rho: float, directions, seg_a, seg_b) -> np.nda
     count = np.minimum(count, n_rays).astype(np.intp)
 
     # the kept pairs, segment-major, each window's rays wrapped around the fan
-    # (`take` gathers rows several times faster than fancy indexing)
-    seg = np.repeat(np.arange(a.shape[0]), count)
-    ray = np.arange(seg.shape[0]) + (k_lo.astype(np.intp) - (np.cumsum(count) - count)).take(seg)
+    # (the array methods `repeat`, `cumsum` and `take` skip the slower
+    # module-level wrappers and fancy indexing)
+    seg = segments._index.repeat(count)
+    first = count.cumsum() - count
+    ray = np.arange(seg.shape[0]) + (k_lo.astype(np.intp) - first).repeat(count)
     ray %= n_rays
-    dirs = directions.take(ray, axis=0)
-    dd, ww = d.take(seg, axis=0), w.take(seg, axis=0)
-    denom = dirs[:, 0] * dd[:, 1] - dirs[:, 1] * dd[:, 0]
+    dx, dy = directions[:, 0].take(ray), directions[:, 1].take(ray)
+    denom = dx * d[:, 1].take(seg) - dy * d[:, 0].take(seg)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = t_num.take(seg) / denom
-        u = (ww[:, 0] * dirs[:, 1] - ww[:, 1] * dirs[:, 0]) / denom
+        u = (w[:, 0].take(seg) * dy - w[:, 1].take(seg) * dx) / denom
     # small slack on the segment parameter so endpoint hits survive rounding
     valid = (np.abs(denom) > 1e-14) & (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    np.minimum.at(out, ray[valid], t[valid])
+    t[~valid] = np.inf
+    np.minimum.at(out, ray, t)
     return out
 
 

@@ -4,7 +4,10 @@ The headline offline metric is the speed-weighted cumulative position
 error: deviations between the estimated and reference paths are scaled by
 the momentary speed, summed as vectors, and reported as the L1 norm per
 sample. Curvature error compares quadratic-fit curvatures of the two
-paths. Closed-loop trials reuse both metrics against the route.
+paths. Closed-loop trials reuse both metrics against the route, computed
+on the columns of the trial log: `speed_weighted_error` and
+`scene.fit_curvature_xy` are the one implementation of each metric, and
+the record forms `e_xy` and `e_curvature` call them.
 """
 
 import csv
@@ -16,7 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scene import fit_curvature
+from .geometry import wrap_angle
+from .scene import fit_curvature, fit_curvature_xy
 from .sim import TrialOutcome
 from .vehicle import VehicleState
 
@@ -61,12 +65,16 @@ def e_xy(records: Sequence[OfflineRecord]) -> float:
     """
     if len(records) == 0:
         raise ValueError("e_xy needs at least one record")
-    sx = 0.0
-    sy = 0.0
-    for r in records:
-        sx += (r.x_est - r.x_gt) * r.v
-        sy += (r.y_est - r.y_gt) * r.v
-    return (abs(sx) + abs(sy)) / len(records)
+    x_est, y_est, x_gt, y_gt, v = np.array([(r.x_est, r.y_est, r.x_gt, r.y_gt, r.v) for r in records]).T
+    return speed_weighted_error(x_est - x_gt, y_est - y_gt, v)
+
+
+def speed_weighted_error(dx: np.ndarray, dy: np.ndarray, v: np.ndarray) -> float:
+    """(|sum_t dx_t v_t| + |sum_t dy_t v_t|) / m over m samples, the sums
+    running in sample order: e_xy on arrays of the deviations and speeds."""
+    sx = np.add.accumulate(dx * v)[-1]
+    sy = np.add.accumulate(dy * v)[-1]
+    return float((abs(sx) + abs(sy)) / dx.shape[0])
 
 
 def e_curvature(est_traj: Sequence[VehicleState], gt_traj: Sequence[VehicleState]) -> float:
@@ -83,24 +91,27 @@ def _sample_std(values: Sequence[float]) -> float:
 def trial_errors(outcome: TrialOutcome) -> tuple[Optional[float], Optional[float]]:
     """(e_xy, e_c) of the driven path against its route projection.
 
-    The logged poses are projected in one batch; speed is v_cmd. e_xy is
+    Both are computed on columns of the log: the logged positions are
+    projected in one batch, speed is v_cmd, and each path's curvature fit
+    takes its first heading wrapped as a VehicleState wraps it. e_xy is
     None for an empty log, e_c for fewer than 3 poses or a degenerate fit.
     """
     log = outcome.log
     if not log:
         return None, None
+    x, y, rho, v = np.array([(rec.x_m, rec.y_m, rec.rho_rad, rec.v_cmd) for rec in log]).T
     route = outcome.scenario.route_polyline
-    points, headings = route.sample(route.project_batch([(rec.x_m, rec.y_m) for rec in log])[0])
-    gt = [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
-    exy = e_xy(
-        [OfflineRecord(rec.time_s, rec.x_m, rec.y_m, g.x, g.y, rec.v_cmd) for rec, g in zip(log, gt)]
-    )
+    points, headings = route.sample(route.project_batch(np.stack([x, y], axis=1))[0])
+    gx, gy = points[:, 0], points[:, 1]
+    exy = speed_weighted_error(x - gx, y - gy, v)
     if len(log) < 3:
         return exy, None
     try:
-        return exy, e_curvature([VehicleState(rec.x_m, rec.y_m, rec.rho_rad) for rec in log], gt)
+        est_c = fit_curvature_xy(x, y, wrap_angle(float(rho[0])))
+        gt_c = fit_curvature_xy(gx, gy, wrap_angle(float(headings[0])))
     except ValueError:
         return exy, None
+    return exy, abs(est_c - gt_c)
 
 
 def aggregate(outcomes_by_method: Mapping[str, Sequence[TrialOutcome]]) -> list[MetricsReport]:

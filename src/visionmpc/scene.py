@@ -134,15 +134,20 @@ def fit_curvature(traj: Sequence[VehicleState]) -> float:
     """Quadratic-fit curvature of a pose sequence in the first pose's frame."""
     if len(traj) < 3:
         raise ValueError("need at least 3 trajectory points")
-    origin = traj[0]
-    cos_r, sin_r = math.cos(-origin.rho), math.sin(-origin.rho)
-    xs = np.empty(len(traj))
-    ys = np.empty(len(traj))
-    for i, z in enumerate(traj):
-        dx, dy = z.x - origin.x, z.y - origin.y
-        xs[i] = cos_r * dx - sin_r * dy
-        ys[i] = sin_r * dx + cos_r * dy
-    return fit_quadratic_curvature(xs, ys)
+    xs = np.array([z.x for z in traj])
+    ys = np.array([z.y for z in traj])
+    return fit_curvature_xy(xs, ys, traj[0].rho)
+
+
+def fit_curvature_xy(xs: np.ndarray, ys: np.ndarray, rho0: float) -> float:
+    """Quadratic-fit curvature of the points (xs, ys) in the frame of the
+    first point with heading rho0: the array form of fit_curvature."""
+    if xs.shape[0] < 3:
+        raise ValueError("need at least 3 trajectory points")
+    cos_r, sin_r = math.cos(-rho0), math.sin(-rho0)
+    dx = xs - xs[0]
+    dy = ys - ys[0]
+    return fit_quadratic_curvature(cos_r * dx - sin_r * dy, sin_r * dx + cos_r * dy)
 
 
 def gain_schedule(d: SceneDynamics) -> GainSchedule:

@@ -26,6 +26,13 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     dt_s 0.05                       # must equal the controller's nmpc.dt
     state_noise_std 0.0
 
+What no pose changes is built once and kept read-only. Per ray count:
+the fan's bearings (`ray_bearings`, `signed_ray_bearings`). Per scenario,
+on first use: the wall segments with their pose-independent values
+(`Scenario.walls`) and, when no obstacle moves, the obstacle centres and
+radii (`Scenario.static_obstacles`). Each step of `sense` and `sim_step`
+computes only what the pose changes.
+
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
 it for evaluation and `training.train` learns from it. Trial logs are CSV
 with one column per `StepRecord` field, in field order (`LOG_COLUMNS`),
@@ -37,21 +44,32 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
-from .geometry import Polyline, offset_polyline, ray_circle_hits, ray_fan_segment_hits
+from .geometry import Polyline, SegmentSet, offset_polyline, ray_circle_hits, ray_fan_segment_hits, read_only
 from .memory import Observation
 from .nmpc import NmpcError
 from .vehicle import ControlInput, ModelParams, VehicleState, step_true
 
 
+@cache
 def ray_bearings(n_rays: int) -> np.ndarray:
-    """Bearings of a full fan of n_rays counter-clockwise from the heading, for the sensor and every scan reader."""
-    return np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    """Bearings of a full fan of n_rays counter-clockwise from the heading,
+    for the sensor and every scan reader; one read-only array per ray count."""
+    return read_only(np.arange(n_rays) * (2.0 * math.pi / n_rays))
+
+
+@cache
+def signed_ray_bearings(n_rays: int) -> np.ndarray:
+    """ray_bearings(n_rays) with those past pi shifted to (-pi, 0): the
+    bearings that scan readers measure left (+) and right (-) of the
+    heading; one read-only array per ray count."""
+    b = ray_bearings(n_rays)
+    return read_only(np.where(b > math.pi, b - 2.0 * math.pi, b))
 
 
 @dataclass(frozen=True)
@@ -145,11 +163,21 @@ class Scenario:
         return Polyline(self.route)
 
     @cached_property
-    def boundary_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corridor wall segments as (starts, ends), built on first use; not part of equality."""
+    def walls(self) -> SegmentSet:
+        """Corridor wall segments, left then right, with their pose-independent
+        values; built on first use; not part of equality."""
         left = offset_polyline(self.route_polyline, self.half_width)
         right = offset_polyline(self.route_polyline, -self.half_width)
-        return np.vstack([left[:-1], right[:-1]]), np.vstack([left[1:], right[1:]])
+        return SegmentSet(np.vstack([left[:-1], right[:-1]]), np.vstack([left[1:], right[1:]]))
+
+    @cached_property
+    def static_obstacles(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Obstacle centres (C, 2) and radii (C,), read-only, when no obstacle
+        moves, else None; built on first use; not part of equality."""
+        if any(o.dynamic for o in self.obstacles):
+            return None
+        centers = np.array([o.center for o in self.obstacles], dtype=float).reshape(-1, 2)
+        return read_only(centers), read_only(np.array([o.radius for o in self.obstacles], dtype=float))
 
 
 @dataclass
@@ -177,9 +205,12 @@ class World:
         return "crash" if self.crashed else "goal" if self.reached else "timeout"
 
     def obstacle_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Obstacle centres (C, 2) and radii (C,) at time t: the scenario's
+        cached arrays when no obstacle moves."""
+        static = self.scenario.static_obstacles
+        if static is not None:
+            return static
         obs = self.scenario.obstacles
-        if not obs:
-            return np.zeros((0, 2)), np.zeros(0)
         centers = np.array([o.position_at(self.t) for o in obs])
         radii = np.array([o.radius for o in obs])
         return centers, radii
@@ -196,15 +227,18 @@ def sense(world: World) -> Observation:
     capped at the sensor maximum range.
     """
     cfg = world.scenario.sensor
-    bearings = ray_bearings(cfg.n_rays) + world.vehicle.rho
-    dirs = np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
-    origin = np.array([world.vehicle.x, world.vehicle.y])
+    z = world.vehicle
+    bearings = ray_bearings(cfg.n_rays) + z.rho
+    dirs = np.empty((cfg.n_rays, 2))
+    dirs[:, 0] = np.cos(bearings)
+    dirs[:, 1] = np.sin(bearings)
+    origin = np.array([z.x, z.y])
+    dist = ray_fan_segment_hits(origin, z.rho, dirs, world.scenario.walls)
     centers, radii = world.obstacle_states()
-    d_obs = ray_circle_hits(origin, dirs, centers, radii)
-    seg_a, seg_b = world.scenario.boundary_segments
-    d_wall = ray_fan_segment_hits(origin, world.vehicle.rho, dirs, seg_a, seg_b)
-    dist = np.minimum(np.minimum(d_obs, d_wall), cfg.max_range_m)
-    dist = np.maximum(dist, 1e-9)
+    if radii.shape[0] > 0:
+        np.minimum(ray_circle_hits(origin, dirs, centers, radii), dist, out=dist)
+    np.minimum(dist, cfg.max_range_m, out=dist)
+    np.maximum(dist, 1e-9, out=dist)
     return Observation(rays=dist, timestamp=world.t)
 
 
@@ -241,7 +275,7 @@ def sim_step(world: World, control: ControlInput) -> World:
     centers, radii = world.obstacle_states()
     px, py = world.vehicle.x, world.vehicle.y
     hit = False
-    for (cx, cy), r in zip(centers, radii):
+    for (cx, cy), r in zip(centers.tolist(), radii.tolist()):
         if math.hypot(px - cx, py - cy) < r:
             hit = True
             break

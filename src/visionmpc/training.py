@@ -17,11 +17,13 @@ epsilon-greedy exploration takes over.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from .controllers import LvdNmpcController, PipelineConfig
+from .geometry import read_only
 from .memory import Observation
 from .policy import (
     HIDDEN_LAYERS,
@@ -35,7 +37,7 @@ from .policy import (
     train_step,
 )
 # sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
-from .sim import Scenario, closed_loop, make_world, ray_bearings, sense, sim_step  # noqa: F401
+from .sim import Scenario, closed_loop, make_world, sense, signed_ray_bearings, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -69,6 +71,18 @@ DEMO_SIDE_LO_DEG = 6.0
 DEMO_SIDE_HI_DEG = 50.0
 
 
+@cache
+def _demonstration_fan(n_rays: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ray indices of the demonstration chooser's front cone and
+    its left and right side sectors, for a fan of n_rays."""
+    bear = signed_ray_bearings(n_rays)
+    lo, hi = math.radians(DEMO_SIDE_LO_DEG), math.radians(DEMO_SIDE_HI_DEG)
+    front = np.abs(bear) <= math.radians(DEMO_FRONT_HALF_DEG)
+    left = (bear > lo) & (bear <= hi)
+    right = (bear < -lo) & (bear >= -hi)
+    return tuple(read_only(np.flatnonzero(mask)) for mask in (front, left, right))
+
+
 def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     """Scripted scan-reactive candidate choice for demonstration episodes.
 
@@ -77,17 +91,13 @@ def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     candidate toward the side whose rays average farther.
     """
     rays = np.asarray(obs.rays)
-    bear = ray_bearings(rays.shape[0])
-    bear = np.where(bear > math.pi, bear - 2.0 * math.pi, bear)
-    front_min = float(rays[np.abs(bear) <= math.radians(DEMO_FRONT_HALF_DEG)].min())
+    front, left, right = _demonstration_fan(rays.shape[0])
+    front_min = float(rays.take(front).min())
     if front_min >= DEMO_BLOCK_DIST_M:
         c_target = 0.0
     else:
-        lo, hi = math.radians(DEMO_SIDE_LO_DEG), math.radians(DEMO_SIDE_HI_DEG)
-        left = (bear > lo) & (bear <= hi)
-        right = (bear < -lo) & (bear >= -hi)
         c_strong = max(abs(c) for c in candidates.c_values)
-        c_target = c_strong if float(rays[left].mean()) >= float(rays[right].mean()) else -c_strong
+        c_target = c_strong if float(rays.take(left).mean()) >= float(rays.take(right).mean()) else -c_strong
     ic = int(np.argmin([abs(c - c_target) for c in candidates.c_values]))
     iw = int(np.argmin([abs(w - 1.0) for w in candidates.w_values]))
     return ic * len(candidates.w_values) + iw

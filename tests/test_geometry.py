@@ -7,6 +7,7 @@ import pytest
 from visionmpc import geometry
 from visionmpc.geometry import (
     Polyline,
+    SegmentSet,
     fit_quadratic_curvature,
     offset_polyline,
     ray_circle_hits,
@@ -208,30 +209,33 @@ class TestRayHits:
         assert dist[0] == 0.0
 
     def test_segment_hits(self):
-        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 2), [(2.0, -1.0)], [(2.0, 1.0)])
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 2), SegmentSet([(2.0, -1.0)], [(2.0, 1.0)]))
         assert dist[0] == pytest.approx(2.0)
         assert dist[1] == np.inf
 
     def test_parallel_segment_missed(self):
-        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 4), [(0.0, 1.0)], [(5.0, 1.0)])
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 4), SegmentSet([(0.0, 1.0)], [(5.0, 1.0)]))
         assert dist[0] == np.inf and dist[2] == np.inf
         assert dist[1] == pytest.approx(1.0)
 
     def test_no_segments_misses_every_ray(self):
-        dist = ray_fan_segment_hits((0.0, 0.0), 0.3, fan(0.3), np.zeros((0, 2)), np.zeros((0, 2)))
+        dist = ray_fan_segment_hits((0.0, 0.0), 0.3, fan(0.3), SegmentSet(np.zeros((0, 2)), np.zeros((0, 2))))
         assert dist.shape == (180,) and np.all(dist == np.inf)
 
 
 def fan_and_oracle(origin, rho, seg_a, seg_b, n_rays=180):
+    # the segment set is built here, after any monkeypatch of the kernel's constants
     dirs = fan(rho, n_rays)
-    return ray_fan_segment_hits(origin, rho, dirs, seg_a, seg_b), ray_segment_hits(origin, dirs, seg_a, seg_b)
+    segments = SegmentSet(seg_a, seg_b)
+    return ray_fan_segment_hits(origin, rho, dirs, segments), ray_segment_hits(origin, dirs, seg_a, seg_b)
 
 
 def adversarial_cases():
     """(origin, rho, seg_a, seg_b) poses where rounding decides a hit."""
     cases = []
     for path in BUNDLED:
-        seg_a, seg_b = load_scenario(path)[0].boundary_segments
+        walls = load_scenario(path)[0].walls
+        seg_a, seg_b = walls.a, walls.b
         for k in range(0, len(seg_a), max(1, len(seg_a) // 6)):
             a, b = seg_a[k], seg_b[k]
             for rho in (0.0, math.pi, -math.pi, 0.4):
@@ -257,7 +261,7 @@ class TestFanSegmentKernel:
     @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
     def test_equals_all_pairs_on_random_poses(self, path):
         scenario = load_scenario(path)[0]
-        seg_a, seg_b = scenario.boundary_segments
+        seg_a, seg_b = scenario.walls.a, scenario.walls.b
         rng = np.random.default_rng(sum(map(ord, path.name)))
         corners = np.vstack([seg_a, seg_b])
         lo, hi = corners.min(axis=0) - 1.0, corners.max(axis=0) + 1.0
@@ -277,7 +281,8 @@ class TestFanSegmentKernel:
     @pytest.mark.parametrize("n_rays", [2, 3, 4, 7, 720])
     def test_equals_all_pairs_for_other_fan_sizes(self, n_rays):
         rng = np.random.default_rng(n_rays)
-        seg_a, seg_b = load_scenario(BUNDLED[0])[0].boundary_segments
+        walls = load_scenario(BUNDLED[0])[0].walls
+        seg_a, seg_b = walls.a, walls.b
         corners = np.vstack([seg_a, seg_b])
         for origin in rng.uniform(corners.min(axis=0), corners.max(axis=0), (60, 2)):
             got, expect = fan_and_oracle(origin, float(rng.uniform(-4.0, 4.0)), seg_a, seg_b, n_rays)

@@ -1,9 +1,13 @@
 import csv
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from visionmpc.controllers import DirectController, DwaNmpcController, PipelineConfig
+from visionmpc.geometry import fit_quadratic_curvature
 from visionmpc.metrics import (
     MetricsReport,
     OfflineRecord,
@@ -12,10 +16,55 @@ from visionmpc.metrics import (
     e_xy,
     offline_report,
     read_offline_dataset,
+    trial_errors,
 )
-from visionmpc.scene import SceneDynamics, project_path
-from visionmpc.sim import RaySensorConfig, Scenario, StepRecord, TrialOutcome, write_csv
+from visionmpc.scene import SceneDynamics, fit_curvature, project_path
+from visionmpc.sim import RaySensorConfig, Scenario, StepRecord, TrialOutcome, load_scenario, run_trial, write_csv
 from visionmpc.vehicle import VehicleState
+
+BUNDLED = sorted(p for p in resources.files("visionmpc").joinpath("scenarios").iterdir() if p.name.endswith(".scn"))
+
+
+def loop_e_xy(records):
+    """The per-record running-sum loop e_xy replaced, kept as its oracle."""
+    sx = 0.0
+    sy = 0.0
+    for r in records:
+        sx += (r.x_est - r.x_gt) * r.v
+        sy += (r.y_est - r.y_gt) * r.v
+    return (abs(sx) + abs(sy)) / len(records)
+
+
+def loop_fit_curvature(traj):
+    """The per-pose loop fit_curvature replaced, kept as its oracle."""
+    origin = traj[0]
+    cos_r, sin_r = math.cos(-origin.rho), math.sin(-origin.rho)
+    xs = np.empty(len(traj))
+    ys = np.empty(len(traj))
+    for i, z in enumerate(traj):
+        dx, dy = z.x - origin.x, z.y - origin.y
+        xs[i] = cos_r * dx - sin_r * dy
+        ys[i] = sin_r * dx + cos_r * dy
+    return fit_quadratic_curvature(xs, ys)
+
+
+def record_trial_errors(outcome):
+    """The record-based trial_errors, kept as its oracle: one OfflineRecord and
+    two VehicleStates per logged row, then the two loops above."""
+    log = outcome.log
+    if not log:
+        return None, None
+    route = outcome.scenario.route_polyline
+    points, headings = route.sample(route.project_batch([(rec.x_m, rec.y_m) for rec in log])[0])
+    gt = [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
+    exy = loop_e_xy([OfflineRecord(rec.time_s, rec.x_m, rec.y_m, g.x, g.y, rec.v_cmd) for rec, g in zip(log, gt)])
+    if len(log) < 3:
+        return exy, None
+    try:
+        est = [VehicleState(rec.x_m, rec.y_m, rec.rho_rad) for rec in log]
+        return exy, abs(loop_fit_curvature(est) - loop_fit_curvature(gt))
+    except ValueError:
+        return exy, None
 
 
 def make_scenario():
@@ -173,6 +222,53 @@ class TestAggregate:
             aggregate({"m": []})
         with pytest.raises(ValueError):
             aggregate({})
+
+
+class TestAgainstRecordOracle:
+    """The array computations equal the record-based ones bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        # a Direct trial on every bundled scenario, a short DWA-NMPC trial, synthetic
+        # logs of 1, 2, 3 and 9 rows, and one whose curvature fit degenerates
+        out = []
+        for path in BUNDLED:
+            scenario, params = load_scenario(path)
+            out.append(run_trial(scenario, DirectController(PipelineConfig()), params, trial_index=2))
+        scenario, params = load_scenario(BUNDLED[0])
+        out.append(run_trial(replace(scenario, time_limit_s=2.0), DwaNmpcController(PipelineConfig()), params))
+        rng = np.random.default_rng(8)
+        base = make_scenario()
+        for n in (1, 2, 3, 9):
+            xs = 0.4 * np.arange(1, n + 1) + rng.uniform(-0.1, 0.1, n)
+            rows = [(x, rng.uniform(-0.3, 0.3), rng.uniform(0.0, 1.0), 1.0) for x in xs.tolist()]
+            out.append(make_outcome(base, "timeout", rows))
+        out.append(make_outcome(base, "crash", [(1.0, 0.1, 0.5, 1.0)] * 4))  # one distinct x: no fit
+        return out
+
+    def test_trial_errors_equal_the_record_computation(self, outcomes):
+        for outcome in outcomes:
+            expect = tuple(None if e is None else float(e) for e in record_trial_errors(outcome))
+            assert repr(trial_errors(outcome)) == repr(expect)
+        assert any(trial_errors(o)[1] is None for o in outcomes if o.steps >= 3)
+
+    def test_aggregate_equals_the_record_computation(self, outcomes):
+        rep = aggregate({"m": outcomes})[0]
+        pairs = [record_trial_errors(o) for o in outcomes]
+        exy = np.array([e for e, _ in pairs if e is not None])
+        ec = np.array([c for _, c in pairs if c is not None])
+        assert rep.e_xy_mean == float(np.mean(exy)) and rep.e_xy_std == float(np.std(exy, ddof=1))
+        assert rep.e_c_mean == float(np.mean(ec)) and rep.e_c_std == float(np.std(ec, ddof=1))
+        assert rep.avg_speed_mps == float(np.mean([r.v_cmd for o in outcomes for r in o.log]))
+
+    def test_record_forms_equal_their_loops(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 5, 40):
+            records = [OfflineRecord(float(i), *rng.normal(0.0, 2.0, 4), rng.uniform(0.0, 1.5)) for i in range(n)]
+            assert repr(e_xy(records)) == repr(float(loop_e_xy(records)))
+        for n in (3, 4, 25):
+            traj = [VehicleState(*rng.normal(0.0, 3.0, 2), rng.uniform(-4.0, 4.0)) for _ in range(n)]
+            assert repr(fit_curvature(traj)) == repr(float(loop_fit_curvature(traj)))
 
 
 class TestOfflineDataset:

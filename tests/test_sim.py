@@ -5,6 +5,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from visionmpc import baselines, training
+from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.geometry import Polyline
 from visionmpc.nmpc import NmpcError
 from visionmpc.sim import (
@@ -17,14 +19,18 @@ from visionmpc.sim import (
     StepRecord,
     TrialOutcome,
     closed_loop,
+    csv_cell,
     in_goal,
     load_scenario,
     make_world,
+    ray_bearings,
     read_trial_log,
     reference_slice,
     run_trial,
     sense,
+    signed_ray_bearings,
     sim_step,
+    with_seed,
     write_csv,
 )
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
@@ -188,6 +194,99 @@ class TestCachedPolylines:
         assert "route_polyline" in vars(a) and "route_polyline" not in vars(b)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert replace(a, seed=9).route_polyline is not a.route_polyline
+
+
+BUNDLED = {p.name[:-4]: p for p in resources.files("visionmpc").joinpath("scenarios").iterdir() if p.name.endswith(".scn")}
+
+
+def with_mover(scenario):
+    """scenario plus an obstacle shuttling across the corridor 1.5 m ahead of the start."""
+    mover = Obstacle(center=(1.5, 0.4), radius=0.1, loop=((1.5, 0.4), (1.5, -0.4)), speed=0.3)
+    return replace(scenario, obstacles=scenario.obstacles + (mover,))
+
+
+def log_cells(outcome):
+    """A trial's status and every logged field as the CSV writes it, so equality is bit equality."""
+    return outcome.status, [[csv_cell(getattr(rec, name)) for name in LOG_COLUMNS] for rec in outcome.log]
+
+
+class TestCachedScenarioValues:
+    """Walls, static obstacles and fan constants are built once; reusing them changes nothing."""
+
+    @pytest.mark.parametrize("name", [*sorted(BUNDLED), "moving_obstacle"])
+    def test_warm_caches_change_no_trial(self, name):
+        if name == "moving_obstacle":
+            scenario, params = load_scenario(BUNDLED["straight_corridor"])
+            scenario = with_mover(scenario)
+        else:
+            scenario, params = load_scenario(BUNDLED[name])
+        cold = run_trial(scenario, DirectController(PipelineConfig()), params, trial_index=1)
+        assert "walls" in vars(scenario) and "static_obstacles" in vars(scenario)
+        warm = run_trial(scenario, DirectController(PipelineConfig()), params, trial_index=1)
+        copy = with_seed(scenario, scenario.seed)
+        assert copy == scenario and "walls" not in vars(copy) and "static_obstacles" not in vars(copy)
+        fresh = run_trial(copy, DirectController(PipelineConfig()), params, trial_index=1)
+        assert cold.steps > 0
+        assert log_cells(cold) == log_cells(warm) == log_cells(fresh)
+
+    def test_moving_obstacle_is_never_cached(self):
+        scenario = with_mover(corridor(obstacles=[Obstacle(center=(2.5, -0.3), radius=0.1)], half_width=0.6))
+        assert scenario.static_obstacles is None
+        world = world_for(scenario)
+        scans, centers = [], []
+        for t in (0.0, 1.0, 2.0):
+            world.t = t
+            scans.append(sense(world).rays)
+            centers.append(world.obstacle_states()[0])
+            # the same scan from a static copy with every obstacle where it is at t
+            frozen = replace(
+                scenario, obstacles=tuple(Obstacle(center=o.position_at(t), radius=o.radius) for o in scenario.obstacles)
+            )
+            assert frozen.static_obstacles is not None
+            assert np.array_equal(scans[-1], sense(world_for(frozen)).rays)
+        assert not np.array_equal(centers[0], centers[1]) and not np.array_equal(scans[0], scans[1])
+        assert not np.array_equal(scans[1], scans[2])
+
+    def test_static_obstacles_are_cached_once(self):
+        scenario, params = load_scenario(BUNDLED["corridor_two_obstacles"])
+        world = make_world(scenario, params, np.random.default_rng(0))
+        states = world.obstacle_states()
+        assert states is scenario.static_obstacles
+        world.t = 7.5
+        assert world.obstacle_states() is states
+        assert states[0].tolist() == [list(o.center) for o in scenario.obstacles]
+        assert states[1].tolist() == [o.radius for o in scenario.obstacles]
+        assert corridor().static_obstacles[0].shape == (0, 2)
+
+    def test_cached_constants_are_read_only(self):
+        scenario, _ = load_scenario(BUNDLED["corridor_two_obstacles"])
+        n = scenario.sensor.n_rays
+        walls = scenario.walls
+        cached = {
+            "ray_bearings": ray_bearings(n),
+            "signed_ray_bearings": signed_ray_bearings(n),
+            **{f"direct fan {k}": a for k, a in enumerate(baselines._direct_fan(n))},
+            **{f"demonstration fan {k}": a for k, a in enumerate(training._demonstration_fan(n))},
+            "walls.a": walls.a,
+            "walls.b": walls.b,
+            "walls.d": walls.d,
+            "walls.tol": walls.tol,
+            "obstacle centres": scenario.static_obstacles[0],
+            "obstacle radii": scenario.static_obstacles[1],
+        }
+        for name, array in cached.items():
+            assert array.size > 0, name
+            with pytest.raises(ValueError):
+                array[0] = 1
+            with pytest.raises(ValueError):
+                array += 1
+        # one array per ray count and per scenario, handed to every caller
+        assert ray_bearings(n) is cached["ray_bearings"] and scenario.walls is walls
+        assert baselines._direct_fan(n)[0] is cached["direct fan 0"]
+        assert ray_bearings(n).tolist() == (np.arange(n) * (2.0 * math.pi / n)).tolist()
+        signed = signed_ray_bearings(n)
+        assert np.all((signed > -math.pi) & (signed <= math.pi))
+        assert np.array_equal(np.mod(signed, 2.0 * math.pi), ray_bearings(n))
 
 
 class TestSimStep:
