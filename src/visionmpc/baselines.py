@@ -4,7 +4,7 @@ The dynamic-window planner samples (v, omega) pairs reachable within one
 control period, rolls each out at constant control, discards rollouts that
 come within the inflation radius of a sensed obstacle point, and scores
 the survivors on goal heading, clearance, and speed. The winning rollout
-becomes the desired trajectory for the tracking controller.
+becomes the desired trajectory and reference control of the tracker.
 
 A rollout's clearance is the exact minimum, over its poses and the sensed
 points, of (x - px)^2 + (y - py)^2, square-rooted once. It is found in
@@ -213,14 +213,14 @@ def dwa_plan(
     limits: NmpcConfig,
     current_u: ControlInput,
     work: dict | None = None,
-) -> tuple[VehicleState, ...]:
-    """Best admissible constant-control rollout as a desired trajectory.
+) -> tuple[ControlInput, tuple[VehicleState, ...]]:
+    """Best admissible constant-control rollout: its sampled (v, omega) and its poses.
 
     The window is the set of controls within the actuator bounds of
     `limits` and reachable from current_u under its rate bounds; rollouts
-    are scored on their end heading toward `goal`. Falls back to the
-    hold-pose stop trajectory when every sampled rollout collides. The
-    returned trajectory has limits.tau_o poses spaced limits.dt apart.
+    are scored on their end heading toward `goal`. Falls back to (0, 0) and
+    the hold-pose stop trajectory when every sampled rollout collides. The
+    trajectory has limits.tau_o poses spaced limits.dt apart.
     A caller that plans every step passes one dict as `work` on every
     call, and the clearance kernel keeps its buffers there.
     """
@@ -229,7 +229,7 @@ def dwa_plan(
     horizon = limits.tau_o
     (v_lo, v_hi), (om_lo, om_hi) = limits.reachable(current_u)
     if v_lo > v_hi or om_lo > om_hi:
-        return _stop_trajectory(vehicle, horizon)
+        return ControlInput(0.0, 0.0), (vehicle,) * horizon
     v_grid, om_grid = np.meshgrid(
         np.linspace(v_lo, v_hi, DWA_V_SAMPLES), np.linspace(om_lo, om_hi, DWA_OMEGA_SAMPLES)
     )
@@ -248,7 +248,7 @@ def dwa_plan(
         min_clear = np.full(vs.shape[0], DWA_CLEARANCE_CAP + DWA_VEHICLE_RADIUS)
     admissible = min_clear > DWA_VEHICLE_RADIUS
     if not np.any(admissible):
-        return _stop_trajectory(vehicle, horizon)
+        return ControlInput(0.0, 0.0), (vehicle,) * horizon
 
     end = positions[:, n_steps - 1, :]
     to_goal = np.arctan2(goal.y - end[:, 1], goal.x - end[:, 0])
@@ -265,14 +265,10 @@ def dwa_plan(
     )
     score = np.where(admissible, score, -np.inf)
     best = int(np.argmax(score))
-    return tuple(
+    return ControlInput(float(vs[best]), float(omegas[best])), tuple(
         VehicleState(float(positions[best, k, 0]), float(positions[best, k, 1]), float(pose_heads[best, k]))
         for k in range(horizon)
     )
-
-
-def _stop_trajectory(vehicle: VehicleState, horizon: int) -> tuple[VehicleState, ...]:
-    return (vehicle,) * horizon
 
 
 @cache

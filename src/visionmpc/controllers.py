@@ -10,21 +10,24 @@ vehicle onto the route: each step receives the state's route arc length s
 from the closed loop, which the simulator computed when it reached that
 state. The controllers share one skeleton,
 `_BoundedController`: its reset starts a trial at rest with no warm start,
-and its `_track` runs one NMPC step and keeps the control it applied.
+and its `_track`, the one tracking path of both NMPC methods, runs one
+NMPC step under the gains and reference control of a scene pair and keeps
+the control it applied.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .baselines import DWA_HORIZON_S, direct_policy_step, dwa_plan, obstacle_points_from_observation
-from .geometry import Polyline, wrap_angle
+from .geometry import Polyline
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .nmpc import NmpcConfig, control_step
 from .policy import QNetwork, featurize, select_dynamics
-from .scene import GainSchedule, SceneDynamics, desired_trajectory, dynamics_from_trajectory, gain_schedule, residual_h
+from .scene import SceneDynamics, desired_trajectory, gain_schedule, pair_of_control, reference_control
+# dynamics_from_trajectory is unused here; perfbench/tracer.py wraps it by attribute name on this module
+from .scene import dynamics_from_trajectory, residual_h  # noqa: F401
 from .sim import Scenario, StepCommand, reference_slice
 from .vehicle import ControlInput, ModelParams, VehicleState
 
@@ -96,12 +99,15 @@ class _BoundedController:
         self._u_prev = ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
         return self._u_prev
 
-    def _track(self, state: VehicleState, z_d, residual, gains: GainSchedule) -> ControlInput:
-        """One NMPC step toward z_d from the last applied control; returns the control applied."""
-        u, sol = control_step(state, z_d, residual, gains, self._limits, self._u_prev, warm_start=self._warm)
+    def _track(self, state: VehicleState, z_d, residual, pair: SceneDynamics) -> StepCommand:
+        """One NMPC step toward z_d from the last applied control under the
+        gains and reference control of the scene pair, logged with the pair."""
+        cfg = self._limits
+        u_ref = reference_control(pair, cfg.u_max.v_cmd, cfg.wheelbase_L)
+        u, sol = control_step(state, z_d, residual, gain_schedule(pair), cfg, self._u_prev, u_ref, self._warm)
         self._warm = sol.u_opt
         self._u_prev = u
-        return u
+        return StepCommand(u=u, c=pair.c, w=pair.w)
 
 
 def lvd_desired_path(
@@ -162,28 +168,21 @@ class LvdNmpcController(_BoundedController):
         self.last_features = features
         self.last_action = action
         z_d = lvd_desired_path(route, s, dyn, state, cfg)
-        residual = residual_h(dyn, state.rho)
-        return StepCommand(u=self._track(state, z_d, residual, gain_schedule(dyn)), c=dyn.c, w=dyn.w)
+        return self._track(state, z_d, residual_h(dyn, state.rho), dyn)
 
 
 class DwaNmpcController(_BoundedController):
-    """Dynamic-window planning executed by a fixed-gain tracking controller.
+    """Dynamic-window planning executed by the scene-adaptive tracker.
 
-    Unlike the scene-adaptive pipeline, the baseline NMPC runs constant
-    gains; scheduling them from the momentary plan speed deadlocks the
-    startup (low speed -> heavy input penalty -> no acceleration).
+    The window is reachable from the control last applied; the plan is the
+    desired trajectory, and the pair its sampled command holds sets the
+    gains and reference control, as the learned pair does for LVD-NMPC.
     """
 
     def __init__(self, pipeline: PipelineConfig):
         super().__init__(pipeline)
-        self._u_plan: Optional[ControlInput] = None
-        self._gains = gain_schedule(SceneDynamics(0.0, 0.9))
         # the planner's clearance buffers, kept from one step to the next
         self._work: dict = {}
-
-    def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        super().reset(scenario, params)
-        self._u_plan = ControlInput(0.0, 0.0)
 
     def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         cfg = self._limits
@@ -194,24 +193,8 @@ class DwaNmpcController(_BoundedController):
         tau_goal = max(cfg.tau_o, int(round(2.0 * DWA_HORIZON_S / cfg.dt)))
         goal_xy, goal_rho = self._scenario.route_polyline.sample(s + v_full * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
-        # the window anchors on the planner's own last command; anchoring on
-        # the applied control couples plan and tracker into a slow fixed point
-        plan = dwa_plan(state, points, goal, cfg, self._u_plan, self._work)
-        v_plan = math.hypot(plan[0].x - state.x, plan[0].y - state.y) / cfg.dt
-        if len(plan) > 1:
-            psi_step = wrap_angle(plan[1].rho - plan[0].rho)
-            omega_plan = math.asin(
-                min(max(psi_step * cfg.wheelbase_L / (max(v_plan, 1e-9) * cfg.dt), -1.0), 1.0)
-            )
-        else:
-            omega_plan = 0.0
-        self._u_plan = ControlInput(min(v_plan, v_full), omega_plan)
-        w = min(max(v_plan / v_full, 0.0), 1.0)
-        try:
-            c = dynamics_from_trajectory(plan, min(v_plan, v_full), v_full).c
-        except ValueError:
-            c = 0.0
-        return StepCommand(u=self._track(state, plan, None, self._gains), c=c, w=w)
+        u_plan, plan = dwa_plan(state, points, goal, cfg, self._u_prev, self._work)
+        return self._track(state, plan, None, SceneDynamics(*pair_of_control(u_plan, v_full, cfg.wheelbase_L)))
 
 
 class DirectController(_BoundedController):
@@ -220,6 +203,5 @@ class DirectController(_BoundedController):
     def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         u = direct_policy_step(obs, self._limits, self._u_prev)
         self._u_prev = u
-        c = math.sin(u.omega_cmd) / self._limits.wheelbase_L
-        w = min(max(u.v_cmd / self._limits.u_max.v_cmd, 0.0), 1.0)
+        c, w = pair_of_control(u, self._limits.u_max.v_cmd, self._limits.wheelbase_L)
         return StepCommand(u=u, c=c, w=w)

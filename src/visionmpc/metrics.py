@@ -181,6 +181,8 @@ def read_offline_dataset(path) -> list[OfflineRecord]:
                 vals = [float(x) for x in row]
             except ValueError:
                 raise ValueError(f"{path}:{i}: non-numeric value in {row!r}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{i}: non-finite value in {row!r}")
             if last_t is not None and vals[0] <= last_t:
                 raise ValueError(f"{path}:{i}: timestamps must strictly increase")
             last_t = vals[0]

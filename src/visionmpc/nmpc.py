@@ -1,5 +1,10 @@
 """Constrained receding-horizon controller.
 
+Each horizon step costs q |z - z_d|^2 + r |u - u_ref|^2, the gains and the
+reference control u_ref (held over the horizon) set by one scene pair. The
+input term prices u - u_ref, not u (Rawlings, Mayne and Diehl, Model
+Predictive Control, 2017, ch. 1), so a low q does not pull the speed to zero.
+
 Single-shooting transcription: the decision variables are the control
 sequence, the predicted states come from rolling the nominal model plus a
 constant residual increment forward. Actuator and rate bounds and a soft
@@ -154,13 +159,14 @@ class _Problem:
     so the cost and gradient are bit-identical to a loop over the horizon.
     """
 
-    def __init__(self, current, zd_states, residual, g, cfg, u_prev, penalty):
+    def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
         T = cfg.tau_o
         self.T = T
         self.dt = cfg.dt
         self.L = cfg.wheelbase_L
         self.q = g.q_diag
         self.r = g.r_diag
+        self.u_ref = np.array((u_ref.v_cmd, u_ref.omega_cmd) * T)
         self.pw = penalty
         self.r0 = current.rho
         if residual is None:
@@ -237,7 +243,8 @@ class _Problem:
         sq = h[:-T] * h[:-T]
         pen = pw * (sq[0::2] + sq[1::2])
         he = h[-T:]
-        e2, u2 = e * e, u * u
+        du = u - self.u_ref
+        e2, u2 = e * e, du * du
         terms = np.empty(3 * T + pen.size - T)
         stage = terms[: 3 * T].reshape(T, 3)
         np.add(self.q * (e2[0] + e2[1] + er * er), self.r * (u2[0::2] + u2[1::2]), out=stage[:, 0])
@@ -268,7 +275,7 @@ class _Problem:
         grad = np.empty(n)
         grad[0::2] = dt * (ch * lam_x + sh * lam_y) + dt * sw / L * lam_r
         grad[1::2] = m + dtv * np.cos(w) / L * lam_r
-        grad += 2.0 * self.r * u
+        grad += 2.0 * self.r * (u - self.u_ref)
         grad += pw * 2.0 * h[:n]
         d_rate = 2.0 * h[n:-T] * pw / dt
         grad += d_rate
@@ -393,7 +400,7 @@ class _GaussNewtonModel:
         # half the model's Hessian and gradient at d = 0, hinges aside
         self.hess = q * (flat.T @ flat)
         self.hess.reshape(-1)[:: n + 1] += r + _DAMPING
-        self.grad = q * (flat.T @ np.concatenate((e[0], e[1], er))) + r * u
+        self.grad = q * (flat.T @ np.concatenate((e[0], e[1], er))) + r * (u - problem.u_ref)
         self.lat_jac = problem.lat[0][:, None] * jac[0] + problem.lat[1][:, None] * jac[1]
         # hinge arguments [u | rates | e_lat] at d = 0; forward() reuses its buffer
         self.z0 = problem.box[2:].copy()
@@ -553,11 +560,13 @@ def solve(
     g: GainSchedule,
     cfg: NmpcConfig,
     u_prev: ControlInput,
+    u_ref: ControlInput,
     warm_start: Optional[np.ndarray] = None,
 ) -> NmpcSolution:
     """Minimize the penalized tracking objective over the control sequence.
 
-    u_prev, the control last applied, anchors the first rate constraint.
+    u_prev, the control last applied, anchors the first rate constraint;
+    the input term prices every control against u_ref.
     warm_start, a flat control array like NmpcSolution.u_opt, is projected
     onto the bounds and used as the initial iterate. The returned controls
     satisfy actuator and rate bounds exactly; the returned cost never
@@ -572,7 +581,7 @@ def solve(
 
     # an overflowing rollout is reported as NmpcError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        problem = _Problem(current, z_d, residual, g, cfg, u_prev, PENALTY_WEIGHT)
+        problem = _Problem(current, z_d, residual, g, cfg, u_prev, u_ref, PENALTY_WEIGHT)
         f_initial, x, iters, converged = _gauss_newton(problem, x0, cfg.max_iters, cfg.grad_tol, cfg.f_tol)
         final = _clip_chain(x, cfg, u_prev)
         f_final = problem.value(final)
@@ -591,6 +600,7 @@ def control_step(
     g: GainSchedule,
     cfg: NmpcConfig,
     u_prev: ControlInput,
+    u_ref: ControlInput,
     warm_start: Optional[np.ndarray] = None,
 ) -> tuple[ControlInput, NmpcSolution]:
     """One receding-horizon step: solve, apply the first optimal control.
@@ -600,5 +610,5 @@ def control_step(
     solution is returned for the next call.
     """
     init = None if warm_start is None else np.concatenate((warm_start[2:], warm_start[-2:]))
-    sol = solve(current, z_d, residual, g, cfg, u_prev, warm_start=init)
+    sol = solve(current, z_d, residual, g, cfg, u_prev, u_ref, warm_start=init)
     return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol

@@ -2,9 +2,9 @@
 
 A driving scene is summarized by (c, w): road curvature in 1/m and a
 normalized traversable width in [0, 1]. This module converts between that
-pair and geometric objects the controller consumes: a lateral path
-projection, a corrected desired trajectory, a model residual, and the
-quadratic-cost gain schedule.
+pair and what the controller consumes: a lateral path projection, a
+corrected desired trajectory, a model residual, the quadratic-cost gain
+schedule and the reference control; and it maps a control back to its pair.
 """
 
 import math
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import fit_quadratic_curvature, rotate, wrap_angle
-from .vehicle import VehicleState
+from .vehicle import ControlInput, VehicleState
 
 # floor of diag(R): keeps the input penalty positive definite at w = 1
 EPS_R = 1e-3
@@ -119,15 +119,11 @@ def dynamics_from_trajectory(traj: Sequence[VehicleState], v: float, v_max: floa
     Curvature is 2*a2 of the least-squares quadratic fit in the frame of
     the first pose; w = v / v_max clamped to [0, 1].
     """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 trajectory points")
     if v_max <= 0.0:
         raise ValueError("v_max must be positive")
     if not (0.0 <= v <= v_max):
         raise ValueError(f"v must be in [0, v_max], got {v}")
-    c = fit_curvature(traj)
-    w = min(max(v / v_max, 0.0), 1.0)
-    return SceneDynamics(c, w)
+    return SceneDynamics(fit_curvature(traj), min(max(v / v_max, 0.0), 1.0))
 
 
 def fit_curvature(traj: Sequence[VehicleState]) -> float:
@@ -153,3 +149,13 @@ def fit_curvature_xy(xs: np.ndarray, ys: np.ndarray, rho0: float) -> float:
 def gain_schedule(d: SceneDynamics) -> GainSchedule:
     """diag(Q) = w, diag(R) = 1 - w, with R floored at EPS_R."""
     return GainSchedule(q_diag=d.w, r_diag=max(1.0 - d.w, EPS_R))
+
+
+def reference_control(d: SceneDynamics, v_full: float, wheelbase_L: float) -> ControlInput:
+    """(w * v_full, asin(c * L)) with c * L clipped to [-1, 1]: the control that holds the pair d."""
+    return ControlInput(d.w * v_full, math.asin(min(max(d.c * wheelbase_L, -1.0), 1.0)))
+
+
+def pair_of_control(u: ControlInput, v_full: float, wheelbase_L: float) -> tuple[float, float]:
+    """(sin(omega) / L, v / v_full clipped to [0, 1]): the pair (c, w) that u holds, as floats."""
+    return math.sin(u.omega_cmd) / wheelbase_L, min(max(u.v_cmd / v_full, 0.0), 1.0)

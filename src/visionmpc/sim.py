@@ -455,9 +455,12 @@ def _parse_floats(path, line_no, key, tokens, count):
     if len(tokens) != count:
         raise ScenarioFormatError(f"{path}:{line_no}: {key} expects {count} numbers, got {len(tokens)}")
     try:
-        return [float(tok) for tok in tokens]
+        vals = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}:{line_no}: {key} has a non-numeric value ({exc})") from None
+    if not all(map(math.isfinite, vals)):
+        raise ScenarioFormatError(f"{path}:{line_no}: {key} has a non-finite value ({' '.join(tokens)})")
+    return vals
 
 
 # scalar file keys: the object each one sets and the field it sets there;

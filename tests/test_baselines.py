@@ -23,7 +23,7 @@ from visionmpc.baselines import (
 )
 from visionmpc.memory import Observation
 from visionmpc.nmpc import NmpcConfig
-from visionmpc.vehicle import ControlInput, VehicleState
+from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
 # the shared actuator and rate bounds (the old per-baseline defaults)
 LIMITS = NmpcConfig()
@@ -39,7 +39,7 @@ class TestDwaPlan:
         vehicle = VehicleState(0, 0, 0)
         cruise = ControlInput(0.9, 0.0)
         # goal past the rollout reach, as the controller provides
-        plan = dwa_plan(vehicle, np.zeros((0, 2)), straight_ref(n=60, spacing=0.05)[-1], lim, cruise)
+        _, plan = dwa_plan(vehicle, np.zeros((0, 2)), straight_ref(n=60, spacing=0.05)[-1], lim, cruise)
         # fastest admissible speed within the window, essentially straight
         v_sel = math.hypot(plan[0].x, plan[0].y) / lim.dt
         assert v_sel == pytest.approx(min(lim.u_max.v_cmd, cruise.v_cmd + lim.du_max.v_cmd * lim.dt), abs=1e-9)
@@ -53,7 +53,7 @@ class TestDwaPlan:
         points = np.stack([xs, ys], axis=1)
         goal = straight_ref(n=60)[-1]
         lim = NmpcConfig(tau_o=20)
-        plan = dwa_plan(vehicle, points, goal, lim, ControlInput(0.5, 0.0))
+        _, plan = dwa_plan(vehicle, points, goal, lim, ControlInput(0.5, 0.0))
         clearance = min(
             math.hypot(z.x - p[0], z.y - p[1]) for z in plan for p in points
         )
@@ -65,8 +65,35 @@ class TestDwaPlan:
         vehicle = VehicleState(0, 0, 0)
         angles = np.linspace(-math.pi, math.pi, 120, endpoint=False)
         ring = np.stack([0.12 * np.cos(angles), 0.12 * np.sin(angles)], axis=1)
-        plan = dwa_plan(vehicle, ring, straight_ref()[-1], NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
+        u, plan = dwa_plan(vehicle, ring, straight_ref()[-1], NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
         assert all(z == vehicle for z in plan)
+        assert u == ControlInput(0.0, 0.0)
+
+    def test_command_is_a_sampled_pair_whose_rollout_is_the_plan(self):
+        rng = np.random.default_rng(8)
+        turned = stops = 0
+        for _ in range(40):
+            lim = NmpcConfig(tau_o=int(rng.choice((10, 20))))
+            vehicle = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+            points = vehicle_frame_points(vehicle, rng.uniform(-1.0, 2.5, size=(int(rng.integers(0, 30)), 2)))
+            goal = VehicleState(vehicle.x + 3.0, vehicle.y + rng.uniform(-2, 2), 0.0)
+            current = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
+            u, plan = dwa_plan(vehicle, points, goal, lim, current)
+            (v_lo, v_hi), (om_lo, om_hi) = lim.reachable(current)
+            sampled = (
+                u.v_cmd in np.linspace(v_lo, v_hi, DWA_V_SAMPLES).tolist()
+                and u.omega_cmd in np.linspace(om_lo, om_hi, DWA_OMEGA_SAMPLES).tolist()
+            )
+            # a command outside the grid is the stop fallback's (0, 0)
+            assert sampled or u == ControlInput(0.0, 0.0)
+            stops += not sampled
+            # the rollout at constant u is the plan, the stop's hold-pose included
+            held = rollout(vehicle, [u] * lim.tau_o, p=ModelParams(wheelbase_L=lim.wheelbase_L, dt=lim.dt, sigma_f=0.0))
+            assert len(plan) == lim.tau_o
+            for z, want in zip(plan, held):
+                assert (z.x, z.y, z.rho) == pytest.approx((want.x, want.y, want.rho), abs=1e-12)
+            turned += u.v_cmd > 0.0 and u.omega_cmd != 0.0
+        assert turned > 10 and stops < 20
 
     def test_observation_endpoints_drop_max_range_rays(self):
         rays = np.full(180, 3.0)
@@ -75,6 +102,14 @@ class TestDwaPlan:
         pts = obstacle_points_from_observation(obs, VehicleState(0, 0, 0), max_range=3.0)
         assert pts.shape == (1, 2)
         assert pts[0] == pytest.approx([1.0, 0.0])
+
+
+def vehicle_frame_points(vehicle, local):
+    """Points given in the vehicle frame, in world coordinates."""
+    c, s = math.cos(vehicle.rho), math.sin(vehicle.rho)
+    return np.stack(
+        [vehicle.x + c * local[:, 0] - s * local[:, 1], vehicle.y + s * local[:, 0] + c * local[:, 1]], axis=1
+    ).reshape(-1, 2)
 
 
 def scalar_clearance(positions, pts):
@@ -227,7 +262,7 @@ def test_plans_equal_those_of_the_monolithic_kernel(monkeypatch):
     reference = [dwa_plan(*scene) for scene in scenes]
     assert tiled == reference
     # the scenes exercise swerves, not only straight free runs and stops
-    assert len({round(plan[-1].rho - scene[0].rho, 6) for plan, scene in zip(tiled, scenes)}) > 50
+    assert len({round(plan[-1].rho - scene[0].rho, 6) for (_, plan), scene in zip(tiled, scenes)}) > 50
 
 
 def _independent_best_is_admissible(vehicle, points, goal, lim, current_u, plan):

@@ -63,6 +63,24 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("start_pose 0.0 0.0 0.0", "start_pose nan 0.0 0.0"),
+            ("waypoint_m 1.5 0.0", "waypoint_m inf 0.0"),
+            ("time_limit_s 20.0", "time_limit_s inf"),
+        ],
+    )
+    def test_non_finite_scenario_number_is_an_error(self, tmp_path, capsys, old, new):
+        text = Path(scenario_path("straight_corridor")).read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace(old + "\n", new + "\n"))
+        line = text[: text.index(old)].count("\n") + 1
+        rc = run_cli("simulate", "--scenario", str(path), "--method", "direct", "--trials", "1",
+                     "--out", str(tmp_path / "o"))
+        assert rc == 1
+        assert f"error: {path}:{line}: {old.split()[0]} has a non-finite value" in capsys.readouterr().err
+
     def test_lvd_without_checkpoint_runs_with_seeded_policy(self, tmp_path):
         rc = run_cli(
             "simulate",
@@ -128,6 +146,15 @@ class TestOfflineEval:
         assert rc == 0
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["e_xy_m"] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_is_an_error(self, tmp_path, capsys, cell):
+        data = tmp_path / "data.csv"
+        data.write_text(f"t,x_est,y_est,x_gt,y_gt,v\n0,1,0,0,0,2\n1,0,1,0,0,{cell}\n")
+        rc = run_cli("offline-eval", "--dataset", str(data), "--out", str(tmp_path / "rep.json"))
+        assert rc == 1
+        assert f"error: cannot read dataset: {data}:3: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
         rc = run_cli("offline-eval", "--dataset", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r.json"))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from visionmpc import controllers
+from visionmpc.cli import _default_training_pipeline
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
@@ -133,6 +134,33 @@ class TestFullSpeedIsTheCappedBound:
         outcome = run_trial(scenario, DirectController(CAPPED_PIPELINE), params)
         assert all(rec.w == min(max(rec.v_cmd / 0.8, 0.0), 1.0) for rec in outcome.log)
         assert max(rec.w for rec in outcome.log) == pytest.approx(1.0, abs=1e-5)
+
+
+class TestSceneSpeed:
+    """The scene width w sets the speed: with the candidate fixed at c = 0,
+    LVD-NMPC drives straight_corridor at a mean commanded speed within 10%
+    of w times full speed, and at w = 0 it stays at rest. Under an input
+    term that priced the control itself, every w < 1 stalled."""
+
+    WIDTHS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("label", ["default", "training"])
+    def test_mean_speed_follows_the_width(self, label):
+        pipeline = PipelineConfig() if label == "default" else _default_training_pipeline()
+        scenario, params = straight_corridor()
+        # 10 s of driving: long enough that the start from rest moves no mean by 10%
+        scenario = replace(scenario, time_limit_s=10.0)
+        v_full = controllers.speed_capped(pipeline.nmpc, scenario).u_max.v_cmd
+        net = fresh_net(pipeline, scenario, candidates=CandidateSet((0.0,), self.WIDTHS))
+        for index, w in enumerate(self.WIDTHS):
+            controller = LvdNmpcController(net, pipeline, action_source=lambda obs, features, index=index: index)
+            outcome = run_trial(scenario, controller, params)
+            assert {(rec.c, rec.w) for rec in outcome.log} == {(0.0, w)}
+            speeds = [rec.v_cmd for rec in outcome.log]
+            if w == 0.0:
+                assert outcome.status == "timeout" and all(v == 0.0 for v in speeds)
+            else:
+                assert sum(speeds) / len(speeds) == pytest.approx(w * v_full, rel=0.1), w
 
 
 class TestSafeStop:

@@ -294,6 +294,13 @@ class TestOfflineDataset:
         with pytest.raises(ValueError, match="strictly increase"):
             read_offline_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values_with_their_line(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"t,x_est,y_est,x_gt,y_gt,v\n0,0,0,0,0,1\n1,0,0,0,0,{cell}\n")
+        with pytest.raises(ValueError, match=r"data\.csv:3: non-finite value"):
+            read_offline_dataset(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("t,x_est,y_est,x_gt,y_gt,v\n")

@@ -21,6 +21,10 @@ from visionmpc.scene import EPS_R, GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
 
 AT_REST = ControlInput(0.0, 0.0)
+# u_ref = 0: the input term prices the control itself, as before u_ref existed
+NO_REF = ControlInput(0.0, 0.0)
+# a reference control inside the bounds, away from zero in both channels
+U_REF = ControlInput(0.6, -0.12)
 
 
 def config(**kw):
@@ -38,12 +42,12 @@ LOOSE = config(
 )
 
 
-def tracking_cost(z_seq, u_seq, z_d, g):
+def tracking_cost(z_seq, u_seq, z_d, g, u_ref):
     """Quadratic tracking cost with wrapped heading errors, the scalar
     reference for the tracking and input terms of _Problem.forward.
 
-    J = sum_k q * ||z_d,k - z_k||^2 + r * ||u_k||^2, all sequences of equal
-    length. Heading differences are wrapped to (-pi, pi].
+    J = sum_k q * ||z_d,k - z_k||^2 + r * ||u_k - u_ref||^2, all sequences
+    of equal length. Heading differences are wrapped to (-pi, pi].
     """
     if not (len(z_seq) == len(u_seq) == len(z_d)):
         raise ValueError(
@@ -55,7 +59,9 @@ def tracking_cost(z_seq, u_seq, z_d, g):
         ey = d.y - z.y
         er = wrap_angle(d.rho - z.rho)
         total += g.q_diag * (ex * ex + ey * ey + er * er)
-        total += g.r_diag * (u.v_cmd * u.v_cmd + u.omega_cmd * u.omega_cmd)
+        dv = u.v_cmd - u_ref.v_cmd
+        dw = u.omega_cmd - u_ref.omega_cmd
+        total += g.r_diag * (dv * dv + dw * dw)
     return total
 
 
@@ -78,13 +84,21 @@ class TestTrackingCost:
     def test_perfect_tracking_zero_controls(self):
         z = [VehicleState(1.0, 2.0, 0.3)] * 3
         u = [ControlInput(0.0, 0.0)] * 3
-        assert tracking_cost(z, u, z, GainSchedule(1.0, 0.5)) == 0.0
+        assert tracking_cost(z, u, z, GainSchedule(1.0, 0.5), NO_REF) == 0.0
+
+    def test_input_term_prices_the_distance_from_the_reference_control(self):
+        z = [VehicleState(1.0, 2.0, 0.3)] * 2
+        u = [ControlInput(0.5, 0.1), ControlInput(0.2, -0.1)]
+        # r * ((0.5 - 0.2)^2 + (0.1 - 0.1)^2 + (0.2 - 0.2)^2 + (-0.1 - 0.1)^2)
+        cost = tracking_cost(z, u, z, GainSchedule(1.0, 0.5), ControlInput(0.2, 0.1))
+        assert cost == pytest.approx(0.5 * (0.09 + 0.04), rel=1e-12)
+        assert tracking_cost(z, [ControlInput(0.2, 0.1)] * 2, z, GainSchedule(1.0, 0.5), ControlInput(0.2, 0.1)) == 0.0
 
     def test_hand_evaluated_quadratic(self):
         z = [VehicleState(0.0, 0.0, 0.0)]
         z_d = [VehicleState(3.0, 4.0, 0.0)]
         u = [ControlInput(0.0, 0.0)]
-        assert tracking_cost(z, u, z_d, GainSchedule(1.0, 1e-3)) == pytest.approx(25.0)
+        assert tracking_cost(z, u, z_d, GainSchedule(1.0, 1e-3), NO_REF) == pytest.approx(25.0)
 
     def test_quadratic_homogeneity(self):
         g = GainSchedule(1.0, 1e-3)
@@ -92,38 +106,39 @@ class TestTrackingCost:
         z = [VehicleState(0, 0, 0)] * 2
         z_d1 = [VehicleState(0.1, -0.2, 0.05), VehicleState(0.3, 0.1, -0.02)]
         z_d2 = [VehicleState(0.2, -0.4, 0.1), VehicleState(0.6, 0.2, -0.04)]
-        assert tracking_cost(z, u, z_d2, g) == pytest.approx(4.0 * tracking_cost(z, u, z_d1, g))
+        assert tracking_cost(z, u, z_d2, g, NO_REF) == pytest.approx(4.0 * tracking_cost(z, u, z_d1, g, NO_REF))
 
     def test_heading_error_wraps_across_seam(self):
         g = GainSchedule(1.0, 1e-3)
         z = [VehicleState(0.0, 0.0, math.pi - 0.01)]
         z_d = [VehicleState(0.0, 0.0, -math.pi + 0.01)]
-        cost = tracking_cost(z, [ControlInput(0, 0)], z_d, g)
+        cost = tracking_cost(z, [ControlInput(0, 0)], z_d, g, NO_REF)
         assert cost == pytest.approx(0.02 ** 2, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            tracking_cost([VehicleState(0, 0, 0)], [], [VehicleState(0, 0, 0)], GainSchedule(1, 1))
+            tracking_cost([VehicleState(0, 0, 0)], [], [VehicleState(0, 0, 0)], GainSchedule(1, 1), NO_REF)
 
 
+@pytest.mark.parametrize("u_ref", [NO_REF, U_REF], ids=["no_ref", "u_ref"])
 class TestObjectiveInternals:
-    def test_value_matches_public_tracking_cost(self):
+    def test_value_matches_public_tracking_cost(self, u_ref):
         rng = np.random.default_rng(0)
         cfg = LOOSE
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, penalty=0.0)
+        problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, u_ref, penalty=0.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.2, size=2 * cfg.tau_o)
             u_seq = [ControlInput(u[2 * k], u[2 * k + 1]) for k in range(cfg.tau_o)]
             z_seq = rollout(current, u_seq, p=model(cfg))
-            assert problem.value(u) == pytest.approx(tracking_cost(z_seq, u_seq, z_d, g), rel=1e-12)
+            assert problem.value(u) == pytest.approx(tracking_cost(z_seq, u_seq, z_d, g, u_ref), rel=1e-12)
 
-    def test_gradient_matches_central_differences(self):
+    def test_gradient_matches_central_differences(self, u_ref):
         rng = np.random.default_rng(1)
         cfg = config(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
                      e_min=-10, e_max=10)
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, penalty=0.0)
+        problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, u_ref, penalty=0.0)
         worst = 0.0
         for _ in range(30):
             u = rng.uniform(-0.2, 1.0, size=2 * cfg.tau_o)
@@ -138,12 +153,12 @@ class TestObjectiveInternals:
                 worst = max(worst, abs(fd - grad[i]) / denom)
         assert worst <= 1e-5
 
-    def test_penalized_gradient_matches_central_differences(self):
+    def test_penalized_gradient_matches_central_differences(self, u_ref):
         # hinge penalties are C1; random points almost surely avoid the kinks
         rng = np.random.default_rng(2)
         cfg = config(tau_o=4)
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), None, g, cfg, ControlInput(0.2, 0.0), penalty=100.0)
+        problem = _Problem(current, tuple(z_d), None, g, cfg, ControlInput(0.2, 0.0), u_ref, penalty=100.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.5, size=2 * cfg.tau_o)
             grad = problem.gradient(problem.forward(u)[1])
@@ -156,11 +171,13 @@ class TestObjectiveInternals:
                 assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) <= 1e-4
 
 
-def hinge_active_problem(rng, tau_o, with_residual):
+def hinge_active_problem(rng, tau_o, with_residual, with_u_ref=False):
     """A problem whose random controls push every penalty hinge active.
 
     Desired poses are scattered off the rollout and across the heading
-    seam so the corridor hinge and the wrap both engage.
+    seam so the corridor hinge and the wrap both engage. Without
+    with_u_ref the reference control is zero and the draws are those made
+    before the reference control existed.
     """
     cfg = config(tau_o=tau_o)
     current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1))
@@ -171,7 +188,8 @@ def hinge_active_problem(rng, tau_o, with_residual):
     residual = rng.uniform(-0.02, 0.02, size=3) if with_residual else None
     u_prev = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
     g = GainSchedule(rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0))
-    args = (current, tuple(z_d), residual, g, cfg, u_prev, 1e3 * rng.uniform(0.5, 4.0))
+    u_ref = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.5, 0.5)) if with_u_ref else NO_REF
+    args = (current, tuple(z_d), residual, g, cfg, u_prev, u_ref, 1e3 * rng.uniform(0.5, 4.0))
     return cfg, u_prev, _Problem(*args), ScalarProblem(*args)
 
 
@@ -191,11 +209,12 @@ def hinge_active_controls(rng, tau_o):
 class TestBitEqualityOracle:
     @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
     @pytest.mark.parametrize("with_residual", [False, True])
-    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual):
-        rng = np.random.default_rng(1000 * tau_o + 10 * with_residual + 1)
+    @pytest.mark.parametrize("with_u_ref", [False, True])
+    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual, with_u_ref):
+        rng = np.random.default_rng(1000 * tau_o + 100 * with_u_ref + 10 * with_residual + 1)
         active = np.zeros(3, dtype=int)
         for _ in range(25):
-            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, with_residual)
+            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, with_residual, with_u_ref)
             for _ in range(4):
                 u = hinge_active_controls(rng, tau_o)
                 want_cost, want_grad = reference._eval(u, need_grad=True)
@@ -214,19 +233,23 @@ class TestBitEqualityOracle:
 
     def test_zero_controls_and_exact_bounds(self):
         rng = np.random.default_rng(7)
-        for tau_o in (1, 2, 10, 20):
-            cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, True)
-            edges = np.tile((cfg.u_max.v_cmd, cfg.u_min.omega_cmd), tau_o)
-            for u in (np.zeros(2 * tau_o), np.full(2 * tau_o, -0.0), edges):
-                want_cost, want_grad = reference._eval(u, need_grad=True)
-                got_cost, fwd = problem.forward(u)
-                assert got_cost == want_cost
-                assert np.array_equal(problem.gradient(fwd), want_grad)
-                assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
+        for with_u_ref in (False, True):
+            for tau_o in (1, 2, 10, 20):
+                cfg, u_prev, problem, reference = hinge_active_problem(rng, tau_o, True, with_u_ref)
+                edges = np.tile((cfg.u_max.v_cmd, cfg.u_min.omega_cmd), tau_o)
+                # u = u_ref zeroes the input term
+                at_ref = np.tile((reference.u_ref.v_cmd, reference.u_ref.omega_cmd), tau_o)
+                for u in (np.zeros(2 * tau_o), np.full(2 * tau_o, -0.0), edges, at_ref):
+                    want_cost, want_grad = reference._eval(u, need_grad=True)
+                    got_cost, fwd = problem.forward(u)
+                    assert got_cost == want_cost
+                    assert np.array_equal(problem.gradient(fwd), want_grad)
+                    assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
 
 
 class TestGaussNewton:
-    def test_jacobian_matches_central_differences_across_the_heading_wrap(self):
+    @pytest.mark.parametrize("u_ref", [NO_REF, U_REF], ids=["no_ref", "u_ref"])
+    def test_jacobian_matches_central_differences_across_the_heading_wrap(self, u_ref):
         rng = np.random.default_rng(31)
         cfg = config(tau_o=8)
         wrapped = 0
@@ -235,7 +258,7 @@ class TestGaussNewton:
             current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.0, 0.05))
             z_d = [VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1)) for _ in range(8)]
             problem = _Problem(current, tuple(z_d), rng.uniform(-0.02, 0.02, size=3), GainSchedule(1.0, 0.1),
-                               cfg, AT_REST, PENALTY_WEIGHT)
+                               cfg, AT_REST, u_ref, PENALTY_WEIGHT)
             u = np.empty(16)
             u[0::2] = rng.uniform(0.2, 1.0, size=8)
             u[1::2] = rng.uniform(0.0, 0.35, size=8) * (1 if trial % 2 else -1)
@@ -263,19 +286,20 @@ class TestGaussNewton:
         assert wrapped > 0
 
     @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
-    def test_twice_the_residual_jacobian_times_the_residual_is_the_gradient(self, tau_o):
-        rng = np.random.default_rng(4000 + tau_o)
+    @pytest.mark.parametrize("with_u_ref", [False, True])
+    def test_twice_the_residual_jacobian_times_the_residual_is_the_gradient(self, tau_o, with_u_ref):
+        rng = np.random.default_rng(4000 + 100 * with_u_ref + tau_o)
         active = np.zeros(3, dtype=int)
         for _ in range(25):
-            _, _, problem, _ = hinge_active_problem(rng, tau_o, True)
+            _, _, problem, _ = hinge_active_problem(rng, tau_o, True, with_u_ref)
             u = hinge_active_controls(rng, tau_o)
             _, fwd = problem.forward(u)
             jac, (e, er, h) = problem.jacobian(fwd), fwd[3:]
             model = _GaussNewtonModel(problem, fwd)
             A = np.stack([model.hinge_args(col) for col in np.eye(2 * tau_o)], axis=1)
-            # residuals sqrt(q) (ex, ey, e_rho), sqrt(r) u and sqrt(pw) hinges, and their Jacobian
+            # residuals sqrt(q) (ex, ey, e_rho), sqrt(r) (u - u_ref) and sqrt(pw) hinges, and their Jacobian
             sq, sr, sp = math.sqrt(problem.q), math.sqrt(problem.r), math.sqrt(problem.pw)
-            res = np.concatenate((sq * e[0], sq * e[1], sq * er, sr * u, sp * h))
+            res = np.concatenate((sq * e[0], sq * e[1], sq * er, sr * (u - problem.u_ref), sp * h))
             J = np.vstack((sq * jac.reshape(3 * tau_o, -1), sr * np.eye(2 * tau_o), sp * A))
             want = problem.gradient(fwd)
             assert np.abs(2.0 * J.T @ res - want).max() <= 1e-12 * np.abs(want).max()
@@ -284,12 +308,13 @@ class TestGaussNewton:
         assert (active > 0).all()
 
     @pytest.mark.parametrize("tau_o", [2, 10, 20])
-    def test_inner_loop_step_minimizes_the_model(self, tau_o, monkeypatch):
+    @pytest.mark.parametrize("with_u_ref", [False, True])
+    def test_inner_loop_step_minimizes_the_model(self, tau_o, with_u_ref, monkeypatch):
         # uncapped, the semismooth Newton steps end at the model's minimizer
         monkeypatch.setattr(nmpc, "_INNER_ITERS", 200)
-        rng = np.random.default_rng(5000 + tau_o)
+        rng = np.random.default_rng(5000 + 100 * with_u_ref + tau_o)
         for _ in range(10):
-            _, _, problem, _ = hinge_active_problem(rng, tau_o, True)
+            _, _, problem, _ = hinge_active_problem(rng, tau_o, True, with_u_ref)
             _, fwd = problem.forward(hinge_active_controls(rng, tau_o))
             model = _GaussNewtonModel(problem, fwd)
             d = model.minimize()
@@ -309,10 +334,11 @@ class TestGaussNewton:
             for _ in range(50):
                 assert value(d + rng.normal(scale=1e-3, size=d.size)) >= best
 
-    def test_capped_inner_loop_still_lowers_the_model(self):
-        rng = np.random.default_rng(77)
+    @pytest.mark.parametrize("with_u_ref", [False, True])
+    def test_capped_inner_loop_still_lowers_the_model(self, with_u_ref):
+        rng = np.random.default_rng(77 + 100 * with_u_ref)
         for _ in range(20):
-            _, _, problem, _ = hinge_active_problem(rng, 20, True)
+            _, _, problem, _ = hinge_active_problem(rng, 20, True, with_u_ref)
             _, fwd = problem.forward(hinge_active_controls(rng, 20))
             model = _GaussNewtonModel(problem, fwd)
             d = model.minimize()
@@ -327,10 +353,10 @@ class TestGaussNewton:
         g = SimpleNamespace(q_diag=1.0, r_diag=r_diag)
         cfg = NmpcConfig(tau_o=10, max_iters=25)
         at_rest = [VehicleState(0.0, 0.0, 0.0)] * 10
-        sol = solve(VehicleState(0.0, 0.0, 0.0), at_rest, None, g, cfg, AT_REST)
+        sol = solve(VehicleState(0.0, 0.0, 0.0), at_rest, None, g, cfg, AT_REST, NO_REF)
         assert np.isfinite(sol.u_opt).all() and math.isfinite(sol.cost)
         moving = [VehicleState(0.05 * (k + 1), 0.0, 0.0) for k in range(10)]
-        sol = solve(VehicleState(0.0, 0.0, 0.0), moving, None, g, cfg, AT_REST)
+        sol = solve(VehicleState(0.0, 0.0, 0.0), moving, None, g, cfg, AT_REST, NO_REF)
         assert np.isfinite(sol.u_opt).all()
         assert 0.0 < sol.u_opt[0] <= cfg.du_max.v_cmd * cfg.dt
 
@@ -363,7 +389,9 @@ def fixture_cases(data, tag):
 class TestCostGate:
     """Solve inputs recorded from the dwa_suite and train_short benchmark
     workloads, seeds 1-3, each with the cost at PENALTY_WEIGHT that the
-    former penalty-BFGS solver reached (see CHANGES.md for how they were made)."""
+    former penalty-BFGS solver reached (see CHANGES.md for how they were made).
+    Those costs priced the controls themselves, so the gate replays every
+    solve at u_ref = 0."""
 
     @pytest.mark.parametrize("tag", ["dwa", "train"])
     def test_no_solve_costs_more_than_the_recorded_one(self, tag):
@@ -372,7 +400,7 @@ class TestCostGate:
         assert len(cases) > 150
         ratios = []
         for args, recorded in cases:
-            sol = solve(*args[:6], warm_start=args[6])
+            sol = solve(*args[:6], NO_REF, warm_start=args[6])
             assert sol.cost <= recorded * (1.0 + 1e-3) + 1e-9
             if recorded > 0.0:
                 ratios.append(sol.cost / recorded)
@@ -388,7 +416,7 @@ class TestCostGate:
         ratios = []
         for args, recorded in cases:
             cfg = replace(args[4], max_iters=min(args[4].max_iters, budget))
-            sol = solve(*args[:4], cfg, args[5], warm_start=args[6])
+            sol = solve(*args[:4], cfg, args[5], NO_REF, warm_start=args[6])
             assert sol.iterations <= budget
             assert sol.cost <= recorded * (1.0 + 1e-3) + 1e-9
             if recorded > 0.0:
@@ -438,7 +466,7 @@ class TestSolve:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             current, z_d, _, u_true = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg, AT_REST)
+            sol = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
             assert sol.cost <= 1e-4
             for (v, omega), want in zip(sol.u_opt.reshape(-1, 2), u_true):
                 assert v == pytest.approx(want.v_cmd, abs=1e-2)
@@ -449,7 +477,7 @@ class TestSolve:
         for seed in range(3):
             rng = np.random.default_rng(100 + seed)
             current, z_d, g, _ = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg, AT_REST)
+            sol = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
             oracle = brute_force_min(current, z_d, g, cfg)
             assert sol.cost <= 1.05 * oracle + 1e-12
 
@@ -457,8 +485,8 @@ class TestSolve:
         rng = np.random.default_rng(5)
         cfg = config(tau_o=5, max_iters=300)
         current, z_d, g, _ = random_problem(rng, cfg)
-        first = solve(current, z_d, None, g, cfg, AT_REST)
-        again = solve(current, z_d, None, g, cfg, AT_REST, warm_start=first.u_opt)
+        first = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
+        again = solve(current, z_d, None, g, cfg, AT_REST, NO_REF, warm_start=first.u_opt)
         assert again.converged
         assert again.iterations <= 2
         for a, b in zip(first.u_opt, again.u_opt):
@@ -468,8 +496,8 @@ class TestSolve:
         rng = np.random.default_rng(9)
         cfg = config(tau_o=8)
         current, z_d, g, _ = random_problem(rng, cfg)
-        a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
-        b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0))
+        a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
+        b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
         assert np.array_equal(a.u_opt, b.u_opt)
         assert a.cost == b.cost
         assert a.iterations == b.iterations
@@ -481,7 +509,7 @@ class TestSolve:
         current = VehicleState(0, 0, 0)
         z_d = [VehicleState(0.5 * (i + 1), 0.0, 0.0) for i in range(6)]  # 10 m/s
         u_prev = ControlInput(0.0, 0.0)
-        sol = solve(current, z_d, None, g, cfg, u_prev)
+        sol = solve(current, z_d, None, g, cfg, u_prev, NO_REF)
         prev = u_prev
         for u in (ControlInput(v, omega) for v, omega in sol.u_opt.reshape(-1, 2)):
             assert cfg.u_min.v_cmd <= u.v_cmd <= cfg.u_max.v_cmd
@@ -495,22 +523,22 @@ class TestSolve:
     def test_desired_length_mismatch(self):
         cfg = config(tau_o=4)
         with pytest.raises(ValueError):
-            solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg, AT_REST)
+            solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
     def test_non_finite_residual_raises_nmpc_error(self):
         cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with pytest.raises(NmpcError, match="non-finite residual"):
-            solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
+            solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
         # a wrongly shaped residual is a caller bug, not a numeric failure
         with pytest.raises(ValueError, match="3-vector"):
-            solve(VehicleState(0, 0, 0), z_d, [0.0, 0.0], GainSchedule(1, 0.5), cfg, AT_REST)
+            solve(VehicleState(0, 0, 0), z_d, [0.0, 0.0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
     def test_overflowing_objective_raises_with_context(self):
         cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
+            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
 class TestControlStep:
@@ -519,7 +547,7 @@ class TestControlStep:
         g = GainSchedule(1.0, 1e-3)
         current = VehicleState(0.4, -0.2, 0.3)
         z_d = [current] * 8
-        u, sol = control_step(current, z_d, None, g, cfg, AT_REST)
+        u, sol = control_step(current, z_d, None, g, cfg, AT_REST, NO_REF)
         assert math.hypot(u.v_cmd, u.omega_cmd) <= 1e-2
 
     def test_speed_converges_on_straight_line(self):
@@ -532,17 +560,37 @@ class TestControlStep:
         u = None
         for _ in range(3):
             z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
-            u, sol = control_step(state, z_d, None, g, cfg, u_prev, warm_start=warm)
+            u, sol = control_step(state, z_d, None, g, cfg, u_prev, NO_REF, warm_start=warm)
             warm = sol.u_opt
             state = rollout(state, [u], p=model(cfg))[0]
             u_prev = u
         assert u.v_cmd == pytest.approx(v_star, rel=0.05)
 
+    @pytest.mark.parametrize("w", [0.25, 0.5, 0.75])
+    def test_scheduled_gains_hold_the_reference_speed(self, w):
+        # gains and reference control of the scene pair (0, w) on a straight
+        # path spaced at w * v_full: the input term pulls the speed toward
+        # u_ref, where pricing u itself pulled it toward rest
+        cfg = config(tau_o=8)
+        g = gain_schedule(SceneDynamics(0.0, w))
+        v_star = w * cfg.u_max.v_cmd
+        speeds = {}
+        for label, u_ref in (("u_ref", ControlInput(v_star, 0.0)), ("no_ref", NO_REF)):
+            state, warm, u_prev = VehicleState(0.0, 0.0, 0.0), None, AT_REST
+            for _ in range(40):
+                z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
+                u_prev, sol = control_step(state, z_d, None, g, cfg, u_prev, u_ref, warm_start=warm)
+                warm = sol.u_opt
+                state = rollout(state, [u_prev], p=model(cfg))[0]
+            speeds[label] = u_prev.v_cmd
+        assert speeds["u_ref"] == pytest.approx(v_star, rel=1e-3)
+        assert speeds["no_ref"] < 0.9 * v_star
+
     def test_solver_failure_surfaces_to_caller(self):
         cfg = config(tau_o=4)
         z_d = [VehicleState(0.05 * i, 0, 0) for i in range(1, 5)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST)
+            control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
 def brute_force_min(current, z_d, g, cfg):
@@ -614,7 +662,7 @@ class ScalarProblem:
     """The objective as a per-step loop over the horizon: the reference that
     `_Problem`'s array code must match bit for bit."""
 
-    def __init__(self, current, zd_states, residual, g, cfg, u_prev, penalty):
+    def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
         self.T = cfg.tau_o
         self.dt = cfg.dt
         self.L = cfg.wheelbase_L
@@ -640,11 +688,13 @@ class ScalarProblem:
         self.sin_rd = [math.sin(v) for v in self.rd]
         self.cos_rd = [math.cos(v) for v in self.rd]
         self.u_prev = u_prev
+        self.u_ref = u_ref
 
     def _eval(self, u: np.ndarray, need_grad: bool):
         T, dt, L = self.T, self.dt, self.L
         q, r, pw = self.q, self.r, self.pw
         rx, ry, rr = self.res
+        v_ref, w_ref = self.u_ref.v_cmd, self.u_ref.omega_cmd
         cfg = self.cfg
         v_lo, v_hi = cfg.u_min.v_cmd, cfg.u_max.v_cmd
         w_lo, w_hi = cfg.u_min.omega_cmd, cfg.u_max.omega_cmd
@@ -671,7 +721,8 @@ class ScalarProblem:
             ex = xs[i] - self.xd[k]
             ey = ys[i] - self.yd[k]
             er = _wrap_fast(rs[i] - self.rd[k])
-            cost += q * (ex * ex + ey * ey + er * er) + r * (vk * vk + wk * wk)
+            dv, dw = vk - v_ref, wk - w_ref
+            cost += q * (ex * ex + ey * ey + er * er) + r * (dv * dv + dw * dw)
             # actuator bound penalties
             hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
             hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
@@ -718,8 +769,8 @@ class ScalarProblem:
             # control gradient through the dynamics
             gv = dt * (ch * lam_x + sh * lam_y) + dt * math.sin(wk) / L * lam_r
             gw = dt * vk * (-sh * lam_x + ch * lam_y) + dt * vk * math.cos(wk) / L * lam_r
-            gv += 2.0 * r * vk
-            gw += 2.0 * r * wk
+            gv += 2.0 * r * (vk - v_ref)
+            gw += 2.0 * r * (wk - w_ref)
             hv = max(0.0, vk - v_hi) - max(0.0, v_lo - vk)
             hw = max(0.0, wk - w_hi) - max(0.0, w_lo - wk)
             gv += pw * 2.0 * hv

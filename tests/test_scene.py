@@ -11,10 +11,12 @@ from visionmpc.scene import (
     desired_trajectory,
     dynamics_from_trajectory,
     gain_schedule,
+    pair_of_control,
     project_path,
+    reference_control,
     residual_h,
 )
-from visionmpc.vehicle import VehicleState
+from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, step_nominal
 
 
 class TestProjectPath:
@@ -138,6 +140,47 @@ class TestDynamicsFromTrajectory:
             dynamics_from_trajectory([VehicleState(1.0, 2.0, 0.0)] * 5, 0.5, 1.0)
         with pytest.raises(ValueError):
             dynamics_from_trajectory([VehicleState(0.1 * i, 0, 0) for i in range(5)], 2.0, 1.0)
+
+
+class TestControlPairMap:
+    """reference_control maps a scene pair to the control that holds it,
+    pair_of_control a control back to its pair."""
+
+    L = 0.36
+
+    @pytest.mark.parametrize("v_full", [1.0, 0.8])
+    def test_control_to_pair_and_back_is_the_identity(self, v_full):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            u = ControlInput(rng.uniform(0.0, v_full), rng.uniform(-0.35, 0.35))
+            back = reference_control(SceneDynamics(*pair_of_control(u, v_full, self.L)), v_full, self.L)
+            assert abs(back.v_cmd - u.v_cmd) <= 1e-12
+            assert abs(back.omega_cmd - u.omega_cmd) <= 1e-12
+        for u in (ControlInput(0.0, 0.0), ControlInput(v_full, 0.35), ControlInput(v_full, -0.35)):
+            back = reference_control(SceneDynamics(*pair_of_control(u, v_full, self.L)), v_full, self.L)
+            assert abs(back.v_cmd - u.v_cmd) <= 1e-12 and abs(back.omega_cmd - u.omega_cmd) <= 1e-12
+
+    def test_reference_speed_is_the_width_times_full_speed(self):
+        assert reference_control(SceneDynamics(0.0, 0.25), 0.8, self.L) == ControlInput(0.2, 0.0)
+        assert reference_control(SceneDynamics(0.0, 0.0), 0.8, self.L) == ControlInput(0.0, 0.0)
+
+    def test_reference_steering_turns_the_model_at_the_pair_curvature(self):
+        # one nominal step at speed v turns the heading by v dt sin(omega) / L = v dt c
+        params = ModelParams(wheelbase_L=self.L, dt=0.05, sigma_f=0.0)
+        for c in (-2.0, -0.5, 0.3, 1.5):
+            u = reference_control(SceneDynamics(c, 0.5), 1.0, self.L)
+            turned = step_nominal(VehicleState(0.0, 0.0, 0.0), u, params).rho
+            assert turned == pytest.approx(u.v_cmd * 0.05 * c, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [3.0, -3.0, 1e6, -1e6])
+    def test_curvature_beyond_the_steering_range_clips_without_raising(self, c):
+        u = reference_control(SceneDynamics(c, 1.0), 1.0, self.L)
+        assert u.omega_cmd == math.copysign(math.pi / 2.0, c)
+
+    def test_pair_of_a_control_clips_the_width(self):
+        assert pair_of_control(ControlInput(1.2, 0.0), 1.0, self.L)[1] == 1.0
+        assert pair_of_control(ControlInput(-0.1, 0.0), 1.0, self.L)[1] == 0.0
+        assert pair_of_control(ControlInput(0.4, 0.2), 0.8, self.L) == (math.sin(0.2) / self.L, 0.4 / 0.8)
 
 
 class TestGainSchedule:

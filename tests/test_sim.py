@@ -458,6 +458,24 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match=r"bad\.scn:2: unknown key"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("start_pose 0.0 0.0 0.0", "start_pose nan 0.0 0.0"),
+            ("waypoint_m 1.5 0.0", "waypoint_m inf 0.0"),
+            ("time_limit_s 20.0", "time_limit_s inf"),
+            ("seed 11", "seed -inf"),
+        ],
+    )
+    def test_non_finite_numbers_are_refused_with_their_line(self, tmp_path, old, new):
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace(old + "\n", new + "\n"))
+        line = text[: text.index(old)].count("\n") + 1
+        key = old.split()[0]
+        with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: {key} has a non-finite value"):
+            load_scenario(path)
+
     def test_missing_required_keys_reported(self, tmp_path):
         path = tmp_path / "partial.scn"
         path.write_text(
