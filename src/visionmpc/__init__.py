@@ -8,7 +8,7 @@ estimator, two baseline policies, and a metrics harness with a CLI.
 from .baselines import direct_policy_step, dwa_plan
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from .memory import AugmentedMemory, MemoryEntry, Observation
-from .metrics import MetricsReport, OfflineRecord, aggregate, e_curvature, e_xy
+from .metrics import MetricsReport, OfflineRecord, aggregate, e_xy
 from .nmpc import NmpcConfig, NmpcError, NmpcSolution, control_step, solve
 from .policy import (
     CandidateSet,

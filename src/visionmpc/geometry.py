@@ -93,9 +93,6 @@ class Polyline:
         t = (s - self._cum[i]) / self._seg_len[i]
         return self.points[i] + t[:, None] * self._seg[i], self._headings[i]
 
-    def point_at(self, s: float) -> tuple[float, float]:
-        return tuple(self.sample(s)[0][0].tolist())
-
     def project(self, point) -> tuple[float, float]:
         """Closest point on the path to one `point`: (arc_length,
         signed_lateral), the values project_batch gives for it, with the
@@ -281,17 +278,23 @@ def ray_fan_segment_hits(origin, rho: float, directions, segments: SegmentSet) -
     return out
 
 
-def fit_quadratic_curvature(xs, ys) -> float:
-    """Curvature 2*a2 of the least-squares fit y = a0 + a1*x + a2*x^2.
+def fit_curvature(xs, ys, rho0: float) -> float:
+    """Curvature 2*a2 of the least-squares fit y = a0 + a1*x + a2*x^2 to the
+    points (xs, ys), taken in the frame of the first point with heading rho0.
 
-    Raises ValueError when fewer than three distinct x values exist.
+    Raises ValueError for fewer than 3 points or fewer than 3 distinct
+    abscissae (at 12 decimals) in that frame.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 3:
-        raise ValueError("quadratic fit needs at least 3 points")
-    if np.unique(np.round(xs, 12)).size < 3:
+    if xs.shape[0] < 3:
+        raise ValueError("need at least 3 trajectory points")
+    cos_r, sin_r = math.cos(-rho0), math.sin(-rho0)
+    dx, dy = xs - xs[0], ys - ys[0]
+    x, y = cos_r * dx - sin_r * dy, sin_r * dx + cos_r * dy
+    # counted on sorted values: np.unique would import numpy.ma (about 15 ms) on first use
+    if np.count_nonzero(np.diff(np.sort(np.round(x, 12)))) < 2:
         raise ValueError("degenerate quadratic fit: fewer than 3 distinct abscissae")
-    vander = np.stack([np.ones_like(xs), xs, xs ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(vander, ys, rcond=None)
+    vander = np.stack([np.ones_like(x), x, x ** 2], axis=1)
+    coef, *_ = np.linalg.lstsq(vander, y, rcond=None)
     return float(2.0 * coef[2])

@@ -4,10 +4,10 @@ The headline offline metric is the speed-weighted cumulative position
 error: deviations between the estimated and reference paths are scaled by
 the momentary speed, summed as vectors, and reported as the L1 norm per
 sample. Curvature error compares quadratic-fit curvatures of the two
-paths. Closed-loop trials reuse both metrics against the route, computed
-on the columns of the trial log: `speed_weighted_error` and
-`scene.fit_curvature_xy` are the one implementation of each metric, and
-the record forms `e_xy` and `e_curvature` call them.
+paths. `e_xy` and `geometry.fit_curvature` are the one implementation of
+each metric, and both take columns: an offline dataset is read into
+columns once, and a closed-loop trial is scored against its route on the
+columns of its log.
 """
 
 import csv
@@ -19,10 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import wrap_angle
-from .scene import fit_curvature, fit_curvature_xy
+from .geometry import fit_curvature, wrap_angle
 from .sim import TrialOutcome
-from .vehicle import VehicleState
 
 REPORT_NOTES = (
     "e_xy normalization m = number of summed samples; "
@@ -58,28 +56,16 @@ class MetricsReport:
     timeout_pct: float
 
 
-def e_xy(records: Sequence[OfflineRecord]) -> float:
-    """Speed-weighted cumulative absolute position error.
-
-    (1/m) * || sum_t (p_est - p_gt) * v_t ||_1 with m = len(records).
+def e_xy(dx: np.ndarray, dy: np.ndarray, v: np.ndarray) -> float:
+    """Speed-weighted cumulative absolute position error of the deviations
+    (dx, dy) = p_est - p_gt at speeds v, m samples each:
+    (|sum_t dx_t v_t| + |sum_t dy_t v_t|) / m, the sums running in sample order.
     """
-    if len(records) == 0:
-        raise ValueError("e_xy needs at least one record")
-    x_est, y_est, x_gt, y_gt, v = np.array([(r.x_est, r.y_est, r.x_gt, r.y_gt, r.v) for r in records]).T
-    return speed_weighted_error(x_est - x_gt, y_est - y_gt, v)
-
-
-def speed_weighted_error(dx: np.ndarray, dy: np.ndarray, v: np.ndarray) -> float:
-    """(|sum_t dx_t v_t| + |sum_t dy_t v_t|) / m over m samples, the sums
-    running in sample order: e_xy on arrays of the deviations and speeds."""
+    if dx.shape[0] == 0:
+        raise ValueError("e_xy needs at least one sample")
     sx = np.add.accumulate(dx * v)[-1]
     sy = np.add.accumulate(dy * v)[-1]
     return float((abs(sx) + abs(sy)) / dx.shape[0])
-
-
-def e_curvature(est_traj: Sequence[VehicleState], gt_traj: Sequence[VehicleState]) -> float:
-    """Absolute difference of quadratic-fit curvatures."""
-    return abs(fit_curvature(est_traj) - fit_curvature(gt_traj))
 
 
 def _sample_std(values: Sequence[float]) -> float:
@@ -103,12 +89,12 @@ def trial_errors(outcome: TrialOutcome) -> tuple[Optional[float], Optional[float
     route = outcome.scenario.route_polyline
     points, headings = route.sample(route.project_batch(np.stack([x, y], axis=1))[0])
     gx, gy = points[:, 0], points[:, 1]
-    exy = speed_weighted_error(x - gx, y - gy, v)
+    exy = e_xy(x - gx, y - gy, v)
     if len(log) < 3:
         return exy, None
     try:
-        est_c = fit_curvature_xy(x, y, wrap_angle(float(rho[0])))
-        gt_c = fit_curvature_xy(gx, gy, wrap_angle(float(headings[0])))
+        est_c = fit_curvature(x, y, wrap_angle(float(rho[0])))
+        gt_c = fit_curvature(gx, gy, wrap_angle(float(headings[0])))
     except ValueError:
         return exy, None
     return exy, abs(est_c - gt_c)
@@ -193,17 +179,19 @@ def read_offline_dataset(path) -> list[OfflineRecord]:
 
 
 def offline_report(records: Sequence[OfflineRecord]) -> dict:
-    """Offline evaluation summary: e_xy plus curvature error when defined."""
-    report: dict = {"samples": len(records), "e_xy_m": e_xy(records), "notes": REPORT_NOTES}
+    """Offline evaluation summary: e_xy plus curvature error when defined.
+
+    Both paths are fitted in the frame of their first point, headed along
+    the ground-truth chord from first to last point (wrapped as a
+    VehicleState wraps it).
+    """
+    columns = np.array([(r.x_est, r.y_est, r.x_gt, r.y_gt, r.v) for r in records], dtype=float)
+    x_est, y_est, x_gt, y_gt, v = columns.reshape(-1, 5).T
+    report: dict = {"samples": len(records), "e_xy_m": e_xy(x_est - x_gt, y_est - y_gt, v), "notes": REPORT_NOTES}
     if len(records) >= 3:
-        est = [VehicleState(r.x_est, r.y_est, 0.0) for r in records]
-        gt = [VehicleState(r.x_gt, r.y_gt, 0.0) for r in records]
-        # fit in the frame of the first ground-truth pose aligned with the path
-        rho0 = math.atan2(gt[-1].y - gt[0].y, gt[-1].x - gt[0].x)
-        est = [VehicleState(z.x, z.y, rho0) for z in est]
-        gt = [VehicleState(z.x, z.y, rho0) for z in gt]
+        rho0 = wrap_angle(math.atan2(y_gt[-1] - y_gt[0], x_gt[-1] - x_gt[0]))
         try:
-            report["e_c"] = e_curvature(est, gt)
+            report["e_c"] = abs(fit_curvature(x_est, y_est, rho0) - fit_curvature(x_gt, y_gt, rho0))
         except ValueError:
             report["e_c"] = None
     return report

@@ -45,7 +45,7 @@ import numpy as np
 
 from .scene import GainSchedule
 # rollout is unused here; perfbench/tracer.py wraps it by attribute name on this module
-from .vehicle import ControlInput, VehicleState, rollout  # noqa: F401
+from .vehicle import ControlInput, VehicleState, require_finite, rollout  # noqa: F401
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -96,6 +96,10 @@ class NmpcConfig:
     f_tol: float = 1e-8
 
     def __post_init__(self):
+        require_finite(
+            "NmpcConfig", self.tau_o, self.dt, self.wheelbase_L, self.e_min, self.e_max,
+            self.max_iters, self.grad_tol, self.f_tol,
+        )
         if self.tau_o < 1:
             raise ValueError("tau_o must be at least 1")
         if self.dt <= 0.0 or self.wheelbase_L <= 0.0:

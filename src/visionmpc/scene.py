@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import fit_quadratic_curvature, rotate, wrap_angle
+from .geometry import fit_curvature, rotate, wrap_angle
 from .vehicle import ControlInput, VehicleState
 
 # floor of diag(R): keeps the input penalty positive definite at w = 1
@@ -123,27 +123,10 @@ def dynamics_from_trajectory(traj: Sequence[VehicleState], v: float, v_max: floa
         raise ValueError("v_max must be positive")
     if not (0.0 <= v <= v_max):
         raise ValueError(f"v must be in [0, v_max], got {v}")
-    return SceneDynamics(fit_curvature(traj), min(max(v / v_max, 0.0), 1.0))
-
-
-def fit_curvature(traj: Sequence[VehicleState]) -> float:
-    """Quadratic-fit curvature of a pose sequence in the first pose's frame."""
     if len(traj) < 3:
         raise ValueError("need at least 3 trajectory points")
-    xs = np.array([z.x for z in traj])
-    ys = np.array([z.y for z in traj])
-    return fit_curvature_xy(xs, ys, traj[0].rho)
-
-
-def fit_curvature_xy(xs: np.ndarray, ys: np.ndarray, rho0: float) -> float:
-    """Quadratic-fit curvature of the points (xs, ys) in the frame of the
-    first point with heading rho0: the array form of fit_curvature."""
-    if xs.shape[0] < 3:
-        raise ValueError("need at least 3 trajectory points")
-    cos_r, sin_r = math.cos(-rho0), math.sin(-rho0)
-    dx = xs - xs[0]
-    dy = ys - ys[0]
-    return fit_quadratic_curvature(cos_r * dx - sin_r * dy, sin_r * dx + cos_r * dy)
+    c = fit_curvature([z.x for z in traj], [z.y for z in traj], traj[0].rho)
+    return SceneDynamics(c, min(max(v / v_max, 0.0), 1.0))
 
 
 def gain_schedule(d: SceneDynamics) -> GainSchedule:

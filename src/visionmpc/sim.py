@@ -29,9 +29,11 @@ Scenario file format (one `key value...` statement per line, `#` comments):
 What no pose changes is built once and kept read-only. Per ray count:
 the fan's bearings (`ray_bearings`, `signed_ray_bearings`). Per scenario,
 on first use: the wall segments with their pose-independent values
-(`Scenario.walls`) and, when no obstacle moves, the obstacle centres and
-radii (`Scenario.static_obstacles`). Each step of `sense` and `sim_step`
-computes only what the pose changes.
+(`Scenario.walls`) and the obstacle radii (`Scenario.obstacle_radii`). A
+moving obstacle's loop is built with the obstacle. The obstacle centres
+change with time, so the `World` holds them at its time `t`: they are
+placed when the world is created and again by each `sim_step` after `t`
+advances, and that step's collision test and the next `sense` read them.
 
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
 it for evaluation and `training.train` learns from it. Trial logs are CSV
@@ -53,7 +55,7 @@ import numpy as np
 from .geometry import Polyline, SegmentSet, offset_polyline, ray_circle_hits, ray_fan_segment_hits, read_only
 from .memory import Observation
 from .nmpc import NmpcError
-from .vehicle import ControlInput, ModelParams, VehicleState, step_true
+from .vehicle import ControlInput, ModelParams, VehicleState, require_finite, step_true
 
 
 @cache
@@ -80,6 +82,7 @@ class RaySensorConfig:
     max_range_m: float = 3.0
 
     def __post_init__(self):
+        require_finite("RaySensorConfig", self.resolution_deg, self.max_range_m)
         if self.max_range_m <= 0.0:
             raise ValueError("max_range_m must be positive")
         if self.resolution_deg <= 0.0:
@@ -103,12 +106,15 @@ class Obstacle:
     speed: float = 0.0
 
     def __post_init__(self):
+        require_finite("Obstacle", self.radius, self.speed)
         if self.radius <= 0.0:
             raise ValueError("obstacle radius must be positive")
         if self.speed < 0.0:
             raise ValueError("obstacle speed must be non-negative")
-        if self.loop is not None and len(self.loop) < 2:
-            raise ValueError("a dynamic obstacle loop needs at least 2 waypoints")
+        if self.loop is not None:
+            if len(self.loop) < 2:
+                raise ValueError("a dynamic obstacle loop needs at least 2 waypoints")
+            self.loop_polyline  # built now: a degenerate loop raises here
 
     @property
     def dynamic(self) -> bool:
@@ -116,7 +122,7 @@ class Obstacle:
 
     @cached_property
     def loop_polyline(self) -> Polyline:
-        """Closed waypoint loop, built on first use; not part of equality."""
+        """Closed waypoint loop, built on construction; not part of equality."""
         pts = list(self.loop)
         if pts[0] != pts[-1]:
             pts.append(pts[0])
@@ -126,8 +132,7 @@ class Obstacle:
         if not self.dynamic:
             return self.center
         loop = self.loop_polyline
-        s = (self.speed * t) % loop.length
-        return loop.point_at(s)
+        return tuple(loop.sample((self.speed * t) % loop.length)[0][0].tolist())
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,7 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
+        require_finite("Scenario", self.half_width, self.goal_radius, self.v_max, self.time_limit_s)
         if len(self.route) < 2:
             raise ValueError("route needs at least 2 waypoints")
         if self.goal_radius <= 0.0:
@@ -171,53 +177,43 @@ class Scenario:
         return SegmentSet(np.vstack([left[:-1], right[:-1]]), np.vstack([left[1:], right[1:]]))
 
     @cached_property
-    def static_obstacles(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Obstacle centres (C, 2) and radii (C,), read-only, when no obstacle
-        moves, else None; built on first use; not part of equality."""
-        if any(o.dynamic for o in self.obstacles):
-            return None
-        centers = np.array([o.center for o in self.obstacles], dtype=float).reshape(-1, 2)
-        return read_only(centers), read_only(np.array([o.radius for o in self.obstacles], dtype=float))
+    def obstacle_radii(self) -> np.ndarray:
+        """Obstacle radii (C,), read-only; built on first use; not part of equality."""
+        return read_only(np.array([o.radius for o in self.obstacles], dtype=float))
 
 
 @dataclass
 class World:
-    """Mutable simulation state for one trial."""
+    """Mutable simulation state for one trial, starting at the scenario's start pose."""
 
     scenario: Scenario
     params: ModelParams
     rng: np.random.Generator
-    vehicle: VehicleState
+    vehicle: VehicleState = field(init=False)
     t: float = 0.0
     crashed: bool = False
     # goal flag, route arc length and signed offset of the vehicle, refreshed by sim_step
     reached: bool = field(init=False)
     s: float = field(init=False)
     lateral: float = field(init=False)
+    # obstacle centres (C, 2) at time t, placed by place_obstacles
+    obstacle_centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.vehicle = self.scenario.start
         self.s, self.lateral = self.scenario.route_polyline.project((self.vehicle.x, self.vehicle.y))
         self.reached = in_goal(self)
+        self.place_obstacles()
 
     @property
     def status(self) -> str:
         """Trial status once the loop has stopped: crash, goal, or timeout."""
         return "crash" if self.crashed else "goal" if self.reached else "timeout"
 
-    def obstacle_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """Obstacle centres (C, 2) and radii (C,) at time t: the scenario's
-        cached arrays when no obstacle moves."""
-        static = self.scenario.static_obstacles
-        if static is not None:
-            return static
-        obs = self.scenario.obstacles
-        centers = np.array([o.position_at(self.t) for o in obs])
-        radii = np.array([o.radius for o in obs])
-        return centers, radii
-
-
-def make_world(scenario: Scenario, params: ModelParams, rng: np.random.Generator) -> World:
-    return World(scenario=scenario, params=params, rng=rng, vehicle=scenario.start)
+    def place_obstacles(self) -> None:
+        """Set obstacle_centers to every obstacle's position at time t."""
+        centers = [o.position_at(self.t) for o in self.scenario.obstacles]
+        self.obstacle_centers = np.array(centers, dtype=float).reshape(-1, 2)
 
 
 def sense(world: World) -> Observation:
@@ -234,9 +230,9 @@ def sense(world: World) -> Observation:
     dirs[:, 1] = np.sin(bearings)
     origin = np.array([z.x, z.y])
     dist = ray_fan_segment_hits(origin, z.rho, dirs, world.scenario.walls)
-    centers, radii = world.obstacle_states()
+    radii = world.scenario.obstacle_radii
     if radii.shape[0] > 0:
-        np.minimum(ray_circle_hits(origin, dirs, centers, radii), dist, out=dist)
+        np.minimum(ray_circle_hits(origin, dirs, world.obstacle_centers, radii), dist, out=dist)
     np.minimum(dist, cfg.max_range_m, out=dist)
     np.maximum(dist, 1e-9, out=dist)
     return Observation(rays=dist, timestamp=world.t)
@@ -266,16 +262,16 @@ def sim_step(world: World, control: ControlInput) -> World:
     """Advance the world one sampling period.
 
     The vehicle follows the true model with zero residual (model mismatch
-    comes from state noise, not a world force); dynamic obstacles advance
-    along their loops; collision and goal flags are refreshed.
+    comes from state noise, not a world force); obstacles are placed at the
+    new time; collision and goal flags are refreshed.
     """
     p = world.params
     world.vehicle = step_true(world.vehicle, control, p, world.rng)
     world.t += p.dt
-    centers, radii = world.obstacle_states()
+    world.place_obstacles()
     px, py = world.vehicle.x, world.vehicle.y
     hit = False
-    for (cx, cy), r in zip(centers.tolist(), radii.tolist()):
+    for (cx, cy), r in zip(world.obstacle_centers.tolist(), world.scenario.obstacle_radii.tolist()):
         if math.hypot(px - cx, py - cy) < r:
             hit = True
             break
@@ -384,7 +380,7 @@ def run_trial(
     recorded only when record_wall_clock is set; otherwise solve_ms is 0 so
     logs stay byte-reproducible.
     """
-    world = make_world(scenario, params, np.random.default_rng([scenario.seed, trial_index]))
+    world = World(scenario, params, np.random.default_rng([scenario.seed, trial_index]))
     records: list[StepRecord] = []
     for cmd, event, seconds in closed_loop(world, controller):
         records.append(

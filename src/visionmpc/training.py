@@ -37,7 +37,7 @@ from .policy import (
     train_step,
 )
 # sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
-from .sim import Scenario, closed_loop, make_world, sense, signed_ray_bearings, sim_step  # noqa: F401
+from .sim import Scenario, World, closed_loop, sense, signed_ray_bearings, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -141,7 +141,7 @@ def train(
     for ep in range(cfg.episodes):
         scenario, params = suite[ep % len(suite)]
         eps = epsilon_at(ep, cfg)
-        world = make_world(scenario, params, np.random.default_rng([cfg.seed, 101, ep]))
+        world = World(scenario, params, np.random.default_rng([cfg.seed, 101, ep]))
         if ep < cfg.demo_episodes:
             source = lambda obs, feats: demonstration_action(obs, candidates)  # noqa: E731
             controller = LvdNmpcController(net, pipeline, action_source=source)

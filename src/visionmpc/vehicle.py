@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import wrap_angle
 
 
-def _require_finite(name: str, *values: float) -> None:
+def require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
@@ -35,7 +35,7 @@ class VehicleState:
     rho: float
 
     def __post_init__(self):
-        _require_finite("VehicleState", self.x, self.y, self.rho)
+        require_finite("VehicleState", self.x, self.y, self.rho)
         object.__setattr__(self, "rho", wrap_angle(self.rho))
 
 
@@ -47,7 +47,7 @@ class ControlInput:
     omega_cmd: float
 
     def __post_init__(self):
-        _require_finite("ControlInput", self.v_cmd, self.omega_cmd)
+        require_finite("ControlInput", self.v_cmd, self.omega_cmd)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ModelParams:
     sigma_f: float = 0.0
 
     def __post_init__(self):
-        _require_finite("ModelParams", self.wheelbase_L, self.dt, self.sigma_f)
+        require_finite("ModelParams", self.wheelbase_L, self.dt, self.sigma_f)
         if self.wheelbase_L <= 0.0:
             raise ValueError("wheelbase_L must be positive")
         if self.dt <= 0.0:

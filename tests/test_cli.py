@@ -81,6 +81,27 @@ class TestSimulate:
         assert rc == 1
         assert f"error: {path}:{line}: {old.split()[0]} has a non-finite value" in capsys.readouterr().err
 
+    def test_degenerate_obstacle_loop_is_an_error(self, tmp_path, capsys):
+        text = Path(scenario_path("straight_corridor")).read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text + "obstacle_dynamic_m 0.1 0.3 3.2 0.45 3.2 0.45\n")
+        line = text.count("\n") + 1
+        rc = run_cli("simulate", "--scenario", str(path), "--method", "direct", "--trials", "1",
+                     "--out", str(tmp_path / "o"))
+        assert rc == 1
+        assert f"error: {path}:{line}: polyline contains a zero-length segment" in capsys.readouterr().err
+
+    def test_non_finite_pipeline_value_is_an_error(self, tmp_path, capsys):
+        # json accepts NaN, and a NaN grad_tol would stop every solve before its first iteration
+        pipeline = tmp_path / "p.json"
+        pipeline.write_text('{"nmpc": {"grad_tol": NaN}}')
+        rc = run_cli("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "dwa-nmpc",
+                     "--trials", "1", "--pipeline", str(pipeline), "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid pipeline config {pipeline}: NmpcConfig must be finite, got nan" in err
+        assert not (tmp_path / "o").exists()
+
     def test_lvd_without_checkpoint_runs_with_seeded_policy(self, tmp_path):
         rc = run_cli(
             "simulate",

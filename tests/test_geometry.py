@@ -8,7 +8,7 @@ from visionmpc import geometry
 from visionmpc.geometry import (
     Polyline,
     SegmentSet,
-    fit_quadratic_curvature,
+    fit_curvature,
     offset_polyline,
     ray_circle_hits,
     ray_fan_segment_hits,
@@ -77,10 +77,10 @@ class TestPolyline:
     def test_arc_length_queries(self):
         poly = Polyline([(0, 0), (3, 0), (3, 4)])
         assert poly.length == pytest.approx(7.0)
-        assert poly.point_at(0.0) == (0.0, 0.0)
-        assert poly.point_at(3.0) == pytest.approx((3.0, 0.0))
-        assert poly.point_at(5.0) == pytest.approx((3.0, 2.0))
-        assert poly.point_at(99.0) == pytest.approx((3.0, 4.0))
+        assert poly.sample(0.0)[0].tolist() == [[0.0, 0.0]]
+        assert poly.sample(3.0)[0][0] == pytest.approx((3.0, 0.0))
+        assert poly.sample(5.0)[0][0] == pytest.approx((3.0, 2.0))
+        assert poly.sample(99.0)[0][0] == pytest.approx((3.0, 4.0))
         assert poly.sample(1.0)[1][0] == 0.0
         # at the vertex the later segment owns the tangent
         assert poly.sample(3.0)[1][0] == pytest.approx(math.pi / 2)
@@ -309,10 +309,23 @@ class TestQuadraticFit:
     def test_exact_recovery(self):
         xs = np.linspace(-1, 2, 9)
         ys = 0.7 - 0.3 * xs + 0.5 * 0.42 * xs ** 2
-        assert fit_quadratic_curvature(xs, ys) == pytest.approx(0.42, abs=1e-12)
+        assert fit_curvature(xs, ys, 0.0) == pytest.approx(0.42, abs=1e-12)
+
+    def test_fits_in_the_frame_of_the_first_point(self):
+        # the parabola above, turned by 0.9 rad and moved: rho0 = 0.9 turns it back
+        xs = np.linspace(-1, 2, 9)
+        ys = 0.7 - 0.3 * xs + 0.5 * 0.42 * xs ** 2
+        c, s = math.cos(0.9), math.sin(0.9)
+        assert fit_curvature(c * xs - s * ys + 4.0, s * xs + c * ys - 2.0, 0.9) == pytest.approx(0.42, abs=1e-9)
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            fit_quadratic_curvature([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            fit_quadratic_curvature([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            fit_curvature([1.0, 1.0, 1.0], [0.0, 1.0, 2.0], 0.0)
+        # two distinct abscissae after rounding to 12 decimals
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            fit_curvature([0.0, 1.0, 1.0 + 1e-14, 0.0], [0.0, 1.0, 2.0, 3.0], 0.0)
+        # in the frame of the first point these points lie on one vertical line
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            fit_curvature([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], math.pi / 4 + math.pi / 2)
+        with pytest.raises(ValueError, match="at least 3"):
+            fit_curvature([0.0, 1.0], [0.0, 1.0], 0.0)

@@ -1,5 +1,7 @@
 import csv
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -7,18 +9,18 @@ import numpy as np
 import pytest
 
 from visionmpc.controllers import DirectController, DwaNmpcController, PipelineConfig
-from visionmpc.geometry import fit_quadratic_curvature
+from visionmpc.geometry import fit_curvature
 from visionmpc.metrics import (
+    REPORT_NOTES,
     MetricsReport,
     OfflineRecord,
     aggregate,
-    e_curvature,
     e_xy,
     offline_report,
     read_offline_dataset,
     trial_errors,
 )
-from visionmpc.scene import SceneDynamics, fit_curvature, project_path
+from visionmpc.scene import SceneDynamics, project_path
 from visionmpc.sim import RaySensorConfig, Scenario, StepRecord, TrialOutcome, load_scenario, run_trial, write_csv
 from visionmpc.vehicle import VehicleState
 
@@ -35,8 +37,20 @@ def loop_e_xy(records):
     return (abs(sx) + abs(sy)) / len(records)
 
 
+def quadratic_fit(xs, ys):
+    """The quadratic fit as it was before fit_curvature took its frame, with
+    np.unique counting the distinct abscissae; kept as its oracle."""
+    if np.unique(np.round(xs, 12)).size < 3:
+        raise ValueError("degenerate quadratic fit: fewer than 3 distinct abscissae")
+    vander = np.stack([np.ones_like(xs), xs, xs ** 2], axis=1)
+    coef, *_ = np.linalg.lstsq(vander, ys, rcond=None)
+    return float(2.0 * coef[2])
+
+
 def loop_fit_curvature(traj):
     """The per-pose loop fit_curvature replaced, kept as its oracle."""
+    if len(traj) < 3:
+        raise ValueError("need at least 3 trajectory points")
     origin = traj[0]
     cos_r, sin_r = math.cos(-origin.rho), math.sin(-origin.rho)
     xs = np.empty(len(traj))
@@ -45,7 +59,7 @@ def loop_fit_curvature(traj):
         dx, dy = z.x - origin.x, z.y - origin.y
         xs[i] = cos_r * dx - sin_r * dy
         ys[i] = sin_r * dx + cos_r * dy
-    return fit_quadratic_curvature(xs, ys)
+    return quadratic_fit(xs, ys)
 
 
 def record_trial_errors(outcome):
@@ -65,6 +79,21 @@ def record_trial_errors(outcome):
         return exy, abs(loop_fit_curvature(est) - loop_fit_curvature(gt))
     except ValueError:
         return exy, None
+
+
+def record_offline_report(records):
+    """The record-based offline_report, kept as its oracle: two VehicleStates
+    per sample, heading along the ground-truth chord, then the loops above."""
+    report = {"samples": len(records), "e_xy_m": loop_e_xy(records), "notes": REPORT_NOTES}
+    if len(records) >= 3:
+        rho0 = math.atan2(records[-1].y_gt - records[0].y_gt, records[-1].x_gt - records[0].x_gt)
+        est = [VehicleState(r.x_est, r.y_est, rho0) for r in records]
+        gt = [VehicleState(r.x_gt, r.y_gt, rho0) for r in records]
+        try:
+            report["e_c"] = abs(loop_fit_curvature(est) - loop_fit_curvature(gt))
+        except ValueError:
+            report["e_c"] = None
+    return report
 
 
 def make_scenario():
@@ -100,52 +129,44 @@ def make_outcome(scenario, status, rows):
 
 class TestExy:
     def test_perfect_tracking_is_zero(self):
-        records = [OfflineRecord(t=float(i), x_est=1.0 * i, y_est=0.0, x_gt=1.0 * i, y_gt=0.0, v=2.0) for i in range(5)]
-        assert e_xy(records) == 0.0
+        assert e_xy(np.zeros(5), np.zeros(5), np.full(5, 2.0)) == 0.0
 
-    def test_hand_computed_two_record_example(self):
-        records = [
-            OfflineRecord(t=0.0, x_est=1.0, y_est=0.0, x_gt=0.0, y_gt=0.0, v=2.0),
-            OfflineRecord(t=1.0, x_est=0.0, y_est=1.0, x_gt=0.0, y_gt=0.0, v=1.0),
-        ]
-        assert e_xy(records) == pytest.approx(1.5, abs=1e-15)
+    def test_hand_computed_two_sample_example(self):
+        assert e_xy(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([2.0, 1.0])) == pytest.approx(1.5, abs=1e-15)
 
     def test_zero_speed_annihilates(self):
-        records = [OfflineRecord(t=float(i), x_est=5.0, y_est=-3.0, x_gt=0.0, y_gt=0.0, v=0.0) for i in range(4)]
-        assert e_xy(records) == 0.0
+        assert e_xy(np.full(4, 5.0), np.full(4, -3.0), np.zeros(4)) == 0.0
 
     def test_scales_linearly_with_deviations(self):
-        base = [
-            OfflineRecord(t=0.0, x_est=0.2, y_est=0.1, x_gt=0.0, y_gt=0.0, v=1.0),
-            OfflineRecord(t=1.0, x_est=0.4, y_est=-0.3, x_gt=0.0, y_gt=0.0, v=2.0),
-        ]
-        doubled = [
-            OfflineRecord(t=r.t, x_est=2 * r.x_est, y_est=2 * r.y_est, x_gt=0.0, y_gt=0.0, v=r.v) for r in base
-        ]
-        assert e_xy(doubled) == pytest.approx(2.0 * e_xy(base), rel=1e-12)
+        dx, dy, v = np.array([0.2, 0.4]), np.array([0.1, -0.3]), np.array([1.0, 2.0])
+        assert e_xy(2 * dx, 2 * dy, v) == pytest.approx(2.0 * e_xy(dx, dy, v), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            e_xy([])
+            e_xy(np.empty(0), np.empty(0), np.empty(0))
 
 
-class TestECurvature:
-    def _traj(self, c, n=12):
+def offline_records(est, gt, v=1.0):
+    return [OfflineRecord(float(i), xe, ye, xg, yg, v) for i, ((xe, ye), (xg, yg)) in enumerate(zip(est, gt))]
+
+
+class TestCurvatureError:
+    def _path(self, c, n=12):
         xs = np.linspace(0.0, 2.0, n)
-        ys = project_path(SceneDynamics(c, 0.0), rho=0.0, xs=xs)
-        return [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
+        return xs, project_path(SceneDynamics(c, 0.0), rho=0.0, xs=xs)
 
     def test_identical_trajectories(self):
-        traj = self._traj(0.25)
-        assert e_curvature(traj, traj) == 0.0
+        xs, ys = self._path(0.25)
+        points = list(zip(xs.tolist(), ys.tolist()))
+        assert offline_report(offline_records(points, points))["e_c"] == 0.0
 
     def test_known_curvature_difference(self):
-        assert e_curvature(self._traj(0.3), self._traj(0.1)) == pytest.approx(0.2, abs=1e-6)
+        assert fit_curvature(*self._path(0.3), 0.0) - fit_curvature(*self._path(0.1), 0.0) == pytest.approx(0.2, abs=1e-6)
 
     def test_lateral_offset_ignored(self):
-        a = [VehicleState(0.2 * i, 0.0, 0.0) for i in range(8)]
-        b = [VehicleState(0.2 * i, 0.5, 0.0) for i in range(8)]
-        assert e_curvature(a, b) == pytest.approx(0.0, abs=1e-12)
+        est = [(0.2 * i, 0.0) for i in range(8)]
+        gt = [(0.2 * i, 0.5) for i in range(8)]
+        assert offline_report(offline_records(est, gt))["e_c"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAggregate:
@@ -261,14 +282,55 @@ class TestAgainstRecordOracle:
         assert rep.e_c_mean == float(np.mean(ec)) and rep.e_c_std == float(np.std(ec, ddof=1))
         assert rep.avg_speed_mps == float(np.mean([r.v_cmd for o in outcomes for r in o.log]))
 
-    def test_record_forms_equal_their_loops(self):
+    def test_array_forms_equal_their_loops(self):
         rng = np.random.default_rng(21)
         for n in (1, 2, 5, 40):
             records = [OfflineRecord(float(i), *rng.normal(0.0, 2.0, 4), rng.uniform(0.0, 1.5)) for i in range(n)]
-            assert repr(e_xy(records)) == repr(float(loop_e_xy(records)))
+            x_est, y_est, x_gt, y_gt, v = np.array([(r.x_est, r.y_est, r.x_gt, r.y_gt, r.v) for r in records]).T
+            assert repr(e_xy(x_est - x_gt, y_est - y_gt, v)) == repr(float(loop_e_xy(records)))
         for n in (3, 4, 25):
             traj = [VehicleState(*rng.normal(0.0, 3.0, 2), rng.uniform(-4.0, 4.0)) for _ in range(n)]
-            assert repr(fit_curvature(traj)) == repr(float(loop_fit_curvature(traj)))
+            xs, ys = np.array([(z.x, z.y) for z in traj]).T
+            assert repr(fit_curvature(xs, ys, traj[0].rho)) == repr(float(loop_fit_curvature(traj)))
+
+    def test_offline_report_equals_the_record_computation(self):
+        # random datasets, and degenerate ones: one sample repeated (no distinct
+        # abscissa), two alternating abscissae, and a chord turned past pi
+        rng = np.random.default_rng(22)
+        datasets = [rng.normal(0.0, 2.0, (n, 5)) for n in (1, 2, 3, 4, 11)]
+        datasets.append(np.tile(rng.normal(0.0, 1.0, (1, 5)), (6, 1)))
+        x = np.array([0.0, 1.0] * 3)
+        datasets.append(np.stack([x, x ** 2, x, rng.normal(0.0, 1.0, 6), np.ones(6)], axis=1))
+        t = np.linspace(0.0, 3.0, 9)
+        datasets.append(np.stack([-np.cos(t), np.sin(t), -np.cos(t) + 1e-3, np.sin(t) - 1e-9 * t, np.ones(9)], axis=1))
+        fits = []
+        for cols in datasets:
+            records = [OfflineRecord(float(i), *map(float, row)) for i, row in enumerate(cols)]
+            report = offline_report(records)
+            fits.append(report.get("e_c"))
+            assert repr(report) == repr(record_offline_report(records))
+        assert None in fits and any(f is not None for f in fits)
+
+
+def test_aggregate_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use (about 15 ms); the curvature fit
+    # must not pull it into a process that scores a trial
+    code = """
+import sys
+from dataclasses import replace
+from importlib import resources
+from visionmpc import metrics, sim
+from visionmpc.controllers import DwaNmpcController, PipelineConfig
+path = resources.files("visionmpc").joinpath("scenarios", "straight_corridor.scn")
+scenario, params = sim.load_scenario(path)
+outcome = sim.run_trial(replace(scenario, time_limit_s=0.5), DwaNmpcController(PipelineConfig()), params)
+assert "numpy.ma" not in sys.modules, "imported before aggregate"
+report = metrics.aggregate({"dwa-nmpc": [outcome]})[0]
+assert outcome.steps >= 3 and report.e_c_mean > 0.0, report
+print("numpy.ma" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestOfflineDataset:

@@ -436,6 +436,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_iters must be at least 1, grad_tol positive"):
             NmpcConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tau_o", "dt", "wheelbase_L", "e_min", "e_max", "max_iters", "grad_tol", "f_tol"])
+    def test_non_finite_fields_are_refused(self, field, value):
+        # NaN passes every `<= 0` test, so each field is checked for finiteness first
+        with pytest.raises(ValueError, match="NmpcConfig must be finite"):
+            NmpcConfig(**{field: value})
+
+
 class TestReachable:
     def test_window_is_the_actuator_box_cut_by_one_period_of_rate(self):
         cfg = NmpcConfig()

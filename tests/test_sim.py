@@ -18,11 +18,11 @@ from visionmpc.sim import (
     StepCommand,
     StepRecord,
     TrialOutcome,
+    World,
     closed_loop,
     csv_cell,
     in_goal,
     load_scenario,
-    make_world,
     ray_bearings,
     read_trial_log,
     reference_slice,
@@ -51,7 +51,7 @@ def corridor(obstacles=(), half_width=1.0, time_limit=30.0, start=VehicleState(0
 
 
 def world_for(scenario, sigma=0.0, seed=0):
-    return make_world(scenario, ModelParams(sigma_f=sigma), np.random.default_rng(seed))
+    return World(scenario, ModelParams(sigma_f=sigma), np.random.default_rng(seed))
 
 
 class TestSense:
@@ -169,7 +169,7 @@ class TestReferenceSlice:
         want = []
         for i in range(1, 101):
             s = min(s0 + 0.7 * 0.05 * i, route.length)
-            x, y = route.point_at(s)
+            x, y = route.sample(s)[0][0].tolist()
             want.append(VehicleState(x, y, float(route.sample(s)[1][0])))
         assert out == want
         assert out[-1] == VehicleState(1.2, 2.0, float(route.sample(route.length)[1][0]))  # past the end
@@ -179,12 +179,39 @@ class TestReferenceSlice:
             reference_slice(corridor().route_polyline, 0.0, 3, 0.1, 0.0)
 
 
+class TestNonFiniteValues:
+    """NaN passes every `<= 0` test, so each float field is checked for finiteness first."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RaySensorConfig(resolution_deg=math.inf),
+            lambda: RaySensorConfig(max_range_m=math.nan),
+            lambda: Obstacle(center=(1.0, 0.0), radius=math.nan),
+            lambda: Obstacle(center=(1.0, 0.0), radius=math.inf),
+            lambda: Obstacle(center=(1.0, 0.0), radius=0.1, loop=((1.0, 0.0), (2.0, 0.0)), speed=math.nan),
+            lambda: corridor(half_width=math.nan),
+            lambda: corridor(time_limit=math.inf),
+            lambda: corridor(goal_radius=math.nan),
+            lambda: replace(corridor(), v_max=math.inf),
+        ],
+    )
+    def test_non_finite_fields_are_refused(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
 class TestCachedPolylines:
+    def test_degenerate_loop_is_refused_on_construction(self):
+        with pytest.raises(ValueError, match="zero-length segment"):
+            Obstacle(center=(3.2, 0.45), radius=0.1, loop=((3.2, 0.45), (3.2, 0.45)), speed=0.3)
+
     def test_dynamic_obstacle_position_unchanged(self):
         obstacle = Obstacle(center=(0.0, 0.0), radius=0.1, loop=((0.0, 0.0), (4.0, 0.0)), speed=1.0)
         assert obstacle.position_at(1.0) == (1.0, 0.0)
         assert obstacle.position_at(5.0) == (3.0, 0.0)  # on the way back
-        assert obstacle.position_at(5.0) == Polyline([(0.0, 0.0), (4.0, 0.0), (0.0, 0.0)]).point_at(5.0)
+        assert obstacle.position_at(5.0) == tuple(Polyline([(0.0, 0.0), (4.0, 0.0), (0.0, 0.0)]).sample(5.0)[0][0])
+        assert "loop_polyline" in vars(obstacle)  # built on construction, once
         assert obstacle.loop_polyline is obstacle.loop_polyline
         assert obstacle == Obstacle(center=(0.0, 0.0), radius=0.1, loop=((0.0, 0.0), (4.0, 0.0)), speed=1.0)
 
@@ -211,7 +238,7 @@ def log_cells(outcome):
 
 
 class TestCachedScenarioValues:
-    """Walls, static obstacles and fan constants are built once; reusing them changes nothing."""
+    """Walls, obstacle radii and fan constants are built once; reusing them changes nothing."""
 
     @pytest.mark.parametrize("name", [*sorted(BUNDLED), "moving_obstacle"])
     def test_warm_caches_change_no_trial(self, name):
@@ -221,42 +248,53 @@ class TestCachedScenarioValues:
         else:
             scenario, params = load_scenario(BUNDLED[name])
         cold = run_trial(scenario, DirectController(PipelineConfig()), params, trial_index=1)
-        assert "walls" in vars(scenario) and "static_obstacles" in vars(scenario)
+        assert "walls" in vars(scenario) and "obstacle_radii" in vars(scenario)
         warm = run_trial(scenario, DirectController(PipelineConfig()), params, trial_index=1)
         copy = with_seed(scenario, scenario.seed)
-        assert copy == scenario and "walls" not in vars(copy) and "static_obstacles" not in vars(copy)
+        assert copy == scenario and "walls" not in vars(copy) and "obstacle_radii" not in vars(copy)
         fresh = run_trial(copy, DirectController(PipelineConfig()), params, trial_index=1)
         assert cold.steps > 0
         assert log_cells(cold) == log_cells(warm) == log_cells(fresh)
 
-    def test_moving_obstacle_is_never_cached(self):
+    def test_sim_step_moves_the_obstacles_that_sense_sees(self):
         scenario = with_mover(corridor(obstacles=[Obstacle(center=(2.5, -0.3), radius=0.1)], half_width=0.6))
-        assert scenario.static_obstacles is None
-        world = world_for(scenario)
-        scans, centers = [], []
-        for t in (0.0, 1.0, 2.0):
-            world.t = t
+        world = world_for(scenario, sigma=0.002)
+        scans = []
+        for _ in range(30):
+            sim_step(world, ControlInput(0.4, 0.05))
+            assert not world.crashed
             scans.append(sense(world).rays)
-            centers.append(world.obstacle_states()[0])
-            # the same scan from a static copy with every obstacle where it is at t
-            frozen = replace(
-                scenario, obstacles=tuple(Obstacle(center=o.position_at(t), radius=o.radius) for o in scenario.obstacles)
-            )
-            assert frozen.static_obstacles is not None
+            # the same scan from a static copy with every obstacle where it is now
+            at_t = tuple(Obstacle(center=o.position_at(world.t), radius=o.radius) for o in scenario.obstacles)
+            assert world.obstacle_centers.tolist() == [list(o.center) for o in at_t]
+            frozen = replace(scenario, start=world.vehicle, obstacles=at_t)
             assert np.array_equal(scans[-1], sense(world_for(frozen)).rays)
-        assert not np.array_equal(centers[0], centers[1]) and not np.array_equal(scans[0], scans[1])
-        assert not np.array_equal(scans[1], scans[2])
+        assert not np.array_equal(scans[0], scans[10]) and not np.array_equal(scans[10], scans[20])
 
-    def test_static_obstacles_are_cached_once(self):
+    def test_each_obstacle_is_placed_once_per_step(self, monkeypatch):
         scenario, params = load_scenario(BUNDLED["corridor_two_obstacles"])
-        world = make_world(scenario, params, np.random.default_rng(0))
-        states = world.obstacle_states()
-        assert states is scenario.static_obstacles
-        world.t = 7.5
-        assert world.obstacle_states() is states
-        assert states[0].tolist() == [list(o.center) for o in scenario.obstacles]
-        assert states[1].tolist() == [o.radius for o in scenario.obstacles]
-        assert corridor().static_obstacles[0].shape == (0, 2)
+        scenario = with_mover(scenario)
+        calls = []
+        position_at = Obstacle.position_at
+        monkeypatch.setattr(Obstacle, "position_at", lambda self, t: calls.append(t) or position_at(self, t))
+        outcome = run_trial(scenario, DirectController(PipelineConfig()), params)
+        n = len(scenario.obstacles)
+        # once each at world creation, then once each per sim_step; sense places none
+        assert n == 3 and outcome.steps > 10
+        assert len(calls) == n * (outcome.steps + 1)
+        assert calls[:n] == [0.0] * n and calls[-n:] == [outcome.log[-1].time_s] * n
+
+    def test_obstacle_radii_are_cached_once(self):
+        scenario, params = load_scenario(BUNDLED["corridor_two_obstacles"])
+        world = World(scenario, params, np.random.default_rng(0))
+        radii = scenario.obstacle_radii
+        assert scenario.obstacle_radii is radii
+        assert radii.tolist() == [o.radius for o in scenario.obstacles]
+        assert world.obstacle_centers.tolist() == [list(o.center) for o in scenario.obstacles]
+        sim_step(world, ControlInput(0.5, 0.0))
+        assert world.obstacle_centers.tolist() == [list(o.center) for o in scenario.obstacles]
+        assert corridor().obstacle_radii.shape == (0,)
+        assert world_for(corridor()).obstacle_centers.shape == (0, 2)
 
     def test_cached_constants_are_read_only(self):
         scenario, _ = load_scenario(BUNDLED["corridor_two_obstacles"])
@@ -271,8 +309,7 @@ class TestCachedScenarioValues:
             "walls.b": walls.b,
             "walls.d": walls.d,
             "walls.tol": walls.tol,
-            "obstacle centres": scenario.static_obstacles[0],
-            "obstacle radii": scenario.static_obstacles[1],
+            "obstacle radii": scenario.obstacle_radii,
         }
         for name, array in cached.items():
             assert array.size > 0, name
@@ -508,6 +545,14 @@ class TestScenarioFiles:
         assert type(scenario.seed) is int and scenario.seed == 4
         assert params == ModelParams(dt=0.04)
         assert scenario.sensor == RaySensorConfig(resolution_deg=3.0, max_range_m=2.0)
+
+    def test_degenerate_obstacle_loop_is_refused_with_its_line(self, tmp_path):
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text + "obstacle_dynamic_m 0.1 0.3 3.2 0.45 3.2 0.45\n")
+        line = text.count("\n") + 1
+        with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: polyline contains a zero-length segment"):
+            load_scenario(path)
 
     def test_sensor_resolution_must_divide_fov(self):
         with pytest.raises(ValueError):
