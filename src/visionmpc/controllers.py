@@ -9,10 +9,12 @@ logged width w and of the LVD scene speed. No controller projects the
 vehicle onto the route: each step receives the state's route arc length s
 from the closed loop, which the simulator computed when it reached that
 state. The controllers share one skeleton,
-`_BoundedController`: its reset starts a trial at rest with no warm start,
-and its `_track`, the one tracking path of both NMPC methods, runs one
-NMPC step under the gains and reference control of a scene pair and keeps
-the control it applied.
+`_BoundedController`: its reset starts a trial at rest, and its `_track`,
+the one tracking path of both NMPC methods, runs one NMPC step from the
+warm start its caller gives, under the gains and reference control of a
+scene pair, and keeps the control it applied. LVD-NMPC seeds each solve with its
+last solution shifted by one step; DWA-NMPC seeds it with its plan's
+command held over the horizon, the exact minimizer of its problem.
 """
 
 from dataclasses import dataclass, replace
@@ -72,8 +74,7 @@ class _BoundedController:
 
     _limits is the pipeline's NMPC config with the speed bound capped at the
     scenario's v_max; its u_max.v_cmd is full speed. _u_prev is the control
-    last applied, which anchors the next step's rate bounds. _warm is the
-    last NMPC solution's control array, which seeds the next solve.
+    last applied, which anchors the next step's rate bounds.
     """
 
     def __init__(self, pipeline: PipelineConfig):
@@ -81,15 +82,13 @@ class _BoundedController:
         self._scenario: Optional[Scenario] = None
         self._limits = pipeline.nmpc
         self._u_prev: Optional[ControlInput] = None
-        self._warm: Optional[np.ndarray] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
-        """Start a trial at rest with no warm start; a world period other than the controller's is a ValueError."""
+        """Start a trial at rest; a world period other than the controller's is a ValueError."""
         check_period(self.pipeline, params)
         self._scenario = scenario
         self._limits = speed_capped(self.pipeline.nmpc, scenario)
         self._u_prev = ControlInput(0.0, 0.0)
-        self._warm = None
 
     def safe_stop(self) -> ControlInput:
         """Decelerate from the last applied control; the result becomes the rate anchor."""
@@ -99,15 +98,21 @@ class _BoundedController:
         self._u_prev = ControlInput(min(v, u_prev.v_cmd), u_prev.omega_cmd)
         return self._u_prev
 
-    def _track(self, state: VehicleState, z_d, residual, pair: SceneDynamics) -> StepCommand:
+    def _track(
+        self, state: VehicleState, z_d, residual, pair: SceneDynamics, warm_start: Optional[np.ndarray]
+    ) -> tuple[StepCommand, np.ndarray]:
         """One NMPC step toward z_d from the last applied control under the
-        gains and reference control of the scene pair, logged with the pair."""
+        gains and reference control of the scene pair, logged with the pair.
+
+        warm_start is passed to `control_step`, which shifts it by one step
+        to seed the solve (None seeds it with zeros). Returns the command
+        and the solution's control array.
+        """
         cfg = self._limits
         u_ref = reference_control(pair, cfg.u_max.v_cmd, cfg.wheelbase_L)
-        u, sol = control_step(state, z_d, residual, gain_schedule(pair), cfg, self._u_prev, u_ref, self._warm)
-        self._warm = sol.u_opt
+        u, sol = control_step(state, z_d, residual, gain_schedule(pair), cfg, self._u_prev, u_ref, warm_start)
         self._u_prev = u
-        return StepCommand(u=u, c=pair.c, w=pair.w)
+        return StepCommand(u=u, c=pair.c, w=pair.w), sol.u_opt
 
 
 def lvd_desired_path(
@@ -125,7 +130,9 @@ class LvdNmpcController(_BoundedController):
 
     epsilon > 0 (with an rng) enables exploration; evaluation runs greedy.
     The most recent feature vector and action index are exposed for the
-    training loop.
+    training loop. _warm is the last NMPC solution's control array, which
+    seeds the next solve shifted by one step: the desired path is not a
+    model rollout, so no exact minimizer is known to start from.
     """
 
     def __init__(
@@ -146,12 +153,14 @@ class LvdNmpcController(_BoundedController):
         self.last_features: Optional[np.ndarray] = None
         self.last_action: Optional[int] = None
         self._memory: Optional[AugmentedMemory] = None
+        self._warm: Optional[np.ndarray] = None
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         super().reset(scenario, params)
         self._memory = AugmentedMemory(self.pipeline.n_history)
         self.last_features = None
         self.last_action = None
+        self._warm = None
 
     def step(self, obs: Observation, state: VehicleState, s: float) -> StepCommand:
         cfg = self._limits
@@ -168,7 +177,8 @@ class LvdNmpcController(_BoundedController):
         self.last_features = features
         self.last_action = action
         z_d = lvd_desired_path(route, s, dyn, state, cfg)
-        return self._track(state, z_d, residual_h(dyn, state.rho), dyn)
+        command, self._warm = self._track(state, z_d, residual_h(dyn, state.rho), dyn, self._warm)
+        return command
 
 
 class DwaNmpcController(_BoundedController):
@@ -177,6 +187,13 @@ class DwaNmpcController(_BoundedController):
     The window is reachable from the control last applied; the plan is the
     desired trajectory, and the pair its sampled command holds sets the
     gains and reference control, as the learned pair does for LVD-NMPC.
+    The plan is the model's rollout of that command, and the reference
+    control is that command up to rounding, so the command held over the
+    horizon tracks the plan at a cost of rounding size: it is the
+    tracker's exact minimizer and seeds every solve, which then takes no
+    Gauss-Newton step. The stop fallback's
+    (0, 0) may not be reachable from a moving car; the solve projects it
+    onto the rate bounds and iterates from there.
     """
 
     def __init__(self, pipeline: PipelineConfig):
@@ -194,7 +211,10 @@ class DwaNmpcController(_BoundedController):
         goal_xy, goal_rho = self._scenario.route_polyline.sample(s + v_full * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         u_plan, plan = dwa_plan(state, points, goal, cfg, self._u_prev, self._work)
-        return self._track(state, plan, None, SceneDynamics(*pair_of_control(u_plan, v_full, cfg.wheelbase_L)))
+        # control_step's one-step shift leaves the held command as it is
+        held = np.tile((u_plan.v_cmd, u_plan.omega_cmd), cfg.tau_o)
+        pair = SceneDynamics(*pair_of_control(u_plan, v_full, cfg.wheelbase_L))
+        return self._track(state, plan, None, pair, held)[0]
 
 
 class DirectController(_BoundedController):

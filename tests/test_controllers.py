@@ -12,7 +12,7 @@ from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcCo
 from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
 from visionmpc.scene import SceneDynamics
-from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial
+from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial, with_seed
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
 
@@ -105,9 +105,13 @@ class TestControllersRespectSharedBounds:
 CAPPED_PIPELINE = PipelineConfig(nmpc=NmpcConfig(u_max=ControlInput(0.8, 0.35)))
 
 
-def straight_corridor():
-    with resources.as_file(resources.files("visionmpc.scenarios") / "straight_corridor.scn") as path:
+def bundled(name):
+    with resources.as_file(resources.files("visionmpc.scenarios") / f"{name}.scn") as path:
         return load_scenario(path)
+
+
+def straight_corridor():
+    return bundled("straight_corridor")
 
 
 class TestFullSpeedIsTheCappedBound:
@@ -184,6 +188,68 @@ class TestSafeStop:
         assert [rec.event for rec in outcome.log].index("controller_error") == 9
         assert outcome.steps > 11
         assert_bounds_and_rates(outcome, pipeline.nmpc)
+
+
+class TestDwaSeed:
+    """DWA-NMPC seeds each solve with its plan's command held over the
+    horizon: the plan is the model's rollout of that command and the
+    reference control is that command up to rounding, so the seed is the
+    exact minimizer."""
+
+    @pytest.mark.parametrize("name", ["corridor_two_obstacles", "loop", "s_curve", "straight_corridor"])
+    def test_every_planned_solve_starts_at_its_minimizer(self, name, monkeypatch):
+        plans, solutions = [], []
+        original_plan, original_step = controllers.dwa_plan, controllers.control_step
+
+        def plan_spy(vehicle, *args):
+            u_plan, plan = original_plan(vehicle, *args)
+            # the stop fallback holds the very pose it was given
+            plans.append(all(pose is vehicle for pose in plan))
+            return u_plan, plan
+
+        def step_spy(*args):
+            u, sol = original_step(*args)
+            solutions.append(sol)
+            return u, sol
+
+        monkeypatch.setattr(controllers, "dwa_plan", plan_spy)
+        monkeypatch.setattr(controllers, "control_step", step_spy)
+        scenario, params = bundled(name)
+        outcome = run_trial(with_seed(scenario, 1), DwaNmpcController(PipelineConfig()), params)
+        assert outcome.status == "goal"
+        assert len(plans) == len(solutions) == outcome.steps
+        planned = [sol for stop, sol in zip(plans, solutions) if not stop]
+        assert planned
+        for sol in planned:
+            assert sol.iterations == 0
+            assert sol.cost <= 1e-20
+
+    def test_stop_fallback_brakes_within_the_rate_bound(self, monkeypatch):
+        # once the car runs at 0.8 m/s, a sensed point on the car itself
+        # blocks every rollout; the fallback's (0, 0) seed is out of reach,
+        # so the solve projects it and iterates, and the speed falls by at
+        # most |du_min.v_cmd| * dt per step
+        original_points = controllers.obstacle_points_from_observation
+        cfg = CAPPED_PIPELINE.nmpc
+        controller = DwaNmpcController(CAPPED_PIPELINE)
+        blocked = []
+
+        def blocking_points(obs, state, max_range):
+            if blocked or controller._u_prev.v_cmd >= 0.8 - 1e-6:
+                blocked.append(None)
+                return np.array([[state.x, state.y]])
+            return original_points(obs, state, max_range)
+
+        monkeypatch.setattr(controllers, "obstacle_points_from_observation", blocking_points)
+        scenario, params = straight_corridor()
+        outcome = run_trial(replace(scenario, time_limit_s=4.0), controller, params)
+        assert_bounds_and_rates(outcome, cfg)
+        speeds = [rec.v_cmd for rec in outcome.log]
+        first = len(speeds) - len(blocked)
+        assert speeds[first - 1] == pytest.approx(0.8, abs=1e-6)
+        drop = abs(cfg.du_min.v_cmd) * cfg.dt
+        assert all(a - drop - 1e-12 <= b <= a for a, b in zip(speeds[first - 1:], speeds[first:]))
+        assert speeds[-1] == 0.0
 
 
 class TestLvdController:

@@ -489,6 +489,33 @@ class TestSolve:
             oracle = brute_force_min(current, z_d, g, cfg)
             assert sol.cost <= 1.05 * oracle + 1e-12
 
+    def test_start_at_a_minimizer_is_returned_as_it_is(self, monkeypatch):
+        # u_ref held over the horizon, tracking its own model rollout, is an
+        # exact minimizer: no iteration runs, and the projected start comes
+        # back bit for bit with its cost, projected and evaluated only once
+        cfg = config(tau_o=8)
+        current = VehicleState(0.3, -0.2, 0.4)
+        z_d = rollout(current, [U_REF] * cfg.tau_o, p=model(cfg))
+        g = gain_schedule(SceneDynamics(0.0, 0.6))
+        start = np.tile((U_REF.v_cmd, U_REF.omega_cmd), cfg.tau_o)
+        projected = nmpc._clip_chain(start, cfg, U_REF)
+        cost = _Problem(current, z_d, None, g, cfg, U_REF, U_REF, PENALTY_WEIGHT).value(projected)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(nmpc, "_clip_chain", counted("project", nmpc._clip_chain))
+        monkeypatch.setattr(_Problem, "forward", counted("evaluate", _Problem.forward))
+        sol = solve(current, z_d, None, g, cfg, U_REF, U_REF, warm_start=start)
+        assert sol.iterations == 0 and sol.converged
+        assert np.array_equal(sol.u_opt, projected)
+        assert sol.cost == cost
+        assert calls == ["project", "evaluate"]
+
     def test_warm_start_fixed_point(self):
         rng = np.random.default_rng(5)
         cfg = config(tau_o=5, max_iters=300)
