@@ -285,6 +285,76 @@ class TestGaussNewton:
                 assert not got[:, : j // 2].any()
         assert wrapped > 0
 
+    @pytest.mark.parametrize("u_ref", [NO_REF, U_REF], ids=["no_ref", "u_ref"])
+    def test_second_order_term_completes_the_hessian_across_the_heading_wrap(self, u_ref):
+        # without penalties, q (J'J + S) + r I is half the objective's Hessian
+        rng = np.random.default_rng(37)
+        cfg = config(tau_o=8)
+        wrapped = 0
+        for trial in range(20):
+            current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.0, 0.05))
+            z_d = [VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1)) for _ in range(8)]
+            problem = _Problem(current, tuple(z_d), rng.uniform(-0.02, 0.02, size=3),
+                               GainSchedule(rng.uniform(0.1, 1.0), rng.uniform(0.01, 1.0)),
+                               cfg, AT_REST, u_ref, penalty=0.0)
+            u = np.empty(16)
+            u[0::2] = rng.uniform(0.2, 1.0, size=8)
+            u[1::2] = rng.uniform(0.0, 0.35, size=8) * (1 if trial % 2 else -1)
+            fwd = problem.forward(u)[1]
+            rho = np.concatenate(([current.rho], _wrap_fast(fwd[4] + problem.rd)))
+            wrapped += np.any(np.abs(np.diff(rho)) > math.pi)
+            jac = problem.jacobian(fwd)
+            flat = jac.reshape(24, 16)
+            curvature = problem.curvature(fwd, jac)
+            assert np.array_equal(curvature, curvature.T)
+            half_hess = problem.q * (flat.T @ flat + curvature) + problem.r * np.eye(16)
+            fd = np.empty((16, 16))
+            for j in range(16):
+                h = 1e-6
+                up, dn = u.copy(), u.copy()
+                up[j] += h
+                dn[j] -= h
+                fd[:, j] = (problem.gradient(problem.forward(up)[1]) - problem.gradient(problem.forward(dn)[1])) / (4 * h)
+            assert np.abs(half_hess - fd).max() <= 1e-7 * np.abs(fd).max()
+        assert wrapped > 0
+
+    def test_second_order_model_takes_the_absolute_eigenvalues(self):
+        # V |Lambda| V' of q (J'J + S) + r I, plus the damping: symmetric and
+        # positive definite; a matrix that is positive definite already is
+        # kept as it is
+        rng = np.random.default_rng(41)
+        kinds = {"indefinite": 0, "definite": 0}
+        for trial in range(40):
+            if trial % 2:
+                _, _, problem, _ = hinge_active_problem(rng, 10, True, True)
+                u = hinge_active_controls(rng, 10)
+            else:
+                # near a control sequence that its desired poses are the rollout of
+                cfg = config(tau_o=10)
+                current, z_d, g, u_seq = random_problem(rng, cfg)
+                problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, U_REF, PENALTY_WEIGHT)
+                u = np.array([c for ui in u_seq for c in (ui.v_cmd, ui.omega_cmd)]) + rng.normal(scale=1e-3, size=20)
+            fwd = problem.forward(u)[1]
+            jac = problem.jacobian(fwd)
+            flat = jac.reshape(30, 20)
+            raw = problem.q * (flat.T @ flat + problem.curvature(fwd, jac))
+            raw.reshape(-1)[::21] += problem.r
+            lam = np.linalg.eigvalsh(raw)
+            hess = _GaussNewtonModel(problem, fwd, second_order=True).hess
+            assert np.array_equal(hess, hess.T)
+            got = np.linalg.eigvalsh(hess)
+            # each eigendecomposition rounds by a small multiple of eps times the matrix norm
+            rounding = 1e-12 * np.abs(lam).max()
+            assert got.min() >= nmpc._DAMPING - rounding
+            assert np.abs(got - np.sort(np.abs(lam) + nmpc._DAMPING)).max() <= rounding
+            if lam[0] > 0.0:
+                kinds["definite"] += 1
+                raw.reshape(-1)[::21] += nmpc._DAMPING
+                assert np.array_equal(hess, raw)
+            else:
+                kinds["indefinite"] += 1
+        assert kinds["definite"] > 0 and kinds["indefinite"] > 0
+
     @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
     @pytest.mark.parametrize("with_u_ref", [False, True])
     def test_twice_the_residual_jacobian_times_the_residual_is_the_gradient(self, tau_o, with_u_ref):
@@ -423,6 +493,49 @@ class TestCostGate:
                 ratios.append(sol.cost / recorded)
         assert np.median(ratios) <= 1.0
 
+    @pytest.mark.parametrize("tag", ["dwa", "train"])
+    def test_every_recorded_solve_converges_within_eight_iterations(self, tag):
+        # the Newton model of the later iterations ends the linear tail of
+        # Gauss-Newton, which took up to 38 iterations and missed the
+        # tolerance on 11 of these solves
+        with np.load(FIXTURE, allow_pickle=False) as data:
+            cases = list(fixture_cases(data, tag))
+        for args, _ in cases:
+            sol = solve(*args[:6], NO_REF, warm_start=args[6])
+            assert type(sol.converged) is bool
+            assert sol.converged and sol.iterations <= 8
+
+    def test_the_first_two_iterations_keep_the_gauss_newton_model(self, monkeypatch):
+        # models carry the second-order term from iteration _EXACT_HESSIAN_FROM
+        # on, so a solve that stops sooner does the work, and gives the
+        # result, of a solver without it
+        built = []
+
+        class Spy(_GaussNewtonModel):
+            def __init__(self, problem, fwd, second_order=False):
+                built[-1].append(second_order)
+                super().__init__(problem, fwd, second_order)
+
+        with np.load(FIXTURE, allow_pickle=False) as data:
+            cases = list(fixture_cases(data, "train"))
+        runs = []
+        for args, _ in cases:
+            built.append([])
+            monkeypatch.setattr(nmpc, "_GaussNewtonModel", Spy)
+            sol = solve(*args[:6], NO_REF, warm_start=args[6])
+            monkeypatch.undo()
+            monkeypatch.setattr(nmpc, "_EXACT_HESSIAN_FROM", 10 ** 6)
+            plain = solve(*args[:6], NO_REF, warm_start=args[6])
+            monkeypatch.undo()
+            runs.append((sol, plain, built[-1]))
+        for sol, plain, flags in runs:
+            assert flags == [k >= nmpc._EXACT_HESSIAN_FROM for k in range(len(flags))]
+            if sol.iterations <= nmpc._EXACT_HESSIAN_FROM:
+                assert not any(flags)
+                assert np.array_equal(sol.u_opt, plain.u_opt) and sol.cost == plain.cost
+                assert sol.iterations == plain.iterations
+        assert sum(sol.iterations <= nmpc._EXACT_HESSIAN_FROM for sol, _, _ in runs) > 50
+        assert sum(any(flags) for _, _, flags in runs) > 50
 
 
 class TestConfig:
