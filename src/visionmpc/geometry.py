@@ -23,10 +23,12 @@ each segment's endpoints, `b - a` and its `_NEAR` tolerance, and
 `sim.Scenario.walls` builds one per scenario. `Polyline.project` is the
 per-point form that `sim_step` calls every step, and `project_batch` the
 form for a whole trial log; both give the same bits and resolve ties the
-same way. Every cached array is read-only (`read_only`), so no caller can
-change what later calls read.
+same way. Likewise `Polyline.point_at` is the per-point form of `sample`
+that places a moving obstacle every step. Every cached array is read-only
+(`read_only`), so no caller can change what later calls read.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -76,8 +78,10 @@ class Polyline:
         self._tangents = seg / seg_len[:, None]
         self._headings = np.array([math.atan2(ty, tx) for tx, ty in self._tangents])
         self._seg_len_sq = seg_len ** 2
-        # per-segment values that `project` picks one of, as Python floats
-        self._picks = list(zip(self._cum.tolist(), seg_len.tolist(), self._tangents.tolist()))
+        # per-segment values that `project` and `point_at` pick one of, as Python floats
+        self._cum_list = self._cum.tolist()
+        self._picks = list(zip(self._cum_list, seg_len.tolist(), self._tangents.tolist()))
+        self._starts = list(zip(pts[:-1].tolist(), seg.tolist()))
 
     @property
     def length(self) -> float:
@@ -92,6 +96,19 @@ class Polyline:
         i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._seg_len) - 1)
         t = (s - self._cum[i]) / self._seg_len[i]
         return self.points[i] + t[:, None] * self._seg[i], self._headings[i]
+
+    def point_at(self, s: float) -> tuple[float, float]:
+        """The point `sample` gives at one arc length s, in Python floats.
+
+        It clamps s, picks the segment and interpolates with the IEEE
+        operations of `sample`, in their order, so the bits are the same.
+        """
+        cum = self._cum_list
+        s = min(max(float(s), 0.0), cum[-1])
+        i = min(max(bisect.bisect_right(cum, s) - 1, 0), len(cum) - 2)
+        (px, py), (sx, sy) = self._starts[i]
+        t = (s - cum[i]) / self._picks[i][1]
+        return px + t * sx, py + t * sy
 
     def project(self, point) -> tuple[float, float]:
         """Closest point on the path to one `point`: (arc_length,

@@ -132,7 +132,7 @@ class Obstacle:
         if not self.dynamic:
             return self.center
         loop = self.loop_polyline
-        return tuple(loop.sample((self.speed * t) % loop.length)[0][0].tolist())
+        return loop.point_at((self.speed * t) % loop.length)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,21 @@ class TestPolyline:
             tx, ty = poly._tangents[i]
             assert headings[k] == math.atan2(ty, tx)
 
+    def test_point_at_is_bit_equal_to_sample(self):
+        rng = np.random.default_rng(5)
+        poly = Polyline(np.cumsum(rng.uniform(0.1, 1.0, size=(12, 2)), axis=0) * [1.0, -1.0])
+        # every vertex and its float neighbours on both sides, random arc
+        # lengths, and values past either end
+        at = poly._cum
+        s = np.concatenate([
+            at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+            rng.uniform(-1.0, poly.length + 1.0, 200), [-0.0, 1e9],
+        ])
+        for sk in s.tolist():
+            point = poly.point_at(sk)
+            assert point == tuple(poly.sample(sk)[0][0].tolist())
+            assert all(type(c) is float for c in point)
+
     def test_projection_signed_lateral(self):
         poly = Polyline([(0, 0), (10, 0)])
         s, lat = poly.project((2.0, 0.5))

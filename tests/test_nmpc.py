@@ -505,16 +505,24 @@ class TestCostGate:
             assert type(sol.converged) is bool
             assert sol.converged and sol.iterations <= 8
 
-    def test_the_first_two_iterations_keep_the_gauss_newton_model(self, monkeypatch):
-        # models carry the second-order term from iteration _EXACT_HESSIAN_FROM
-        # on, so a solve that stops sooner does the work, and gives the
-        # result, of a solver without it
-        built = []
+    def test_large_residual_solves_take_the_newton_model_from_the_first_iteration(self, monkeypatch):
+        # a solve whose initial cost is at least _LARGE_RESIDUAL_COST builds
+        # every model with the second-order term; a smaller one from
+        # iteration _EXACT_HESSIAN_FROM on, so a small-residual solve that
+        # stops sooner does the work, and gives the result, of a solver
+        # without that term
+        built, starts = [], []
+        gauss_newton = nmpc._gauss_newton
 
         class Spy(_GaussNewtonModel):
             def __init__(self, problem, fwd, second_order=False):
                 built[-1].append(second_order)
                 super().__init__(problem, fwd, second_order)
+
+        def spy_gauss_newton(*args):
+            out = gauss_newton(*args)
+            starts.append(out[0])
+            return out
 
         with np.load(FIXTURE, allow_pickle=False) as data:
             cases = list(fixture_cases(data, "train"))
@@ -522,20 +530,29 @@ class TestCostGate:
         for args, _ in cases:
             built.append([])
             monkeypatch.setattr(nmpc, "_GaussNewtonModel", Spy)
+            monkeypatch.setattr(nmpc, "_gauss_newton", spy_gauss_newton)
             sol = solve(*args[:6], NO_REF, warm_start=args[6])
             monkeypatch.undo()
             monkeypatch.setattr(nmpc, "_EXACT_HESSIAN_FROM", 10 ** 6)
+            monkeypatch.setattr(nmpc, "_LARGE_RESIDUAL_COST", math.inf)
             plain = solve(*args[:6], NO_REF, warm_start=args[6])
             monkeypatch.undo()
-            runs.append((sol, plain, built[-1]))
-        for sol, plain, flags in runs:
-            assert flags == [k >= nmpc._EXACT_HESSIAN_FROM for k in range(len(flags))]
-            if sol.iterations <= nmpc._EXACT_HESSIAN_FROM:
+            runs.append((sol, plain, starts[-1], built[-1]))
+        assert len(starts) == len(cases)
+        small_and_short = large = 0
+        for sol, plain, f0, flags in runs:
+            assert flags == [
+                k >= nmpc._EXACT_HESSIAN_FROM or f0 >= nmpc._LARGE_RESIDUAL_COST for k in range(len(flags))
+            ]
+            assert all(type(flag) is bool for flag in flags)
+            if f0 >= nmpc._LARGE_RESIDUAL_COST:
+                large += 1
+            elif sol.iterations <= nmpc._EXACT_HESSIAN_FROM:
+                small_and_short += 1
                 assert not any(flags)
                 assert np.array_equal(sol.u_opt, plain.u_opt) and sol.cost == plain.cost
                 assert sol.iterations == plain.iterations
-        assert sum(sol.iterations <= nmpc._EXACT_HESSIAN_FROM for sol, _, _ in runs) > 50
-        assert sum(any(flags) for _, _, flags in runs) > 50
+        assert large > 50 and small_and_short > 50
 
 
 class TestConfig:

@@ -215,6 +215,20 @@ class TestCachedPolylines:
         assert obstacle.loop_polyline is obstacle.loop_polyline
         assert obstacle == Obstacle(center=(0.0, 0.0), radius=0.1, loop=((0.0, 0.0), (4.0, 0.0)), speed=1.0)
 
+    def test_dynamic_obstacle_position_is_the_sampled_point_across_the_wrap(self):
+        obstacle = Obstacle(center=(3.0, 0.5), radius=0.2, loop=((3.0, 0.5), (4.1, 0.5), (3.7, -0.3)), speed=0.3)
+        loop = obstacle.loop_polyline
+        times = []
+        # the times at which the obstacle passes each waypoint, in the first
+        # lap and the next, and their float neighbours
+        for lap in (0.0, loop.length):
+            for s in loop._cum.tolist():
+                t = (lap + s) / obstacle.speed
+                times += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        for t in times + [0.05 * k for k in range(400)]:
+            expected = tuple(loop.sample((obstacle.speed * t) % loop.length)[0][0].tolist())
+            assert obstacle.position_at(t) == expected
+
     def test_scenario_equality_ignores_cached_polyline(self):
         a, b = corridor(), corridor()
         assert a.route_polyline is a.route_polyline  # built once
