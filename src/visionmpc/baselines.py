@@ -293,7 +293,8 @@ def _open_direction_signal(obs: Observation) -> tuple[float, float]:
     fd = rays.take(forward)
     d_max = float(fd.max())
     open_mask = fd >= d_max - DIRECT_OPEN_TOLERANCE * d_max
-    signal = float(np.mean(fb[open_mask]))
+    # the mean as np.mean computes it, without its wrapper
+    signal = float(np.add.reduce(fb[open_mask]) / np.count_nonzero(open_mask))
     front_min = float(rays.take(front).min()) if front.shape[0] > 0 else d_max
     return signal, front_min
 

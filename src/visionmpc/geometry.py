@@ -2,30 +2,36 @@
 
 The scan is a full fan: ray k has bearing rho + k * 2*pi/n. A wall segment
 can only be hit by the rays inside its angular extent as seen from the
-origin, so `ray_fan_segment_hits` evaluates just those (ray, segment)
-pairs, with the extent widened by one ray spacing on each side. Each kept
-pair runs the all-pairs expressions for denom, t and u and the all-pairs
-validity test, so a ray's minimum is bit-identical to evaluating every pair
-as long as every dropped pair is a miss there too. It is: a dropped ray
-lies at least one spacing (angle delta) outside the extent, so where its
-line meets the segment's line, that point lies at least r * sin(delta)
-beyond the nearer endpoint, r being the origin's distance to that endpoint.
-In segment units u that is r * sin(delta) / |b - a|, and the fast path
-requires it above 1e-6 (`_NEAR`), far over the 1e-9 endpoint slack of the
-validity test and the rounding of u. The fast path also requires the origin
-off the segment's line by more than 1e-6 of the endpoint distance, so the
-sign of t and the side of the extent are not left to rounding. A segment
-that fails either condition (the origin on or within rounding of its line or
-an endpoint) is tested against every ray.
+origin, so `ray_fan_segment_hits` evaluates just those (ray, segment) pairs,
+with the extent widened by one ray spacing on each side. Each kept pair runs
+the all-pairs expressions for denom, t and u and the all-pairs validity test
+(a denom that fails it becomes nan, which fails every later comparison
+without a warning), so a ray's minimum is bit-identical to evaluating every
+pair as long as every dropped pair is a miss there too. It is: a dropped ray
+lies at least one spacing (angle delta) outside the extent, so its line
+meets the segment's line at least r * sin(delta) / |d| in segment units u
+beyond the nearer endpoint, r being the origin's distance to that endpoint
+and d = b - a. The fast path requires |w x d| (w = a - origin), |d| times
+the origin's distance to the segment's line, to exceed 1e-6 (`_NEAR`) *
+|d| * (r_a + r_b) * 2 / sin(delta). So the origin is off that line by more
+than 1e-6 of the endpoint distance (the sign of t and the side of the extent
+are not left to rounding), and as |w x d| <= min(r_a, r_b) * |d| <=
+min(r_a, r_b) * (r_a + r_b), a dropped ray misses by more than 2e-6 in u,
+far over the 1e-9 endpoint slack of the validity test and the rounding of u.
+A segment that fails the test (the origin on or within rounding of its line
+or an endpoint) is tested against every ray. Both kernels run a fixed, small
+number of numpy calls on contiguous rows per pose: at these sizes a call
+costs about a microsecond whatever its length.
 
 The values that no pose changes are computed once. A `SegmentSet` holds
-each segment's endpoints, `b - a` and its `_NEAR` tolerance, and
-`sim.Scenario.walls` builds one per scenario. `Polyline.project` is the
-per-point form that `sim_step` calls every step, and `project_batch` the
-form for a whole trial log; both give the same bits and resolve ties the
-same way. Likewise `Polyline.point_at` is the per-point form of `sample`
-that places a moving obstacle every step. Every cached array is read-only
-(`read_only`), so no caller can change what later calls read.
+each segment's endpoints (also as coordinate rows), `b - a` and its
+`_NEAR` tolerance, and `sim.Scenario.walls` builds one per scenario.
+`Polyline.project` is the per-point form that `sim_step` calls every step,
+and `project_batch` the form for a whole trial log; both give the same bits
+and resolve ties the same way. Likewise `Polyline.point_at` is the
+per-point form of `sample` that places a moving obstacle every step. Every
+cached array is read-only (`read_only`), so no caller can change what later
+calls read.
 """
 
 import bisect
@@ -72,6 +78,7 @@ class Polyline:
         if np.any(seg_len <= 1e-12):
             raise ValueError("polyline contains a zero-length segment")
         self.points = pts
+        self._seg_starts = read_only(pts[:-1])
         self._seg = seg
         self._seg_len = seg_len
         self._cum = np.concatenate(([0.0], np.cumsum(seg_len)))
@@ -115,11 +122,12 @@ class Polyline:
         signed_lateral), the values project_batch gives for it, with the
         same ties."""
         q = np.asarray(point, dtype=float)
-        t = np.einsum("ij,ij->i", q - self.points[:-1], self._seg)
+        t = np.einsum("ij,ij->i", q - self._seg_starts, self._seg)
         t /= self._seg_len_sq
-        np.clip(t, 0.0, 1.0, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
         foot = t[:, None] * self._seg
-        foot += self.points[:-1]
+        foot += self._seg_starts
         sq = q - foot
         sq *= sq
         d2 = sq[:, 0] + sq[:, 1]
@@ -139,10 +147,10 @@ class Polyline:
         """
         q = np.asarray(points, dtype=float).reshape(-1, 2)
         n_seg = self._seg_len.shape[0]
-        rel = q[:, None, :] - self.points[:-1]
+        rel = q[:, None, :] - self._seg_starts
         t = np.einsum("pij,ij->pi", rel, self._seg) / self._seg_len_sq
         t = np.clip(t, 0.0, 1.0)
-        foot = self.points[:-1] + t[:, :, None] * self._seg
+        foot = self._seg_starts + t[:, :, None] * self._seg
         sq = (q[:, None, :] - foot) ** 2
         d2 = sq[:, :, 0] + sq[:, :, 1]
         i = n_seg - 1 - np.argmin(d2[:, ::-1], axis=1)
@@ -190,23 +198,20 @@ def ray_circle_hits(origin, directions, centers, radii) -> np.ndarray:
     directions must be unit vectors, shape (R, 2); centers (C, 2); radii (C,).
     Rays starting inside a circle report distance 0.
     """
-    directions = np.asarray(directions, dtype=float)
-    n_rays = directions.shape[0]
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    radii = np.asarray(radii, dtype=float).reshape(-1)
     if centers.shape[0] == 0:
-        return np.full(n_rays, np.inf)
-    oc = centers - np.asarray(origin, dtype=float)[None, :]
-    b = directions @ oc.T
-    d2 = np.sum(oc ** 2, axis=1)[None, :]
-    disc = radii[None, :] ** 2 - (d2 - b ** 2)
+        return np.full(len(directions), np.inf)
+    oc = centers - np.asarray(origin, dtype=float)
+    # the product on C-ordered rays (the layout the tests pin its rounding in), then one row per circle
+    b = (np.ascontiguousarray(directions, dtype=float) @ oc.T).T.copy()
+    disc = np.square(np.asarray(radii, dtype=float))[:, None] - (np.add.reduce(oc * oc, axis=1)[:, None] - b * b)
     sq = np.sqrt(np.maximum(disc, 0.0))
     t_near = b - sq
-    t_far = b + sq
-    dist = np.where((disc >= 0.0) & (t_near >= 0.0), t_near, np.inf)
-    inside = (disc >= 0.0) & (t_near < 0.0) & (t_far >= 0.0)
-    dist = np.where(inside, 0.0, dist)
-    return dist.min(axis=1)
+    # a ray that starts inside the circle (t_near < 0 <= t_far) reports 0
+    dist = np.where(t_near >= 0.0, t_near, 0.0)
+    b += sq
+    dist[(disc < 0.0) | (b < 0.0)] = np.inf
+    return dist.min(axis=0)
 
 
 # rays kept on each side of a segment's angular extent, in ray spacings
@@ -230,9 +235,8 @@ class SegmentSet:
         d = b - a
         self.a, self.b, self.d = read_only(a), read_only(b), read_only(d)
         self.tol = read_only(_NEAR * np.hypot(d[:, 0], d[:, 1]))
-        # both endpoint rows in one array, so one subtraction moves them to a pose
-        self._ends = read_only(np.vstack([a, b]))
-        self._index = read_only(np.arange(a.shape[0]))
+        # x and y rows of a then b, so one subtraction moves both endpoints to a pose
+        self._ends = read_only(np.hstack([a.T, b.T]))
 
     def __len__(self) -> int:
         return self.a.shape[0]
@@ -246,52 +250,53 @@ def ray_fan_segment_hits(origin, rho: float, directions, segments: SegmentSet) -
     of its widened angular extent; the result equals the all-pairs test bit
     for bit (module docstring).
     """
-    directions = np.asarray(directions, dtype=float)
     n_rays = directions.shape[0]
-    out = np.full(n_rays, np.inf)
+    out = np.empty(n_rays)
+    out.fill(np.inf)
     n_seg = len(segments)
     if n_seg == 0:
         return out
-    # endpoint offsets from the origin: the rows of a, then the rows of b
-    rel = segments._ends - np.asarray(origin, dtype=float)
-    w = rel[:n_seg]
-    d = segments.d
-    t_num = w[:, 0] * d[:, 1] - w[:, 1] * d[:, 0]
+    # endpoint offsets from the origin, x row then y row
+    rel = segments._ends - np.asarray(origin, dtype=float)[:, None]
+    w = rel[:, :n_seg]
+    d = segments.d.T
+    t_num = w[0] * d[1] - w[1] * d[0]
 
     # endpoint bearings in ray units counted from ray 0, b reached the short way from a
-    x = np.arctan2(rel[:, 1], rel[:, 0])
+    x = np.arctan2(rel[1], rel[0])
     x -= rho
     x *= n_rays / TWO_PI
     x_a, x_b = x[:n_seg], x[n_seg:]
-    half = 0.5 * n_rays
-    x_b = x_a + (half - (half - (x_b - x_a)) % n_rays)
-    k_lo = np.ceil(np.minimum(x_a, x_b) - _WINDOW_MARGIN_RAYS)
-    count = np.floor(np.maximum(x_a, x_b) + _WINDOW_MARGIN_RAYS) - k_lo + 1.0
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    r_a, r_b = r[:n_seg], r[n_seg:]
-    tol = segments.tol
+    delta = x_b - x_a
+    x_b = x_a + (delta - n_rays * np.rint(delta / n_rays))
+    # the window: the extent's rays, widened by the margin on each side
+    first = np.ceil(np.minimum(x_a, x_b))
+    count = np.floor(np.maximum(x_a, x_b)) - first + (2 * _WINDOW_MARGIN_RAYS + 1)
+    r = np.hypot(rel[0], rel[1])
     sin_spacing = math.sin(min(TWO_PI / n_rays, 0.5 * math.pi))
-    near = (np.abs(t_num) <= tol * np.maximum(r_a, r_b)) | (np.minimum(r_a, r_b) * sin_spacing <= tol)
-    k_lo[near] = 0.0
+    near = np.abs(t_num) <= (r[:n_seg] + r[n_seg:]) * (segments.tol * (2.0 / sin_spacing))
+    np.minimum(count, n_rays, out=count)
+    # a full fan from any first ray holds each ray once
     count[near] = n_rays
-    count = np.minimum(count, n_rays).astype(np.intp)
+    count = count.astype(np.intp)
 
     # the kept pairs, segment-major, each window's rays wrapped around the fan
-    # (the array methods `repeat`, `cumsum` and `take` skip the slower
-    # module-level wrappers and fancy indexing)
-    seg = segments._index.repeat(count)
-    first = count.cumsum() - count
-    ray = np.arange(seg.shape[0]) + (k_lo.astype(np.intp) - first).repeat(count)
+    # (`repeat` gathers a segment's values for its pairs faster than `take`)
+    ends = count.cumsum()
+    ray = (first.astype(np.intp) - ends + count).repeat(count)
+    ray += np.arange(-_WINDOW_MARGIN_RAYS, ends[-1] - _WINDOW_MARGIN_RAYS)
     ray %= n_rays
-    dx, dy = directions[:, 0].take(ray), directions[:, 1].take(ray)
-    denom = dx * d[:, 1].take(seg) - dy * d[:, 0].take(seg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num.take(seg) / denom
-        u = (w[:, 0].take(seg) * dy - w[:, 1].take(seg) * dx) / denom
+    dirs = directions.T.take(ray, axis=1)
+    prod = dirs * d[::-1].repeat(count, axis=1)
+    denom = prod[0] - prod[1]
+    # a (near-)parallel pair is no hit: nan fails every test below and divides without a warning
+    denom[np.abs(denom) <= 1e-14] = np.nan
+    t = t_num.repeat(count) / denom
+    prod = w.repeat(count, axis=1) * dirs[::-1]
+    u = (prod[0] - prod[1]) / denom
     # small slack on the segment parameter so endpoint hits survive rounding
-    valid = (np.abs(denom) > 1e-14) & (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    t[~valid] = np.inf
-    np.minimum.at(out, ray, t)
+    hit = (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    np.minimum.at(out, ray, np.where(hit, t, np.inf))
     return out
 
 

@@ -17,12 +17,12 @@ class Observation:
     timestamp: float
 
     def __post_init__(self):
-        rays = np.asarray(self.rays, dtype=float)
+        # a private copy, so the caller's array cannot change the scan
+        rays = np.array(self.rays, dtype=float)
         if rays.ndim != 1 or rays.size == 0:
             raise ValueError("rays must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(rays)) or np.any(rays <= 0.0):
+        if not (rays.min() > 0.0 and rays.max() < math.inf):  # nan fails the first, +-inf one of the two
             raise ValueError("ray distances must be finite and positive")
-        rays = rays.copy()
         rays.setflags(write=False)
         object.__setattr__(self, "rays", rays)
         if not math.isfinite(self.timestamp):

@@ -32,8 +32,9 @@ on first use: the wall segments with their pose-independent values
 (`Scenario.walls`) and the obstacle radii (`Scenario.obstacle_radii`). A
 moving obstacle's loop is built with the obstacle. The obstacle centres
 change with time, so the `World` holds them at its time `t`: they are
-placed when the world is created and again by each `sim_step` after `t`
-advances, and that step's collision test and the next `sense` read them.
+placed when the world is created and, if any of them moves, again by each
+`sim_step` after `t` advances; that step's collision test and the next
+`sense` read them.
 
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
 it for evaluation and `training.train` learns from it. Trial logs are CSV
@@ -211,9 +212,9 @@ class World:
         return "crash" if self.crashed else "goal" if self.reached else "timeout"
 
     def place_obstacles(self) -> None:
-        """Set obstacle_centers to every obstacle's position at time t."""
+        """Set obstacle_centers (read-only) to every obstacle's position at time t."""
         centers = [o.position_at(self.t) for o in self.scenario.obstacles]
-        self.obstacle_centers = np.array(centers, dtype=float).reshape(-1, 2)
+        self.obstacle_centers = read_only(np.array(centers, dtype=float).reshape(-1, 2))
 
 
 def sense(world: World) -> Observation:
@@ -225,14 +226,15 @@ def sense(world: World) -> Observation:
     cfg = world.scenario.sensor
     z = world.vehicle
     bearings = ray_bearings(cfg.n_rays) + z.rho
-    dirs = np.empty((cfg.n_rays, 2))
-    dirs[:, 0] = np.cos(bearings)
-    dirs[:, 1] = np.sin(bearings)
+    # unit vectors as contiguous cos and sin rows; the kernels read them as (R, 2)
+    dirs = np.empty((2, bearings.shape[0]))
+    np.cos(bearings, out=dirs[0])
+    np.sin(bearings, out=dirs[1])
     origin = np.array([z.x, z.y])
-    dist = ray_fan_segment_hits(origin, z.rho, dirs, world.scenario.walls)
+    dist = ray_fan_segment_hits(origin, z.rho, dirs.T, world.scenario.walls)
     radii = world.scenario.obstacle_radii
     if radii.shape[0] > 0:
-        np.minimum(ray_circle_hits(origin, dirs, world.obstacle_centers, radii), dist, out=dist)
+        np.minimum(ray_circle_hits(origin, dirs.T, world.obstacle_centers, radii), dist, out=dist)
     np.minimum(dist, cfg.max_range_m, out=dist)
     np.maximum(dist, 1e-9, out=dist)
     return Observation(rays=dist, timestamp=world.t)
@@ -262,13 +264,14 @@ def sim_step(world: World, control: ControlInput) -> World:
     """Advance the world one sampling period.
 
     The vehicle follows the true model with zero residual (model mismatch
-    comes from state noise, not a world force); obstacles are placed at the
-    new time; collision and goal flags are refreshed.
+    comes from state noise, not a world force); moving obstacles are placed
+    at the new time; collision and goal flags are refreshed.
     """
     p = world.params
     world.vehicle = step_true(world.vehicle, control, p, world.rng)
     world.t += p.dt
-    world.place_obstacles()
+    if any(o.dynamic for o in world.scenario.obstacles):
+        world.place_obstacles()
     px, py = world.vehicle.x, world.vehicle.y
     hit = False
     for (cx, cy), r in zip(world.obstacle_centers.tolist(), world.scenario.obstacle_radii.tolist()):

@@ -38,6 +38,27 @@ def ray_segment_hits(origin, directions, seg_a, seg_b) -> np.ndarray:
     return dist.min(axis=1)
 
 
+def circle_hits_oracle(origin, directions, centers, radii) -> np.ndarray:
+    """The expressions `ray_circle_hits` evaluated, one column per circle, before it ran them on rows."""
+    directions = np.asarray(directions, dtype=float)
+    n_rays = directions.shape[0]
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if centers.shape[0] == 0:
+        return np.full(n_rays, np.inf)
+    oc = centers - np.asarray(origin, dtype=float)[None, :]
+    b = directions @ oc.T
+    d2 = np.sum(oc ** 2, axis=1)[None, :]
+    disc = radii[None, :] ** 2 - (d2 - b ** 2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_near = b - sq
+    t_far = b + sq
+    dist = np.where((disc >= 0.0) & (t_near >= 0.0), t_near, np.inf)
+    inside = (disc >= 0.0) & (t_near < 0.0) & (t_far >= 0.0)
+    dist = np.where(inside, 0.0, dist)
+    return dist.min(axis=1)
+
+
 def fan(rho, n_rays=180):
     """Unit vectors of the sensor's full fan, as `sim.sense` builds them."""
     bearings = ray_bearings(n_rays) + rho
@@ -222,6 +243,18 @@ class TestRayHits:
         dirs = np.array([[1.0, 0.0]])
         dist = ray_circle_hits((0.0, 0.0), dirs, [(0.2, 0.0)], [1.0])
         assert dist[0] == 0.0
+
+    def test_circle_hits_equal_the_column_oracle(self):
+        rng = np.random.default_rng(11)
+        for n_circles in (1, 2, 3, 5):
+            for _ in range(40):
+                origin = rng.uniform(-1.0, 1.0, 2)
+                centers = rng.uniform(-2.0, 2.0, (n_circles, 2))
+                radii = rng.uniform(0.05, 1.5, n_circles)  # some circles hold the origin
+                dirs = fan(float(rng.uniform(-4.0, 4.0)))
+                got = ray_circle_hits(origin, dirs, centers, radii)
+                assert np.array_equal(got, circle_hits_oracle(origin, dirs, centers, radii))
+        assert np.array_equal(ray_circle_hits((0.0, 0.0), fan(0.0), np.zeros((0, 2)), []), np.full(180, np.inf))
 
     def test_segment_hits(self):
         dist = ray_fan_segment_hits((0.0, 0.0), 0.0, fan(0.0, 2), SegmentSet([(2.0, -1.0)], [(2.0, 1.0)]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,31 @@ def test_observation_validation():
     obs = Observation(rays=np.ones(2), timestamp=0.0)
     with pytest.raises(ValueError):
         obs.rays[0] = 5.0  # read-only snapshot
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [[1.0, math.nan], [1.0, math.inf], [-math.inf, 1.0], [2.0, -0.5], [[1.0, 2.0], [3.0, 4.0]]],
+    ids=["nan", "+inf", "-inf", "negative", "2-D"],
+)
+def test_observation_refuses_invalid_rays(rays):
+    with pytest.raises(ValueError):
+        Observation(rays=np.array(rays), timestamp=0.0)
+
+
+@pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+def test_observation_refuses_a_non_finite_timestamp(timestamp):
+    with pytest.raises(ValueError):
+        Observation(rays=np.ones(3), timestamp=timestamp)
+
+
+def test_observation_accepts_a_list_of_ints():
+    obs = Observation(rays=[1, 2, 3], timestamp=0.0)
+    assert obs.rays.dtype == np.float64 and obs.rays.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_observation_keeps_its_own_copy_of_the_rays():
+    source = np.array([1.0, 2.0, 3.0])
+    obs = Observation(rays=source, timestamp=0.0)
+    source[0] = 9.0
+    assert obs.rays.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(obs.rays, source)

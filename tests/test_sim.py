@@ -35,6 +35,8 @@ from visionmpc.sim import (
 )
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
+from test_geometry import circle_hits_oracle, fan, ray_segment_hits
+
 
 def corridor(obstacles=(), half_width=1.0, time_limit=30.0, start=VehicleState(0, 0, 0), goal_radius=0.3):
     return Scenario(
@@ -285,6 +287,20 @@ class TestCachedScenarioValues:
             assert np.array_equal(scans[-1], sense(world_for(frozen)).rays)
         assert not np.array_equal(scans[0], scans[10]) and not np.array_equal(scans[10], scans[20])
 
+    def test_static_obstacles_are_placed_only_with_the_world(self, monkeypatch):
+        scenario, params = load_scenario(BUNDLED["corridor_two_obstacles"])
+        calls = []
+        position_at = Obstacle.position_at
+        monkeypatch.setattr(Obstacle, "position_at", lambda self, t: calls.append(t) or position_at(self, t))
+        world = world_for(scenario)
+        centers = world.obstacle_centers
+        for _ in range(10):
+            sim_step(world, ControlInput(0.5, 0.0))
+        assert world.obstacle_centers is centers
+        assert calls == [0.0] * len(scenario.obstacles)
+        with pytest.raises(ValueError):
+            centers[0, 0] = 1.0
+
     def test_each_obstacle_is_placed_once_per_step(self, monkeypatch):
         scenario, params = load_scenario(BUNDLED["corridor_two_obstacles"])
         scenario = with_mover(scenario)
@@ -338,6 +354,36 @@ class TestCachedScenarioValues:
         signed = signed_ray_bearings(n)
         assert np.all((signed > -math.pi) & (signed <= math.pi))
         assert np.array_equal(np.mod(signed, 2.0 * math.pi), ray_bearings(n))
+
+
+def sense_oracle(world):
+    """The scan from the all-pairs wall oracle, the circle oracle and the two clamps of `sense`."""
+    z, scenario = world.vehicle, world.scenario
+    dirs = fan(z.rho, scenario.sensor.n_rays)
+    dist = ray_segment_hits((z.x, z.y), dirs, scenario.walls.a, scenario.walls.b)
+    if scenario.obstacles:
+        circles = circle_hits_oracle((z.x, z.y), dirs, world.obstacle_centers, scenario.obstacle_radii)
+        dist = np.minimum(circles, dist)
+    return np.maximum(np.minimum(dist, scenario.sensor.max_range_m), 1e-9)
+
+
+class TestSenseOracle:
+    """`sense` equals the all-pairs oracles bit for bit at every pose of a Direct trial."""
+
+    @pytest.mark.parametrize("name", [*sorted(BUNDLED), "moving_obstacle"])
+    def test_scans_along_a_trial_equal_the_oracle(self, name):
+        if name == "moving_obstacle":
+            scenario, params = load_scenario(BUNDLED["straight_corridor"])
+            scenario = with_mover(scenario)
+        else:
+            scenario, params = load_scenario(BUNDLED[name])
+        world = World(scenario, params, np.random.default_rng([scenario.seed, 0]))
+        assert np.array_equal(sense(world).rays, sense_oracle(world))
+        steps = 0
+        for _ in closed_loop(world, DirectController(PipelineConfig())):
+            assert np.array_equal(sense(world).rays, sense_oracle(world))
+            steps += 1
+        assert steps > 50
 
 
 class TestSimStep:
