@@ -31,7 +31,7 @@ from .geometry import read_only
 from .memory import Observation
 from .nmpc import NmpcConfig
 from .sim import ray_bearings, signed_ray_bearings
-from .vehicle import ControlInput, VehicleState
+from .vehicle import ControlInput, VehicleState, rollout
 
 # dynamic-window sampling grid, rollout length and scoring weights
 DWA_V_SAMPLES = 11
@@ -56,24 +56,6 @@ DIRECT_K_V = 1.6
 DIRECT_BRAKE_DISTANCE_M = 0.45
 DIRECT_FRONT_HALF_DEG = 30.0
 DIRECT_OPEN_TOLERANCE = 0.05
-
-
-def _constant_rollouts(vehicle: VehicleState, vs, omegas, limits: NmpcConfig, n_steps: int):
-    """Constant-control bicycle rollouts.
-
-    Returns positions (C, H, 2) and pose headings (C, H) after each step.
-    """
-    v = vs[:, None]
-    om = omegas[:, None]
-    step_idx = np.arange(n_steps)[None, :]
-    dpsi = limits.dt * v * np.sin(om) / limits.wheelbase_L
-    vel_dirs = vehicle.rho + om + dpsi * step_idx
-    dx = np.cos(vel_dirs) * v * limits.dt
-    dy = np.sin(vel_dirs) * v * limits.dt
-    xs = vehicle.x + np.cumsum(dx, axis=1)
-    ys = vehicle.y + np.cumsum(dy, axis=1)
-    pose_heads = vehicle.rho + dpsi * (step_idx + 1)
-    return np.stack([xs, ys], axis=2), pose_heads
 
 
 def _square_sum(dx, dy):
@@ -230,34 +212,32 @@ def dwa_plan(
     (v_lo, v_hi), (om_lo, om_hi) = limits.reachable(current_u)
     if v_lo > v_hi or om_lo > om_hi:
         return ControlInput(0.0, 0.0), (vehicle,) * horizon
-    v_grid, om_grid = np.meshgrid(
-        np.linspace(v_lo, v_hi, DWA_V_SAMPLES), np.linspace(om_lo, om_hi, DWA_OMEGA_SAMPLES)
-    )
-    vs = v_grid.ravel()
-    omegas = om_grid.ravel()
+    # the grid, speed varying fastest, as columns: each command is held over
+    # its rollout, as the NMPC predicts a plan's command held
+    vs = np.tile(np.linspace(v_lo, v_hi, DWA_V_SAMPLES), DWA_OMEGA_SAMPLES)[:, None]
+    omegas = np.repeat(np.linspace(om_lo, om_hi, DWA_OMEGA_SAMPLES), DWA_V_SAMPLES)[:, None]
     n_roll = max(n_steps, horizon)
-    positions, pose_heads = _constant_rollouts(vehicle, vs, omegas, limits, n_roll)
+    xy, heads, _ = rollout(vehicle, vs, omegas, n_roll, limits)
     pts = np.asarray(obstacle_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] > 0:
         reach = v_hi * dt * n_roll + DWA_VEHICLE_RADIUS + DWA_CLEARANCE_CAP
         near = np.hypot(pts[:, 0] - vehicle.x, pts[:, 1] - vehicle.y) <= reach
         pts = pts[near]
     if pts.shape[0] > 0:
-        min_clear = _min_clearance(positions, pts, work)
+        min_clear = _min_clearance(np.moveaxis(xy, 0, -1), pts, work)
     else:
         min_clear = np.full(vs.shape[0], DWA_CLEARANCE_CAP + DWA_VEHICLE_RADIUS)
     admissible = min_clear > DWA_VEHICLE_RADIUS
     if not np.any(admissible):
         return ControlInput(0.0, 0.0), (vehicle,) * horizon
 
-    end = positions[:, n_steps - 1, :]
-    to_goal = np.arctan2(goal.y - end[:, 1], goal.x - end[:, 0])
-    end_heads = pose_heads[:, n_steps - 1]
-    misalign = np.abs(np.arctan2(np.sin(to_goal - end_heads), np.cos(to_goal - end_heads)))
+    to_goal = np.arctan2(goal.y - xy[1, :, n_steps - 1], goal.x - xy[0, :, n_steps - 1])
+    off_goal = to_goal - heads[:, n_steps]
+    misalign = np.abs(np.arctan2(np.sin(off_goal), np.cos(off_goal)))
     heading_score = 1.0 - misalign / math.pi
     clearance_score = np.minimum(min_clear - DWA_VEHICLE_RADIUS, DWA_CLEARANCE_CAP) / DWA_CLEARANCE_CAP
     v_max = limits.u_max.v_cmd
-    velocity_score = vs / v_max if v_max > 0 else np.zeros_like(vs)
+    velocity_score = vs[:, 0] / v_max if v_max > 0 else 0.0
     score = (
         DWA_WEIGHT_HEADING * heading_score
         + DWA_WEIGHT_CLEARANCE * clearance_score
@@ -265,10 +245,8 @@ def dwa_plan(
     )
     score = np.where(admissible, score, -np.inf)
     best = int(np.argmax(score))
-    return ControlInput(float(vs[best]), float(omegas[best])), tuple(
-        VehicleState(float(positions[best, k, 0]), float(positions[best, k, 1]), float(pose_heads[best, k]))
-        for k in range(horizon)
-    )
+    poses = zip(xy[0, best, :horizon].tolist(), xy[1, best, :horizon].tolist(), heads[best, 1:horizon + 1].tolist())
+    return ControlInput(float(vs[best, 0]), float(omegas[best, 0])), tuple(VehicleState(*pose) for pose in poses)
 
 
 @cache

@@ -187,13 +187,14 @@ class DwaNmpcController(_BoundedController):
     The window is reachable from the control last applied; the plan is the
     desired trajectory, and the pair its sampled command holds sets the
     gains and reference control, as the learned pair does for LVD-NMPC.
-    The plan is the model's rollout of that command, and the reference
-    control is that command up to rounding, so the command held over the
-    horizon tracks the plan at a cost of rounding size: it is the
-    tracker's exact minimizer and seeds every solve, which then takes no
-    Gauss-Newton step. The stop fallback's
-    (0, 0) may not be reachable from a moving car; the solve projects it
-    onto the rate bounds and iterates from there.
+    The plan is the tracker's prediction of that command held, bit for
+    bit: both come from vehicle.rollout. So the command held over the
+    horizon predicts the plan's positions exactly, and as the reference
+    control is that command up to rounding, it costs at most rounding. It
+    is the tracker's exact minimizer and seeds every solve, which then
+    takes no Gauss-Newton step. The stop fallback's (0, 0) may not be reachable
+    from a moving car; the solve projects it onto the rate bounds and
+    iterates from there.
     """
 
     def __init__(self, pipeline: PipelineConfig):

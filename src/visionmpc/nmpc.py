@@ -33,13 +33,15 @@ NmpcConfig stop fields keep their meaning: grad_tol bounds the largest
 gradient component (meeting it sets NmpcSolution.converged), f_tol the
 relative cost decrease of an iteration, and max_iters caps the iterations.
 
-Each objective evaluation is one numpy forward pass over the horizon; the
-gradient comes from the adjoint of that same pass, and the Jacobian and
-the second-order term from prefix and suffix sums over it. Only the
-wrapped heading recursion runs as a Python loop. The array code repeats
-the per-step recurrence's floating-point operations in their order, so
-costs and gradients are bit-identical to a scalar loop (the reference
-kept in tests/test_nmpc.py).
+Each objective evaluation is one call of vehicle.rollout, the array
+prediction that the DWA planner also makes, and a numpy pass over its
+result; the gradient comes from the adjoint of that pass, and the
+Jacobian and the second-order term from prefix and suffix sums over it.
+No Python loop runs over the horizon. The array code repeats the
+per-step recurrence's floating-point operations in their order, so costs
+and gradients are bit-identical to a scalar loop (the reference kept in
+tests/test_nmpc.py). Predicted headings are wrapped only in the heading
+error.
 
 A solution is the flat control array [v0, omega0, v1, omega1, ...] the
 solver works in, with its cost and solver diagnostics; a receding-horizon
@@ -54,8 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .scene import GainSchedule
-# rollout is unused here; perfbench/tracer.py wraps it by attribute name on this module
-from .vehicle import ControlInput, VehicleState, require_finite, rollout  # noqa: F401
+from .vehicle import ControlInput, VehicleState, require_finite, rollout
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -191,28 +192,22 @@ class _Problem:
     def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
         T = cfg.tau_o
         self.T = T
+        self.cfg = cfg
         self.dt = cfg.dt
         self.L = cfg.wheelbase_L
         self.q = g.q_diag
         self.r = g.r_diag
         self.u_ref = np.array((u_ref.v_cmd, u_ref.omega_cmd) * T)
         self.pw = penalty
-        self.r0 = current.rho
-        if residual is None:
-            res = (0.0, 0.0, 0.0)
-        else:
+        self.current = current
+        self.residual = None
+        if residual is not None:
             arr = np.asarray(residual, dtype=float).reshape(-1)
             if arr.shape[0] != 3:
                 raise ValueError("residual must be a 3-vector")
             if not np.isfinite(arr).all():
                 raise NmpcError("non-finite residual")
-            res = (float(arr[0]), float(arr[1]), float(arr[2]))
-        self.rr = res[2]
-        # x[k+1] = (x[k] + a[k]) + rx is the running sum of [x0, a0, rx, a1, rx, ...]
-        self.pos_steps = np.empty((2, 2 * T + 1))
-        self.pos_steps[:, 0] = current.x, current.y
-        self.pos_steps[0, 2::2] = res[0]
-        self.pos_steps[1, 2::2] = res[1]
+            self.residual = arr
         self.zd = np.array([[z.x for z in zd_states], [z.y for z in zd_states]])
         self.rd = np.array([z.rho for z in zd_states])
         # e_lat = -sin(rho_d) * ex + cos(rho_d) * ey in the desired-pose frame
@@ -241,27 +236,11 @@ class _Problem:
         The last array holds the signed excesses over the bounds of
         [u | control rates | lateral offsets], zero where a bound holds.
         """
-        T, dt, L, pw = self.T, self.dt, self.L, self.pw
+        T, dt, pw = self.T, self.dt, self.pw
         n = 2 * T
-        v, w = u[0::2], u[1::2]
-        sw = np.sin(w)
-        # the doubly wrapped heading is the one sequential recurrence
-        pi, two_pi = _WRAP_PI, _TWO_PI
-        r, rr = self.r0, self.rr
-        rho = [r]
-        for inc in (sw / L * v * dt).tolist():
-            r = pi - (pi - (r + inc)) % two_pi
-            r = pi - (pi - (r + rr)) % two_pi
-            rho.append(r)
-        rho = np.array(rho)
-        head = rho[:-1] + w
-        trig = np.empty((2, T))
-        np.cos(head, out=trig[0])
-        np.sin(head, out=trig[1])
-        steps = self.pos_steps
-        np.multiply(trig * v, dt, out=steps[:, 1::2])
-        e = np.add.accumulate(steps, axis=1)[:, 2::2] - self.zd
-        er = pi - (pi - (rho[1:] - self.rd)) % two_pi
+        xy, rho, trig = rollout(self.current, u[0::2], u[1::2], T, self.cfg, self.residual)
+        e = xy - self.zd
+        er = _WRAP_PI - (_WRAP_PI - (rho[1:] - self.rd)) % _TWO_PI
         box = self.box
         box[2:n + 2] = u
         np.divide(box[2:n + 2] - box[:n], dt, out=box[n + 2:-T])
@@ -280,11 +259,11 @@ class _Problem:
         stage[:, 1] = pen[:T]
         np.multiply(pw * he, he, out=stage[:, 2])
         terms[3 * T:] = pen[T:]
-        return np.add.accumulate(terms)[-1], (u, sw, trig, e, er, h)
+        return np.add.accumulate(terms)[-1], (u, trig, e, er, h)
 
     def gradient(self, fwd) -> np.ndarray:
         """Gradient at the point of a forward() pass, by the adjoint recursion."""
-        u, sw, (ch, sh), e, er, h = fwd
+        u, (ch, sh), e, er, h = fwd
         T, dt, L, pw = self.T, self.dt, self.L, self.pw
         n = 2 * T
         q2 = 2.0 * self.q
@@ -302,7 +281,7 @@ class _Problem:
         gr[2::2] = m[:0:-1]
         lam_r = np.add.accumulate(gr)[1::2][::-1]
         grad = np.empty(n)
-        grad[0::2] = dt * (ch * lam_x + sh * lam_y) + dt * sw / L * lam_r
+        grad[0::2] = dt * (ch * lam_x + sh * lam_y) + dt * np.sin(w) / L * lam_r
         grad[1::2] = m + dtv * np.cos(w) / L * lam_r
         grad += 2.0 * self.r * (u - self.u_ref)
         grad += pw * 2.0 * h[:n]
@@ -321,13 +300,13 @@ class _Problem:
         of its heading increment; a heading change at step i turns that
         step's displacement by dt v_i (-sin, cos) of its heading, so the
         sum over the steps j < i <= k is a difference of prefix sums. The
-        heading wrap has derivative one.
+        heading error's wrap has derivative one.
         """
-        u, sw, trig, _, _, _ = fwd
+        u, trig, _, _, _ = fwd
         T, dt, L = self.T, self.dt, self.L
         v, w = u[0::2], u[1::2]
         a = np.empty(2 * T)
-        a[0::2] = dt * sw / L
+        a[0::2] = dt * np.sin(w) / L
         a[1::2] = dt * v * np.cos(w) / L
         own = np.empty((2, 2 * T))
         np.multiply(dt, trig, out=own[:, 0::2])
@@ -356,10 +335,10 @@ class _Problem:
         pi_i Theta_i, with sigma_i = dt (Cx_i cos + Cy_i sin)(theta_i) and
         pi_i = dt (Cy_i cos - Cx_i sin)(theta_i), plus the 2x2 Hessian of
         each heading increment alpha_j = dt/L v_j sin w_j, weighted by
-        beta_j = sum_{i>j} v_i pi_i + Cr_j. The heading wrap has derivative
-        one. It is assembled as P + P', so it is exactly symmetric.
+        beta_j = sum_{i>j} v_i pi_i + Cr_j. The heading error's wrap has
+        derivative one. It is assembled as P + P', so it is exactly symmetric.
         """
-        u, _, (ch, sh), e, er, _ = fwd
+        u, (ch, sh), e, er, _ = fwd
         T, dt, L = self.T, self.dt, self.L
         n = 2 * T
         v, w = u[0::2], u[1::2]
@@ -466,7 +445,7 @@ class _GaussNewtonModel:
 
     def __init__(self, problem: _Problem, fwd, second_order: bool = False):
         T, n = problem.T, 2 * problem.T
-        u, _, _, e, er, _ = fwd
+        u, _, e, er, _ = fwd
         jac = problem.jacobian(fwd)
         flat = jac.reshape(3 * T, n)
         q, r = problem.q, problem.r

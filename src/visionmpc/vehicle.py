@@ -1,16 +1,18 @@
-"""Kinematic bicycle model: nominal step, noisy true step, residual-augmented rollouts.
+"""Kinematic bicycle model: nominal step, noisy true step, and the array rollout of the nominal model.
 
 The nominal model advances the planar pose (x, y, rho) with the controlled
 slip angle acting on both the velocity direction and the yaw rate:
 
     z' = z + dt * [cos(rho + omega), sin(rho + omega), sin(omega) / L] * v
 
-Heading is renormalized to (-pi, pi] after every update.
+A VehicleState's heading is normalized to (-pi, pi]; `rollout`, the one
+array form of the model that the NMPC prediction and the DWA planner
+share, leaves its headings unwrapped.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -103,32 +105,40 @@ def step_true(
     return VehicleState(nominal.x + nx, nominal.y + ny, nominal.rho + nr)
 
 
-def rollout(
-    state: VehicleState,
-    u_seq: Sequence[ControlInput],
-    residual_seq=None,
-    p: ModelParams = ModelParams(),
-) -> list[VehicleState]:
-    """Predict the state sequence for a control sequence (no noise).
+def rollout(state: VehicleState, v, w, n_steps: int, p: ModelParams, residual=None):
+    """Nominal-model prediction from one pose, on arrays.
 
-    residual_seq, when given, must match u_seq in length; each element is a
-    3-vector increment added after the corresponding nominal step.
+    v and w broadcast to (..., n_steps): one control sequence per leading
+    index, so held commands may be passed as (C, 1). residual, when given,
+    is a constant (x, y, rho) increment added after every nominal step. p
+    needs only dt and wheelbase_L, so an NmpcConfig serves as well.
+
+    Returns the positions (2, ..., n_steps) after each step, the headings
+    (..., n_steps + 1) from state.rho on, and the cosine and sine
+    (2, ..., n_steps) of each step's direction of travel. Every running
+    total is an np.add.accumulate in step order, z + increment + residual,
+    so a row's values do not depend on its batch or on how its controls
+    broadcast. Headings are not wrapped: they enter through cos and sin,
+    and a caller wraps them where it compares them.
     """
-    if residual_seq is not None and len(residual_seq) not in (0, len(u_seq)):
-        raise ValueError(
-            f"residual_seq length {len(residual_seq)} does not match horizon {len(u_seq)}"
-        )
-    states: list[VehicleState] = []
-    z = state
-    for k, u in enumerate(u_seq):
-        res = None
-        if residual_seq is not None and len(residual_seq) > 0:
-            res = residual_seq[k]
-        z = step_nominal(z, u, p)
-        if res is not None:
-            r = np.asarray(res, dtype=float).reshape(-1)
-            if r.shape[0] != 3:
-                raise ValueError("residual entries must be 3-vectors")
-            z = VehicleState(z.x + r[0], z.y + r[1], z.rho + r[2])
-        states.append(z)
-    return states
+    shape = np.broadcast(v, w).shape[:-1]
+    dt = p.dt
+    # rows x, y and rho of the increments, each after its start value; the
+    # residual's increments interleave with the nominal ones (a transpose
+    # puts the rows last, where a 3-vector broadcasts)
+    k = 1 if residual is None else 2
+    steps = np.empty((3,) + shape + (k * n_steps + 1,))
+    steps[..., 0].T[...] = state.x, state.y, state.rho
+    if residual is not None:
+        steps[..., 2::2].T[...] = residual
+    steps[2, ..., 1::k] = np.sin(w) / p.wheelbase_L * v * dt
+    rho = np.add.accumulate(steps[2], axis=-1, out=steps[2])[..., ::k]
+    # each step's direction of travel, rho + w, goes in the sine's place
+    trig = np.empty((2,) + rho[..., :-1].shape)
+    head = np.add(rho[..., :-1], w, out=trig[1])
+    np.cos(head, out=trig[0])
+    np.sin(head, out=trig[1])
+    travel = np.multiply(trig, v, out=steps[:2, ..., 1::k])
+    travel *= dt
+    xy = np.add.accumulate(steps[:2], axis=-1, out=steps[:2])[..., k::k]
+    return xy, rho, trig

@@ -15,7 +15,6 @@ from visionmpc.baselines import (
     DWA_WEIGHT_HEADING,
     DWA_WEIGHT_VELOCITY,
     _SEGMENT_STEPS,
-    _constant_rollouts,
     _min_clearance,
     direct_policy_step,
     dwa_plan,
@@ -23,7 +22,8 @@ from visionmpc.baselines import (
 )
 from visionmpc.memory import Observation
 from visionmpc.nmpc import NmpcConfig
-from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
+from visionmpc.geometry import wrap_angle
+from visionmpc.vehicle import ControlInput, VehicleState, rollout
 
 # the shared actuator and rate bounds (the old per-baseline defaults)
 LIMITS = NmpcConfig()
@@ -87,11 +87,13 @@ class TestDwaPlan:
             # a command outside the grid is the stop fallback's (0, 0)
             assert sampled or u == ControlInput(0.0, 0.0)
             stops += not sampled
-            # the rollout at constant u is the plan, the stop's hold-pose included
-            held = rollout(vehicle, [u] * lim.tau_o, p=ModelParams(wheelbase_L=lim.wheelbase_L, dt=lim.dt, sigma_f=0.0))
-            assert len(plan) == lim.tau_o
-            for z, want in zip(plan, held):
-                assert (z.x, z.y, z.rho) == pytest.approx((want.x, want.y, want.rho), abs=1e-12)
+            # the NMPC prediction of u held is the plan, bit for bit, the
+            # stop's hold-pose included
+            T = lim.tau_o
+            xy, rho, _ = rollout(vehicle, np.full(T, u.v_cmd), np.full(T, u.omega_cmd), T, lim)
+            assert [z.x for z in plan] == xy[0].tolist()
+            assert [z.y for z in plan] == xy[1].tolist()
+            assert [z.rho for z in plan] == [wrap_angle(r) for r in rho[1:].tolist()]
             turned += u.v_cmd > 0.0 and u.omega_cmd != 0.0
         assert turned > 10 and stops < 20
 
@@ -136,11 +138,16 @@ def monolithic_min_clearance(positions, pts, work=None):
     return np.sqrt(np.maximum(d2.reshape(positions.shape[0], -1).min(axis=1), 0.0))
 
 
+def held_positions(vehicle, vs, omegas, n_steps):
+    """Positions (C, H, 2) of the commands vs, omegas held for n_steps, as dwa_plan rolls them out."""
+    return np.moveaxis(rollout(vehicle, vs[:, None], omegas[:, None], n_steps, LIMITS)[0], 0, -1)
+
+
 def random_rollouts(rng, n_rollouts, n_steps):
     vehicle = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
     vs = rng.uniform(0.0, 1.0, size=n_rollouts)
     omegas = rng.uniform(-0.35, 0.35, size=n_rollouts)
-    return vehicle, _constant_rollouts(vehicle, vs, omegas, LIMITS, n_steps)[0]
+    return vehicle, held_positions(vehicle, vs, omegas, n_steps)
 
 
 class TestMinClearance:
@@ -162,7 +169,7 @@ class TestMinClearance:
         vs, omegas = np.meshgrid(np.linspace(0.3, 0.5, DWA_V_SAMPLES), np.linspace(-0.35, 0.35, DWA_OMEGA_SAMPLES))
         for _ in range(3):
             vehicle = VehicleState(0.0, 0.0, rng.uniform(-3, 3))
-            positions, _ = _constant_rollouts(vehicle, vs.ravel(), omegas.ravel(), LIMITS, 30)
+            positions = held_positions(vehicle, vs.ravel(), omegas.ravel(), 30)
             pts = rng.uniform(-1.5, 1.5, size=(60, 2))
             self.assert_exact(positions, pts)
 
@@ -177,7 +184,7 @@ class TestMinClearance:
         # straight, fast rollouts with the only points beside their start:
         # the tiles at the far end are pruned against every point
         vs = np.linspace(0.9, 1.0, DWA_V_SAMPLES)
-        positions, _ = _constant_rollouts(VehicleState(0, 0, 0), vs, np.zeros_like(vs), LIMITS, 30)
+        positions = held_positions(VehicleState(0, 0, 0), vs, np.zeros_like(vs), 30)
         pts = np.array([[0.0, 0.3], [0.05, -0.4], [-0.2, 0.0]])
         self.assert_exact(positions, pts)
         assert np.all(_min_clearance(positions, pts) < 0.3)
@@ -207,7 +214,7 @@ class TestMinClearance:
     def test_stationary_rollouts_and_tied_points(self):
         # zero speed: every pose coincides, every radius is 0, and a ring of
         # points is equidistant from the pose
-        positions, _ = _constant_rollouts(VehicleState(0.5, -0.5, 1.0), np.zeros(3), np.zeros(3), LIMITS, 12)
+        positions = held_positions(VehicleState(0.5, -0.5, 1.0), np.zeros(3), np.zeros(3), 12)
         angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         ring = np.stack([0.5 + np.cos(angles), -0.5 + np.sin(angles)], axis=1)
         self.assert_exact(positions, ring)
@@ -227,7 +234,7 @@ class TestMinClearance:
     def test_points_behind_the_vehicle(self):
         rng = np.random.default_rng(14)
         vs, omegas = np.meshgrid(np.linspace(0.0, 0.2, DWA_V_SAMPLES), np.linspace(-0.35, 0.35, DWA_OMEGA_SAMPLES))
-        positions, _ = _constant_rollouts(VehicleState(0, 0, 0), vs.ravel(), omegas.ravel(), LIMITS, 30)
+        positions = held_positions(VehicleState(0, 0, 0), vs.ravel(), omegas.ravel(), 30)
         pts = np.stack([rng.uniform(-2.0, -0.05, size=30), rng.uniform(-1.0, 1.0, size=30)], axis=1)
         self.assert_exact(positions, pts)
         # the nearest pose to a point straight behind is the start

@@ -18,7 +18,9 @@ from visionmpc.nmpc import (
 )
 from visionmpc.geometry import wrap_angle
 from visionmpc.scene import EPS_R, GainSchedule, SceneDynamics, gain_schedule
-from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout
+from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout, step_nominal
+
+from test_vehicle import scalar_rollout
 
 AT_REST = ControlInput(0.0, 0.0)
 # u_ref = 0: the input term prices the control itself, as before u_ref existed
@@ -75,7 +77,7 @@ def random_problem(rng, cfg, q=0.8):
     u_seq = [
         ControlInput(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3)) for _ in range(cfg.tau_o)
     ]
-    z_d = rollout(current, u_seq, p=model(cfg))
+    z_d = scalar_rollout(current, u_seq, model(cfg))
     g = gain_schedule(SceneDynamics(0.0, q))
     return current, z_d, g, u_seq
 
@@ -130,7 +132,7 @@ class TestObjectiveInternals:
         for _ in range(10):
             u = rng.uniform(-0.5, 1.2, size=2 * cfg.tau_o)
             u_seq = [ControlInput(u[2 * k], u[2 * k + 1]) for k in range(cfg.tau_o)]
-            z_seq = rollout(current, u_seq, p=model(cfg))
+            z_seq = scalar_rollout(current, u_seq, model(cfg))
             assert problem.value(u) == pytest.approx(tracking_cost(z_seq, u_seq, z_d, g, u_ref), rel=1e-12)
 
     def test_gradient_matches_central_differences(self, u_ref):
@@ -265,7 +267,7 @@ class TestGaussNewton:
             fwd = problem.forward(u)[1]
             jac = problem.jacobian(fwd)
             # the predicted heading is the desired one plus its wrapped error
-            rho = np.concatenate(([current.rho], _wrap_fast(fwd[4] + problem.rd)))
+            rho = np.concatenate(([current.rho], _wrap_fast(fwd[3] + problem.rd)))
             wrapped += np.any(np.abs(np.diff(rho)) > math.pi)
             for j in range(u.size):
                 h = 1e-6
@@ -273,11 +275,11 @@ class TestGaussNewton:
                 up[j] += h
                 dn[j] -= h
                 _, fu = problem.forward(up)
-                eu_xy, eu_r = fu[3].copy(), fu[4].copy()
+                eu_xy, eu_r = fu[2].copy(), fu[3].copy()
                 _, fd = problem.forward(dn)
-                fd_xy = (eu_xy - fd[3]) / (2 * h)
+                fd_xy = (eu_xy - fd[2]) / (2 * h)
                 # heading errors are wrapped; so is their difference
-                fd_r = (math.pi - (math.pi - (eu_r - fd[4])) % (2 * math.pi)) / (2 * h)
+                fd_r = (math.pi - (math.pi - (eu_r - fd[3])) % (2 * math.pi)) / (2 * h)
                 got = jac[:, :, j]
                 assert np.abs(got[:2] - fd_xy).max() <= 1e-7
                 assert np.abs(got[2] - fd_r).max() <= 1e-7
@@ -301,7 +303,7 @@ class TestGaussNewton:
             u[0::2] = rng.uniform(0.2, 1.0, size=8)
             u[1::2] = rng.uniform(0.0, 0.35, size=8) * (1 if trial % 2 else -1)
             fwd = problem.forward(u)[1]
-            rho = np.concatenate(([current.rho], _wrap_fast(fwd[4] + problem.rd)))
+            rho = np.concatenate(([current.rho], _wrap_fast(fwd[3] + problem.rd)))
             wrapped += np.any(np.abs(np.diff(rho)) > math.pi)
             jac = problem.jacobian(fwd)
             flat = jac.reshape(24, 16)
@@ -364,7 +366,7 @@ class TestGaussNewton:
             _, _, problem, _ = hinge_active_problem(rng, tau_o, True, with_u_ref)
             u = hinge_active_controls(rng, tau_o)
             _, fwd = problem.forward(u)
-            jac, (e, er, h) = problem.jacobian(fwd), fwd[3:]
+            jac, (e, er, h) = problem.jacobian(fwd), fwd[2:]
             model = _GaussNewtonModel(problem, fwd)
             A = np.stack([model.hinge_args(col) for col in np.eye(2 * tau_o)], axis=1)
             # residuals sqrt(q) (ex, ey, e_rho), sqrt(r) (u - u_ref) and sqrt(pw) hinges, and their Jacobian
@@ -595,6 +597,18 @@ class TestReachable:
             assert min(max(v, v_lo), v_hi) == staged
 
 
+def rotate_scene(theta, current, z_d, residual):
+    """The scene (current, z_d, residual) turned by theta about the origin;
+    the residual's heading part is left as it is."""
+    c, s = math.cos(theta), math.sin(theta)
+
+    def turn(z):
+        return VehicleState(c * z.x - s * z.y, s * z.x + c * z.y, z.rho + theta)
+
+    rx, ry, rr = residual
+    return turn(current), [turn(z) for z in z_d], (c * rx - s * ry, s * rx + c * ry, rr)
+
+
 class TestSolve:
     def test_inverse_crime_recovery(self):
         # a near-zero input weight makes the generating sequence the optimum
@@ -619,13 +633,40 @@ class TestSolve:
             oracle = brute_force_min(current, z_d, g, cfg)
             assert sol.cost <= 1.05 * oracle + 1e-12
 
+    def test_heading_crossing_the_seam_solves_as_the_rotated_scene(self):
+        # the predicted heading is wrapped only in the heading error, so a
+        # solve whose prediction crosses +-pi returns the controls of the
+        # same scene turned a quarter turn clockwise, where no heading crosses
+        cfg = config(tau_o=10)
+        g = GainSchedule(0.9, 0.05)
+        for seed in range(6):
+            rng = np.random.default_rng(300 + seed)
+            current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.01, 0.05))
+            u_seq = [ControlInput(rng.uniform(0.5, 1.0), rng.uniform(0.2, 0.35)) for _ in range(cfg.tau_o)]
+            z_d = [
+                VehicleState(z.x + rng.uniform(-0.05, 0.05), z.y + rng.uniform(-0.05, 0.05), z.rho)
+                for z in scalar_rollout(current, u_seq, model(cfg))
+            ]
+            residual = rng.uniform(-0.01, 0.01, size=3)
+            u_prev = ControlInput(0.5, 0.2)
+            sol = solve(current, z_d, residual, g, cfg, u_prev, U_REF)
+            t_current, t_z_d, t_residual = rotate_scene(-math.pi / 2, current, z_d, residual)
+            turned = solve(t_current, t_z_d, t_residual, g, cfg, u_prev, U_REF)
+            assert sol.converged and turned.converged
+            assert np.abs(sol.u_opt - turned.u_opt).max() <= 1e-9
+            # the first prediction crosses the seam, the turned one does not
+            rho = rollout(current, sol.u_opt[0::2], sol.u_opt[1::2], cfg.tau_o, cfg, residual)[1]
+            t_rho = rollout(t_current, turned.u_opt[0::2], turned.u_opt[1::2], cfg.tau_o, cfg, t_residual)[1]
+            assert rho.max() > math.pi and np.abs(t_rho).max() < math.pi
+
+
     def test_start_at_a_minimizer_is_returned_as_it_is(self, monkeypatch):
         # u_ref held over the horizon, tracking its own model rollout, is an
         # exact minimizer: no iteration runs, and the projected start comes
         # back bit for bit with its cost, projected and evaluated only once
         cfg = config(tau_o=8)
         current = VehicleState(0.3, -0.2, 0.4)
-        z_d = rollout(current, [U_REF] * cfg.tau_o, p=model(cfg))
+        z_d = scalar_rollout(current, [U_REF] * cfg.tau_o, model(cfg))
         g = gain_schedule(SceneDynamics(0.0, 0.6))
         start = np.tile((U_REF.v_cmd, U_REF.omega_cmd), cfg.tau_o)
         projected = nmpc._clip_chain(start, cfg, U_REF)
@@ -727,7 +768,7 @@ class TestControlStep:
             z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
             u, sol = control_step(state, z_d, None, g, cfg, u_prev, NO_REF, warm_start=warm)
             warm = sol.u_opt
-            state = rollout(state, [u], p=model(cfg))[0]
+            state = step_nominal(state, u, model(cfg))
             u_prev = u
         assert u.v_cmd == pytest.approx(v_star, rel=0.05)
 
@@ -746,7 +787,7 @@ class TestControlStep:
                 z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
                 u_prev, sol = control_step(state, z_d, None, g, cfg, u_prev, u_ref, warm_start=warm)
                 warm = sol.u_opt
-                state = rollout(state, [u_prev], p=model(cfg))[0]
+                state = step_nominal(state, u_prev, model(cfg))
             speeds[label] = u_prev.v_cmd
         assert speeds["u_ref"] == pytest.approx(v_star, rel=1e-3)
         assert speeds["no_ref"] < 0.9 * v_star
@@ -881,7 +922,7 @@ class ScalarProblem:
             heads[k] = head
             xs[k + 1] = xs[k] + math.cos(head) * vk * dt + rx
             ys[k + 1] = ys[k] + math.sin(head) * vk * dt + ry
-            rs[k + 1] = _wrap_fast(_wrap_fast(rs[k] + math.sin(wk) / L * vk * dt) + rr)
+            rs[k + 1] = rs[k] + math.sin(wk) / L * vk * dt + rr
             i = k + 1
             ex = xs[i] - self.xd[k]
             ey = ys[i] - self.yd[k]
@@ -990,7 +1031,7 @@ def scalar_violation(u, cfg, u_prev, problem):
         head = r + w
         x = x + math.cos(head) * v * dt + rx
         y = y + math.sin(head) * v * dt + ry
-        r = _wrap_fast(_wrap_fast(r + math.sin(w) / problem.L * v * dt) + rr)
+        r = r + math.sin(w) / problem.L * v * dt + rr
         e_lat = -problem.sin_rd[k] * (x - problem.xd[k]) + problem.cos_rd[k] * (y - problem.yd[k])
         worst = max(worst, e_lat - cfg.e_max, cfg.e_min - e_lat)
     return worst

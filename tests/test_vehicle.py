@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from visionmpc.geometry import wrap_angle
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout, step_nominal, step_true
 
 
@@ -67,37 +68,109 @@ def test_step_true_noise_requires_rng():
         step_true(VehicleState(0, 0, 0), ControlInput(0, 0), ModelParams(sigma_f=0.1))
 
 
+def scalar_rollout(state, u_seq, p, residual=(0.0, 0.0, 0.0)):
+    """The nominal model as a per-step loop, z + increment + residual with
+    the heading left unwrapped: the oracle that rollout's arrays must equal
+    bit for bit. The poses come back as VehicleStates, so their headings
+    are wrapped."""
+    x, y, r = state.x, state.y, state.rho
+    rx, ry, rr = residual
+    out = []
+    for u in u_seq:
+        head = r + u.omega_cmd
+        x = x + math.cos(head) * u.v_cmd * p.dt + rx
+        y = y + math.sin(head) * u.v_cmd * p.dt + ry
+        r = r + math.sin(u.omega_cmd) / p.wheelbase_L * u.v_cmd * p.dt + rr
+        out.append(VehicleState(x, y, r))
+    return out
+
+
+def poses(xy, rho):
+    """One rollout's arrays as (x, y, wrapped heading) per step."""
+    return [(x, y, wrap_angle(r)) for x, y, r in zip(xy[0].tolist(), xy[1].tolist(), rho[1:].tolist())]
+
+
+def random_controls(rng, shape):
+    return rng.uniform(0.0, 1.0, size=shape), rng.uniform(-0.35, 0.35, size=shape)
+
+
 def test_rollout_empty_and_zero_controls():
     p = ModelParams()
     start = VehicleState(1.0, 2.0, 0.5)
-    assert rollout(start, [], p=p) == []
-    out = rollout(start, [ControlInput(0.0, 0.0)] * 3, p=p)
-    assert out == [start] * 3
+    xy, rho, trig = rollout(start, np.zeros(0), np.zeros(0), 0, p)
+    assert xy.shape == (2, 0) and trig.shape == (2, 0) and rho.tolist() == [0.5]
+    xy, rho, _ = rollout(start, 0.0, 0.0, 3, p)
+    assert xy.tolist() == [[1.0] * 3, [2.0] * 3]
+    assert rho.tolist() == [0.5] * 4
+
+
+def test_rollout_equals_the_scalar_loop():
+    rng = np.random.default_rng(5)
+    p = ModelParams()
+    for trial in range(40):
+        start = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi))
+        T = int(rng.integers(1, 31))
+        residual = tuple(rng.uniform(-0.02, 0.02, size=3)) if trial % 2 else None
+        v, w = random_controls(rng, (4, T))
+        xy, rho, trig = rollout(start, v, w, T, p, residual)
+        assert xy.shape == trig.shape == (2, 4, T) and rho.shape == (4, T + 1)
+        for c in range(4):
+            u_seq = [ControlInput(a, b) for a, b in zip(v[c].tolist(), w[c].tolist())]
+            want = scalar_rollout(start, u_seq, p, residual or (0.0, 0.0, 0.0))
+            assert poses(xy[:, c], rho[c]) == [(z.x, z.y, z.rho) for z in want]
+            assert np.array_equal(trig[:, c], [np.cos(rho[c, :-1] + w[c]), np.sin(rho[c, :-1] + w[c])])
 
 
 def test_rollout_matches_independent_composition():
+    # the simulator's step wraps the heading after every update, the
+    # rollout does not: the two agree to rounding
     rng = np.random.default_rng(7)
     p = ModelParams()
-    start = VehicleState(0.2, -0.1, 0.3)
-    u_seq = [ControlInput(rng.uniform(0, 1), rng.uniform(-0.3, 0.3)) for _ in range(5)]
-    out = rollout(start, u_seq, p=p)
+    start = VehicleState(0.2, -0.1, 3.0)
+    v, w = random_controls(rng, 25)
+    xy, rho, _ = rollout(start, v, w, 25, p)
     z = start
-    for k, u in enumerate(u_seq):
-        z = step_nominal(z, u, p)
-        assert out[k] == z
+    for k, (x, y, r) in enumerate(poses(xy, rho)):
+        z = step_nominal(z, ControlInput(v[k], w[k]), p)
+        assert (x, y) == pytest.approx((z.x, z.y), abs=1e-12)
+        assert wrap_angle(r - z.rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rollout_prefix_property():
     rng = np.random.default_rng(3)
     p = ModelParams()
     start = VehicleState(0.0, 0.0, 0.0)
-    u_seq = [ControlInput(rng.uniform(0, 1), rng.uniform(-0.3, 0.3)) for _ in range(6)]
-    assert rollout(start, u_seq[:5], p=p) == rollout(start, u_seq, p=p)[:5]
+    v, w = random_controls(rng, 6)
+    short = rollout(start, v[:5], w[:5], 5, p, (0.01, 0.0, -0.02))
+    full = rollout(start, v, w, 6, p, (0.01, 0.0, -0.02))
+    assert np.array_equal(short[0], full[0][:, :5])
+    assert np.array_equal(short[1], full[1][:6])
+
+
+def test_held_controls_broadcast_bit_for_bit():
+    # a held command passed as (C, 1) gives the bits of the same command
+    # materialized as (C, T), and a batch row those of the row run alone:
+    # a DWA plan equals the NMPC prediction of its command held
+    rng = np.random.default_rng(9)
+    p = ModelParams()
+    for trial in range(20):
+        start = VehicleState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi))
+        T = int(rng.integers(1, 31))
+        residual = tuple(rng.uniform(-0.02, 0.02, size=3)) if trial % 2 else None
+        v, w = random_controls(rng, (int(rng.integers(1, 240)), 1))
+        held = rollout(start, v, w, T, p, residual)
+        tiled = rollout(start, np.repeat(v, T, axis=1), np.repeat(w, T, axis=1), T, p, residual)
+        for got, want in zip(held, tiled):
+            assert np.array_equal(got, want)
+        c = int(rng.integers(0, v.shape[0]))
+        alone = rollout(start, np.full(T, v[c, 0]), np.full(T, w[c, 0]), T, p, residual)
+        for got, want in zip(held, alone):
+            assert np.array_equal(got[..., c, :], want)
 
 
 def test_rollout_residual_length_mismatch():
     with pytest.raises(ValueError):
-        rollout(VehicleState(0, 0, 0), [ControlInput(0, 0)] * 3, [[0, 0, 0]] * 2)
+        rollout(VehicleState(0, 0, 0), np.zeros(3), np.zeros(3), 3, ModelParams(), [0.0, 0.0])
 
 
 def test_translation_equivariance():
