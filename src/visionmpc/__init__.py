@@ -9,7 +9,7 @@ from .baselines import direct_policy_step, dwa_plan
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from .memory import AugmentedMemory, MemoryEntry, Observation
 from .metrics import MetricsReport, OfflineRecord, aggregate, e_xy
-from .nmpc import NmpcConfig, NmpcError, NmpcSolution, control_step, solve
+from .nmpc import NmpcConfig, NmpcError, NmpcSolution, solve
 from .policy import (
     CandidateSet,
     QNetwork,

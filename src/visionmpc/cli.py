@@ -29,6 +29,17 @@ class CliError(Exception):
     """User-facing failure with a distinct message and non-zero exit."""
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type of a count of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_path(raw: str) -> Path:
     import os
 
@@ -202,6 +213,11 @@ def _cmd_evaluate(args) -> int:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"corrupt manifest in {logs_dir}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CliError(f"manifest in {logs_dir} is not a JSON object")
+    for key in ("method", "scenario", "trials"):
+        if key not in manifest:
+            raise CliError(f"manifest in {logs_dir} has no {key!r} key")
     scenario, _ = _load_scenario(manifest["scenario"])
     outcomes = []
     for name in manifest["trials"]:
@@ -296,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run goal-navigation trials for one method")
     p.add_argument("--scenario", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--checkpoint", default=None, help="trained policy for lvd-nmpc")
@@ -332,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="benchmark-table comparison across all methods")
     p.add_argument("--scenario-set", required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--pipeline", default=None)

@@ -25,7 +25,9 @@ import numpy as np
 from .baselines import DWA_HORIZON_S, direct_policy_step, dwa_plan, obstacle_points_from_observation
 from .geometry import Polyline
 from .memory import AugmentedMemory, MemoryEntry, Observation
-from .nmpc import NmpcConfig, control_step
+# nmpc.solve is looked up on the module at each call, where perfbench/tracer.py wraps it
+from . import nmpc
+from .nmpc import NmpcConfig
 from .policy import QNetwork, featurize, select_dynamics
 from .scene import SceneDynamics, desired_trajectory, gain_schedule, pair_of_control, reference_control
 # dynamics_from_trajectory is unused here; perfbench/tracer.py wraps it by attribute name on this module
@@ -104,13 +106,14 @@ class _BoundedController:
         """One NMPC step toward z_d from the last applied control under the
         gains and reference control of the scene pair, logged with the pair.
 
-        warm_start is passed to `control_step`, which shifts it by one step
-        to seed the solve (None seeds it with zeros). Returns the command
-        and the solution's control array.
+        warm_start seeds the solve as it is (None seeds it with zeros). The
+        solution's first pair is the command. Returns the command and the
+        solution's control array.
         """
         cfg = self._limits
         u_ref = reference_control(pair, cfg.u_max.v_cmd, cfg.wheelbase_L)
-        u, sol = control_step(state, z_d, residual, gain_schedule(pair), cfg, self._u_prev, u_ref, warm_start)
+        sol = nmpc.solve(state, z_d, residual, gain_schedule(pair), cfg, self._u_prev, u_ref, warm_start)
+        u = ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1]))
         self._u_prev = u
         return StepCommand(u=u, c=pair.c, w=pair.w), sol.u_opt
 
@@ -177,7 +180,9 @@ class LvdNmpcController(_BoundedController):
         self.last_features = features
         self.last_action = action
         z_d = lvd_desired_path(route, s, dyn, state, cfg)
-        command, self._warm = self._track(state, z_d, residual_h(dyn, state.rho), dyn, self._warm)
+        # the last solution shifted by one step, its last pair repeated
+        warm = None if self._warm is None else np.concatenate((self._warm[2:], self._warm[-2:]))
+        command, self._warm = self._track(state, z_d, residual_h(dyn, state.rho), dyn, warm)
         return command
 
 
@@ -212,7 +217,6 @@ class DwaNmpcController(_BoundedController):
         goal_xy, goal_rho = self._scenario.route_polyline.sample(s + v_full * cfg.dt * tau_goal)
         goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
         u_plan, plan = dwa_plan(state, points, goal, cfg, self._u_prev, self._work)
-        # control_step's one-step shift leaves the held command as it is
         held = np.tile((u_plan.v_cmd, u_plan.omega_cmd), cfg.tau_o)
         pair = SceneDynamics(*pair_of_control(u_plan, v_full, cfg.wheelbase_L))
         return self._track(state, plan, None, pair, held)[0]

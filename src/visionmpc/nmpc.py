@@ -35,18 +35,21 @@ relative cost decrease of an iteration, and max_iters caps the iterations.
 
 Each objective evaluation is one call of vehicle.rollout, the array
 prediction that the DWA planner also makes, and a numpy pass over its
-result; the gradient comes from the adjoint of that pass, and the
-Jacobian and the second-order term from prefix and suffix sums over it.
-No Python loop runs over the horizon. The array code repeats the
-per-step recurrence's floating-point operations in their order, so costs
-and gradients are bit-identical to a scalar loop (the reference kept in
+result. The one derivative the solver takes is the Jacobian J of the
+tracking errors, from prefix sums over that pass, once per iterate: the
+cost's gradient, for the stop test and the Armijo slope, is twice the
+slope of the model that J builds, and the same J gives the Gauss-Newton
+model and, with the second-order term from suffix sums, the Newton
+curvature. No Python loop runs over the horizon. The array code repeats
+the per-step recurrence's floating-point operations in their order, so
+costs are bit-identical to a scalar loop (the reference kept in
 tests/test_nmpc.py). Predicted headings are wrapped only in the heading
 error.
 
 A solution is the flat control array [v0, omega0, v1, omega1, ...] the
-solver works in, with its cost and solver diagnostics; a receding-horizon
-step applies its first pair and seeds the next solve with the array
-shifted by one step.
+solver works in, with its cost and solver diagnostics. A caller applies
+its first pair; LVD-NMPC seeds its next solve with the array shifted by
+one step.
 """
 
 import math
@@ -103,9 +106,10 @@ class NmpcConfig:
     their cost by a median relative 2e-5. A solution's `converged`
     therefore means that the gradient tolerance was met within the
     budget. Every DWA-NMPC solve meets it at its start, the plan's command
-    held, and runs no iteration; LVD-NMPC solves under the training
-    pipeline (tau_o 10, max_iters 25) meet it in all of the steps of the
-    train_short benchmark, at a p95 of 3 iterations.
+    held, and runs no iteration; LVD-NMPC solves under the pipeline of the
+    train_short benchmark (perfbench/run.py: tau_o 10, max_iters 25; the
+    CLI's train command runs tau_o 10 at the default budget) meet it in
+    all of the steps of that workload, at a p95 of 3 iterations.
     """
 
     tau_o: int = 20
@@ -181,12 +185,12 @@ def _hinges(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """Penalized single-shooting objective with analytic gradient.
+    """Penalized single-shooting objective and the Jacobian of its tracking errors.
 
     The arrays repeat the per-step recurrence operation for operation.
-    Every running total (positions, adjoints, the cost) is an
-    np.add.accumulate, which adds in sequence where np.sum adds pairwise,
-    so the cost and gradient are bit-identical to a loop over the horizon.
+    Every running total (positions, the cost) is an np.add.accumulate,
+    which adds in sequence where np.sum adds pairwise, so the cost is
+    bit-identical to a loop over the horizon.
     """
 
     def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
@@ -231,7 +235,7 @@ class _Problem:
         return self.forward(u)[0]
 
     def forward(self, u: np.ndarray):
-        """Cost at u, and the rollout arrays that gradient() reuses.
+        """Cost at u, and the rollout arrays that its _Linearization reuses.
 
         The last array holds the signed excesses over the bounds of
         [u | control rates | lateral offsets], zero where a bound holds.
@@ -260,35 +264,6 @@ class _Problem:
         np.multiply(pw * he, he, out=stage[:, 2])
         terms[3 * T:] = pen[T:]
         return np.add.accumulate(terms)[-1], (u, trig, e, er, h)
-
-    def gradient(self, fwd) -> np.ndarray:
-        """Gradient at the point of a forward() pass, by the adjoint recursion."""
-        u, (ch, sh), e, er, h = fwd
-        T, dt, L, pw = self.T, self.dt, self.L, self.pw
-        n = 2 * T
-        q2 = 2.0 * self.q
-        v, w = u[0::2], u[1::2]
-        # adjoints are suffix sums, accumulated backward from 0.0
-        gxy = np.zeros((2, T + 1))
-        np.add(q2 * e, pw * (2.0 * h[-T:]) * self.lat, out=gxy[:, :0:-1])
-        lam_x, lam_y = np.add.accumulate(gxy, axis=1)[:, :0:-1]
-        dtv = dt * v
-        m = dtv * (-sh * lam_x + ch * lam_y)
-        # going backward, lam_r gains q2 * er[k], is read at step k, then gains m[k]
-        gr = np.empty(n)
-        gr[0] = 0.0
-        gr[1::2] = (q2 * er)[::-1]
-        gr[2::2] = m[:0:-1]
-        lam_r = np.add.accumulate(gr)[1::2][::-1]
-        grad = np.empty(n)
-        grad[0::2] = dt * (ch * lam_x + sh * lam_y) + dt * np.sin(w) / L * lam_r
-        grad[1::2] = m + dtv * np.cos(w) / L * lam_r
-        grad += 2.0 * self.r * (u - self.u_ref)
-        grad += pw * 2.0 * h[:n]
-        d_rate = 2.0 * h[n:-T] * pw / dt
-        grad += d_rate
-        grad[:-2] -= d_rate[2:]
-        return grad
 
     def jacobian(self, fwd) -> np.ndarray:
         """Jacobian of the tracking errors at the point of a forward() pass.
@@ -426,49 +401,58 @@ def _line_minimum(slope: float, curv: float, z, c, lo, hi, pw: float) -> float:
     return -seg_a[seg] / seg_b[seg]
 
 
-class _GaussNewtonModel:
-    """Convex model of the penalized objective around an iterate u, in the step d.
+class _Linearization:
+    """The penalized objective linearized at an iterate u: its gradient,
+    and its convex model in the step d.
 
-    The tracking term is the quadratic with the cost's gradient at d = 0
-    and half Hessian q J'J, J the exact Jacobian of the tracking errors
-    (Gauss-Newton: the errors linearized). With second_order, its half
-    Hessian is the exact one, q (J'J + S) with S from
-    _Problem.curvature, plus the input term's r I; where that matrix is
-    indefinite, its eigenvalues are replaced by their absolute values, and
-    where it is positive definite, it is kept as it is. The input term
-    stays exact, and each hinge keeps its squared-hinge form of a
-    linearized argument z0 + A d: the actuator and rate arguments are
-    linear in u already, and the cross-track offset uses its Jacobian. The
-    model is piecewise quadratic; the damping term _DAMPING * |d|^2 keeps
-    it strictly convex.
+    J, the exact Jacobian of the tracking errors, is computed once. With
+    it, the model's tracking term is the quadratic with slope q J'e at
+    d = 0, and the input term is exact; each hinge keeps its squared-hinge
+    form of a linearized argument z0 + A d: the actuator and rate
+    arguments are linear in u already, and the cross-track offset uses its
+    Jacobian. The model's slope at d = 0 is half the cost's gradient, so
+    `gradient` is twice it. hessian() builds the model's half Hessian,
+    only for an iteration that runs: q J'J + r I (Gauss-Newton: the errors
+    linearized), or with second_order the exact one, q (J'J + S) + r I
+    with S from _Problem.curvature; where that matrix is indefinite, its
+    eigenvalues are replaced by their absolute values, and where it is
+    positive definite, it is kept as it is. The model is piecewise
+    quadratic; the damping term _DAMPING * |d|^2 keeps it strictly convex.
     """
 
-    def __init__(self, problem: _Problem, fwd, second_order: bool = False):
+    def __init__(self, problem: _Problem, fwd):
         T, n = problem.T, 2 * problem.T
-        u, _, e, er, _ = fwd
-        jac = problem.jacobian(fwd)
-        flat = jac.reshape(3 * T, n)
-        q, r = problem.q, problem.r
+        u, _, e, er, h = fwd
         self.problem = problem
-        # half the model's Hessian and gradient at d = 0, hinges aside
-        if second_order:
-            hess = q * (flat.T @ flat + problem.curvature(fwd, jac))
-            hess.reshape(-1)[:: n + 1] += r
-            lam, vec = np.linalg.eigh(hess)
-            if lam[0] <= 0.0:
-                # B B' with B = V |Lambda|^(1/2) is V |Lambda| V', and numpy
-                # forms a product with its own transpose exactly symmetric
-                root = vec * np.sqrt(np.abs(lam))
-                hess = root @ root.T
-            hess.reshape(-1)[:: n + 1] += _DAMPING
-            self.hess = hess
-        else:
-            self.hess = q * (flat.T @ flat)
-            self.hess.reshape(-1)[:: n + 1] += r + _DAMPING
-        self.grad = q * (flat.T @ np.concatenate((e[0], e[1], er))) + r * (u - problem.u_ref)
-        self.lat_jac = problem.lat[0][:, None] * jac[0] + problem.lat[1][:, None] * jac[1]
+        self.fwd = fwd
+        self.jac = problem.jacobian(fwd)
+        flat = self.jac.reshape(3 * T, n)
+        # half the model's slope at d = 0, hinges aside
+        self.grad = problem.q * (flat.T @ np.concatenate((e[0], e[1], er))) + problem.r * (u - problem.u_ref)
+        self.lat_jac = problem.lat[0][:, None] * self.jac[0] + problem.lat[1][:, None] * self.jac[1]
         # hinge arguments [u | rates | e_lat] at d = 0; forward() reuses its buffer
         self.z0 = problem.box[2:].copy()
+        self.gradient = 2.0 * (self.grad + problem.pw * self.hinge_grad(h))
+
+    def hessian(self, second_order: bool) -> np.ndarray:
+        """Half the model's Hessian, hinges aside, damping included."""
+        problem = self.problem
+        n = 2 * problem.T
+        flat = self.jac.reshape(-1, n)
+        if not second_order:
+            hess = problem.q * (flat.T @ flat)
+            hess.reshape(-1)[:: n + 1] += problem.r + _DAMPING
+            return hess
+        hess = problem.q * (flat.T @ flat + problem.curvature(self.fwd, self.jac))
+        hess.reshape(-1)[:: n + 1] += problem.r
+        lam, vec = np.linalg.eigh(hess)
+        if lam[0] <= 0.0:
+            # B B' with B = V |Lambda|^(1/2) is V |Lambda| V', and numpy
+            # forms a product with its own transpose exactly symmetric
+            root = vec * np.sqrt(np.abs(lam))
+            hess = root @ root.T
+        hess.reshape(-1)[:: n + 1] += _DAMPING
+        return hess
 
     def hinge_args(self, d: np.ndarray) -> np.ndarray:
         """A d, the change of the hinge arguments under the step d."""
@@ -489,8 +473,8 @@ class _GaussNewtonModel:
         out += y[2 * n:] @ self.lat_jac
         return out
 
-    def minimize(self) -> np.ndarray:
-        """Semismooth Newton from d = 0, monotone in the model.
+    def minimize(self, hess: np.ndarray) -> np.ndarray:
+        """Semismooth Newton from d = 0, monotone in the model of half Hessian hess.
 
         Each step minimizes the quadratic in which the hinges active at d
         (on or past a bound) are linear against the bound they meet. It
@@ -510,8 +494,8 @@ class _GaussNewtonModel:
         above = z >= hi
         active = above | (z <= lo)
         for _ in range(_INNER_ITERS):
-            p = self._quadratic_minimizer(above, active) - d
-            hp = self.hess @ p
+            p = self._quadratic_minimizer(hess, above, active) - d
+            hp = hess @ p
             c = self.hinge_args(p)
             slope = float((self.grad + hd) @ p)
             curv = float(hp @ p)
@@ -538,7 +522,7 @@ class _GaussNewtonModel:
                 active = above | (z <= lo)
         return d
 
-    def _quadratic_minimizer(self, above, active) -> np.ndarray:
+    def _quadratic_minimizer(self, hess, above, active) -> np.ndarray:
         """Minimizer of the model with the active hinges linear against
         their bound (hi where above, lo elsewhere) and the others zero.
 
@@ -552,7 +536,7 @@ class _GaussNewtonModel:
         n = self.grad.size
         weight = pw * active
         rate_w = weight[n:2 * n] / (dt * dt)
-        H = self.hess.copy()
+        H = hess.copy()
         flat = H.reshape(-1)
         diag = weight[:n] + rate_w
         diag[:-2] += rate_w[2:]
@@ -576,7 +560,10 @@ class _GaussNewtonModel:
 def _gauss_newton(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: float, f_tol: float):
     """Minimize by model steps with Armijo backtracking on the true cost.
 
-    Every model of a solve whose initial cost is at least
+    The start and every accepted iterate are linearized once: the
+    gradient there decides the stop test and the Armijo slope, and the
+    same Jacobian builds the next model, whose Hessian is built only when
+    an iteration runs. Every model of a solve whose initial cost is at least
     _LARGE_RESIDUAL_COST carries the tracking residual's second-order
     term; in any other solve, the models of iterations
     _EXACT_HESSIAN_FROM and later carry it and the earlier ones are
@@ -591,19 +578,18 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: f
     x = x0
     f, fwd = problem.forward(x)
     f0 = f
-    g = problem.gradient(fwd)
-    if not (math.isfinite(f) and np.isfinite(g).all()):
+    lin = _Linearization(problem, fwd)
+    if not (math.isfinite(f) and np.isfinite(lin.gradient).all()):
         raise NmpcError("non-finite cost or gradient at the initial iterate")
     # forward() returns a numpy float, so the comparison gives a numpy bool
     large_residual = bool(f0 >= _LARGE_RESIDUAL_COST)
     iters = 0
-    gnorm = float(np.abs(g).max())
+    gnorm = float(np.abs(lin.gradient).max())
     while gnorm >= grad_tol and iters < max_iters:
-        second_order = large_residual or iters >= _EXACT_HESSIAN_FROM
-        d = _GaussNewtonModel(problem, fwd, second_order).minimize()
-        # the model is convex and matches the cost's gradient at d = 0, so a
-        # step that lowers it is a descent direction
-        slope = float(g @ d)
+        d = lin.minimize(lin.hessian(large_residual or iters >= _EXACT_HESSIAN_FROM))
+        # the model is convex and its slope at d = 0 is half the gradient,
+        # so a step that lowers it is a descent direction
+        slope = float(lin.gradient @ d)
         if not slope < 0.0:
             break
         alpha = 1.0
@@ -615,12 +601,12 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: f
             alpha *= 0.5
         else:
             break
-        g = problem.gradient(fwd_new)
-        if not np.isfinite(g).all():
+        lin = _Linearization(problem, fwd_new)
+        if not np.isfinite(lin.gradient).all():
             raise NmpcError("non-finite cost or gradient during optimization")
         decrease = f - f_new
-        x, f, fwd = x_new, f_new, fwd_new
-        gnorm = float(np.abs(g).max())
+        x, f = x_new, f_new
+        gnorm = float(np.abs(lin.gradient).max())
         iters += 1
         if decrease <= f_tol * max(1.0, abs(f)):
             break
@@ -670,23 +656,3 @@ def solve(
             raise NmpcError("non-finite cost at the projected iterate")
         return NmpcSolution(u_opt=final, cost=float(f_final), iterations=iters, converged=converged)
 
-
-def control_step(
-    current: VehicleState,
-    z_d: Sequence[VehicleState],
-    residual,
-    g: GainSchedule,
-    cfg: NmpcConfig,
-    u_prev: ControlInput,
-    u_ref: ControlInput,
-    warm_start: Optional[np.ndarray] = None,
-) -> tuple[ControlInput, NmpcSolution]:
-    """One receding-horizon step: solve, apply the first optimal control.
-
-    warm_start is the previous solution's u_opt; shifted by one step with
-    its last pair repeated, it seeds the solver. The full unshifted
-    solution is returned for the next call.
-    """
-    init = None if warm_start is None else np.concatenate((warm_start[2:], warm_start[-2:]))
-    sol = solve(current, z_d, residual, g, cfg, u_prev, u_ref, warm_start=init)
-    return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol

@@ -14,7 +14,7 @@ Scenario file format (one `key value...` statement per line, `#` comments):
     v_max_mps 1.0
     goal_radius_m 0.3
     time_limit_s 30.0
-    seed 3
+    seed 3                          # an integer, as format_version is
     start_pose 0.0 0.0 0.0          # x_m y_m rho_rad
     sensor_fov_deg 360              # optional; must be 360
     sensor_resolution_deg 2
@@ -462,6 +462,13 @@ def _parse_floats(path, line_no, key, tokens, count):
     return vals
 
 
+def _parse_integer(path, line_no, key, tokens):
+    value = _parse_floats(path, line_no, key, tokens, 1)[0]
+    if not value.is_integer():
+        raise ScenarioFormatError(f"{path}:{line_no}: {key} must be an integer, got {tokens[0]}")
+    return int(value)
+
+
 # scalar file keys: the object each one sets and the field it sets there;
 # a key the file omits keeps that field's default
 _SCALAR_FIELDS = {
@@ -499,9 +506,9 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
         tokens = line.split()
         key, args = tokens[0], tokens[1:]
         if key == "format_version":
-            vals = _parse_floats(path, line_no, key, args, 1)
-            if int(vals[0]) != 1:
-                raise ScenarioFormatError(f"{path}:{line_no}: unsupported format_version {vals[0]:g}")
+            version = _parse_integer(path, line_no, key, args)
+            if version != 1:
+                raise ScenarioFormatError(f"{path}:{line_no}: unsupported format_version {version}")
             seen_version = True
         elif key == "name":
             if len(args) != 1:
@@ -511,6 +518,8 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
             # every scan reader assumes a full fan (see ray_bearings)
             if _parse_floats(path, line_no, key, args, 1)[0] != 360.0:
                 raise ScenarioFormatError(f"{path}:{line_no}: sensor_fov_deg must be 360, got {args[0]}")
+        elif key == "seed":
+            scalars[key] = _parse_integer(path, line_no, key, args)
         elif key in _SCALAR_FIELDS:
             scalars[key] = _parse_floats(path, line_no, key, args, 1)[0]
         elif key == "start_pose":
@@ -552,7 +561,7 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
     kwargs: dict[str, dict] = {"scenario": {}, "sensor": {}, "params": {}}
     for key, value in scalars.items():
         owner, attr = _SCALAR_FIELDS[key]
-        kwargs[owner][attr] = int(value) if key == "seed" else value
+        kwargs[owner][attr] = value
     try:
         sensor = RaySensorConfig(**kwargs["sensor"])
         scenario = Scenario(

@@ -155,6 +155,65 @@ class TestEvaluateRoundTrip:
         assert "nothing to evaluate" in capsys.readouterr().err
 
 
+class TestEvaluateManifest:
+    """A manifest that lacks a key evaluate reads, or is not a JSON object, is a CLI error."""
+
+    def _simulated(self, tmp_path):
+        out = tmp_path / "sim"
+        rc = run_cli(
+            "simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
+            "--trials", "1", "--out", str(out),
+        )
+        assert rc == 0
+        return out
+
+    @pytest.mark.parametrize("key", ["method", "scenario", "trials"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        out = self._simulated(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "r.csv"))
+        assert rc == 1
+        assert f"has no '{key}' key" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_manifest_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        out = self._simulated(tmp_path)
+        (out / "manifest.json").write_text("[1, 2]")
+        rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "r.csv"))
+        assert rc == 1
+        assert "is not a JSON object" in capsys.readouterr().err
+
+
+class TestTrialsArgument:
+    """--trials below 1 is a usage error, raised before any output is made."""
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "two"])
+    def test_simulate(self, tmp_path, capsys, trials):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
+                    "--trials", trials, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--trials" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "two"])
+    def test_compare(self, tmp_path, capsys, trials):
+        root = tmp_path / "set"
+        root.mkdir()
+        shutil.copy(scenario_path("straight_corridor"), root / "a.scn")
+        out = tmp_path / "t" / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--scenario-set", str(root), "--trials", trials, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--trials" in err
+        assert not out.parent.exists()
+
+
 class TestOfflineEval:
     def test_two_record_example(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

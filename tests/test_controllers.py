@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from visionmpc import controllers
+from visionmpc import controllers, nmpc
 from visionmpc.cli import _default_training_pipeline
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig, NmpcError
@@ -199,7 +199,7 @@ class TestDwaSeed:
     @pytest.mark.parametrize("name", ["corridor_two_obstacles", "loop", "s_curve", "straight_corridor"])
     def test_every_planned_solve_starts_at_its_minimizer(self, name, monkeypatch):
         plans, solutions = [], []
-        original_plan, original_step = controllers.dwa_plan, controllers.control_step
+        original_plan, original_solve = controllers.dwa_plan, nmpc.solve
 
         def plan_spy(vehicle, *args):
             u_plan, plan = original_plan(vehicle, *args)
@@ -207,13 +207,13 @@ class TestDwaSeed:
             plans.append(all(pose is vehicle for pose in plan))
             return u_plan, plan
 
-        def step_spy(*args):
-            u, sol = original_step(*args)
+        def solve_spy(*args):
+            sol = original_solve(*args)
             solutions.append(sol)
-            return u, sol
+            return sol
 
         monkeypatch.setattr(controllers, "dwa_plan", plan_spy)
-        monkeypatch.setattr(controllers, "control_step", step_spy)
+        monkeypatch.setattr(nmpc, "solve", solve_spy)
         scenario, params = bundled(name)
         outcome = run_trial(with_seed(scenario, 1), DwaNmpcController(PipelineConfig()), params)
         assert outcome.status == "goal"
@@ -223,6 +223,30 @@ class TestDwaSeed:
         for sol in planned:
             assert sol.iterations == 0
             assert sol.cost <= 1e-20
+
+    def test_solves_that_run_no_iteration_build_no_model_hessian(self, monkeypatch):
+        # a solve that starts at its minimizer linearizes it for the stop
+        # test and builds no Gauss-Newton or Newton model
+        built, solutions = [], []
+        original_solve, original_hessian = nmpc.solve, nmpc._Linearization.hessian
+
+        def solve_spy(*args):
+            built.append(0)
+            sol = original_solve(*args)
+            solutions.append(sol)
+            return sol
+
+        def hessian_spy(self, second_order):
+            built[-1] += 1
+            return original_hessian(self, second_order)
+
+        monkeypatch.setattr(nmpc, "solve", solve_spy)
+        monkeypatch.setattr(nmpc._Linearization, "hessian", hessian_spy)
+        scenario, params = bundled("s_curve")
+        outcome = run_trial(with_seed(scenario, 1), DwaNmpcController(PipelineConfig()), params)
+        assert len(solutions) == outcome.steps > 0
+        assert all(sol.iterations == 0 for sol in solutions)
+        assert built == [0] * len(solutions)
 
     def test_stop_fallback_brakes_within_the_rate_bound(self, monkeypatch):
         # once the car runs at 0.8 m/s, a sensed point on the car itself
@@ -250,6 +274,39 @@ class TestDwaSeed:
         drop = abs(cfg.du_min.v_cmd) * cfg.dt
         assert all(a - drop - 1e-12 <= b <= a for a, b in zip(speeds[first - 1:], speeds[first:]))
         assert speeds[-1] == 0.0
+
+
+class TestOneSolvePerStep:
+    """Each NMPC step solves once, and through the module attribute
+    nmpc.solve, so a wrapper installed there sees every solve; a binding of
+    solve made at import would bypass it."""
+
+    @pytest.mark.parametrize("method", ["lvd", "dwa"])
+    def test_each_step_calls_the_module_solve_once(self, method, monkeypatch):
+        calls = []
+        original_solve = nmpc.solve
+
+        def solve_spy(*args):
+            calls.append(None)
+            return original_solve(*args)
+
+        monkeypatch.setattr(nmpc, "solve", solve_spy)
+        scenario = small_scenario([Obstacle(center=(2.5, 0.1), radius=0.15)])
+        pipeline = small_pipeline()
+        controller = MAKERS[method](pipeline, scenario)
+        per_step = []
+        step = controller.step
+
+        def counted_step(*args):
+            before = len(calls)
+            command = step(*args)
+            per_step.append(len(calls) - before)
+            return command
+
+        controller.step = counted_step
+        outcome = run_trial(scenario, controller, ModelParams(sigma_f=0.002))
+        assert outcome.steps > 0
+        assert per_step == [1] * outcome.steps
 
 
 class TestLvdController:

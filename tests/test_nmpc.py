@@ -11,9 +11,8 @@ from visionmpc.nmpc import (
     PENALTY_WEIGHT,
     NmpcConfig,
     NmpcError,
-    _GaussNewtonModel,
+    _Linearization,
     _Problem,
-    control_step,
     solve,
 )
 from visionmpc.geometry import wrap_angle
@@ -65,6 +64,11 @@ def tracking_cost(z_seq, u_seq, z_d, g, u_ref):
         dw = u.omega_cmd - u_ref.omega_cmd
         total += g.r_diag * (dv * dv + dw * dw)
     return total
+
+
+def gradient_at(problem, u):
+    """The cost gradient the solver reads at u: that of its linearization there."""
+    return _Linearization(problem, problem.forward(u)[1]).gradient
 
 
 def model(cfg):
@@ -144,7 +148,7 @@ class TestObjectiveInternals:
         worst = 0.0
         for _ in range(30):
             u = rng.uniform(-0.2, 1.0, size=2 * cfg.tau_o)
-            grad = problem.gradient(problem.forward(u)[1])
+            grad = gradient_at(problem, u)
             for i in range(u.size):
                 h = 1e-6 * max(1.0, abs(u[i]))
                 up, dn = u.copy(), u.copy()
@@ -163,7 +167,7 @@ class TestObjectiveInternals:
         problem = _Problem(current, tuple(z_d), None, g, cfg, ControlInput(0.2, 0.0), u_ref, penalty=100.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.5, size=2 * cfg.tau_o)
-            grad = problem.gradient(problem.forward(u)[1])
+            grad = gradient_at(problem, u)
             for i in range(u.size):
                 h = 1e-6 * max(1.0, abs(u[i]))
                 up, dn = u.copy(), u.copy()
@@ -208,11 +212,18 @@ def hinge_active_controls(rng, tau_o):
     return u
 
 
+def assert_gradient_matches_the_adjoint(fwd, problem, want_grad):
+    """The Jacobian's gradient at a forward() pass against the scalar loop's
+    adjoint: equal up to a relative 1e-12, the rounding of a different sum order."""
+    got = _Linearization(problem, fwd).gradient
+    assert np.abs(got - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
 class TestBitEqualityOracle:
     @pytest.mark.parametrize("tau_o", [1, 2, 10, 20])
     @pytest.mark.parametrize("with_residual", [False, True])
     @pytest.mark.parametrize("with_u_ref", [False, True])
-    def test_cost_gradient_and_violation_equal_the_scalar_loop(self, tau_o, with_residual, with_u_ref):
+    def test_cost_and_violation_equal_the_scalar_loop(self, tau_o, with_residual, with_u_ref):
         rng = np.random.default_rng(1000 * tau_o + 100 * with_u_ref + 10 * with_residual + 1)
         active = np.zeros(3, dtype=int)
         for _ in range(25):
@@ -223,7 +234,7 @@ class TestBitEqualityOracle:
                 cost, fwd = problem.forward(u)
                 assert cost == want_cost
                 assert problem.value(u) == want_cost
-                assert np.array_equal(problem.gradient(fwd), want_grad)
+                assert_gradient_matches_the_adjoint(fwd, problem, want_grad)
                 assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
                 # signed excesses over the actuator, rate and corridor bounds
                 h = fwd[-1]
@@ -245,7 +256,7 @@ class TestBitEqualityOracle:
                     want_cost, want_grad = reference._eval(u, need_grad=True)
                     got_cost, fwd = problem.forward(u)
                     assert got_cost == want_cost
-                    assert np.array_equal(problem.gradient(fwd), want_grad)
+                    assert_gradient_matches_the_adjoint(fwd, problem, want_grad)
                     assert worst_excess(fwd) == scalar_violation(u, cfg, u_prev, reference)
 
 
@@ -316,7 +327,7 @@ class TestGaussNewton:
                 up, dn = u.copy(), u.copy()
                 up[j] += h
                 dn[j] -= h
-                fd[:, j] = (problem.gradient(problem.forward(up)[1]) - problem.gradient(problem.forward(dn)[1])) / (4 * h)
+                fd[:, j] = (gradient_at(problem, up) - gradient_at(problem, dn)) / (4 * h)
             assert np.abs(half_hess - fd).max() <= 1e-7 * np.abs(fd).max()
         assert wrapped > 0
 
@@ -342,7 +353,7 @@ class TestGaussNewton:
             raw = problem.q * (flat.T @ flat + problem.curvature(fwd, jac))
             raw.reshape(-1)[::21] += problem.r
             lam = np.linalg.eigvalsh(raw)
-            hess = _GaussNewtonModel(problem, fwd, second_order=True).hess
+            hess = _Linearization(problem, fwd).hessian(second_order=True)
             assert np.array_equal(hess, hess.T)
             got = np.linalg.eigvalsh(hess)
             # each eigendecomposition rounds by a small multiple of eps times the matrix norm
@@ -367,13 +378,13 @@ class TestGaussNewton:
             u = hinge_active_controls(rng, tau_o)
             _, fwd = problem.forward(u)
             jac, (e, er, h) = problem.jacobian(fwd), fwd[2:]
-            model = _GaussNewtonModel(problem, fwd)
+            model = _Linearization(problem, fwd)
             A = np.stack([model.hinge_args(col) for col in np.eye(2 * tau_o)], axis=1)
             # residuals sqrt(q) (ex, ey, e_rho), sqrt(r) (u - u_ref) and sqrt(pw) hinges, and their Jacobian
             sq, sr, sp = math.sqrt(problem.q), math.sqrt(problem.r), math.sqrt(problem.pw)
             res = np.concatenate((sq * e[0], sq * e[1], sq * er, sr * (u - problem.u_ref), sp * h))
             J = np.vstack((sq * jac.reshape(3 * tau_o, -1), sr * np.eye(2 * tau_o), sp * A))
-            want = problem.gradient(fwd)
+            want = model.gradient
             assert np.abs(2.0 * J.T @ res - want).max() <= 1e-12 * np.abs(want).max()
             n = 2 * tau_o
             active += [np.any(h[:n] != 0.0), np.any(h[n:-tau_o] != 0.0), np.any(h[-tau_o:] != 0.0)]
@@ -388,16 +399,17 @@ class TestGaussNewton:
         for _ in range(10):
             _, _, problem, _ = hinge_active_problem(rng, tau_o, True, with_u_ref)
             _, fwd = problem.forward(hinge_active_controls(rng, tau_o))
-            model = _GaussNewtonModel(problem, fwd)
-            d = model.minimize()
+            model = _Linearization(problem, fwd)
+            hess = model.hessian(second_order=False)
+            d = model.minimize(hess)
 
             def value(step):
                 h = nmpc._hinges(model.z0 + model.hinge_args(step), problem.lo, problem.hi)
-                return float(step @ (0.5 * (model.hess @ step) + model.grad)) + 0.5 * problem.pw * float(h @ h)
+                return float(step @ (0.5 * (hess @ step) + model.grad)) + 0.5 * problem.pw * float(h @ h)
 
             def slope(step):
                 h = nmpc._hinges(model.z0 + model.hinge_args(step), problem.lo, problem.hi)
-                return model.hess @ step + model.grad + problem.pw * model.hinge_grad(h)
+                return hess @ step + model.grad + problem.pw * model.hinge_grad(h)
 
             # the model is C1, so its subgradient is its gradient
             assert np.abs(slope(d)).max() <= 1e-7 * max(1.0, np.abs(slope(np.zeros_like(d))).max())
@@ -412,10 +424,9 @@ class TestGaussNewton:
         for _ in range(20):
             _, _, problem, _ = hinge_active_problem(rng, 20, True, with_u_ref)
             _, fwd = problem.forward(hinge_active_controls(rng, 20))
-            model = _GaussNewtonModel(problem, fwd)
-            d = model.minimize()
-            g = problem.gradient(fwd)
-            assert float(g @ d) < 0.0
+            model = _Linearization(problem, fwd)
+            d = model.minimize(model.hessian(second_order=False))
+            assert float(model.gradient @ d) < 0.0
 
     @pytest.mark.parametrize("r_diag", [EPS_R, 0.0])
     def test_solve_at_rest_with_full_tracking_weight(self, r_diag):
@@ -515,11 +526,11 @@ class TestCostGate:
         # without that term
         built, starts = [], []
         gauss_newton = nmpc._gauss_newton
+        hessian = _Linearization.hessian
 
-        class Spy(_GaussNewtonModel):
-            def __init__(self, problem, fwd, second_order=False):
-                built[-1].append(second_order)
-                super().__init__(problem, fwd, second_order)
+        def spy_hessian(self, second_order):
+            built[-1].append(second_order)
+            return hessian(self, second_order)
 
         def spy_gauss_newton(*args):
             out = gauss_newton(*args)
@@ -531,7 +542,7 @@ class TestCostGate:
         runs = []
         for args, _ in cases:
             built.append([])
-            monkeypatch.setattr(nmpc, "_GaussNewtonModel", Spy)
+            monkeypatch.setattr(_Linearization, "hessian", spy_hessian)
             monkeypatch.setattr(nmpc, "_gauss_newton", spy_gauss_newton)
             sol = solve(*args[:6], NO_REF, warm_start=args[6])
             monkeypatch.undo()
@@ -747,13 +758,21 @@ class TestSolve:
             solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
-class TestControlStep:
+def receding_step(state, z_d, g, cfg, u_prev, u_ref, warm=None):
+    """One receding-horizon step as LVD-NMPC takes it: solve from the last
+    solution warm shifted by one step, and apply the first pair."""
+    init = None if warm is None else np.concatenate((warm[2:], warm[-2:]))
+    sol = solve(state, z_d, None, g, cfg, u_prev, u_ref, warm_start=init)
+    return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol
+
+
+class TestRecedingHorizon:
     def test_stationary_hold_emits_small_control(self):
         cfg = config(tau_o=8)
         g = GainSchedule(1.0, 1e-3)
         current = VehicleState(0.4, -0.2, 0.3)
         z_d = [current] * 8
-        u, sol = control_step(current, z_d, None, g, cfg, AT_REST, NO_REF)
+        u, sol = receding_step(current, z_d, g, cfg, AT_REST, NO_REF)
         assert math.hypot(u.v_cmd, u.omega_cmd) <= 1e-2
 
     def test_speed_converges_on_straight_line(self):
@@ -766,7 +785,7 @@ class TestControlStep:
         u = None
         for _ in range(3):
             z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
-            u, sol = control_step(state, z_d, None, g, cfg, u_prev, NO_REF, warm_start=warm)
+            u, sol = receding_step(state, z_d, g, cfg, u_prev, NO_REF, warm)
             warm = sol.u_opt
             state = step_nominal(state, u, model(cfg))
             u_prev = u
@@ -785,7 +804,7 @@ class TestControlStep:
             state, warm, u_prev = VehicleState(0.0, 0.0, 0.0), None, AT_REST
             for _ in range(40):
                 z_d = [VehicleState(state.x + v_star * cfg.dt * (i + 1), 0.0, 0.0) for i in range(8)]
-                u_prev, sol = control_step(state, z_d, None, g, cfg, u_prev, u_ref, warm_start=warm)
+                u_prev, sol = receding_step(state, z_d, g, cfg, u_prev, u_ref, warm)
                 warm = sol.u_opt
                 state = step_nominal(state, u_prev, model(cfg))
             speeds[label] = u_prev.v_cmd
@@ -796,7 +815,7 @@ class TestControlStep:
         cfg = config(tau_o=4)
         z_d = [VehicleState(0.05 * i, 0, 0) for i in range(1, 5)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            control_step(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
 def brute_force_min(current, z_d, g, cfg):
@@ -852,9 +871,11 @@ def brute_force_min(current, z_d, g, cfg):
     return best
 
 
-# Reference implementation: the solver's objective as a per-step scalar loop.
-# The array code in visionmpc.nmpc performs the same IEEE operations in the
-# same order, so it must agree exactly, not to a tolerance.
+# Reference implementation: the solver's objective as a per-step scalar loop,
+# and its gradient by the adjoint recursion. The array code in
+# visionmpc.nmpc performs the cost's IEEE operations in the same order, so
+# its cost must agree exactly, not to a tolerance; its gradient comes from
+# the Jacobian, so it agrees with the adjoint to rounding.
 
 _WRAP_PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -866,7 +887,7 @@ def _wrap_fast(a: float) -> float:
 
 class ScalarProblem:
     """The objective as a per-step loop over the horizon: the reference that
-    `_Problem`'s array code must match bit for bit."""
+    `_Problem`'s cost must match bit for bit, with its adjoint gradient."""
 
     def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
         self.T = cfg.tau_o

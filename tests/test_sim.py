@@ -573,6 +573,23 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: {key} has a non-finite value"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("old, new", [("seed 11", "seed 3.7"), ("format_version 1", "format_version 1.9")])
+    def test_non_integer_seed_and_version_are_refused_with_their_line(self, tmp_path, old, new):
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace(old + "\n", new + "\n"))
+        line = text[: text.index(old)].count("\n") + 1
+        key = old.split()[0]
+        with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: {key} must be an integer, got {new.split()[1]}"):
+            load_scenario(path)
+
+    def test_integer_valued_seed_loads_as_an_int(self, tmp_path):
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "ok.scn"
+        path.write_text(text.replace("seed 11\n", "seed 12.0\n"))
+        scenario, _ = load_scenario(path)
+        assert type(scenario.seed) is int and scenario.seed == 12
+
     def test_missing_required_keys_reported(self, tmp_path):
         path = tmp_path / "partial.scn"
         path.write_text(

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from visionmpc import controllers
+from visionmpc import nmpc
 from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.metrics import MetricsReport, aggregate
 from visionmpc.nmpc import NmpcConfig, NmpcError
@@ -106,7 +106,7 @@ def test_round_robin_visits_all_scenarios():
 def test_numeric_controller_failure_ends_only_its_episode(monkeypatch):
     # the closed loop's failure rule: an NmpcError from the solver ends the
     # episode as "error", and training goes on with the next episode
-    original = controllers.control_step
+    original = nmpc.solve
     calls = []
 
     def fails_on_third_call(*args, **kwargs):
@@ -115,7 +115,7 @@ def test_numeric_controller_failure_ends_only_its_episode(monkeypatch):
             raise NmpcError("synthetic failure")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(controllers, "control_step", fails_on_third_call)
+    monkeypatch.setattr(nmpc, "solve", fails_on_third_call)
     _, log = train([(tiny_scenario(), ModelParams())], tiny_config(), tiny_pipeline())
     assert [(rec.status, rec.steps) for rec in log] == [("error", 2), ("timeout", 8)]
 
