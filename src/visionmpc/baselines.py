@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import read_only
+from .geometry import read_only, wrap_angle
 from .memory import Observation
 from .nmpc import NmpcConfig
 from .sim import ray_bearings, signed_ray_bearings
@@ -191,18 +191,19 @@ def obstacle_points_from_observation(obs: Observation, vehicle: VehicleState, ma
 def dwa_plan(
     vehicle: VehicleState,
     obstacle_points: np.ndarray,
-    goal: VehicleState,
+    goal: tuple[float, float],
     limits: NmpcConfig,
     current_u: ControlInput,
     work: dict | None = None,
-) -> tuple[ControlInput, tuple[VehicleState, ...]]:
+) -> tuple[ControlInput, np.ndarray]:
     """Best admissible constant-control rollout: its sampled (v, omega) and its poses.
 
     The window is the set of controls within the actuator bounds of
     `limits` and reachable from current_u under its rate bounds; rollouts
-    are scored on their end heading toward `goal`. Falls back to (0, 0) and
-    the hold-pose stop trajectory when every sampled rollout collides. The
-    trajectory has limits.tau_o poses spaced limits.dt apart.
+    are scored on their end heading toward the point `goal`, (x, y). Falls
+    back to (0, 0) and the hold-pose stop trajectory when every sampled
+    rollout collides. The trajectory is a (3, limits.tau_o) path, rows x, y
+    and wrapped heading, its poses spaced limits.dt apart.
     A caller that plans every step passes one dict as `work` on every
     call, and the clearance kernel keeps its buffers there.
     """
@@ -211,7 +212,7 @@ def dwa_plan(
     horizon = limits.tau_o
     (v_lo, v_hi), (om_lo, om_hi) = limits.reachable(current_u)
     if v_lo > v_hi or om_lo > om_hi:
-        return ControlInput(0.0, 0.0), (vehicle,) * horizon
+        return ControlInput(0.0, 0.0), np.tile(((vehicle.x,), (vehicle.y,), (vehicle.rho,)), horizon)
     # the grid, speed varying fastest, as columns: each command is held over
     # its rollout, as the NMPC predicts a plan's command held
     vs = np.tile(np.linspace(v_lo, v_hi, DWA_V_SAMPLES), DWA_OMEGA_SAMPLES)[:, None]
@@ -229,9 +230,10 @@ def dwa_plan(
         min_clear = np.full(vs.shape[0], DWA_CLEARANCE_CAP + DWA_VEHICLE_RADIUS)
     admissible = min_clear > DWA_VEHICLE_RADIUS
     if not np.any(admissible):
-        return ControlInput(0.0, 0.0), (vehicle,) * horizon
+        return ControlInput(0.0, 0.0), np.tile(((vehicle.x,), (vehicle.y,), (vehicle.rho,)), horizon)
 
-    to_goal = np.arctan2(goal.y - xy[1, :, n_steps - 1], goal.x - xy[0, :, n_steps - 1])
+    gx, gy = goal
+    to_goal = np.arctan2(gy - xy[1, :, n_steps - 1], gx - xy[0, :, n_steps - 1])
     off_goal = to_goal - heads[:, n_steps]
     misalign = np.abs(np.arctan2(np.sin(off_goal), np.cos(off_goal)))
     heading_score = 1.0 - misalign / math.pi
@@ -245,8 +247,8 @@ def dwa_plan(
     )
     score = np.where(admissible, score, -np.inf)
     best = int(np.argmax(score))
-    poses = zip(xy[0, best, :horizon].tolist(), xy[1, best, :horizon].tolist(), heads[best, 1:horizon + 1].tolist())
-    return ControlInput(float(vs[best, 0]), float(omegas[best, 0])), tuple(VehicleState(*pose) for pose in poses)
+    plan = np.vstack((xy[:, best, :horizon], wrap_angle(heads[best, 1:horizon + 1])))
+    return ControlInput(float(vs[best, 0]), float(omegas[best, 0])), plan
 
 
 @cache

@@ -218,6 +218,11 @@ def _cmd_evaluate(args) -> int:
     for key in ("method", "scenario", "trials"):
         if key not in manifest:
             raise CliError(f"manifest in {logs_dir} has no {key!r} key")
+    for key in ("method", "scenario"):
+        if not isinstance(manifest[key], str):
+            raise CliError(f"manifest in {logs_dir}: {key!r} must be a string")
+    if not (isinstance(manifest["trials"], list) and all(isinstance(name, str) for name in manifest["trials"])):
+        raise CliError(f"manifest in {logs_dir}: 'trials' must be a list of strings")
     scenario, _ = _load_scenario(manifest["scenario"])
     outcomes = []
     for name in manifest["trials"]:

@@ -120,10 +120,10 @@ class _BoundedController:
 
 def lvd_desired_path(
     route: Polyline, s0: float, dyn: SceneDynamics, state: VehicleState, cfg: NmpcConfig
-) -> tuple[VehicleState, ...]:
+) -> np.ndarray:
     """The desired trajectory of the scene pair dyn under the capped bounds
-    cfg: the route slice ahead of arc length s0 at the scene speed
-    dyn.w * cfg.u_max.v_cmd, corrected by dyn."""
+    cfg, a (3, tau_o) path: the route slice ahead of arc length s0 at the
+    scene speed dyn.w * cfg.u_max.v_cmd, corrected by dyn."""
     ref = reference_slice(route, s0, cfg.tau_o, cfg.dt, max(dyn.w * cfg.u_max.v_cmd, 1e-6))
     return desired_trajectory(ref, dyn, state)
 
@@ -214,8 +214,7 @@ class DwaNmpcController(_BoundedController):
         # local goal well beyond the rollout reach, else end-heading scoring
         # punishes every fast rollout for overshooting it
         tau_goal = max(cfg.tau_o, int(round(2.0 * DWA_HORIZON_S / cfg.dt)))
-        goal_xy, goal_rho = self._scenario.route_polyline.sample(s + v_full * cfg.dt * tau_goal)
-        goal = VehicleState(*goal_xy[0].tolist(), float(goal_rho[0]))
+        goal = self._scenario.route_polyline.point_at(s + v_full * cfg.dt * tau_goal)
         u_plan, plan = dwa_plan(state, points, goal, cfg, self._u_prev, self._work)
         held = np.tile((u_plan.v_cmd, u_plan.omega_cmd), cfg.tau_o)
         pair = SceneDynamics(*pair_of_control(u_plan, v_full, cfg.wheelbase_L))

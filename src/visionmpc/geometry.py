@@ -29,9 +29,9 @@ each segment's endpoints (also as coordinate rows), `b - a` and its
 `Polyline.project` is the per-point form that `sim_step` calls every step,
 and `project_batch` the form for a whole trial log; both give the same bits
 and resolve ties the same way. Likewise `Polyline.point_at` is the
-per-point form of `sample` that places a moving obstacle every step. Every
-cached array is read-only (`read_only`), so no caller can change what later
-calls read.
+per-point form of `sample` that places a moving obstacle every step and
+the DWA-NMPC goal. Every cached array is read-only (`read_only`), so no
+caller can change what later calls read.
 """
 
 import bisect
@@ -48,8 +48,9 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(angle):
+    """Wrap an angle, or an array of them elementwise, to (-pi, pi]: numpy's
+    % on floats rounds as Python's does, so both give the same bits."""
     return math.pi - (math.pi - angle) % TWO_PI
 
 

@@ -54,7 +54,7 @@ one step.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -96,20 +96,11 @@ class NmpcConfig:
     iteration lowers the cost by no more than f_tol relative to it, or after
     max_iters iterations; its defaults are the ones every pipeline runs.
 
-    max_iters is the budget of one control period, 4 Gauss-Newton
-    iterations: the smallest budget at which every recorded solve of the
-    cost gate in tests/test_nmpc.py still ends within 1e-3 of the cost the
-    former solver reached, and DWA-NMPC on seeds 1-20 reaches the same
-    goals with no crash as at 40. Of the 402 recorded solves, 34 run past
-    the fourth iteration at their recorded budgets, and every one meets
-    the gradient tolerance within 8; the iterations past the fourth lower
-    their cost by a median relative 2e-5. A solution's `converged`
-    therefore means that the gradient tolerance was met within the
-    budget. Every DWA-NMPC solve meets it at its start, the plan's command
-    held, and runs no iteration; LVD-NMPC solves under the pipeline of the
-    train_short benchmark (perfbench/run.py: tau_o 10, max_iters 25; the
-    CLI's train command runs tau_o 10 at the default budget) meet it in
-    all of the steps of that workload, at a p95 of 3 iterations.
+    max_iters is the budget of one control period, 4 iterations: the
+    smallest at which every recorded solve of the cost gate in
+    tests/test_nmpc.py ends within 1e-3 of its recorded cost. A solution's
+    `converged` means that the gradient tolerance was met within the
+    budget.
     """
 
     tau_o: int = 20
@@ -193,7 +184,7 @@ class _Problem:
     bit-identical to a loop over the horizon.
     """
 
-    def __init__(self, current, zd_states, residual, g, cfg, u_prev, u_ref, penalty):
+    def __init__(self, current, z_d, residual, g, cfg, u_prev, u_ref, penalty):
         T = cfg.tau_o
         self.T = T
         self.cfg = cfg
@@ -212,10 +203,12 @@ class _Problem:
             if not np.isfinite(arr).all():
                 raise NmpcError("non-finite residual")
             self.residual = arr
-        self.zd = np.array([[z.x for z in zd_states], [z.y for z in zd_states]])
-        self.rd = np.array([z.rho for z in zd_states])
+        z_d = np.asarray(z_d, dtype=float)
+        if not np.isfinite(z_d).all():
+            raise NmpcError("non-finite desired trajectory")
+        self.zd, self.rd = z_d[:2], z_d[2]
         # e_lat = -sin(rho_d) * ex + cos(rho_d) * ey in the desired-pose frame
-        self.lat = np.array([[-math.sin(z.rho) for z in zd_states], [math.cos(z.rho) for z in zd_states]])
+        self.lat = np.array([-np.sin(self.rd), np.cos(self.rd)])
         # the penalized quantities share one buffer, [u_prev | u | rates | e_lat];
         # rate k is taken against control k-1, the first against u_prev
         self.box = np.empty(2 + 5 * T)
@@ -615,7 +608,7 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, max_iters: int, grad_tol: f
 
 def solve(
     current: VehicleState,
-    z_d: Sequence[VehicleState],
+    z_d: np.ndarray,
     residual,
     g: GainSchedule,
     cfg: NmpcConfig,
@@ -625,8 +618,10 @@ def solve(
 ) -> NmpcSolution:
     """Minimize the penalized tracking objective over the control sequence.
 
-    u_prev, the control last applied, anchors the first rate constraint;
-    the input term prices every control against u_ref.
+    z_d, the desired path, is a (3, tau_o) array whose rows are x, y and
+    heading; a z_d of another shape is a ValueError and a non-finite one an
+    NmpcError. u_prev, the control last applied, anchors the first rate
+    constraint; the input term prices every control against u_ref.
     warm_start, a flat control array like NmpcSolution.u_opt, is projected
     onto the bounds and used as the initial iterate. The returned controls
     satisfy actuator and rate bounds exactly; the returned cost never
@@ -634,8 +629,8 @@ def solve(
     runs, as when that iterate already meets the gradient tolerance, it is
     returned with its cost as it is, neither projected nor evaluated again.
     """
-    if len(z_d) != cfg.tau_o:
-        raise ValueError(f"desired trajectory length {len(z_d)} differs from tau_o {cfg.tau_o}")
+    if np.shape(z_d) != (3, cfg.tau_o):
+        raise ValueError(f"desired trajectory shape {np.shape(z_d)} differs from (3, tau_o) = (3, {cfg.tau_o})")
     x0 = np.zeros(2 * cfg.tau_o) if warm_start is None else np.asarray(warm_start, dtype=float)
     if x0.shape != (2 * cfg.tau_o,):
         raise ValueError(f"warm start shape {x0.shape} differs from (2 * tau_o,)")

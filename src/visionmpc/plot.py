@@ -77,7 +77,7 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
                 dyn = SceneDynamics(rec.c, min(max(rec.w, 0.0), 1.0))
                 s0, _ = route.project((state.x, state.y))
                 z_d = lvd_desired_path(route, s0, dyn, state, limits)
-                canvas.polyline([(z.x, z.y) for z in z_d], "#22aa55", width=1.5, dash="3,3")
+                canvas.polyline(z_d[:2].T, "#22aa55", width=1.5, dash="3,3")
             except ValueError:
                 continue
     gx, gy = scenario.route[-1]

@@ -22,7 +22,6 @@ import numpy as np
 from .memory import MemoryEntry
 from .scene import SceneDynamics
 from .sim import RaySensorConfig
-from .vehicle import VehicleState
 
 CHECKPOINT_VERSION = 6
 
@@ -99,20 +98,22 @@ def input_size(n_history: int, n_rays: int, tau_o: int) -> int:
     return n_history * n_rays + 2 * tau_o + n_history
 
 
-def featurize(window: Sequence[MemoryEntry], ref_slice: Sequence[VehicleState], max_range: float) -> np.ndarray:
+def featurize(window: Sequence[MemoryEntry], ref_slice: np.ndarray, max_range: float) -> np.ndarray:
     """Stacked memory features in the frame of the newest entry.
 
-    Layout: ray distances over max_range per entry (oldest first), reference
-    waypoints as (x, y) in the current vehicle frame, then a derived speed
-    per entry (position difference over time difference, zero when padded).
-    The layout follows the inputs: every scan must have the first one's ray
-    count, and the length is `input_size(len(window), ray count,
-    len(ref_slice))`.
+    Layout: ray distances over max_range per entry (oldest first), the
+    reference slice's waypoints, a (3, T) path as `sim.reference_slice`
+    returns it, as (x, y) in the current vehicle frame, then a derived
+    speed per entry (position difference over time difference, zero when
+    padded). The layout follows the inputs: every scan must have the first
+    one's ray count, and the length is `input_size(len(window), ray count,
+    T)`.
     """
     if len(window) == 0:
         raise ValueError("featurize() needs a non-empty window")
     n_rays = window[0].observation.rays.shape[0]
-    out = np.empty(input_size(len(window), n_rays, len(ref_slice)))
+    n_ref = ref_slice.shape[1]
+    out = np.empty(input_size(len(window), n_rays, n_ref))
     pos = 0
     for entry in window:
         rays = entry.observation.rays
@@ -122,11 +123,10 @@ def featurize(window: Sequence[MemoryEntry], ref_slice: Sequence[VehicleState], 
         pos += n_rays
     current = window[-1].state
     cos_r, sin_r = math.cos(-current.rho), math.sin(-current.rho)
-    for z in ref_slice:
-        dx, dy = z.x - current.x, z.y - current.y
-        out[pos] = cos_r * dx - sin_r * dy
-        out[pos + 1] = sin_r * dx + cos_r * dy
-        pos += 2
+    dx, dy = ref_slice[0] - current.x, ref_slice[1] - current.y
+    out[pos : pos + 2 * n_ref : 2] = cos_r * dx - sin_r * dy
+    out[pos + 1 : pos + 2 * n_ref : 2] = sin_r * dx + cos_r * dy
+    pos += 2 * n_ref
     for i, entry in enumerate(window):
         if i == 0:
             out[pos] = 0.0

@@ -9,7 +9,8 @@ schedule and the reference control; and it maps a control back to its pair.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -69,38 +70,26 @@ def project_path(d: SceneDynamics, rho: float, xs) -> np.ndarray:
     return -rho * (xs - xs[-1:]) + 0.5 * d.c * xs ** 2
 
 
-def desired_trajectory(
-    ref_slice: Sequence[VehicleState],
-    d: SceneDynamics,
-    current: VehicleState,
-) -> tuple[VehicleState, ...]:
+def desired_trajectory(ref_slice: np.ndarray, d: SceneDynamics, current: VehicleState) -> np.ndarray:
     """Reference slice plus the scene-dynamics correction, one pose per slice pose.
 
-    The correction is evaluated in the vehicle frame at cumulative
-    arc-length samples along the slice, then rotated into world
-    coordinates and added to the reference poses. Headings pick up the
-    slope of the curvature term (the correction is positional in the
-    lateral channel).
+    ref_slice and the result are (3, T) paths: rows x, y and heading. The
+    correction is evaluated in the vehicle frame at cumulative arc-length
+    samples along the slice, then rotated into world coordinates and added
+    to the reference poses. Headings pick up the slope of the curvature
+    term (the correction is positional in the lateral channel).
     """
-    n = len(ref_slice)
-    # arc-length samples measured from the current position through the slice
-    xs = np.empty(n)
-    prev_x, prev_y = current.x, current.y
-    acc = 0.0
-    for i, z in enumerate(ref_slice):
-        acc += math.hypot(z.x - prev_x, z.y - prev_y)
-        xs[i] = acc
-        prev_x, prev_y = z.x, z.y
-    rho_rel = wrap_angle(current.rho - ref_slice[0].rho)
-    ys = project_path(d, rho_rel, xs)
-    states = []
-    for z, y_off, x_i in zip(ref_slice, ys, xs):
-        ox, oy = rotate(0.0, float(y_off), current.rho)
-        # headings carry the curvature channel only; folding the relative
-        # heading into the targets destabilizes steady curve tracking
-        heading = wrap_angle(z.rho + math.atan(d.c * float(x_i)))
-        states.append(VehicleState(z.x + ox, z.y + oy, heading))
-    return tuple(states)
+    # arc-length samples measured from the current position through the
+    # slice, in Python floats: math.hypot and math.atan, as np.hypot and
+    # np.arctan round differently on some inputs
+    x, y = ref_slice[0].tolist(), ref_slice[1].tolist()
+    xs = list(accumulate(map(math.hypot, map(sub, x, [current.x] + x[:-1]), map(sub, y, [current.y] + y[:-1]))))
+    rho_rel = wrap_angle(current.rho - float(ref_slice[2, 0]))
+    ox, oy = rotate(0.0, project_path(d, rho_rel, xs), current.rho)
+    # headings carry the curvature channel only; folding the relative
+    # heading into the targets destabilizes steady curve tracking
+    turn = [math.atan(d.c * x_i) for x_i in xs]
+    return np.vstack((ref_slice[0] + ox, ref_slice[1] + oy, wrap_angle(ref_slice[2] + turn)))
 
 
 def residual_h(d: SceneDynamics, rho: float) -> np.ndarray:
@@ -113,8 +102,8 @@ def residual_h(d: SceneDynamics, rho: float) -> np.ndarray:
     return np.array([wx, wy, RESIDUAL_K_C * d.c])
 
 
-def dynamics_from_trajectory(traj: Sequence[VehicleState], v: float, v_max: float) -> SceneDynamics:
-    """Recover (c, w) from a trajectory and the agent speed.
+def dynamics_from_trajectory(traj: np.ndarray, v: float, v_max: float) -> SceneDynamics:
+    """Recover (c, w) from a (3, T) path and the agent speed.
 
     Curvature is 2*a2 of the least-squares quadratic fit in the frame of
     the first pose; w = v / v_max clamped to [0, 1].
@@ -123,9 +112,9 @@ def dynamics_from_trajectory(traj: Sequence[VehicleState], v: float, v_max: floa
         raise ValueError("v_max must be positive")
     if not (0.0 <= v <= v_max):
         raise ValueError(f"v must be in [0, v_max], got {v}")
-    if len(traj) < 3:
+    if traj.shape[1] < 3:
         raise ValueError("need at least 3 trajectory points")
-    c = fit_curvature([z.x for z in traj], [z.y for z in traj], traj[0].rho)
+    c = fit_curvature(traj[0], traj[1], float(traj[2, 0]))
     return SceneDynamics(c, min(max(v / v_max, 0.0), 1.0))
 
 

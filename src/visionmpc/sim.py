@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
-from .geometry import Polyline, SegmentSet, offset_polyline, ray_circle_hits, ray_fan_segment_hits, read_only
+from .geometry import Polyline, SegmentSet, offset_polyline, ray_circle_hits, ray_fan_segment_hits, read_only, wrap_angle
 from .memory import Observation
 from .nmpc import NmpcError
 from .vehicle import ControlInput, ModelParams, VehicleState, require_finite, step_true
@@ -240,19 +240,20 @@ def sense(world: World) -> Observation:
     return Observation(rays=dist, timestamp=world.t)
 
 
-def reference_slice(route: Polyline, s0: float, tau_o: int, dt: float, v_ref: float) -> list[VehicleState]:
+def reference_slice(route: Polyline, s0: float, tau_o: int, dt: float, v_ref: float) -> np.ndarray:
     """tau_o route poses ahead of arc length s0, spaced v_ref * dt in arc length.
 
-    s0 is the vehicle's projection onto the route; headings are route
-    tangents. Past the route end the final waypoint is repeated with the
-    final tangent heading.
+    Returns a path: a (3, tau_o) array whose rows are x, y and the heading
+    wrapped to (-pi, pi]. s0 is the vehicle's projection onto the route;
+    headings are route tangents. Past the route end the final waypoint is
+    repeated with the final tangent heading.
     """
     if v_ref <= 0.0:
         raise ValueError("v_ref must be positive")
     if tau_o < 1 or dt <= 0.0:
         raise ValueError("tau_o and dt must be positive")
     points, headings = route.sample(s0 + v_ref * dt * np.arange(1, tau_o + 1))
-    return [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
+    return np.vstack((points.T, wrap_angle(headings)))
 
 
 def in_goal(world: World) -> bool:

@@ -29,8 +29,9 @@ from visionmpc.vehicle import ControlInput, VehicleState, rollout
 LIMITS = NmpcConfig()
 
 
-def straight_ref(n=12, spacing=0.05, y=0.0):
-    return [VehicleState((i + 1) * spacing, y, 0.0) for i in range(n)]
+def goal_ahead(n=12, spacing=0.05):
+    """The point n steps of `spacing` along the x axis: a local goal dead ahead."""
+    return (n * spacing, 0.0)
 
 
 class TestDwaPlan:
@@ -39,11 +40,12 @@ class TestDwaPlan:
         vehicle = VehicleState(0, 0, 0)
         cruise = ControlInput(0.9, 0.0)
         # goal past the rollout reach, as the controller provides
-        _, plan = dwa_plan(vehicle, np.zeros((0, 2)), straight_ref(n=60, spacing=0.05)[-1], lim, cruise)
+        _, plan = dwa_plan(vehicle, np.zeros((0, 2)), goal_ahead(n=60, spacing=0.05), lim, cruise)
+        assert plan.shape == (3, 10)
         # fastest admissible speed within the window, essentially straight
-        v_sel = math.hypot(plan[0].x, plan[0].y) / lim.dt
+        v_sel = math.hypot(plan[0, 0], plan[1, 0]) / lim.dt
         assert v_sel == pytest.approx(min(lim.u_max.v_cmd, cruise.v_cmd + lim.du_max.v_cmd * lim.dt), abs=1e-9)
-        assert abs(plan[-1].y) < 0.05
+        assert abs(plan[1, -1]) < 0.05
 
     def test_blocked_straight_path_swerves_clear(self):
         vehicle = VehicleState(0, 0, 0)
@@ -51,11 +53,11 @@ class TestDwaPlan:
         xs = np.full(9, 0.7)
         ys = np.linspace(-0.45, 0.25, 9)
         points = np.stack([xs, ys], axis=1)
-        goal = straight_ref(n=60)[-1]
+        goal = goal_ahead(n=60)
         lim = NmpcConfig(tau_o=20)
         _, plan = dwa_plan(vehicle, points, goal, lim, ControlInput(0.5, 0.0))
         clearance = min(
-            math.hypot(z.x - p[0], z.y - p[1]) for z in plan for p in points
+            math.hypot(x - p[0], y - p[1]) for x, y in plan[:2].T.tolist() for p in points
         )
         assert clearance > DWA_VEHICLE_RADIUS
         # exhaustive rescoring confirms the selected rollout is admissible-optimal
@@ -65,8 +67,9 @@ class TestDwaPlan:
         vehicle = VehicleState(0, 0, 0)
         angles = np.linspace(-math.pi, math.pi, 120, endpoint=False)
         ring = np.stack([0.12 * np.cos(angles), 0.12 * np.sin(angles)], axis=1)
-        u, plan = dwa_plan(vehicle, ring, straight_ref()[-1], NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
-        assert all(z == vehicle for z in plan)
+        u, plan = dwa_plan(vehicle, ring, goal_ahead(), NmpcConfig(tau_o=8), ControlInput(0.3, 0.0))
+        assert plan.shape == (3, 8)
+        assert all(pose == [vehicle.x, vehicle.y, vehicle.rho] for pose in plan.T.tolist())
         assert u == ControlInput(0.0, 0.0)
 
     def test_command_is_a_sampled_pair_whose_rollout_is_the_plan(self):
@@ -76,7 +79,7 @@ class TestDwaPlan:
             lim = NmpcConfig(tau_o=int(rng.choice((10, 20))))
             vehicle = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
             points = vehicle_frame_points(vehicle, rng.uniform(-1.0, 2.5, size=(int(rng.integers(0, 30)), 2)))
-            goal = VehicleState(vehicle.x + 3.0, vehicle.y + rng.uniform(-2, 2), 0.0)
+            goal = (vehicle.x + 3.0, vehicle.y + rng.uniform(-2, 2))
             current = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
             u, plan = dwa_plan(vehicle, points, goal, lim, current)
             (v_lo, v_hi), (om_lo, om_hi) = lim.reachable(current)
@@ -91,11 +94,32 @@ class TestDwaPlan:
             # stop's hold-pose included
             T = lim.tau_o
             xy, rho, _ = rollout(vehicle, np.full(T, u.v_cmd), np.full(T, u.omega_cmd), T, lim)
-            assert [z.x for z in plan] == xy[0].tolist()
-            assert [z.y for z in plan] == xy[1].tolist()
-            assert [z.rho for z in plan] == [wrap_angle(r) for r in rho[1:].tolist()]
+            assert plan.shape == (3, T)
+            assert plan[0].tolist() == xy[0].tolist()
+            assert plan[1].tolist() == xy[1].tolist()
+            assert plan[2].tolist() == [wrap_angle(r) for r in rho[1:].tolist()]
             turned += u.v_cmd > 0.0 and u.omega_cmd != 0.0
         assert turned > 10 and stops < 20
+
+    def test_plan_headings_across_the_seam_equal_the_wrapped_prediction(self):
+        # from a heading just short of +-pi, turning plans cross the seam;
+        # each planned heading is the held command's predicted one, wrapped
+        # one value at a time
+        rng = np.random.default_rng(12)
+        lim = NmpcConfig(tau_o=20)
+        crossed = 0
+        for _ in range(40):
+            side = rng.choice((-1.0, 1.0))
+            vehicle = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), side * (math.pi - rng.uniform(0.0, 0.05)))
+            c, s = math.cos(vehicle.rho + 0.6 * side), math.sin(vehicle.rho + 0.6 * side)
+            goal = (vehicle.x + 3.0 * c, vehicle.y + 3.0 * s)
+            current = ControlInput(rng.uniform(0.3, 1.0), side * rng.uniform(0.2, 0.35))
+            u, plan = dwa_plan(vehicle, np.zeros((0, 2)), goal, lim, current)
+            xy, rho, _ = rollout(vehicle, np.full(20, u.v_cmd), np.full(20, u.omega_cmd), 20, lim)
+            assert plan[0].tolist() == xy[0].tolist() and plan[1].tolist() == xy[1].tolist()
+            assert plan[2].tolist() == [wrap_angle(r) for r in rho[1:].tolist()]
+            crossed += np.any(np.abs(rho[1:]) > math.pi)
+        assert crossed > 10
 
     def test_observation_endpoints_drop_max_range_rays(self):
         rays = np.full(180, 3.0)
@@ -260,16 +284,17 @@ def test_plans_equal_those_of_the_monolithic_kernel(monkeypatch):
         points = np.stack(
             [vehicle.x + c * local[:, 0] - s * local[:, 1], vehicle.y + s * local[:, 0] + c * local[:, 1]], axis=1
         )
-        goal = VehicleState(vehicle.x + 3.0 * c, vehicle.y + 3.0 * s, vehicle.rho)
+        goal = (vehicle.x + 3.0 * c, vehicle.y + 3.0 * s)
         lim = NmpcConfig(tau_o=int(rng.choice((10, 20))))
         u = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
         scenes.append((vehicle, points, goal, lim, u))
     tiled = [dwa_plan(*scene) for scene in scenes]
     monkeypatch.setattr(baselines, "_min_clearance", monolithic_min_clearance)
     reference = [dwa_plan(*scene) for scene in scenes]
-    assert tiled == reference
+    assert len(tiled) == len(reference)
+    assert all(u == u_ref and np.array_equal(plan, ref) for (u, plan), (u_ref, ref) in zip(tiled, reference))
     # the scenes exercise swerves, not only straight free runs and stops
-    assert len({round(plan[-1].rho - scene[0].rho, 6) for (_, plan), scene in zip(tiled, scenes)}) > 50
+    assert len({round(plan[2, -1] - scene[0].rho, 6) for (_, plan), scene in zip(tiled, scenes)}) > 50
 
 
 def _independent_best_is_admissible(vehicle, points, goal, lim, current_u, plan):
@@ -298,7 +323,7 @@ def _independent_best_is_admissible(vehicle, points, goal, lim, current_u, plan)
                     break
             if not ok:
                 continue
-            to_goal = math.atan2(goal.y - y, goal.x - x)
+            to_goal = math.atan2(goal[1] - y, goal[0] - x)
             mis = abs(math.atan2(math.sin(to_goal - rho), math.cos(to_goal - rho)))
             score = (
                 DWA_WEIGHT_HEADING * (1 - mis / math.pi)
@@ -308,7 +333,7 @@ def _independent_best_is_admissible(vehicle, points, goal, lim, current_u, plan)
             if best is None or score > best[0]:
                 best = (score, v, om)
     assert best is not None
-    v_plan = math.hypot(plan[0].x - vehicle.x, plan[0].y - vehicle.y) / dt
+    v_plan = math.hypot(plan[0, 0] - vehicle.x, plan[1, 0] - vehicle.y) / dt
     return abs(v_plan - best[1]) < 0.15 * lim.u_max.v_cmd + 1e-9
 
 

@@ -156,7 +156,8 @@ class TestEvaluateRoundTrip:
 
 
 class TestEvaluateManifest:
-    """A manifest that lacks a key evaluate reads, or is not a JSON object, is a CLI error."""
+    """A manifest that lacks a key evaluate reads, holds one of the wrong
+    type, or is not a JSON object, is a CLI error."""
 
     def _simulated(self, tmp_path):
         out = tmp_path / "sim"
@@ -176,6 +177,28 @@ class TestEvaluateManifest:
         rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "r.csv"))
         assert rc == 1
         assert f"has no '{key}' key" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("value", [5, None, ["straight_corridor.scn"]])
+    def test_scenario_that_is_not_a_string_is_named(self, tmp_path, capsys, value):
+        self._assert_mistyped(tmp_path, capsys, "scenario", value, "'scenario' must be a string")
+
+    @pytest.mark.parametrize("value", [["x"], 5, {"name": "direct"}])
+    def test_method_that_is_not_a_string_is_named(self, tmp_path, capsys, value):
+        self._assert_mistyped(tmp_path, capsys, "method", value, "'method' must be a string")
+
+    @pytest.mark.parametrize("value", [3, "trial_000.csv", [1], ["trial_000.csv", None]])
+    def test_trials_that_are_not_a_list_of_strings_are_named(self, tmp_path, capsys, value):
+        self._assert_mistyped(tmp_path, capsys, "trials", value, "'trials' must be a list of strings")
+
+    def _assert_mistyped(self, tmp_path, capsys, key, value, message):
+        out = self._simulated(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "r.csv"))
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_manifest_that_is_not_an_object_is_an_error(self, tmp_path, capsys):

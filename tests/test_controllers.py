@@ -121,7 +121,7 @@ class TestFullSpeedIsTheCappedBound:
         scenario, _ = straight_corridor()
         cfg = controllers.speed_capped(CAPPED_PIPELINE.nmpc, scenario)
         z_d = controllers.lvd_desired_path(scenario.route_polyline, 0.0, SceneDynamics(0.0, 1.0), scenario.start, cfg)
-        steps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(z_d, z_d[1:])]
+        steps = [math.hypot(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(z_d[:2].T, z_d[:2, 1:].T)]
         assert len(steps) == cfg.tau_o - 1
         assert steps == pytest.approx([0.8 * cfg.dt] * len(steps), rel=1e-12)
 
@@ -203,8 +203,9 @@ class TestDwaSeed:
 
         def plan_spy(vehicle, *args):
             u_plan, plan = original_plan(vehicle, *args)
-            # the stop fallback holds the very pose it was given
-            plans.append(all(pose is vehicle for pose in plan))
+            # the stop fallback commands (0, 0) and holds the pose it was given
+            held = all(pose == [vehicle.x, vehicle.y, vehicle.rho] for pose in plan.T.tolist())
+            plans.append(held and u_plan == ControlInput(0.0, 0.0))
             return u_plan, plan
 
         def solve_spy(*args):

@@ -19,7 +19,7 @@ from visionmpc.geometry import wrap_angle
 from visionmpc.scene import EPS_R, GainSchedule, SceneDynamics, gain_schedule
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, rollout, step_nominal
 
-from test_vehicle import scalar_rollout
+from test_vehicle import path_of, scalar_rollout
 
 AT_REST = ControlInput(0.0, 0.0)
 # u_ref = 0: the input term prices the control itself, as before u_ref existed
@@ -132,7 +132,7 @@ class TestObjectiveInternals:
         rng = np.random.default_rng(0)
         cfg = LOOSE
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, u_ref, penalty=0.0)
+        problem = _Problem(current, path_of(z_d), None, g, cfg, AT_REST, u_ref, penalty=0.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.2, size=2 * cfg.tau_o)
             u_seq = [ControlInput(u[2 * k], u[2 * k + 1]) for k in range(cfg.tau_o)]
@@ -144,7 +144,7 @@ class TestObjectiveInternals:
         cfg = config(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
                      e_min=-10, e_max=10)
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, u_ref, penalty=0.0)
+        problem = _Problem(current, path_of(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, u_ref, penalty=0.0)
         worst = 0.0
         for _ in range(30):
             u = rng.uniform(-0.2, 1.0, size=2 * cfg.tau_o)
@@ -164,7 +164,7 @@ class TestObjectiveInternals:
         rng = np.random.default_rng(2)
         cfg = config(tau_o=4)
         current, z_d, g, _ = random_problem(rng, cfg)
-        problem = _Problem(current, tuple(z_d), None, g, cfg, ControlInput(0.2, 0.0), u_ref, penalty=100.0)
+        problem = _Problem(current, path_of(z_d), None, g, cfg, ControlInput(0.2, 0.0), u_ref, penalty=100.0)
         for _ in range(10):
             u = rng.uniform(-0.5, 1.5, size=2 * cfg.tau_o)
             grad = gradient_at(problem, u)
@@ -195,8 +195,8 @@ def hinge_active_problem(rng, tau_o, with_residual, with_u_ref=False):
     u_prev = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.35, 0.35))
     g = GainSchedule(rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0))
     u_ref = ControlInput(rng.uniform(0.0, 1.0), rng.uniform(-0.5, 0.5)) if with_u_ref else NO_REF
-    args = (current, tuple(z_d), residual, g, cfg, u_prev, u_ref, 1e3 * rng.uniform(0.5, 4.0))
-    return cfg, u_prev, _Problem(*args), ScalarProblem(*args)
+    args = (residual, g, cfg, u_prev, u_ref, 1e3 * rng.uniform(0.5, 4.0))
+    return cfg, u_prev, _Problem(current, path_of(z_d), *args), ScalarProblem(current, z_d, *args)
 
 
 def worst_excess(fwd):
@@ -270,7 +270,7 @@ class TestGaussNewton:
             # headings start near the seam and steer across it
             current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.0, 0.05))
             z_d = [VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1)) for _ in range(8)]
-            problem = _Problem(current, tuple(z_d), rng.uniform(-0.02, 0.02, size=3), GainSchedule(1.0, 0.1),
+            problem = _Problem(current, path_of(z_d), rng.uniform(-0.02, 0.02, size=3), GainSchedule(1.0, 0.1),
                                cfg, AT_REST, u_ref, PENALTY_WEIGHT)
             u = np.empty(16)
             u[0::2] = rng.uniform(0.2, 1.0, size=8)
@@ -307,7 +307,7 @@ class TestGaussNewton:
         for trial in range(20):
             current = VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), math.pi - rng.uniform(0.0, 0.05))
             z_d = [VehicleState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3.1, 3.1)) for _ in range(8)]
-            problem = _Problem(current, tuple(z_d), rng.uniform(-0.02, 0.02, size=3),
+            problem = _Problem(current, path_of(z_d), rng.uniform(-0.02, 0.02, size=3),
                                GainSchedule(rng.uniform(0.1, 1.0), rng.uniform(0.01, 1.0)),
                                cfg, AT_REST, u_ref, penalty=0.0)
             u = np.empty(16)
@@ -345,7 +345,7 @@ class TestGaussNewton:
                 # near a control sequence that its desired poses are the rollout of
                 cfg = config(tau_o=10)
                 current, z_d, g, u_seq = random_problem(rng, cfg)
-                problem = _Problem(current, tuple(z_d), None, g, cfg, AT_REST, U_REF, PENALTY_WEIGHT)
+                problem = _Problem(current, path_of(z_d), None, g, cfg, AT_REST, U_REF, PENALTY_WEIGHT)
                 u = np.array([c for ui in u_seq for c in (ui.v_cmd, ui.omega_cmd)]) + rng.normal(scale=1e-3, size=20)
             fwd = problem.forward(u)[1]
             jac = problem.jacobian(fwd)
@@ -436,10 +436,10 @@ class TestGaussNewton:
         g = SimpleNamespace(q_diag=1.0, r_diag=r_diag)
         cfg = NmpcConfig(tau_o=10, max_iters=25)
         at_rest = [VehicleState(0.0, 0.0, 0.0)] * 10
-        sol = solve(VehicleState(0.0, 0.0, 0.0), at_rest, None, g, cfg, AT_REST, NO_REF)
+        sol = solve(VehicleState(0.0, 0.0, 0.0), path_of(at_rest), None, g, cfg, AT_REST, NO_REF)
         assert np.isfinite(sol.u_opt).all() and math.isfinite(sol.cost)
         moving = [VehicleState(0.05 * (k + 1), 0.0, 0.0) for k in range(10)]
-        sol = solve(VehicleState(0.0, 0.0, 0.0), moving, None, g, cfg, AT_REST, NO_REF)
+        sol = solve(VehicleState(0.0, 0.0, 0.0), path_of(moving), None, g, cfg, AT_REST, NO_REF)
         assert np.isfinite(sol.u_opt).all()
         assert 0.0 < sol.u_opt[0] <= cfg.du_max.v_cmd * cfg.dt
 
@@ -460,7 +460,7 @@ def fixture_cases(data, tag):
         warm = data[f"{tag}_warm"][i]
         yield (
             VehicleState(*data[f"{tag}_state"][i]),
-            tuple(VehicleState(*row) for row in data[f"{tag}_z_d"][i]),
+            data[f"{tag}_z_d"][i].T,
             data[f"{tag}_residual"][i],
             GainSchedule(*data[f"{tag}_gains"][i]),
             cfg,
@@ -629,7 +629,7 @@ class TestSolve:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             current, z_d, _, u_true = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
+            sol = solve(current, path_of(z_d), None, g, cfg, AT_REST, NO_REF)
             assert sol.cost <= 1e-4
             for (v, omega), want in zip(sol.u_opt.reshape(-1, 2), u_true):
                 assert v == pytest.approx(want.v_cmd, abs=1e-2)
@@ -640,7 +640,7 @@ class TestSolve:
         for seed in range(3):
             rng = np.random.default_rng(100 + seed)
             current, z_d, g, _ = random_problem(rng, cfg)
-            sol = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
+            sol = solve(current, path_of(z_d), None, g, cfg, AT_REST, NO_REF)
             oracle = brute_force_min(current, z_d, g, cfg)
             assert sol.cost <= 1.05 * oracle + 1e-12
 
@@ -660,9 +660,9 @@ class TestSolve:
             ]
             residual = rng.uniform(-0.01, 0.01, size=3)
             u_prev = ControlInput(0.5, 0.2)
-            sol = solve(current, z_d, residual, g, cfg, u_prev, U_REF)
+            sol = solve(current, path_of(z_d), residual, g, cfg, u_prev, U_REF)
             t_current, t_z_d, t_residual = rotate_scene(-math.pi / 2, current, z_d, residual)
-            turned = solve(t_current, t_z_d, t_residual, g, cfg, u_prev, U_REF)
+            turned = solve(t_current, path_of(t_z_d), t_residual, g, cfg, u_prev, U_REF)
             assert sol.converged and turned.converged
             assert np.abs(sol.u_opt - turned.u_opt).max() <= 1e-9
             # the first prediction crosses the seam, the turned one does not
@@ -681,7 +681,7 @@ class TestSolve:
         g = gain_schedule(SceneDynamics(0.0, 0.6))
         start = np.tile((U_REF.v_cmd, U_REF.omega_cmd), cfg.tau_o)
         projected = nmpc._clip_chain(start, cfg, U_REF)
-        cost = _Problem(current, z_d, None, g, cfg, U_REF, U_REF, PENALTY_WEIGHT).value(projected)
+        cost = _Problem(current, path_of(z_d), None, g, cfg, U_REF, U_REF, PENALTY_WEIGHT).value(projected)
         calls = []
 
         def counted(name, fn):
@@ -692,7 +692,7 @@ class TestSolve:
 
         monkeypatch.setattr(nmpc, "_clip_chain", counted("project", nmpc._clip_chain))
         monkeypatch.setattr(_Problem, "forward", counted("evaluate", _Problem.forward))
-        sol = solve(current, z_d, None, g, cfg, U_REF, U_REF, warm_start=start)
+        sol = solve(current, path_of(z_d), None, g, cfg, U_REF, U_REF, warm_start=start)
         assert sol.iterations == 0 and sol.converged
         assert np.array_equal(sol.u_opt, projected)
         assert sol.cost == cost
@@ -702,8 +702,8 @@ class TestSolve:
         rng = np.random.default_rng(5)
         cfg = config(tau_o=5, max_iters=300)
         current, z_d, g, _ = random_problem(rng, cfg)
-        first = solve(current, z_d, None, g, cfg, AT_REST, NO_REF)
-        again = solve(current, z_d, None, g, cfg, AT_REST, NO_REF, warm_start=first.u_opt)
+        first = solve(current, path_of(z_d), None, g, cfg, AT_REST, NO_REF)
+        again = solve(current, path_of(z_d), None, g, cfg, AT_REST, NO_REF, warm_start=first.u_opt)
         assert again.converged
         assert again.iterations <= 2
         for a, b in zip(first.u_opt, again.u_opt):
@@ -713,8 +713,8 @@ class TestSolve:
         rng = np.random.default_rng(9)
         cfg = config(tau_o=8)
         current, z_d, g, _ = random_problem(rng, cfg)
-        a = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
-        b = solve(current, z_d, [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
+        a = solve(current, path_of(z_d), [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
+        b = solve(current, path_of(z_d), [0.0, 0.01, 0.0], g, cfg, ControlInput(0.1, 0.0), U_REF)
         assert np.array_equal(a.u_opt, b.u_opt)
         assert a.cost == b.cost
         assert a.iterations == b.iterations
@@ -726,7 +726,7 @@ class TestSolve:
         current = VehicleState(0, 0, 0)
         z_d = [VehicleState(0.5 * (i + 1), 0.0, 0.0) for i in range(6)]  # 10 m/s
         u_prev = ControlInput(0.0, 0.0)
-        sol = solve(current, z_d, None, g, cfg, u_prev, NO_REF)
+        sol = solve(current, path_of(z_d), None, g, cfg, u_prev, NO_REF)
         prev = u_prev
         for u in (ControlInput(v, omega) for v, omega in sol.u_opt.reshape(-1, 2)):
             assert cfg.u_min.v_cmd <= u.v_cmd <= cfg.u_max.v_cmd
@@ -740,29 +740,46 @@ class TestSolve:
     def test_desired_length_mismatch(self):
         cfg = config(tau_o=4)
         with pytest.raises(ValueError):
-            solve(VehicleState(0, 0, 0), [VehicleState(0, 0, 0)] * 3, None, GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), path_of([VehicleState(0, 0, 0)] * 3), None, GainSchedule(1, 0.5), cfg, AT_REST,
+                  NO_REF)
+
+    def test_desired_trajectory_of_another_shape_is_a_value_error(self):
+        cfg = config(tau_o=4)
+        z_d = path_of([VehicleState(0.1 * i, 0, 0) for i in range(1, 5)])
+        for bad in (z_d.T, z_d[:2], z_d[:, :3], tuple(VehicleState(*pose) for pose in z_d.T.tolist())):
+            with pytest.raises(ValueError, match="desired trajectory shape"):
+                solve(VehicleState(0, 0, 0), bad, None, GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_desired_trajectory_raises_nmpc_error(self, row, value):
+        cfg = config(tau_o=3)
+        z_d = path_of([VehicleState(0.1 * i, 0, 0) for i in range(1, 4)])
+        z_d[row, 1] = value
+        with pytest.raises(NmpcError, match="non-finite desired trajectory"):
+            solve(VehicleState(0, 0, 0), z_d, None, GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
     def test_non_finite_residual_raises_nmpc_error(self):
         cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with pytest.raises(NmpcError, match="non-finite residual"):
-            solve(VehicleState(0, 0, 0), z_d, [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), path_of(z_d), [float("inf"), 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
         # a wrongly shaped residual is a caller bug, not a numeric failure
         with pytest.raises(ValueError, match="3-vector"):
-            solve(VehicleState(0, 0, 0), z_d, [0.0, 0.0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), path_of(z_d), [0.0, 0.0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
     def test_overflowing_objective_raises_with_context(self):
         cfg = config(tau_o=3)
         z_d = [VehicleState(0.1 * i, 0, 0) for i in range(1, 4)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), path_of(z_d), [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
 def receding_step(state, z_d, g, cfg, u_prev, u_ref, warm=None):
     """One receding-horizon step as LVD-NMPC takes it: solve from the last
     solution warm shifted by one step, and apply the first pair."""
     init = None if warm is None else np.concatenate((warm[2:], warm[-2:]))
-    sol = solve(state, z_d, None, g, cfg, u_prev, u_ref, warm_start=init)
+    sol = solve(state, path_of(z_d), None, g, cfg, u_prev, u_ref, warm_start=init)
     return ControlInput(float(sol.u_opt[0]), float(sol.u_opt[1])), sol
 
 
@@ -815,7 +832,7 @@ class TestRecedingHorizon:
         cfg = config(tau_o=4)
         z_d = [VehicleState(0.05 * i, 0, 0) for i in range(1, 5)]
         with np.errstate(over="ignore"), pytest.raises(NmpcError):
-            solve(VehicleState(0, 0, 0), z_d, [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
+            solve(VehicleState(0, 0, 0), path_of(z_d), [1e308, 0, 0], GainSchedule(1, 0.5), cfg, AT_REST, NO_REF)
 
 
 def brute_force_min(current, z_d, g, cfg):

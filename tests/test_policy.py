@@ -28,6 +28,8 @@ from visionmpc.policy import (
 from visionmpc.sim import RaySensorConfig
 from visionmpc.vehicle import VehicleState
 
+from test_vehicle import path_of
+
 # window length, rays per scan, sensor range and reference slice length
 N_HISTORY, N_RAYS, MAX_RANGE, TAU_O = 3, 8, 2.0, 4
 
@@ -44,7 +46,7 @@ def make_window(offset=(0.0, 0.0), n=3, rays_value=2.0):
 
 def make_ref(offset=(0.0, 0.0), n=4):
     x0 = 0.2 + offset[0]
-    return [VehicleState(x0 + 0.1 * i, offset[1], 0.0) for i in range(n)]
+    return path_of([VehicleState(x0 + 0.1 * i, offset[1], 0.0) for i in range(n)])
 
 
 class TestFeaturize:
@@ -67,6 +69,21 @@ class TestFeaturize:
         assert speeds[0] == 0.0
         assert speeds[1] == pytest.approx(0.1 / 0.05)
         assert speeds[2] == pytest.approx(0.1 / 0.05)
+
+    def test_waypoints_equal_the_per_pose_rotation(self):
+        # each waypoint is rotated into the vehicle frame as a scalar loop does it
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            current = VehicleState(*rng.uniform(-5, 5, 2).tolist(), rng.uniform(-math.pi, math.pi))
+            window = make_window()[:-1] + [MemoryEntry(Observation(np.full(N_RAYS, 1.0), 0.1), current)]
+            ref = rng.uniform(-5, 5, (3, TAU_O))
+            f = featurize(window, ref, MAX_RANGE)
+            cos_r, sin_r = math.cos(-current.rho), math.sin(-current.rho)
+            want = []
+            for x, y, _ in ref.T.tolist():
+                dx, dy = x - current.x, y - current.y
+                want += [cos_r * dx - sin_r * dy, sin_r * dx + cos_r * dy]
+            assert f[N_HISTORY * N_RAYS : N_HISTORY * N_RAYS + 2 * TAU_O].tolist() == want
 
     def test_layout_follows_the_inputs(self):
         assert featurize(make_window(n=2), make_ref(n=3), MAX_RANGE).shape == (input_size(2, N_RAYS, 3),)

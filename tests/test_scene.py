@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from visionmpc.geometry import rotate, wrap_angle
 from visionmpc.scene import (
     RESIDUAL_K_C,
     RESIDUAL_K_W,
@@ -17,6 +18,8 @@ from visionmpc.scene import (
     residual_h,
 )
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState, step_nominal
+
+from test_vehicle import path_of
 
 
 class TestProjectPath:
@@ -49,37 +52,53 @@ class TestProjectPath:
             assert np.allclose(a + b, both, atol=1e-12)
 
 
+def scalar_desired_trajectory(ref_slice, d, current):
+    """desired_trajectory as a per-pose loop over the slice's columns: the
+    oracle that the array form must equal bit for bit."""
+    xs, prev_x, prev_y, acc = [], current.x, current.y, 0.0
+    for x, y, _ in ref_slice.T.tolist():
+        acc += math.hypot(x - prev_x, y - prev_y)
+        xs.append(acc)
+        prev_x, prev_y = x, y
+    rho_rel = wrap_angle(current.rho - float(ref_slice[2, 0]))
+    ys = project_path(d, rho_rel, xs)
+    out = []
+    for (x, y, rho), y_off, x_i in zip(ref_slice.T.tolist(), ys.tolist(), xs):
+        ox, oy = rotate(0.0, y_off, current.rho)
+        out.append((x + ox, y + oy, wrap_angle(rho + math.atan(d.c * x_i))))
+    return np.array(out).T
+
+
 class TestDesiredTrajectory:
     def _straight_ref(self, n, spacing=0.05):
-        return [VehicleState((i + 1) * spacing, 0.0, 0.0) for i in range(n)]
+        return path_of([VehicleState((i + 1) * spacing, 0.0, 0.0) for i in range(n)])
 
     def test_zero_dynamics_zero_relative_heading_is_identity(self):
         ref = self._straight_ref(6)
         out = desired_trajectory(ref, SceneDynamics(0.0, 0.0), VehicleState(0, 0, 0))
-        assert len(out) == 6
-        for got, want in zip(out, ref):
-            assert got == want
+        assert out.shape == (3, 6)
+        assert np.array_equal(out, ref)
 
     def test_curvature_correction_matches_hand_evaluation(self):
         spacing = 0.1
         ref = self._straight_ref(4, spacing)
         d = SceneDynamics(0.1, 0.0)
         out = desired_trajectory(ref, d, VehicleState(0, 0, 0))
-        for i, z in enumerate(out):
+        for i, (x, y, rho) in enumerate(out.T):
             x_i = spacing * (i + 1)
             y_expected = 0.5 * d.c * x_i ** 2  # w = 0, rho_rel = 0
-            assert z.x == pytest.approx(ref[i].x, abs=1e-12)
-            assert z.y == pytest.approx(y_expected, abs=1e-12)
-            assert z.rho == pytest.approx(math.atan(d.c * x_i), abs=1e-12)
+            assert x == pytest.approx(ref[0, i], abs=1e-12)
+            assert y == pytest.approx(y_expected, abs=1e-12)
+            assert rho == pytest.approx(math.atan(d.c * x_i), abs=1e-12)
         # lateral deviation grows quadratically with longitudinal distance
-        ys = [z.y for z in out]
+        ys = out[1].tolist()
         ratios = [ys[i] / (spacing * (i + 1)) ** 2 for i in range(4)]
         assert np.allclose(ratios, 0.5 * d.c, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_one_pose_per_slice_pose(self, n):
         out = desired_trajectory(self._straight_ref(n), SceneDynamics(0.2, 0.5), VehicleState(0, 0, 0))
-        assert len(out) == n
+        assert out.shape == (3, n)
 
     @pytest.mark.parametrize("rho", [-0.3, 0.2])
     def test_long_horizon_anchors_the_heading_term_at_the_slice_end(self, rho):
@@ -87,13 +106,33 @@ class TestDesiredTrajectory:
         # relative heading offsets every pose but the last
         ref = self._straight_ref(40, 0.1)
         out = desired_trajectory(ref, SceneDynamics(0.0, 1.0), VehicleState(0, 0, rho))
-        assert out[-1] == ref[-1]
-        assert out[0] != ref[0]
+        assert np.array_equal(out[:, -1], ref[:, -1])
+        assert not np.array_equal(out[:, 0], ref[:, 0])
 
     def test_poses_at_the_vehicle_get_no_heading_offset(self):
         at_rest = VehicleState(1.0, 2.0, 0.4)
-        ref = [VehicleState(1.0, 2.0, 0.0)] * 5
-        assert desired_trajectory(ref, SceneDynamics(0.0, 0.5), at_rest) == tuple(ref)
+        ref = path_of([VehicleState(1.0, 2.0, 0.0)] * 5)
+        assert np.array_equal(desired_trajectory(ref, SceneDynamics(0.0, 0.5), at_rest), ref)
+
+    def test_equals_the_per_pose_loop(self):
+        # random slices, pairs and poses, with headings near +-pi and
+        # curvature turns that carry them across the seam
+        rng = np.random.default_rng(26)
+        crossed = 0
+        for trial in range(400):
+            n = int(rng.integers(1, 25))
+            current = VehicleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
+            side = rng.choice((-1.0, 1.0))
+            heads = side * (math.pi - rng.uniform(0.0, 0.1, n)) if trial % 2 else rng.uniform(-math.pi, math.pi, n)
+            steps = rng.uniform(0.0, 0.12, (2, n)) * rng.choice((-1.0, 1.0), (2, 1))
+            ref = np.vstack((current.x + np.cumsum(steps[0]), current.y + np.cumsum(steps[1]), wrap_angle(heads)))
+            d = SceneDynamics(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 1.0))
+            got = desired_trajectory(ref, d, current)
+            want = scalar_desired_trajectory(ref, d, current)
+            assert got.shape == want.shape == (3, n)
+            assert np.array_equal(got, want)
+            crossed += np.any(np.abs(got[2] - ref[2]) > math.pi)
+        assert crossed > 10
 
 
 class TestResidual:
@@ -114,13 +153,13 @@ class TestResidual:
 
 class TestDynamicsFromTrajectory:
     def test_collinear_full_speed(self):
-        traj = [VehicleState(0.1 * i, 0.0, 0.0) for i in range(5)]
+        traj = path_of([VehicleState(0.1 * i, 0.0, 0.0) for i in range(5)])
         d = dynamics_from_trajectory(traj, v=1.0, v_max=1.0)
         assert d.c == pytest.approx(0.0, abs=1e-12)
         assert d.w == 1.0
 
     def test_zero_speed_means_zero_width(self):
-        traj = [VehicleState(0.1 * i, 0.02 * i * i, 0.0) for i in range(5)]
+        traj = path_of([VehicleState(0.1 * i, 0.02 * i * i, 0.0) for i in range(5)])
         d = dynamics_from_trajectory(traj, v=0.0, v_max=1.0)
         assert d.w == 0.0
 
@@ -128,18 +167,18 @@ class TestDynamicsFromTrajectory:
         c_true = 0.3
         xs = np.linspace(0.0, 2.0, 15)
         ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, xs=xs)
-        traj = [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
+        traj = path_of([VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)])
         d = dynamics_from_trajectory(traj, v=0.5, v_max=1.0)
         assert d.c == pytest.approx(c_true, abs=1e-6)
         assert d.w == pytest.approx(0.5)
 
     def test_rejects_too_few_or_degenerate(self):
         with pytest.raises(ValueError):
-            dynamics_from_trajectory([VehicleState(0, 0, 0)] * 2, 0.5, 1.0)
+            dynamics_from_trajectory(path_of([VehicleState(0, 0, 0)] * 2), 0.5, 1.0)
         with pytest.raises(ValueError):
-            dynamics_from_trajectory([VehicleState(1.0, 2.0, 0.0)] * 5, 0.5, 1.0)
+            dynamics_from_trajectory(path_of([VehicleState(1.0, 2.0, 0.0)] * 5), 0.5, 1.0)
         with pytest.raises(ValueError):
-            dynamics_from_trajectory([VehicleState(0.1 * i, 0, 0) for i in range(5)], 2.0, 1.0)
+            dynamics_from_trajectory(path_of([VehicleState(0.1 * i, 0, 0) for i in range(5)]), 2.0, 1.0)
 
 
 class TestControlPairMap:
@@ -218,6 +257,6 @@ def test_roundtrip_curvature_property():
         x_hi = float(rng.uniform(0.5, 3.0))
         xs = np.linspace(0.0, x_hi, 12)
         ys = project_path(SceneDynamics(c_true, 0.0), rho=0.0, xs=xs)
-        traj = [VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
+        traj = path_of([VehicleState(float(x), float(y), 0.0) for x, y in zip(xs, ys)])
         got = dynamics_from_trajectory(traj, 0.5, 1.0).c
         assert got == pytest.approx(c_true, abs=1e-6)

@@ -36,6 +36,7 @@ from visionmpc.sim import (
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
 from test_geometry import circle_hits_oracle, fan, ray_segment_hits
+from test_vehicle import path_of
 
 
 def corridor(obstacles=(), half_width=1.0, time_limit=30.0, start=VehicleState(0, 0, 0), goal_radius=0.3):
@@ -109,16 +110,17 @@ class TestReferenceSlice:
     def test_straight_route_uniform_spacing(self):
         scenario = corridor()
         out = reference_slice(scenario.route_polyline, 0.0, tau_o=5, dt=0.1, v_ref=1.0)
-        for i, z in enumerate(out):
-            assert z.x == pytest.approx(0.1 * (i + 1), abs=1e-12)
-            assert z.y == 0.0
-            assert z.rho == 0.0
+        assert out.shape == (3, 5)
+        for i, (x, y, rho) in enumerate(out.T):
+            assert x == pytest.approx(0.1 * (i + 1), abs=1e-12)
+            assert y == 0.0
+            assert rho == 0.0
 
     def test_beyond_route_end_repeats_final_waypoint(self):
         scenario = corridor()
         out = reference_slice(scenario.route_polyline, 9.95, tau_o=4, dt=0.1, v_ref=1.0)
-        assert out[-1].x == 10.0
-        assert out[-2].x == 10.0
+        assert out[0, -1] == 10.0
+        assert out[0, -2] == 10.0
 
     def test_corner_vertex_ties_to_later_segment(self):
         scenario = Scenario(
@@ -132,9 +134,9 @@ class TestReferenceSlice:
         s0, _ = scenario.route_polyline.project((1.0, 0.0))
         out = reference_slice(scenario.route_polyline, s0, tau_o=3, dt=0.1, v_ref=1.0)
         # projection lands exactly on the corner; slice continues up the second leg
-        assert out[0].x == pytest.approx(1.0)
-        assert out[0].y == pytest.approx(0.1)
-        assert out[0].rho == pytest.approx(math.pi / 2)
+        assert out[0, 0] == pytest.approx(1.0)
+        assert out[1, 0] == pytest.approx(0.1)
+        assert out[2, 0] == pytest.approx(math.pi / 2)
 
     def test_circular_route_headings_match_tangents(self):
         pts = []
@@ -154,10 +156,11 @@ class TestReferenceSlice:
         for i in range(1, 10):
             s = 0.2 * (i + 1)
             expected = s / radius  # analytic tangent angle after arc length s
-            assert out[i].rho == pytest.approx(expected, abs=0.05)
+            assert out[2, i] == pytest.approx(expected, abs=0.05)
 
     def test_equals_per_pose_sampling(self):
-        # one array call gives exactly the poses of the per-pose loop it replaced
+        # one array call gives exactly the poses of a per-pose loop that
+        # wraps each heading as a VehicleState does
         route = Scenario(
             route=((0.0, 0.0), (1.0, 0.3), (1.7, 1.1), (1.2, 2.0)),
             half_width=0.5,
@@ -173,8 +176,27 @@ class TestReferenceSlice:
             s = min(s0 + 0.7 * 0.05 * i, route.length)
             x, y = route.sample(s)[0][0].tolist()
             want.append(VehicleState(x, y, float(route.sample(s)[1][0])))
-        assert out == want
-        assert out[-1] == VehicleState(1.2, 2.0, float(route.sample(route.length)[1][0]))  # past the end
+        assert np.array_equal(out, path_of(want))
+        end = VehicleState(1.2, 2.0, float(route.sample(route.length)[1][0]))
+        assert np.array_equal(out[:, -1], (end.x, end.y, end.rho))  # past the end
+
+    def test_headings_at_the_seam_wrap_as_a_vehicle_state_wraps_them(self):
+        # a route heading in -x: its tangents lie near +-pi, one of them at
+        # atan2(-0.0, -1) = -pi, which wraps to pi
+        rng = np.random.default_rng(8)
+        xs = -np.cumsum(rng.uniform(0.2, 0.5, 12))
+        ys = rng.uniform(-0.02, 0.02, 12)
+        ys[3], ys[4] = 0.0, -0.0
+        route = Polyline(np.column_stack((np.concatenate(([0.0], xs)), np.concatenate(([0.0], ys)))))
+        at_seam = 0
+        for s0 in rng.uniform(0.0, route.length, 50):
+            out = reference_slice(route, s0, tau_o=20, dt=0.05, v_ref=1.0)
+            points, headings = route.sample(s0 + 1.0 * 0.05 * np.arange(1, 21))
+            want = [VehicleState(x, y, rho) for (x, y), rho in zip(points.tolist(), headings.tolist())]
+            assert np.array_equal(out, path_of(want))
+            assert np.all(np.abs(out[2]) > 3.0) and np.all(out[2] > -math.pi)
+            at_seam += -math.pi in headings
+        assert at_seam > 0
 
     def test_v_ref_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,11 @@ def scalar_rollout(state, u_seq, p, residual=(0.0, 0.0, 0.0)):
     return out
 
 
+def path_of(states):
+    """The (3, T) path array, rows x, y and heading, of a sequence of VehicleStates."""
+    return np.array([[z.x for z in states], [z.y for z in states], [z.rho for z in states]])
+
+
 def poses(xy, rho):
     """One rollout's arrays as (x, y, wrapped heading) per step."""
     return [(x, y, wrap_angle(r)) for x, y, r in zip(xy[0].tolist(), xy[1].tolist(), rho[1:].tolist())]
