@@ -17,7 +17,6 @@ import numpy as np
 
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
 from .metrics import MetricsReport, aggregate, offline_report, read_offline_dataset, write_report_json
-from .nmpc import NmpcConfig
 from .policy import CandidateSet, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
 from .sim import ScenarioFormatError, StepRecord, load_scenario, read_trial_log, run_trial, with_seed, write_csv
 from .training import EpisodeRecord, check_sensor_layout, initialize_network, train
@@ -66,34 +65,39 @@ def _load_scenario_set(raw_dir):
     return [_load_scenario(p) for p in paths]
 
 
-def _pipeline_from_file(path) -> PipelineConfig:
+def _config_from_file(path, default):
+    """`default` with the keys of a JSON file decoded over it (`policy.config_from_dict`); without one, `default`."""
+    if path is None:
+        return default
+    name = type(default).__name__
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"unreadable pipeline config {path}: {exc}") from None
+        raise CliError(f"unreadable {name} file {path}: {exc}") from None
     try:
-        return config_from_dict(PipelineConfig(), raw)
+        return config_from_dict(default, raw)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid pipeline config {path}: {exc}") from None
+        raise CliError(f"invalid {name} file {path}: {exc}") from None
 
 
 def _run_pipeline(pipeline_path, checkpoint_path):
-    """The one pipeline every method runs, and the trained policy if given.
+    """The one pipeline a command runs, and the trained policy if given.
 
-    With a checkpoint, the pipeline it stores is the one; a --pipeline file
-    that decodes to a different one is an error, so a learned policy never
-    runs under other bounds, horizon or solver budget than the baselines
-    beside it. Returns (pipeline, (net, sensor) or None).
+    Every command starts from PipelineConfig(), which a --pipeline file
+    overrides. With a checkpoint, the pipeline it stores is the one; a
+    --pipeline file that decodes to a different one is an error, so a learned
+    policy never runs under other bounds, horizon or solver budget than the
+    baselines beside it. Returns (pipeline, (net, sensor) or None).
     """
-    pipeline = _pipeline_from_file(pipeline_path) if pipeline_path else None
+    pipeline = _config_from_file(pipeline_path, PipelineConfig())
     if checkpoint_path is None:
-        return pipeline or PipelineConfig(), None
+        return pipeline, None
     try:
         net, sensor, meta = load_checkpoint(checkpoint_path)
         trained = config_from_dict(PipelineConfig(), meta)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
-    if pipeline is not None and pipeline != trained:
+    if pipeline_path is not None and pipeline != trained:
         raise CliError(
             f"pipeline config {pipeline_path} differs from the pipeline checkpoint "
             f"{checkpoint_path} was trained with; omit --pipeline to run the checkpoint's"
@@ -167,22 +171,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _train_config_from_file(path, seed) -> TrainConfig:
-    try:
-        raw = json.loads(Path(path).read_text()) if path else {}
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"unreadable training config {path}: {exc}") from None
-    try:
-        cfg = config_from_dict(TrainConfig(), raw)
-        return cfg if seed is None else replace(cfg, seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid training config: {exc}") from None
-
-
 def _cmd_train(args) -> int:
     suite = _load_scenario_set(args.scenario_set)
-    cfg = _train_config_from_file(args.config, args.seed)
-    pipeline = _pipeline_from_file(args.pipeline) if args.pipeline else _default_training_pipeline()
+    cfg = _config_from_file(args.config, TrainConfig())
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    pipeline, _ = _run_pipeline(args.pipeline, None)
     _check_periods(pipeline, suite)
     try:
         check_sensor_layout(suite)
@@ -197,11 +191,6 @@ def _cmd_train(args) -> int:
     goals = sum(1 for rec in log if rec.status == "goal")
     print(f"trained {cfg.episodes} episodes ({goals} reached goal) -> {out}")
     return 0
-
-
-def _default_training_pipeline() -> PipelineConfig:
-    # a shorter horizon keeps the per-step solve cost low
-    return PipelineConfig(nmpc=NmpcConfig(tau_o=10))
 
 
 def _cmd_evaluate(args) -> int:

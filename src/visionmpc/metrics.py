@@ -10,17 +10,16 @@ columns once, and a closed-loop trial is scored against its route on the
 columns of its log.
 """
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .geometry import fit_curvature, wrap_angle
-from .sim import TrialOutcome
+from .sim import TrialOutcome, read_csv
 
 REPORT_NOTES = (
     "e_xy normalization m = number of summed samples; "
@@ -151,28 +150,16 @@ def write_report_json(path, reports: Sequence[MetricsReport]) -> None:
 
 
 def read_offline_dataset(path) -> list[OfflineRecord]:
-    """Parse an offline dataset CSV whose header names the OfflineRecord fields in order."""
-    expected = tuple(f.name for f in fields(OfflineRecord))
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}, got {header!r}")
-        last_t = None
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise ValueError(f"{path}:{i}: expected {len(expected)} columns, got {len(row)}")
-            try:
-                vals = [float(x) for x in row]
-            except ValueError:
-                raise ValueError(f"{path}:{i}: non-numeric value in {row!r}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}:{i}: non-finite value in {row!r}")
-            if last_t is not None and vals[0] <= last_t:
-                raise ValueError(f"{path}:{i}: timestamps must strictly increase")
-            last_t = vals[0]
-            records.append(OfflineRecord(*vals))
+    """Parse an offline dataset CSV (`sim.read_csv` of OfflineRecord): at least
+    one row, every value finite, t strictly increasing."""
+    records = read_csv(path, OfflineRecord)
+    last_t = -math.inf
+    for line_no, rec in enumerate(records, start=2):
+        if not all(map(math.isfinite, astuple(rec))):
+            raise ValueError(f"{path}:{line_no}: non-finite value in {rec}")
+        if rec.t <= last_t:
+            raise ValueError(f"{path}:{line_no}: timestamps must strictly increase")
+        last_t = rec.t
     if not records:
         raise ValueError(f"{path}: dataset has no records")
     return records

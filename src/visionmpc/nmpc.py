@@ -96,14 +96,16 @@ class NmpcConfig:
     iteration lowers the cost by no more than f_tol relative to it, or after
     max_iters iterations; its defaults are the ones every pipeline runs.
 
-    max_iters is the budget of one control period, 4 iterations: the
-    smallest at which every recorded solve of the cost gate in
-    tests/test_nmpc.py ends within 1e-3 of its recorded cost. A solution's
-    `converged` means that the gradient tolerance was met within the
-    budget.
+    tau_o is 10 steps, the horizon of every command unless a pipeline file
+    sets another; a DWA-NMPC step with a plan commands the same at any tau_o
+    up to its planning horizon. max_iters is the budget of one control
+    period, 4 iterations: the smallest at which every recorded solve of the
+    cost gate in tests/test_nmpc.py ends within 1e-3 of its recorded cost. A
+    solution's `converged` means that the gradient tolerance was met within
+    the budget.
     """
 
-    tau_o: int = 20
+    tau_o: int = 10
     dt: float = 0.05
     wheelbase_L: float = 0.36
     u_min: ControlInput = ControlInput(0.0, -0.35)

@@ -42,9 +42,10 @@ def config_from_dict(default, data: dict):
 
     A missing key keeps the default's value; a nested config decodes against
     the default's own nested value. An unknown key raises ValueError. A list
-    becomes a tuple whose items decode against the default's first item, and
-    a number is cast to the type of the default's value. Validation runs
-    through the config's `__post_init__`.
+    becomes a tuple whose items decode against the default's first item. A
+    number field takes a number of its type, 3.0 as 3 for an int; a bool, a
+    string or 2.5 for an int raises ValueError naming the key, so nothing is
+    rounded. Validation runs through the config's `__post_init__`.
     """
     name = type(default).__name__
     if not isinstance(data, dict):
@@ -52,15 +53,19 @@ def config_from_dict(default, data: dict):
     unknown = sorted(set(data) - {f.name for f in fields(default)})
     if unknown:
         raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
-    return replace(default, **{key: _decode(getattr(default, key), value) for key, value in data.items()})
+    return replace(default, **{k: _decode(getattr(default, k), v, f"{name}.{k}") for k, v in data.items()})
 
 
-def _decode(default, value):
+def _decode(default, value, key):
     if is_dataclass(default):
         return config_from_dict(default, value)
     if isinstance(default, tuple):
-        return tuple(_decode(default[0], v) for v in value)
+        return tuple(_decode(default[0], v, key) for v in value)
     if isinstance(default, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        if isinstance(default, int) and not (isinstance(value, int) or value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
         return type(default)(value)
     return value
 

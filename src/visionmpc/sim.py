@@ -39,8 +39,9 @@ placed when the world is created and, if any of them moves, again by each
 `closed_loop` is the one sense -> control -> step loop: `run_trial` logs
 it for evaluation and `training.train` learns from it. Trial logs are CSV
 with one column per `StepRecord` field, in field order (`LOG_COLUMNS`),
-written by `write_csv`, the writer of every record CSV; each row holds the
-state reached after applying the logged control.
+written by `write_csv`, the writer of every record CSV (`read_csv` is its
+inverse); each row holds the state reached after applying the logged
+control.
 """
 
 import csv
@@ -327,15 +328,17 @@ class TrialOutcome:
     """Result of one goal-navigation run."""
 
     status: str  # "crash" | "goal" | "timeout"
-    steps: int
     log: tuple[StepRecord, ...]
     scenario: Scenario
 
     def __post_init__(self):
         if self.status not in ("crash", "goal", "timeout"):
             raise ValueError(f"unknown trial status {self.status!r}")
-        if self.steps != len(self.log):
-            raise ValueError("log length must equal step count")
+
+    @property
+    def steps(self) -> int:
+        """The number of steps the trial ran, one per log row."""
+        return len(self.log)
 
 
 def closed_loop(world: World, controller: TrialController) -> Iterator[tuple[StepCommand, str, float]]:
@@ -402,7 +405,7 @@ def run_trial(
                 event=event,
             )
         )
-    return TrialOutcome(status=world.status, steps=len(records), log=tuple(records), scenario=scenario)
+    return TrialOutcome(status=world.status, log=tuple(records), scenario=scenario)
 
 
 def csv_cell(value) -> str:
@@ -423,28 +426,40 @@ def write_csv(path, record_type, records) -> None:
             writer.writerow([csv_cell(getattr(rec, name)) for name in columns])
 
 
+def read_csv(path, record_type) -> list:
+    """Records of the dataclass record_type from a CSV, the inverse of
+    `write_csv`: the header names the fields in order (spaces around a name
+    allowed), each row holds one cell per field, and each cell parses by its
+    field's type. Each error names path:line."""
+    columns = tuple(f.name for f in fields(record_type))
+    types = [f.type for f in fields(record_type)]
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != columns:
+            raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header!r}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(columns):
+                raise ValueError(f"{where}: expected {len(columns)} cells, got {len(row)}")
+            try:
+                records.append(record_type(*(typ(cell) for typ, cell in zip(types, row))))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return records
+
+
 def read_trial_log(path, scenario: Scenario) -> TrialOutcome:
-    """Rebuild a TrialOutcome from a CSV log.
+    """Rebuild a TrialOutcome from a CSV log (`read_csv` of StepRecord).
 
     The terminal status is the last row's event when that is crash or
     goal, else "timeout" (the only terminal state that leaves no event
     mark).
     """
-    records = []
-    types = [f.type for f in fields(StepRecord)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != LOG_COLUMNS:
-            raise ValueError(f"{path}: unexpected log header {header!r}")
-        for row in reader:
-            if len(row) != len(LOG_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            records.append(StepRecord(*(typ(cell) for typ, cell in zip(types, row))))
-    final_status = "timeout"
-    if records and records[-1].event in ("crash", "goal"):
-        final_status = records[-1].event
-    return TrialOutcome(status=final_status, steps=len(records), log=tuple(records), scenario=scenario)
+    records = read_csv(path, StepRecord)
+    status = records[-1].event if records and records[-1].event in ("crash", "goal") else "timeout"
+    return TrialOutcome(status=status, log=tuple(records), scenario=scenario)
 
 
 class ScenarioFormatError(ValueError):

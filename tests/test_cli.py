@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from visionmpc import cli
-from visionmpc.cli import _build_controller, _default_training_pipeline, _run_pipeline, main
+from visionmpc.cli import _build_controller, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
+from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import CandidateSet, QNetwork, input_size, save_checkpoint
 from visionmpc.sim import RaySensorConfig, StepRecord, load_scenario, run_trial, write_csv
 from visionmpc.training import train
@@ -99,7 +100,7 @@ class TestSimulate:
                      "--trials", "1", "--pipeline", str(pipeline), "--out", str(tmp_path / "o"))
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"error: invalid pipeline config {pipeline}: NmpcConfig must be finite, got nan" in err
+        assert f"error: invalid PipelineConfig file {pipeline}: NmpcConfig must be finite, got nan" in err
         assert not (tmp_path / "o").exists()
 
     def test_lvd_without_checkpoint_runs_with_seeded_policy(self, tmp_path):
@@ -289,10 +290,15 @@ class TestPlot:
     def test_desired_paths_use_the_checkpoint_horizon(self, tmp_path):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
+        tau_o = 7
+        assert tau_o != PipelineConfig().nmpc.tau_o
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps({"nmpc": {"tau_o": tau_o}}))
         ckpt = tmp_path / "net.json"
         scenario = scenario_path("straight_corridor")
         assert run_cli(
-            "train", "--scenario-set", str(Path(scenario).parent), "--config", str(config), "--out", str(ckpt)
+            "train", "--scenario-set", str(Path(scenario).parent), "--config", str(config),
+            "--pipeline", str(pipeline), "--out", str(ckpt),
         ) == 0
         out = tmp_path / "sim"
         assert run_cli(
@@ -309,8 +315,6 @@ class TestPlot:
             for line in svg_path.read_text().splitlines()
             if 'stroke="#22aa55"' in line
         ]
-        tau_o = _default_training_pipeline().nmpc.tau_o
-        assert tau_o != PipelineConfig().nmpc.tau_o
         assert len(desired) == 3
         assert all(len(path) == tau_o for path in desired)
 
@@ -432,9 +436,11 @@ class TestCheckpointReload:
         )
         assert rc == 0
         scenario, _ = load_scenario(scenario_path("straight_corridor"))
+        # without --pipeline, train runs and stores the pipeline every command starts from
+        assert json.loads(ckpt.read_text())["pipeline"] == asdict(PipelineConfig())
         pipeline, policy = _run_pipeline(None, str(ckpt))
         _build_controller("lvd-nmpc", scenario, pipeline, policy, 0)
-        assert pipeline == _default_training_pipeline()
+        assert pipeline == PipelineConfig()
         assert pipeline.nmpc.max_iters == 4
 
     def test_reloaded_policy_drives_like_the_trained_one(self, tmp_path, monkeypatch):
@@ -516,7 +522,9 @@ def write_trained_checkpoint(path, pipeline, sensor=RaySensorConfig()):
 class TestOnePipelinePerRun:
     def test_pipeline_file_that_differs_from_the_checkpoint_is_an_error(self, tmp_path, capsys):
         ckpt = tmp_path / "net.json"
-        write_trained_checkpoint(ckpt, _default_training_pipeline())
+        trained = PipelineConfig(nmpc=NmpcConfig(tau_o=20))
+        assert trained != PipelineConfig()
+        write_trained_checkpoint(ckpt, trained)
         pipeline = tmp_path / "pipeline.json"
         pipeline.write_text(json.dumps(asdict(PipelineConfig())))
         scenario_set = tmp_path / "set"
@@ -533,7 +541,8 @@ class TestOnePipelinePerRun:
             assert str(pipeline) in err and str(ckpt) in err
 
     def test_compare_runs_every_method_under_the_checkpoint_pipeline(self, tmp_path, monkeypatch):
-        trained = _default_training_pipeline()
+        trained = PipelineConfig(nmpc=NmpcConfig(tau_o=20))
+        assert trained != PipelineConfig()
         ckpt = tmp_path / "net.json"
         write_trained_checkpoint(ckpt, trained)
         same = tmp_path / "pipeline.json"
@@ -588,6 +597,32 @@ class TestPipelineFile:
         )
         assert rc == 1
         assert "unknown PipelineConfig key(s): k_lat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, raw, message",
+        [
+            ("--pipeline", {"nmpc": {"tau_o": 10.9}}, "NmpcConfig.tau_o must be an integer, got 10.9"),
+            ("--pipeline", {"nmpc": {"max_iters": "6"}}, "NmpcConfig.max_iters must be a number, got '6'"),
+            ("--config", {"episodes": True}, "TrainConfig.episodes must be a number, got True"),
+            ("--config", {"seed": 2.5}, "TrainConfig.seed must be an integer, got 2.5"),
+        ],
+    )
+    def test_value_the_decoder_would_round_or_coerce_is_an_error(self, tmp_path, capsys, flag, raw, message):
+        # a tiny run, so a decoder that let the value through fails fast
+        files = {"--config": {"episodes": 1, "max_steps_per_episode": 3, "batch_size": 4}, "--pipeline": {}}
+        files[flag] = {**files[flag], **raw}
+        args = []
+        for option, content in files.items():
+            path = tmp_path / f"{option[2:]}.json"
+            path.write_text(json.dumps(content))
+            args += [option, str(path)]
+        rc = run_cli(
+            "train", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
+            *args, "--out", str(tmp_path / "n.json"),
+        )
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "n.json").exists()
 
 
 class TestEnvOverride:

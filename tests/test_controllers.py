@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from visionmpc import controllers, nmpc
-from visionmpc.cli import _default_training_pipeline
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig, NmpcError
 from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
 from visionmpc.scene import SceneDynamics
-from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, load_scenario, run_trial, with_seed
+from visionmpc.sim import (
+    Obstacle, RaySensorConfig, Scenario, StepRecord, load_scenario, run_trial, with_seed, write_csv,
+)
 from visionmpc.vehicle import ControlInput, ModelParams, VehicleState
 
 
@@ -148,9 +149,8 @@ class TestSceneSpeed:
 
     WIDTHS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-    @pytest.mark.parametrize("label", ["default", "training"])
-    def test_mean_speed_follows_the_width(self, label):
-        pipeline = PipelineConfig() if label == "default" else _default_training_pipeline()
+    def test_mean_speed_follows_the_width(self):
+        pipeline = PipelineConfig()
         scenario, params = straight_corridor()
         # 10 s of driving: long enough that the start from rest moves no mean by 10%
         scenario = replace(scenario, time_limit_s=10.0)
@@ -224,6 +224,22 @@ class TestDwaSeed:
         for sol in planned:
             assert sol.iterations == 0
             assert sol.cost <= 1e-20
+
+    @pytest.mark.parametrize("name", ["corridor_two_obstacles", "loop"])
+    def test_trial_log_is_the_same_at_horizon_10_and_20(self, name, tmp_path):
+        # the plan rolls out over the DWA horizon whatever tau_o is, and each
+        # solve starts at its minimizer, so horizons 10 (the default) and 20
+        # drive the baseline alike
+        scenario, params = bundled(name)
+        logs = []
+        for tau_o in (10, 20):
+            pipeline = PipelineConfig(nmpc=NmpcConfig(tau_o=tau_o))
+            outcome = run_trial(with_seed(scenario, 1), DwaNmpcController(pipeline), params)
+            path = tmp_path / f"tau_{tau_o}.csv"
+            write_csv(path, StepRecord, outcome.log)
+            logs.append(path.read_bytes())
+        assert outcome.steps > 0
+        assert logs[0] == logs[1]
 
     def test_solves_that_run_no_iteration_build_no_model_hessian(self, monkeypatch):
         # a solve that starts at its minimizer linearizes it for the stop

@@ -124,7 +124,7 @@ def make_outcome(scenario, status, rows):
         )
         for i, (x, y, v, ms) in enumerate(rows)
     )
-    return TrialOutcome(status=status, steps=len(log), log=log, scenario=scenario)
+    return TrialOutcome(status=status, log=log, scenario=scenario)
 
 
 class TestExy:

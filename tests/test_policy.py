@@ -529,10 +529,10 @@ class TestConfigFromDict:
             config_from_dict(PipelineConfig(), {"nmpc": {"max_iter": 5}})
 
     def test_missing_keys_keep_the_default_instance_values(self):
-        cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 10}})
-        assert cfg.nmpc.tau_o == 10
+        cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 7}})
+        assert cfg.nmpc.tau_o == 7
         assert cfg.nmpc.max_iters == PipelineConfig().nmpc.max_iters == NmpcConfig().max_iters == 4
-        assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=20)) == PipelineConfig()
+        assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=10)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):
         cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "nmpc": {"e_max": 1}})
@@ -540,6 +540,28 @@ class TestConfigFromDict:
         assert type(cfg.nmpc.e_max) is float and cfg.nmpc.e_max == 1.0
         grid = config_from_dict(CandidateSet.grid(), {"c_values": [-1, 0.5, 1]})
         assert grid.c_values == (-1.0, 0.5, 1.0) and all(type(c) is float for c in grid.c_values)
+
+    @pytest.mark.parametrize(
+        "default, data, message",
+        [
+            (PipelineConfig(), {"nmpc": {"tau_o": 10.9}}, r"NmpcConfig\.tau_o must be an integer, got 10\.9"),
+            (PipelineConfig(), {"nmpc": {"tau_o": float("inf")}}, r"NmpcConfig\.tau_o must be an integer, got inf"),
+            (PipelineConfig(), {"nmpc": {"max_iters": "6"}}, r"NmpcConfig\.max_iters must be a number, got '6'"),
+            (PipelineConfig(), {"n_history": True}, r"PipelineConfig\.n_history must be a number, got True"),
+            (TrainConfig(), {"episodes": True}, r"TrainConfig\.episodes must be a number, got True"),
+            (TrainConfig(), {"seed": 2.5}, r"TrainConfig\.seed must be an integer, got 2\.5"),
+            (TrainConfig(), {"gamma": "0.9"}, r"TrainConfig\.gamma must be a number, got '0\.9'"),
+            (TrainConfig(), {"gamma": False}, r"TrainConfig\.gamma must be a number, got False"),
+            (TrainConfig(), {"learning_rate": None}, r"TrainConfig\.learning_rate must be a number, got None"),
+            (PipelineConfig(), {"nmpc": {"u_max": {"v_cmd": True}}}, r"ControlInput\.v_cmd must be a number, got True"),
+            (CandidateSet.grid(), {"c_values": [0.5, "1"]}, r"CandidateSet\.c_values must be a number, got '1'"),
+        ],
+    )
+    def test_values_that_would_be_rounded_or_coerced_are_refused(self, default, data, message):
+        # a bool, a string or a non-integral number for an int field, and a
+        # bool or a string for a float field; nothing is rounded
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(default, data)
 
     def test_validation_still_runs(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from visionmpc.sim import (
     in_goal,
     load_scenario,
     ray_bearings,
+    read_csv,
     read_trial_log,
     reference_slice,
     run_trial,
@@ -556,8 +557,57 @@ class TestLogRoundTrip:
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header time_s,x_m,"):
             read_trial_log(path, corridor())
+
+    def test_trial_outcome_steps_is_the_log_length(self):
+        outcome = run_trial(corridor(time_limit=0.5), _ConstantController(ControlInput(1.0, 0.0)), ModelParams())
+        assert outcome.steps == len(outcome.log) == 10
+
+
+class TestReadCsv:
+    """read_csv is the inverse of write_csv for every record type."""
+
+    def test_inverts_write_csv_for_each_record_type(self, tmp_path):
+        scenario = corridor()
+        outcome = run_trial(scenario, _ConstantController(ControlInput(1.0, 0.01)), ModelParams(sigma_f=0.003))
+        episodes = [
+            training.EpisodeRecord(0, "a b", 3, -0.1 / 3, 1.0, "goal", float("nan")),
+            training.EpisodeRecord(1, "", 0, 0.0, 0.05, "error", 2.5e-300),
+        ]
+        for record_type, records in ((StepRecord, list(outcome.log)), (training.EpisodeRecord, episodes)):
+            path = tmp_path / f"{record_type.__name__}.csv"
+            write_csv(path, record_type, records)
+            back = read_csv(path, record_type)
+            assert [type(v) for v in vars(back[0]).values()] == [type(v) for v in vars(records[0]).values()]
+            # NaN != NaN, so compare the written text of each value
+            assert [[csv_cell(v) for v in vars(r).values()] for r in back] == [
+                [csv_cell(v) for v in vars(r).values()] for r in records
+            ]
+
+    def test_header_names_are_stripped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("episode, scenario , steps, ret, epsilon, status, mean_loss\n2,s,5,1.5,0.5,goal,0.25\n")
+        assert read_csv(path, training.EpisodeRecord) == [training.EpisodeRecord(2, "s", 5, 1.5, 0.5, "goal", 0.25)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"log\.csv:1: expected header episode,scenario,"),
+            ("episode,scenario,steps\n", r"log\.csv:1: expected header"),
+            ("episode,scenario,steps,ret,epsilon,status,mean_loss\n0,s,1,0,0,goal,0\n1,s,1,0,0,goal\n",
+             r"log\.csv:3: expected 7 cells, got 6"),
+            ("episode,scenario,steps,ret,epsilon,status,mean_loss\n0,s,1.5,0,0,goal,0\n",
+             r"log\.csv:2: invalid literal for int\(\) with base 10: '1\.5'"),
+            ("episode,scenario,steps,ret,epsilon,status,mean_loss\n0,s,1,0,0,goal,0\n1,s,1,x,0,goal,0\n",
+             r"log\.csv:3: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_errors_name_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(path, training.EpisodeRecord)
 
 
 class TestScenarioFiles:
