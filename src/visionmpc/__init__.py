@@ -16,9 +16,7 @@ from .policy import (
     ReplayBuffer,
     TrainConfig,
     featurize,
-    load_checkpoint,
     reward,
-    save_checkpoint,
     select_dynamics,
     train_step,
 )
@@ -43,7 +41,7 @@ from .sim import (
     sense,
     sim_step,
 )
-from .training import train
+from .training import load_checkpoint, save_checkpoint, train
 from .vehicle import ControlInput, ModelParams, VehicleState, rollout, step_nominal, step_true
 
 __all__ = [name for name in dir() if not name.startswith("_")]

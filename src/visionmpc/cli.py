@@ -10,16 +10,16 @@ measured controller latency instead.
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
 from .metrics import MetricsReport, aggregate, offline_report, read_offline_dataset, write_report_json
-from .policy import CandidateSet, TrainConfig, config_from_dict, load_checkpoint, save_checkpoint
+from .policy import CandidateSet, TrainConfig, config_from_dict
 from .sim import ScenarioFormatError, StepRecord, load_scenario, read_trial_log, run_trial, with_seed, write_csv
-from .training import EpisodeRecord, check_sensor_layout, initialize_network, train
+from .training import EpisodeRecord, check_sensor_layout, initialize_network, load_checkpoint, save_checkpoint, train
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -93,9 +93,8 @@ def _run_pipeline(pipeline_path, checkpoint_path):
     if checkpoint_path is None:
         return pipeline, None
     try:
-        net, sensor, meta = load_checkpoint(checkpoint_path)
-        trained = config_from_dict(PipelineConfig(), meta)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        net, sensor, trained = load_checkpoint(checkpoint_path)
+    except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
     if pipeline_path is not None and pipeline != trained:
         raise CliError(
@@ -179,13 +178,13 @@ def _cmd_train(args) -> int:
     pipeline, _ = _run_pipeline(args.pipeline, None)
     _check_periods(pipeline, suite)
     try:
-        check_sensor_layout(suite)
+        sensor = check_sensor_layout(suite)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     net, log = train(suite, cfg, pipeline)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, net, suite[0][0].sensor, pipeline_meta=asdict(pipeline))
+    save_checkpoint(out, net, sensor, pipeline)
     log_path = out.with_suffix(out.suffix + ".log.csv")
     write_csv(log_path, EpisodeRecord, log)
     goals = sum(1 for rec in log if rec.status == "goal")

@@ -3,27 +3,22 @@
 A small fully-connected action-value network scores a fixed grid of
 (curvature, width) candidates from stacked memory features. Training
 machinery (replay buffer, one-step Bellman updates against a target
-network) lives here as well; the episode loop is in training.py.
+network) lives here as well; the episode loop and checkpoints are in
+training.py.
 
 Everything is float64 so gradient checks against central finite
 differences stay tight.
 """
 
-import hashlib
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .memory import MemoryEntry
 from .scene import SceneDynamics
-from .sim import RaySensorConfig
-
-CHECKPOINT_VERSION = 6
 
 # hidden layer widths of every network `training.initialize_network` builds;
 # a network's shape is its layer_sizes, so a checkpoint stores it once
@@ -341,49 +336,3 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
         b -= cfg.learning_rate * grad_b
     return loss
 
-
-def _sensor_hash(sensor: RaySensorConfig) -> str:
-    return hashlib.sha256(json.dumps(asdict(sensor), sort_keys=True).encode()).hexdigest()
-
-
-def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline_meta: dict) -> None:
-    """Write the network (its layer_sizes are its shape), candidate grid,
-    and the pipeline (as `dataclasses.asdict` gives it) and sensor it was
-    trained with as JSON."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "layer_sizes": list(net.layer_sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "candidates": asdict(net.candidates),
-        "pipeline": pipeline_meta,
-        "sensor": asdict(sensor),
-        "sensor_hash": _sensor_hash(sensor),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path):
-    """Load a checkpoint; returns (net, sensor, pipeline_meta).
-
-    pipeline_meta is the stored pipeline dict. Rejects other versions, a
-    file without a pipeline, a sensor block that does not match its stored
-    hash, and a network input size other than the one the stored pipeline's
-    n_history and nmpc.tau_o and the sensor's ray count give.
-    """
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
-    pipeline = payload.get("pipeline")
-    if not pipeline:
-        raise ValueError("checkpoint stores no pipeline, so the one the policy was trained under is unknown")
-    sensor = config_from_dict(RaySensorConfig(), payload["sensor"])
-    if _sensor_hash(sensor) != payload.get("sensor_hash"):
-        raise ValueError("checkpoint sensor hash does not match its stored sensor")
-    cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
-    net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
-    expected = input_size(pipeline["n_history"], sensor.n_rays, pipeline["nmpc"]["tau_o"])
-    if net.layer_sizes[0] != expected:
-        raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {expected}")
-    return net, sensor, pipeline

@@ -204,7 +204,7 @@ class World:
     def __post_init__(self):
         self.vehicle = self.scenario.start
         self.s, self.lateral = self.scenario.route_polyline.project((self.vehicle.x, self.vehicle.y))
-        self.reached = in_goal(self)
+        self.reached = in_goal(self.scenario, self.vehicle)
         self.place_obstacles()
 
     @property
@@ -257,9 +257,9 @@ def reference_slice(route: Polyline, s0: float, tau_o: int, dt: float, v_ref: fl
     return np.vstack((points.T, wrap_angle(headings)))
 
 
-def in_goal(world: World) -> bool:
-    gx, gy = world.scenario.route[-1]
-    return math.hypot(world.vehicle.x - gx, world.vehicle.y - gy) <= world.scenario.goal_radius
+def in_goal(scenario: Scenario, state: VehicleState) -> bool:
+    gx, gy = scenario.route[-1]
+    return math.hypot(state.x - gx, state.y - gy) <= scenario.goal_radius
 
 
 def sim_step(world: World, control: ControlInput) -> World:
@@ -284,7 +284,7 @@ def sim_step(world: World, control: ControlInput) -> World:
     if abs(world.lateral) > world.scenario.half_width:
         hit = True
     world.crashed = world.crashed or hit
-    world.reached = (not world.crashed) and in_goal(world)
+    world.reached = (not world.crashed) and in_goal(world.scenario, world.vehicle)
     return world
 
 
@@ -325,15 +325,19 @@ LOG_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one goal-navigation run."""
+    """Result of one goal-navigation run: its log and scenario."""
 
-    status: str  # "crash" | "goal" | "timeout"
     log: tuple[StepRecord, ...]
     scenario: Scenario
 
-    def __post_init__(self):
-        if self.status not in ("crash", "goal", "timeout"):
-            raise ValueError(f"unknown trial status {self.status!r}")
+    @property
+    def status(self) -> str:
+        """The last row's event if crash or goal, else timeout; with no row, goal if
+        the scenario starts within its goal radius, else timeout: the World's status."""
+        if not self.log:
+            return "goal" if in_goal(self.scenario, self.scenario.start) else "timeout"
+        event = self.log[-1].event
+        return event if event in ("crash", "goal") else "timeout"
 
     @property
     def steps(self) -> int:
@@ -405,7 +409,7 @@ def run_trial(
                 event=event,
             )
         )
-    return TrialOutcome(status=world.status, log=tuple(records), scenario=scenario)
+    return TrialOutcome(tuple(records), scenario)
 
 
 def csv_cell(value) -> str:
@@ -451,15 +455,8 @@ def read_csv(path, record_type) -> list:
 
 
 def read_trial_log(path, scenario: Scenario) -> TrialOutcome:
-    """Rebuild a TrialOutcome from a CSV log (`read_csv` of StepRecord).
-
-    The terminal status is the last row's event when that is crash or
-    goal, else "timeout" (the only terminal state that leaves no event
-    mark).
-    """
-    records = read_csv(path, StepRecord)
-    status = records[-1].event if records and records[-1].event in ("crash", "goal") else "timeout"
-    return TrialOutcome(status=status, log=tuple(records), scenario=scenario)
+    """Rebuild a TrialOutcome from a CSV log (`read_csv` of StepRecord)."""
+    return TrialOutcome(tuple(read_csv(path, StepRecord)), scenario)
 
 
 class ScenarioFormatError(ValueError):

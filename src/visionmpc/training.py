@@ -15,9 +15,12 @@ so the value function sees successful avoidance maneuvers before
 epsilon-greedy exploration takes over.
 """
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +34,14 @@ from .policy import (
     QNetwork,
     ReplayBuffer,
     TrainConfig,
+    config_from_dict,
     epsilon_at,
     input_size,
     reward,
     train_step,
 )
 # sense and sim_step are unused here; perfbench/tracer.py wraps them by attribute name on this module
-from .sim import Scenario, World, closed_loop, sense, signed_ray_bearings, sim_step  # noqa: F401
+from .sim import RaySensorConfig, Scenario, World, closed_loop, sense, signed_ray_bearings, sim_step  # noqa: F401
 from .vehicle import ModelParams
 
 
@@ -58,8 +62,60 @@ def initialize_network(
     candidates: CandidateSet,
     rng: np.random.Generator,
 ) -> QNetwork:
-    n_inputs = input_size(pipeline.n_history, suite[0][0].sensor.n_rays, pipeline.nmpc.tau_o)
+    n_inputs = input_size(pipeline.n_history, check_sensor_layout(suite).n_rays, pipeline.nmpc.tau_o)
     return QNetwork.initialize((n_inputs, *HIDDEN_LAYERS, len(candidates)), candidates, rng)
+
+
+CHECKPOINT_VERSION = 6
+
+
+def _sensor_hash(sensor: RaySensorConfig) -> str:
+    return hashlib.sha256(json.dumps(asdict(sensor), sort_keys=True).encode()).hexdigest()
+
+
+def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline: PipelineConfig) -> None:
+    """Write the network (its layer_sizes are its shape), its candidate grid,
+    and the sensor and pipeline (every field) it was trained with as JSON."""
+    payload = {
+        "format_version": CHECKPOINT_VERSION,
+        "layer_sizes": list(net.layer_sizes),
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "candidates": asdict(net.candidates),
+        "pipeline": asdict(pipeline),
+        "sensor": asdict(sensor),
+        "sensor_hash": _sensor_hash(sensor),
+    }
+    Path(path).write_text(json.dumps(payload))
+
+
+def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
+    """Load a checkpoint; returns (net, sensor, pipeline), the pipeline block
+    decoded over PipelineConfig() as a --pipeline file is, so a missing key
+    keeps its default. Raises ValueError for a file that is not a JSON object,
+    another version, a missing key, a sensor that does not match its hash, or
+    an input size other than the pipeline's and sensor's feature dimension."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
+    version = payload.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
+    if not payload.get("pipeline"):
+        raise ValueError("checkpoint stores no pipeline, so the one the policy was trained under is unknown")
+    for key in ("layer_sizes", "weights", "biases", "candidates", "sensor", "sensor_hash"):
+        if key not in payload:
+            raise ValueError(f"checkpoint has no {key!r} key")
+    pipeline = config_from_dict(PipelineConfig(), payload["pipeline"])
+    sensor = config_from_dict(RaySensorConfig(), payload["sensor"])
+    if _sensor_hash(sensor) != payload["sensor_hash"]:
+        raise ValueError("checkpoint sensor hash does not match its stored sensor")
+    cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
+    net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
+    expected = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
+    if net.layer_sizes[0] != expected:
+        raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {expected}")
+    return net, sensor, pipeline
 
 
 # the demonstration chooser's front cone (+-14 deg) counts as blocked
@@ -103,9 +159,9 @@ def demonstration_action(obs: Observation, candidates: CandidateSet) -> int:
     return ic * len(candidates.w_values) + iw
 
 
-def check_sensor_layout(suite: Sequence[tuple[Scenario, ModelParams]]) -> None:
-    """Reject an empty suite, or one whose sensors differ: one network
-    reads every scenario, so the feature space is fixed."""
+def check_sensor_layout(suite: Sequence[tuple[Scenario, ModelParams]]) -> RaySensorConfig:
+    """The suite's one sensor. Rejects an empty suite, or one whose sensors
+    differ: one network reads every scenario, so the feature space is fixed."""
     if not suite:
         raise ValueError("scenario suite must be non-empty")
     layouts = {s.sensor: s.name for s, _ in suite}
@@ -114,6 +170,7 @@ def check_sensor_layout(suite: Sequence[tuple[Scenario, ModelParams]]) -> None:
             f"{name} has {sensor.n_rays} rays to {sensor.max_range_m:g} m" for sensor, name in layouts.items()
         )
         raise ValueError(f"all scenarios in a training suite must share a sensor layout: {found}")
+    return suite[0][0].sensor
 
 
 def train(
@@ -127,12 +184,9 @@ def train(
     Scenarios are visited round-robin. The suite must pass
     check_sensor_layout.
     """
-    check_sensor_layout(suite)
     candidates = CandidateSet.grid()
     rng = np.random.default_rng(cfg.seed)
     net = initialize_network(suite, pipeline, candidates, rng)
-    if cfg.episodes == 0:
-        return net, []
     target = net.copy()
     buffer = ReplayBuffer(cfg.replay_capacity)
     log: list[EpisodeRecord] = []

@@ -12,9 +12,9 @@ from visionmpc import cli
 from visionmpc.cli import _build_controller, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig
-from visionmpc.policy import CandidateSet, QNetwork, input_size, save_checkpoint
+from visionmpc.policy import CandidateSet, QNetwork, input_size
 from visionmpc.sim import RaySensorConfig, StepRecord, load_scenario, run_trial, write_csv
-from visionmpc.training import train
+from visionmpc.training import save_checkpoint, train
 
 
 def scenario_path(name):
@@ -117,17 +117,26 @@ class TestSimulate:
 
 class TestEvaluateRoundTrip:
     def test_report_matches_simulate_output_exactly(self, tmp_path):
-        out = tmp_path / "sim"
-        run_cli(
-            "simulate",
-            "--scenario", scenario_path("straight_corridor"),
-            "--method", "direct",
-            "--trials", "3",
-            "--out", str(out),
+        # the second scenario starts inside its goal radius: every trial is a
+        # goal with a log of no row
+        in_goal = tmp_path / "in_goal.scn"
+        in_goal.write_text(
+            Path(scenario_path("straight_corridor")).read_text().replace("start_pose 0.0 0.0", "start_pose 5.9 0.0")
         )
-        rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "again.csv"))
-        assert rc == 0
-        assert (tmp_path / "again.csv").read_bytes() == (out / "report.csv").read_bytes()
+        for name, scenario in (("corridor", scenario_path("straight_corridor")), ("in_goal", str(in_goal))):
+            out = tmp_path / name
+            run_cli(
+                "simulate",
+                "--scenario", scenario,
+                "--method", "direct",
+                "--trials", "3",
+                "--out", str(out),
+            )
+            rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / f"{name}_again"))
+            assert rc == 0
+            assert (tmp_path / f"{name}_again.csv").read_bytes() == (out / "report.csv").read_bytes()
+            assert (tmp_path / f"{name}_again.json").read_bytes() == (out / "report.json").read_bytes()
+        assert json.loads((tmp_path / "in_goal" / "manifest.json").read_text())["statuses"] == ["goal"] * 3
 
     def test_relative_scenario_path_evaluates_from_another_directory(self, tmp_path, monkeypatch):
         (tmp_path / "scenarios").mkdir()
@@ -510,13 +519,74 @@ class TestCheckpointReload:
         assert rc == 1
         assert "stores no pipeline" in capsys.readouterr().err
 
+    @staticmethod
+    def _train(tmp_path, *pipeline_args):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
+        ckpt = tmp_path / "net.json"
+        assert run_cli(
+            "train", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
+            "--config", str(config), "--out", str(ckpt), *pipeline_args,
+        ) == 0
+        return ckpt
+
+    @staticmethod
+    def _simulate(ckpt, out):
+        return run_cli(
+            "simulate", "--scenario", scenario_path("straight_corridor"), "--method", "lvd-nmpc",
+            "--trials", "1", "--checkpoint", str(ckpt), "--out", str(out),
+        )
+
+    def test_pipeline_block_without_n_history_keeps_the_default(self, tmp_path):
+        # the block decodes as a --pipeline file does: a missing key keeps its default
+        ckpt = self._train(tmp_path)
+        assert self._simulate(ckpt, tmp_path / "full") == 0
+        payload = json.loads(ckpt.read_text())
+        del payload["pipeline"]["n_history"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(payload))
+        pipeline, _ = _run_pipeline(None, str(partial))
+        assert pipeline == PipelineConfig() and pipeline.n_history == 4
+        assert self._simulate(partial, tmp_path / "partial") == 0
+        assert (tmp_path / "partial" / "trial_000.csv").read_bytes() == (tmp_path / "full" / "trial_000.csv").read_bytes()
+
+    def test_pipeline_block_without_its_horizon_fails_the_input_size_check(self, tmp_path, capsys):
+        tau_o = 7
+        assert tau_o != PipelineConfig().nmpc.tau_o
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps({"nmpc": {"tau_o": tau_o}}))
+        ckpt = self._train(tmp_path, "--pipeline", str(pipeline))
+        payload = json.loads(ckpt.read_text())
+        del payload["pipeline"]["nmpc"]["tau_o"]
+        ckpt.write_text(json.dumps(payload))
+        assert self._simulate(ckpt, tmp_path / "out") == 1
+        assert "differs from the feature dimension" in capsys.readouterr().err
+
+    def test_checkpoint_that_is_not_a_json_object_is_refused(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text("[1, 2]")
+        assert self._simulate(ckpt, tmp_path / "out") == 1
+        assert f"error: cannot load checkpoint {ckpt}: checkpoint must be a JSON object, got list" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("key", ["sensor", "weights", "layer_sizes", "candidates"])
+    def test_checkpoint_without_a_key_names_it(self, tmp_path, capsys, key):
+        ckpt = tmp_path / "net.json"
+        write_trained_checkpoint(ckpt, PipelineConfig())
+        payload = json.loads(ckpt.read_text())
+        del payload[key]
+        ckpt.write_text(json.dumps(payload))
+        assert self._simulate(ckpt, tmp_path / "out") == 1
+        assert f"error: cannot load checkpoint {ckpt}: checkpoint has no {key!r} key" in capsys.readouterr().err
+
 
 def write_trained_checkpoint(path, pipeline, sensor=RaySensorConfig()):
     """A checkpoint that stores `pipeline` and `sensor`, by default the bundled scenarios' sensor."""
     cand = CandidateSet.grid()
     n_inputs = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
     net = QNetwork.initialize((n_inputs, 8, len(cand)), cand, np.random.default_rng(0))
-    save_checkpoint(path, net, sensor, pipeline_meta=asdict(pipeline))
+    save_checkpoint(path, net, sensor, pipeline)
 
 
 class TestOnePipelinePerRun:

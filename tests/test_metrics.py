@@ -108,6 +108,8 @@ def make_scenario():
 
 
 def make_outcome(scenario, status, rows):
+    """An outcome of the given rows whose last row carries status as its
+    event (none for a timeout), so the outcome reads back that status."""
     log = tuple(
         StepRecord(
             time_s=0.05 * (i + 1),
@@ -120,11 +122,11 @@ def make_outcome(scenario, status, rows):
             w=1.0,
             cross_track_m=y,
             solve_ms=ms,
-            event="",
+            event=status if i == len(rows) - 1 and status != "timeout" else "",
         )
         for i, (x, y, v, ms) in enumerate(rows)
     )
-    return TrialOutcome(status=status, log=log, scenario=scenario)
+    return TrialOutcome(log, scenario)
 
 
 class TestExy:

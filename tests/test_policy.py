@@ -19,13 +19,12 @@ from visionmpc.policy import (
     config_from_dict,
     featurize,
     input_size,
-    load_checkpoint,
     reward,
-    save_checkpoint,
     select_dynamics,
     train_step,
 )
 from visionmpc.sim import RaySensorConfig
+from visionmpc.training import load_checkpoint, save_checkpoint
 from visionmpc.vehicle import VehicleState
 
 from test_vehicle import path_of
@@ -385,17 +384,17 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         net = small_net(np.random.default_rng(12), candidates=CandidateSet.grid())
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, SENSOR, asdict(PIPELINE))
-        loaded, sensor, meta = load_checkpoint(path)
+        save_checkpoint(path, net, SENSOR, PIPELINE)
+        loaded, sensor, pipeline = load_checkpoint(path)
         assert sensor == SENSOR
-        assert config_from_dict(PipelineConfig(), meta) == PIPELINE
+        assert pipeline == PIPELINE
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
         assert loaded.candidates == CandidateSet.grid()
 
     def test_stores_each_layout_setting_once(self, tmp_path):
         path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, asdict(PIPELINE))
+        save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
         assert payload["format_version"] == 6
         assert set(payload) == {
@@ -408,7 +407,7 @@ class TestCheckpoint:
 
     def test_rejects_tampered_payload(self, tmp_path):
         path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(14)), SENSOR, asdict(PIPELINE))
+        save_checkpoint(path, small_net(np.random.default_rng(14)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
         payload["sensor"]["max_range_m"] = 9.0
         path.write_text(json.dumps(payload))
@@ -426,7 +425,7 @@ class TestCheckpoint:
         # a v4 file stores n_history and tau_o a second time, in its feature
         # block; a v5 pipeline block stores the hidden layers beside layer_sizes
         path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, asdict(PIPELINE))
+        save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
@@ -436,7 +435,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("stored", ["absent", None, {}])
     def test_refuses_a_file_without_its_pipeline(self, tmp_path, stored):
         path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(18)), SENSOR, asdict(PIPELINE))
+        save_checkpoint(path, small_net(np.random.default_rng(18)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
         if stored == "absent":
             del payload["pipeline"]
@@ -448,7 +447,7 @@ class TestCheckpoint:
 
     def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
         path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(16), extra_inputs=1), SENSOR, asdict(PIPELINE))
+        save_checkpoint(path, small_net(np.random.default_rng(16), extra_inputs=1), SENSOR, PIPELINE)
         with pytest.raises(ValueError, match="feature dimension"):
             load_checkpoint(path)
 
@@ -459,10 +458,10 @@ class TestCheckpoint:
             (input_size(pipeline.n_history, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
         )
         path = tmp_path / "net.json"
-        save_checkpoint(path, net, SENSOR, pipeline_meta=asdict(pipeline))
-        loaded, sensor, meta = load_checkpoint(path)
+        save_checkpoint(path, net, SENSOR, pipeline)
+        loaded, sensor, reloaded = load_checkpoint(path)
         assert sensor == SENSOR
-        assert config_from_dict(PipelineConfig(), meta) == pipeline
+        assert reloaded == pipeline
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases))
         assert loaded.candidates == SMALL_GRID
 

@@ -546,13 +546,15 @@ class TestRunTrial:
 
 class TestLogRoundTrip:
     def test_csv_roundtrip_exact(self, tmp_path):
-        scenario = corridor()
-        outcome = run_trial(scenario, _ConstantController(ControlInput(1.0, 0.01)), ModelParams(sigma_f=0.003))
-        path = tmp_path / "trial.csv"
-        write_csv(path, StepRecord, outcome.log)
-        back = read_trial_log(path, scenario)
-        assert back.status == outcome.status
-        assert back.log == outcome.log
+        # the second trial starts inside its goal radius and the third has no
+        # time: each leaves a log with no row
+        for scenario in (corridor(), corridor(start=VehicleState(9.9, 0, 0)), corridor(time_limit=0.0)):
+            outcome = run_trial(scenario, _ConstantController(ControlInput(1.0, 0.01)), ModelParams(sigma_f=0.003))
+            path = tmp_path / "trial.csv"
+            write_csv(path, StepRecord, outcome.log)
+            back = read_trial_log(path, scenario)
+            assert back.status == outcome.status
+            assert back.log == outcome.log
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
