@@ -13,13 +13,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig, check_period
 from .metrics import MetricsReport, aggregate, offline_report, read_offline_dataset, write_report_json
-from .policy import CandidateSet, TrainConfig, config_from_dict
+from .policy import TrainConfig, config_from_dict
 from .sim import ScenarioFormatError, StepRecord, load_scenario, read_trial_log, run_trial, with_seed, write_csv
-from .training import EpisodeRecord, check_sensor_layout, initialize_network, load_checkpoint, save_checkpoint, train
+from .training import EpisodeRecord, check_sensor_layout, load_checkpoint, save_checkpoint, train
 
 METHODS = ("lvd-nmpc", "dwa-nmpc", "direct")
 
@@ -113,15 +111,13 @@ def _check_periods(pipeline, suite) -> None:
             raise CliError(f"{scenario.name}: {exc}") from None
 
 
-def _build_controller(method, scenario, pipeline, policy, seed):
+def _build_controller(method, scenario, pipeline, policy):
     if method == "lvd-nmpc":
         if policy is None:
-            # untrained, seed-initialized policy; useful for smoke runs only
-            net = initialize_network([(scenario, None)], pipeline, CandidateSet.grid(), np.random.default_rng(seed))
-        else:
-            net, sensor = policy
-            if sensor != scenario.sensor:
-                raise CliError(f"checkpoint sensor {sensor} does not match scenario {scenario.name}: {scenario.sensor}")
+            raise CliError("lvd-nmpc runs a trained policy: pass --checkpoint")
+        net, sensor = policy
+        if sensor != scenario.sensor:
+            raise CliError(f"checkpoint sensor {sensor} does not match scenario {scenario.name}: {scenario.sensor}")
         return LvdNmpcController(net, pipeline)
     if method == "dwa-nmpc":
         return DwaNmpcController(pipeline)
@@ -136,7 +132,7 @@ def _cmd_simulate(args) -> int:
         scenario = with_seed(scenario, args.seed)
     pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
     _check_periods(pipeline, [(scenario, params)])
-    controller = _build_controller(args.method, scenario, pipeline, policy, scenario.seed)
+    controller = _build_controller(args.method, scenario, pipeline, policy)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes = []
@@ -226,18 +222,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _write_report(raw_out, reports) -> None:
+    """Write a .csv or .json report path as named; any other name gets both suffixes appended."""
     out = _out_path(raw_out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.suffix == ".csv":
-        write_csv(out, MetricsReport, reports)
-        print(f"wrote {out}")
-    elif out.suffix == ".json":
-        write_report_json(out, reports)
-        print(f"wrote {out}")
-    else:
-        write_csv(out.with_suffix(".csv"), MetricsReport, reports)
-        write_report_json(out.with_suffix(".json"), reports)
-        print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+    paths = [out] if out.suffix in (".csv", ".json") else [out.with_name(out.name + ext) for ext in (".csv", ".json")]
+    for path in paths:
+        if path.suffix == ".csv":
+            write_csv(path, MetricsReport, reports)
+        else:
+            write_report_json(path, reports)
+    print(f"wrote {' and '.join(map(str, paths))}")
 
 
 def _cmd_offline_eval(args) -> int:
@@ -279,22 +273,19 @@ def _cmd_compare(args) -> int:
         for scenario, params in suite:
             if args.seed is not None:
                 scenario = with_seed(scenario, args.seed)
-            controller = _build_controller(method, scenario, pipeline, policy, scenario.seed)
+            controller = _build_controller(method, scenario, pipeline, policy)
             for trial in range(args.trials):
                 outcomes.append(
                     run_trial(scenario, controller, params, trial_index=trial, record_wall_clock=True)
                 )
         outcomes_by_method[method] = outcomes
     reports = aggregate(outcomes_by_method)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, MetricsReport, reports)
     for rep in reports:
         print(
             f"{rep.method}: crash {rep.crash_pct:.0f}% goal {rep.goal_pct:.0f}% "
             f"avg speed {rep.avg_speed_mps:.2f} m/s processing {rep.processing_ms_mean:.1f} ms"
         )
-    print(f"wrote {out}")
+    _write_report(args.out, reports)
     return 0
 
 
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--checkpoint", default=None, help="trained policy for lvd-nmpc")
+    p.add_argument("--checkpoint", default=None, help="trained policy; required for lvd-nmpc")
     p.add_argument("--pipeline", default=None, help="pipeline config JSON")
     p.add_argument("--wall-clock", action="store_true", help="record measured solve times in logs")
     p.set_defaults(func=_cmd_simulate)
@@ -343,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-set", required=True)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default=None, help="trained policy; required, since every table runs lvd-nmpc")
     p.add_argument("--pipeline", default=None)
-    p.add_argument("--out", required=True, help="table CSV path")
+    p.add_argument("--out", required=True, help="table path (.csv, .json, or stem for both)")
     p.set_defaults(func=_cmd_compare)
     return parser
 

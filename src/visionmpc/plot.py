@@ -67,12 +67,14 @@ def render_trial_svg(path, scenario: Scenario, outcome: TrialOutcome, pipeline: 
         canvas.circle(cx, cy, obstacle.radius, "#cc4444")
     if outcome.log:
         canvas.polyline([(rec.x_m, rec.y_m) for rec in outcome.log], "#2266cc", width=2.5)
-        # desired path reconstructed from the logged scene pair at 3 instants
+        # desired path reconstructed from the logged scene pair at 3 instants;
+        # a row logs the pose after its control, so row k's pair was chosen at poses[k]
+        poses = [scenario.start] + [VehicleState(rec.x_m, rec.y_m, rec.rho_rad) for rec in outcome.log]
         n = len(outcome.log)
         limits = speed_capped(pipeline.nmpc, scenario)
         for frac in (0.25, 0.5, 0.75):
-            rec = outcome.log[min(int(frac * n), n - 1)]
-            state = VehicleState(rec.x_m, rec.y_m, rec.rho_rad)
+            k = min(int(frac * n), n - 1)
+            rec, state = outcome.log[k], poses[k]
             try:
                 dyn = SceneDynamics(rec.c, min(max(rec.w, 0.0), 1.0))
                 s0, _ = route.project((state.x, state.y))

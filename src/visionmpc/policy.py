@@ -21,7 +21,7 @@ from .memory import MemoryEntry
 from .scene import SceneDynamics
 
 # hidden layer widths of every network `training.initialize_network` builds;
-# a network's shape is its layer_sizes, so a checkpoint stores it once
+# a network's shape is read from its weight matrices, so a checkpoint stores it nowhere else
 HIDDEN_LAYERS = (128, 64)
 
 # reward per step: progress along the route minus the absolute lateral
@@ -142,24 +142,30 @@ def featurize(window: Sequence[MemoryEntry], ref_slice: np.ndarray, max_range: f
 
 
 class QNetwork:
-    """Fully-connected action-value network: ReLU hidden layers, linear head."""
+    """Fully-connected action-value network: ReLU hidden layers, linear head.
+    Its shape is its weights: `layer_sizes` (inputs, then each layer's outputs) is read from them once."""
 
-    def __init__(self, layer_sizes: Sequence[int], weights, biases, candidates: CandidateSet):
-        self.layer_sizes = tuple(int(n) for n in layer_sizes)
-        if len(self.layer_sizes) < 2:
-            raise ValueError("need at least input and output layers")
-        if self.layer_sizes[-1] != len(candidates):
-            raise ValueError(
-                f"output dimension {self.layer_sizes[-1]} differs from candidate count {len(candidates)}"
-            )
+    def __init__(self, weights, biases, candidates: CandidateSet):
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
+        if not self.weights or len(self.biases) != len(self.weights):
+            raise ValueError(
+                f"need at least one layer and one bias per weight matrix, got {len(self.weights)} and {len(self.biases)}"
+            )
+        if any(w.ndim != 2 for w in self.weights):
+            raise ValueError(f"weights must be matrices, got shapes {[w.shape for w in self.weights]}")
+        sizes = [self.weights[0].shape[1]]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            expect = (self.layer_sizes[i + 1], self.layer_sizes[i])
-            if w.shape != expect or b.shape != (self.layer_sizes[i + 1],):
-                raise ValueError(f"layer {i} parameter shapes do not match layer_sizes")
+            if w.shape[1] != sizes[-1]:
+                raise ValueError(f"layer {i} takes {w.shape[1]} inputs, but layer {i - 1} gives {sizes[-1]}")
+            if b.shape != (w.shape[0],):
+                raise ValueError(f"layer {i} bias has shape {b.shape}, expected ({w.shape[0]},)")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("network parameters must be finite")
+            sizes.append(w.shape[0])
+        if sizes[-1] != len(candidates):
+            raise ValueError(f"output dimension {sizes[-1]} differs from candidate count {len(candidates)}")
+        self.layer_sizes = tuple(sizes)
         self.candidates = candidates
         # weight gradients of train_step, kept between calls so an update
         # allocates (and faults in) no fresh memory; every network owns its own
@@ -168,19 +174,13 @@ class QNetwork:
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], candidates: CandidateSet, rng: np.random.Generator) -> "QNetwork":
         weights, biases = [], []
-        sizes = tuple(layer_sizes)
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
-        return cls(sizes, weights, biases, candidates)
+        return cls(weights, biases, candidates)
 
     def copy(self) -> "QNetwork":
-        return QNetwork(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.candidates,
-        )
+        return QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.candidates)
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """Action values of one feature vector: forward_batch on one row."""

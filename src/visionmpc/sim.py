@@ -497,6 +497,8 @@ _SCALAR_FIELDS = {
     "state_noise_std": ("params", "sigma_f"),
 }
 _REQUIRED_SCALARS = ("track_half_width_m", "v_max_mps", "goal_radius_m", "sensor_max_range_m")
+# the keys a file may give more than once; every other key is single-valued
+_REPEATED_KEYS = ("waypoint_m", "obstacle_static_m", "obstacle_dynamic_m")
 
 
 def load_scenario(path) -> tuple[Scenario, ModelParams]:
@@ -511,18 +513,19 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
     waypoints: list[tuple[float, float]] = []
     obstacles: list[Obstacle] = []
     start: Optional[VehicleState] = None
-    seen_version = False
+    first_line: dict[str, int] = {}  # line of each single-valued key given
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         key, args = tokens[0], tokens[1:]
+        if key not in _REPEATED_KEYS and first_line.setdefault(key, line_no) != line_no:
+            raise ScenarioFormatError(f"{path}:{line_no}: {key} given again (first on line {first_line[key]})")
         if key == "format_version":
             version = _parse_integer(path, line_no, key, args)
             if version != 1:
                 raise ScenarioFormatError(f"{path}:{line_no}: unsupported format_version {version}")
-            seen_version = True
         elif key == "name":
             if len(args) != 1:
                 raise ScenarioFormatError(f"{path}:{line_no}: name expects one token")
@@ -562,7 +565,7 @@ def load_scenario(path) -> tuple[Scenario, ModelParams]:
                 raise ScenarioFormatError(f"{path}:{line_no}: {exc}") from None
         else:
             raise ScenarioFormatError(f"{path}:{line_no}: unknown key {key!r}")
-    if not seen_version:
+    if "format_version" not in first_line:
         raise ScenarioFormatError(f"{path}: missing format_version")
     missing = [k for k in _REQUIRED_SCALARS if k not in scalars]
     if missing:

@@ -66,7 +66,7 @@ def initialize_network(
     return QNetwork.initialize((n_inputs, *HIDDEN_LAYERS, len(candidates)), candidates, rng)
 
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def _sensor_hash(sensor: RaySensorConfig) -> str:
@@ -74,11 +74,10 @@ def _sensor_hash(sensor: RaySensorConfig) -> str:
 
 
 def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline: PipelineConfig) -> None:
-    """Write the network (its layer_sizes are its shape), its candidate grid,
-    and the sensor and pipeline (every field) it was trained with as JSON."""
+    """Write the weights and biases (their shapes are the network's shape), the
+    candidate grid, and the sensor and pipeline (every field) it was trained with as JSON."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "layer_sizes": list(net.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "candidates": asdict(net.candidates),
@@ -93,8 +92,9 @@ def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
     """Load a checkpoint; returns (net, sensor, pipeline), the pipeline block
     decoded over PipelineConfig() as a --pipeline file is, so a missing key
     keeps its default. Raises ValueError for a file that is not a JSON object,
-    another version, a missing key, a sensor that does not match its hash, or
-    an input size other than the pipeline's and sensor's feature dimension."""
+    another version, a missing key, a sensor that does not match its hash,
+    parameters QNetwork refuses, or an input size other than the pipeline's
+    and sensor's feature dimension."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
@@ -103,7 +103,7 @@ def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
         raise ValueError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
     if not payload.get("pipeline"):
         raise ValueError("checkpoint stores no pipeline, so the one the policy was trained under is unknown")
-    for key in ("layer_sizes", "weights", "biases", "candidates", "sensor", "sensor_hash"):
+    for key in ("weights", "biases", "candidates", "sensor", "sensor_hash"):
         if key not in payload:
             raise ValueError(f"checkpoint has no {key!r} key")
     pipeline = config_from_dict(PipelineConfig(), payload["pipeline"])
@@ -111,7 +111,7 @@ def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
     if _sensor_hash(sensor) != payload["sensor_hash"]:
         raise ValueError("checkpoint sensor hash does not match its stored sensor")
     cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
-    net = QNetwork(payload["layer_sizes"], payload["weights"], payload["biases"], cand)
+    net = QNetwork(payload["weights"], payload["biases"], cand)
     expected = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
     if net.layer_sizes[0] != expected:
         raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {expected}")

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visionmpc import cli
+from visionmpc import cli, controllers, plot
 from visionmpc.cli import _build_controller, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import CandidateSet, QNetwork, input_size
-from visionmpc.sim import RaySensorConfig, StepRecord, load_scenario, run_trial, write_csv
-from visionmpc.training import save_checkpoint, train
+from visionmpc.sim import RaySensorConfig, StepRecord, TrialOutcome, load_scenario, run_trial, write_csv
+from visionmpc.training import demonstration_action, initialize_network, save_checkpoint, train
+from visionmpc.vehicle import VehicleState
 
 
 def scenario_path(name):
@@ -103,16 +104,20 @@ class TestSimulate:
         assert f"error: invalid PipelineConfig file {pipeline}: NmpcConfig must be finite, got nan" in err
         assert not (tmp_path / "o").exists()
 
-    def test_lvd_without_checkpoint_runs_with_seeded_policy(self, tmp_path):
-        rc = run_cli(
-            "simulate",
-            "--scenario", scenario_path("straight_corridor"),
-            "--method", "lvd-nmpc",
-            "--trials", "1",
-            "--seed", "4",
-            "--out", str(tmp_path / "lvd"),
-        )
-        assert rc == 0
+    def test_lvd_without_checkpoint_is_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # lvd-nmpc is its trained network; no untrained stand-in runs in its place
+        monkeypatch.setattr(cli, "run_trial", None)
+        root = tmp_path / "set"
+        root.mkdir()
+        shutil.copy(scenario_path("straight_corridor"), root / "a.scn")
+        for argv, out in (
+            (("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "lvd-nmpc"), tmp_path / "lvd"),
+            (("compare", "--scenario-set", str(root)), tmp_path / "table" / "t.csv"),
+        ):
+            assert run_cli(*argv, "--trials", "1", "--out", str(out)) == 1
+            assert "error: lvd-nmpc runs a trained policy: pass --checkpoint" in capsys.readouterr().err
+            # no output directory was made
+            assert [p.name for p in tmp_path.iterdir()] == ["set"]
 
 
 class TestEvaluateRoundTrip:
@@ -217,6 +222,46 @@ class TestEvaluateManifest:
         rc = run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "r.csv"))
         assert rc == 1
         assert "is not a JSON object" in capsys.readouterr().err
+
+
+class TestReportPath:
+    """A .csv or .json report path is written as named; any other name gets both suffixes appended."""
+
+    def test_evaluate_keeps_a_dotted_stem(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
+            "--trials", "1", "--out", str(out),
+        ) == 0
+        assert run_cli("evaluate", "--logs", str(out), "--out", str(tmp_path / "runs" / "rep.v2")) == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["rep.v2.csv", "rep.v2.json"]
+        assert (tmp_path / "runs" / "rep.v2.csv").read_bytes() == (out / "report.csv").read_bytes()
+        assert (tmp_path / "runs" / "rep.v2.json").read_bytes() == (out / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, written", [("t.json", ["t.json"]), ("t.csv", ["t.csv"]), ("t.v2", ["t.v2.csv", "t.v2.json"])]
+    )
+    def test_compare_writes_by_the_same_rule(self, tmp_path, monkeypatch, name, written):
+        ckpt = tmp_path / "net.json"
+        write_trained_checkpoint(ckpt, PipelineConfig())
+        scenario_set = tmp_path / "set"
+        scenario_set.mkdir()
+        shutil.copy(scenario_path("straight_corridor"), scenario_set)
+        # a fast stand-in controller; the report files are what count
+        monkeypatch.setattr(cli, "_build_controller", lambda method, scenario, pipeline, *_: DirectController(pipeline))
+        out = tmp_path / "table"
+        assert run_cli(
+            "compare", "--scenario-set", str(scenario_set), "--trials", "1",
+            "--checkpoint", str(ckpt), "--out", str(out / name),
+        ) == 0
+        assert sorted(p.name for p in out.iterdir()) == written
+        for file in written:
+            # compare measures latency, so the tables are read rather than compared bytewise
+            if file.endswith(".json"):
+                methods = [rep["method"] for rep in json.loads((out / file).read_text())["reports"]]
+            else:
+                methods = [row["method"] for row in csv.DictReader((out / file).open())]
+            assert sorted(methods) == sorted(cli.METHODS)
 
 
 class TestTrialsArgument:
@@ -326,6 +371,43 @@ class TestPlot:
         ]
         assert len(desired) == 3
         assert all(len(path) == tau_o for path in desired)
+
+
+    def test_desired_paths_start_from_the_pose_each_pair_was_chosen_at(self, tmp_path, monkeypatch):
+        # a row holds the pose reached after its control, so row k's pair was
+        # chosen at row k-1's pose, and at the start pose for row 0
+        scenario, params = load_scenario(scenario_path("s_curve"))
+        pipeline = PipelineConfig()
+        net = initialize_network([(scenario, params)], pipeline, CandidateSet.grid(), np.random.default_rng(0))
+        build = controllers.lvd_desired_path
+        tracked, drawn = [], []
+
+        def recorder(calls):
+            def record(route, s, dyn, state, limits):
+                z_d = build(route, s, dyn, state, limits)
+                calls.append((state, z_d))
+                return z_d
+
+            return record
+
+        # LVD-NMPC at full speed, the pairs chosen by the demonstration chooser
+        monkeypatch.setattr(controllers, "lvd_desired_path", recorder(tracked))
+        source = lambda obs, features: demonstration_action(obs, net.candidates)  # noqa: E731
+        outcome = run_trial(scenario, LvdNmpcController(net, pipeline, action_source=source), params)
+        assert len(tracked) == len(outcome.log) > 1
+        monkeypatch.setattr(plot, "lvd_desired_path", recorder(drawn))
+        plot.render_trial_svg(tmp_path / "trial.svg", scenario, outcome, pipeline)
+        n = len(outcome.log)
+        instants = [min(int(frac * n), n - 1) for frac in (0.25, 0.5, 0.75)]
+        assert len(drawn) == 3
+        for k, (state, z_d) in zip(instants, drawn):
+            prev = outcome.log[k - 1]
+            assert state == VehicleState(prev.x_m, prev.y_m, prev.rho_rad)
+            assert np.array_equal(z_d, tracked[k][1])
+        drawn.clear()
+        plot.render_trial_svg(tmp_path / "first.svg", scenario, TrialOutcome(outcome.log[:1], scenario), pipeline)
+        assert [state for state, _ in drawn] == [scenario.start] * 3
+        assert all(np.array_equal(z_d, tracked[0][1]) for _, z_d in drawn)
 
 
 class TestTrain:
@@ -448,7 +530,7 @@ class TestCheckpointReload:
         # without --pipeline, train runs and stores the pipeline every command starts from
         assert json.loads(ckpt.read_text())["pipeline"] == asdict(PipelineConfig())
         pipeline, policy = _run_pipeline(None, str(ckpt))
-        _build_controller("lvd-nmpc", scenario, pipeline, policy, 0)
+        _build_controller("lvd-nmpc", scenario, pipeline, policy)
         assert pipeline == PipelineConfig()
         assert pipeline.nmpc.max_iters == 4
 
@@ -570,7 +652,20 @@ class TestCheckpointReload:
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("key", ["sensor", "weights", "layer_sizes", "candidates"])
+    def test_checkpoint_cut_after_its_hidden_layer_is_refused(self, tmp_path, capsys):
+        # it used to load and drive, the argmax running over the 64 hidden units
+        ckpt = self._train(tmp_path)
+        payload = json.loads(ckpt.read_text())
+        del payload["weights"][-1], payload["biases"][-1]
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert self._simulate(ckpt, out) == 1
+        assert f"error: cannot load checkpoint {ckpt}: output dimension 64 differs from candidate count 45" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sensor", "weights", "biases", "candidates"])
     def test_checkpoint_without_a_key_names_it(self, tmp_path, capsys, key):
         ckpt = tmp_path / "net.json"
         write_trained_checkpoint(ckpt, PipelineConfig())
@@ -622,7 +717,7 @@ class TestOnePipelinePerRun:
         shutil.copy(scenario_path("straight_corridor"), scenario_set)
         seen = {}
 
-        def record(method, scenario, pipeline, policy, seed):
+        def record(method, scenario, pipeline, policy):
             # a fast stand-in controller; the pipeline handed over is what counts
             seen[method] = (pipeline, policy is not None)
             return DirectController(pipeline)

@@ -24,7 +24,6 @@ from visionmpc.policy import (
     train_step,
 )
 from visionmpc.sim import RaySensorConfig
-from visionmpc.training import load_checkpoint, save_checkpoint
 from visionmpc.vehicle import VehicleState
 
 from test_vehicle import path_of
@@ -100,7 +99,7 @@ class TestFeaturize:
 class TestQNetwork:
     def test_zero_parameters_give_zero_outputs(self):
         cand = CandidateSet((-0.5,), (0.0, 1.0))
-        net = QNetwork((3, 4, 2), [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)], cand)
+        net = QNetwork([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)], cand)
         assert np.all(net.forward(np.ones(3)) == 0.0)
 
     def test_hand_computed_forward_pass(self):
@@ -109,7 +108,7 @@ class TestQNetwork:
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[2.0, 0.0], [0.0, 3.0]])
         b2 = np.array([0.0, 1.0])
-        net = QNetwork((2, 2, 2), [w1, w2], [b1, b2], cand)
+        net = QNetwork([w1, w2], [b1, b2], cand)
         s = np.array([1.0, 2.0])
         h = np.maximum(w1 @ s + b1, 0.0)  # [max(-0.9,0)=0, max(0.8,0)=0.8]
         want = w2 @ h + b2  # [0, 3.4]
@@ -130,11 +129,35 @@ class TestQNetwork:
         with pytest.raises(ValueError):
             net.forward(np.ones(4))
 
+    def test_layer_sizes_are_read_from_the_weights(self):
+        cand = CandidateSet((-0.5, 0.5), (0.0, 1.0))
+        weights = [np.zeros((5, 3)), np.zeros((6, 5)), np.zeros((4, 6))]
+        net = QNetwork(weights, [np.zeros(5), np.zeros(6), np.zeros(4)], cand)
+        assert net.layer_sizes == (3, 5, 6, 4)
+        assert net.copy().layer_sizes == QNetwork.initialize((3, 5, 6, 4), cand, np.random.default_rng(0)).layer_sizes
+
+    @pytest.mark.parametrize(
+        "weights, biases, message",
+        [
+            ([], [], "at least one layer and one bias per weight matrix, got 0 and 0"),
+            ([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4)], "one bias per weight matrix, got 2 and 1"),
+            ([np.zeros((4, 3)), np.zeros(8)], [np.zeros(4), np.zeros(2)], r"matrices, got shapes \[\(4, 3\), \(8,\)\]"),
+            ([np.zeros((4, 3)), np.zeros((2, 5))], [np.zeros(4), np.zeros(2)], "layer 1 takes 5 inputs, but layer 0 gives"),
+            ([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(3), np.zeros(2)], r"layer 0 bias has shape \(3,\)"),
+            # a network cut after its hidden layer: its argmax would run over hidden units
+            ([np.zeros((4, 3))], [np.zeros(4)], "output dimension 4 differs from candidate count 2"),
+            ([np.zeros((4, 3)), np.full((2, 4), np.nan)], [np.zeros(4), np.zeros(2)], "must be finite"),
+        ],
+    )
+    def test_parameters_that_do_not_chain_are_refused(self, weights, biases, message):
+        with pytest.raises(ValueError, match=message):
+            QNetwork(weights, biases, CandidateSet((-0.5,), (0.0, 1.0)))
+
 
 class TestSelectDynamics:
     def _net(self, q_values):
         cand = CandidateSet(tuple(0.1 * i for i in range(len(q_values))), (0.0,))
-        net = QNetwork((1, len(q_values)), [np.zeros((len(q_values), 1))], [np.array(q_values, dtype=float)], cand)
+        net = QNetwork([np.zeros((len(q_values), 1))], [np.array(q_values, dtype=float)], cand)
         return net
 
     def test_greedy_argmax(self):
@@ -367,103 +390,6 @@ class TestTrainStep:
         R = R * float("inf")
         with pytest.raises(ValueError):
             train_step(net, net.copy(), (S, A, R, S2, term), TrainConfig())
-
-
-PIPELINE = PipelineConfig(n_history=2, nmpc=NmpcConfig(tau_o=3))
-SENSOR = RaySensorConfig(resolution_deg=60.0, max_range_m=2.0)
-SMALL_GRID = CandidateSet((-0.5, 0.5), (0.0, 1.0))
-
-
-def small_net(rng, candidates=SMALL_GRID, extra_inputs=0):
-    """A network for PIPELINE and SENSOR (6 rays), extra_inputs wider than they give."""
-    n_inputs = input_size(PIPELINE.n_history, SENSOR.n_rays, PIPELINE.nmpc.tau_o) + extra_inputs
-    return QNetwork.initialize((n_inputs, 4, len(candidates)), candidates, rng)
-
-
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        net = small_net(np.random.default_rng(12), candidates=CandidateSet.grid())
-        path = tmp_path / "net.json"
-        save_checkpoint(path, net, SENSOR, PIPELINE)
-        loaded, sensor, pipeline = load_checkpoint(path)
-        assert sensor == SENSOR
-        assert pipeline == PIPELINE
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
-        assert loaded.candidates == CandidateSet.grid()
-
-    def test_stores_each_layout_setting_once(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, PIPELINE)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 6
-        assert set(payload) == {
-            "format_version", "layer_sizes", "weights", "biases", "candidates", "pipeline", "sensor", "sensor_hash",
-        }
-        # the network's shape is stored once, as its layer sizes
-        assert set(payload["pipeline"]) == {"nmpc", "n_history"}
-        assert payload["sensor"] == asdict(SENSOR)
-        assert payload["pipeline"]["n_history"] == 2 and payload["pipeline"]["nmpc"]["tau_o"] == 3
-
-    def test_rejects_tampered_payload(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(14)), SENSOR, PIPELINE)
-        payload = json.loads(path.read_text())
-        payload["sensor"]["max_range_m"] = 9.0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="sensor hash"):
-            load_checkpoint(path)
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
-    def test_refuses_older_versions(self, tmp_path, version):
-        # v1 stored part of the pipeline; a v2 pipeline block names scene
-        # settings that are now constants; a v3 file may hold no pipeline;
-        # a v4 file stores n_history and tau_o a second time, in its feature
-        # block; a v5 pipeline block stores the hidden layers beside layer_sizes
-        path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, PIPELINE)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = version
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 6"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("stored", ["absent", None, {}])
-    def test_refuses_a_file_without_its_pipeline(self, tmp_path, stored):
-        path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(18)), SENSOR, PIPELINE)
-        payload = json.loads(path.read_text())
-        if stored == "absent":
-            del payload["pipeline"]
-        else:
-            payload["pipeline"] = stored
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="stores no pipeline"):
-            load_checkpoint(path)
-
-    def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_checkpoint(path, small_net(np.random.default_rng(16), extra_inputs=1), SENSOR, PIPELINE)
-        with pytest.raises(ValueError, match="feature dimension"):
-            load_checkpoint(path)
-
-    def test_full_pipeline_round_trips(self, tmp_path):
-        rng = np.random.default_rng(17)
-        pipeline = perturbed(PipelineConfig(), rng)
-        net = QNetwork.initialize(
-            (input_size(pipeline.n_history, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
-        )
-        path = tmp_path / "net.json"
-        save_checkpoint(path, net, SENSOR, pipeline)
-        loaded, sensor, reloaded = load_checkpoint(path)
-        assert sensor == SENSOR
-        assert reloaded == pipeline
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases))
-        assert loaded.candidates == SMALL_GRID
 
 
 def perturbed(value, rng):

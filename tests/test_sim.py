@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from visionmpc import baselines, training
+from visionmpc import baselines, sim, training
 from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.geometry import Polyline
 from visionmpc.nmpc import NmpcError
@@ -703,6 +703,27 @@ class TestScenarioFiles:
         path.write_text(text + "obstacle_dynamic_m 0.1 0.3 3.2 0.45 3.2 0.45\n")
         line = text.count("\n") + 1
         with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: polyline contains a zero-length segment"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["format_version", "name", "sensor_fov_deg", "start_pose", *sim._SCALAR_FIELDS],
+    )
+    def test_single_valued_key_given_twice_is_refused_with_both_lines(self, tmp_path, key):
+        # a repeated key would otherwise load its last value without a word
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        first = next(i for i, line in enumerate(text.splitlines(), start=1) if line.split()[0] == key)
+        path = tmp_path / "bad.scn"
+        path.write_text(text + text.splitlines()[first - 1] + "\n")
+        second = text.count("\n") + 1
+        with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{second}: {key} given again \(first on line {first}\)"):
+            load_scenario(path)
+
+    def test_wider_corridor_after_the_first_is_refused(self, tmp_path):
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "twice.scn"
+        path.write_text(text.replace("track_half_width_m 0.6\n", "track_half_width_m 0.6\ntrack_half_width_m 5.0\n"))
+        with pytest.raises(ScenarioFormatError, match=r"twice\.scn:5: track_half_width_m given again \(first on line 4\)"):
             load_scenario(path)
 
     def test_sensor_resolution_must_divide_fov(self):

@@ -1,5 +1,6 @@
 import csv
-from dataclasses import fields
+import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from visionmpc import nmpc
 from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.metrics import MetricsReport, aggregate
 from visionmpc.nmpc import NmpcConfig, NmpcError
-from visionmpc.policy import CandidateSet, TrainConfig
+from visionmpc.policy import CandidateSet, QNetwork, TrainConfig, input_size
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, StepRecord, csv_cell, run_trial, write_csv
-from visionmpc.training import EpisodeRecord, initialize_network, train
+from visionmpc.training import EpisodeRecord, initialize_network, load_checkpoint, save_checkpoint, train
 from visionmpc.vehicle import ModelParams, VehicleState
+
+from test_policy import perturbed
 
 
 def tiny_scenario(seed=3, n_rays_deg=30.0, start=VehicleState(0, 0, 0)):
@@ -151,3 +154,112 @@ def test_csv_columns_are_the_record_fields(tmp_path, records):
     assert rows[0] == names
     assert len(rows) > 2
     assert rows[1:] == [[csv_cell(getattr(rec, name)) for name in names] for rec in rows_in]
+
+
+PIPELINE = PipelineConfig(n_history=2, nmpc=NmpcConfig(tau_o=3))
+SENSOR = RaySensorConfig(resolution_deg=60.0, max_range_m=2.0)
+SMALL_GRID = CandidateSet((-0.5, 0.5), (0.0, 1.0))
+
+
+def small_net(rng, candidates=SMALL_GRID, extra_inputs=0):
+    """A network for PIPELINE and SENSOR (6 rays), extra_inputs wider than they give."""
+    n_inputs = input_size(PIPELINE.n_history, SENSOR.n_rays, PIPELINE.nmpc.tau_o) + extra_inputs
+    return QNetwork.initialize((n_inputs, 4, len(candidates)), candidates, rng)
+
+
+class TestCheckpoint:
+    def test_roundtrip_bit_exact(self, tmp_path):
+        net = small_net(np.random.default_rng(12), candidates=CandidateSet.grid())
+        path = tmp_path / "net.json"
+        save_checkpoint(path, net, SENSOR, PIPELINE)
+        loaded, sensor, pipeline = load_checkpoint(path)
+        assert sensor == SENSOR
+        assert pipeline == PIPELINE
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
+        assert loaded.candidates == CandidateSet.grid()
+
+    def test_stores_each_layout_setting_once(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 7
+        assert set(payload) == {
+            "format_version", "weights", "biases", "candidates", "pipeline", "sensor", "sensor_hash",
+        }
+        # the network's shape is stored once, as its weights' shapes
+        assert [np.shape(w) for w in payload["weights"]] == [(4, 20), (4, 4)]
+        assert set(payload["pipeline"]) == {"nmpc", "n_history"}
+        assert payload["sensor"] == asdict(SENSOR)
+        assert payload["pipeline"]["n_history"] == 2 and payload["pipeline"]["nmpc"]["tau_o"] == 3
+
+    def test_rejects_tampered_payload(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(14)), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        payload["sensor"]["max_range_m"] = 9.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="sensor hash"):
+            load_checkpoint(path)
+        payload["format_version"] = 99
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    def test_refuses_older_versions(self, tmp_path, version):
+        # v1 stored part of the pipeline; a v2 pipeline block names scene
+        # settings that are now constants; a v3 file may hold no pipeline;
+        # a v4 file stores n_history and tau_o a second time, in its feature
+        # block; a v5 pipeline block stores the hidden layers beside layer_sizes;
+        # a v6 file stores layer_sizes beside the weights that hold the shape
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 7"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", ["absent", None, {}])
+    def test_refuses_a_file_without_its_pipeline(self, tmp_path, stored):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(18)), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        if stored == "absent":
+            del payload["pipeline"]
+        else:
+            payload["pipeline"] = stored
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="stores no pipeline"):
+            load_checkpoint(path)
+
+    def test_refuses_a_network_cut_after_its_hidden_layer(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(19), candidates=CandidateSet.grid()), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        del payload["weights"][-1], payload["biases"][-1]
+        path.write_text(json.dumps(payload))
+        # it would drive, its argmax running over the 4 hidden units
+        with pytest.raises(ValueError, match="output dimension 4 differs from candidate count 45"):
+            load_checkpoint(path)
+
+    def test_rejects_input_size_other_than_feature_dim(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(16), extra_inputs=1), SENSOR, PIPELINE)
+        with pytest.raises(ValueError, match="feature dimension"):
+            load_checkpoint(path)
+
+    def test_full_pipeline_round_trips(self, tmp_path):
+        rng = np.random.default_rng(17)
+        pipeline = perturbed(PipelineConfig(), rng)
+        net = QNetwork.initialize(
+            (input_size(pipeline.n_history, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
+        )
+        path = tmp_path / "net.json"
+        save_checkpoint(path, net, SENSOR, pipeline)
+        loaded, sensor, reloaded = load_checkpoint(path)
+        assert sensor == SENSOR
+        assert reloaded == pipeline
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases))
+        assert loaded.candidates == SMALL_GRID
