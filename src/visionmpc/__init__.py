@@ -5,6 +5,15 @@ controller with scene-adaptive gains, a Q-learning-trained scene-dynamics
 estimator, two baseline policies, and a metrics harness with a CLI.
 """
 
+import os as _os
+
+# One BLAS thread unless the user set a count: a matrix product split over
+# another number of threads rounds differently, so training would not repeat
+# across machines. numpy reads these once, when it is first imported, so they
+# are set before any submodule imports it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .baselines import direct_policy_step, dwa_plan
 from .controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from .memory import AugmentedMemory, MemoryEntry, Observation

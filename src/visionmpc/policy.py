@@ -24,6 +24,14 @@ from .scene import SceneDynamics
 # a network's shape is read from its weight matrices, so a checkpoint stores it nowhere else
 HIDDEN_LAYERS = (128, 64)
 
+# Deep Q-learning settings, one value for every run as DQN had (Mnih et al. 2015)
+GAMMA = 0.95  # Bellman discount
+LEARNING_RATE = 5e-4  # SGD step size
+EPSILON_START = 1.0  # exploration rate at episode 0, falling linearly ...
+EPSILON_END = 0.05  # ... to this at TrainConfig.epsilon_decay_episodes
+TARGET_SYNC_EVERY = 250  # training steps between target-network syncs
+REPLAY_CAPACITY = 50_000  # transitions the replay buffer holds
+
 # reward per step: progress along the route minus the absolute lateral
 # offset, both in meters, and the terminal crash penalty and goal bonus
 REWARD_PROGRESS_GAIN = 1.0
@@ -265,48 +273,35 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Deep Q-learning hyperparameters."""
+    """The Deep Q-learning settings a run chooses; the fixed ones are the module constants above."""
 
     episodes: int = 300
-    gamma: float = 0.95
-    learning_rate: float = 5e-4
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
     epsilon_decay_episodes: int = 180
     batch_size: int = 64
-    target_sync_every: int = 250
-    replay_capacity: int = 50_000
     max_steps_per_episode: int = 200
     demo_episodes: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError("gamma must be in [0, 1)")
-        for eps in (self.epsilon_start, self.epsilon_end):
-            if not (0.0 <= eps <= 1.0):
-                raise ValueError("epsilon values must be in [0, 1]")
-        if self.episodes < 0 or self.batch_size < 1 or self.target_sync_every < 1:
-            raise ValueError("episodes, batch_size, target_sync_every must be positive")
-        if self.epsilon_decay_episodes < 1 or self.max_steps_per_episode < 1:
-            raise ValueError("epsilon_decay_episodes and max_steps_per_episode must be positive")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be non-negative, got {self.episodes}")
+        if self.epsilon_decay_episodes < 1:
+            raise ValueError(f"epsilon_decay_episodes must be positive, got {self.epsilon_decay_episodes}")
+        if not (1 <= self.batch_size <= REPLAY_CAPACITY):
+            # a batch the buffer cannot hold would never be drawn, so no Bellman update would run
+            raise ValueError(f"batch_size must be in [1, REPLAY_CAPACITY = {REPLAY_CAPACITY}], got {self.batch_size}")
+        if self.max_steps_per_episode < 1:
+            raise ValueError(f"max_steps_per_episode must be positive, got {self.max_steps_per_episode}")
         if self.demo_episodes < 0:
-            raise ValueError("demo_episodes must be non-negative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.replay_capacity < self.batch_size:
-            # the buffer would never hold a batch, so no Bellman update would run
-            raise ValueError(
-                f"replay_capacity ({self.replay_capacity}) must be at least batch_size ({self.batch_size})"
-            )
+            raise ValueError(f"demo_episodes must be non-negative, got {self.demo_episodes}")
 
 
 def epsilon_at(episode: int, cfg: TrainConfig) -> float:
     frac = min(1.0, episode / cfg.epsilon_decay_episodes)
-    return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 
-def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> float:
+def train_step(net: QNetwork, target_net: QNetwork, batch) -> float:
     """One SGD step on the mean squared Bellman error; returns the pre-step loss."""
     S, A, R, S2, term = batch
     if S.shape[0] == 0:
@@ -314,7 +309,7 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
     n = S.shape[0]
     q_all, cache = net.forward_batch(S)
     q_next, _ = target_net.forward_batch(S2)
-    targets = R + cfg.gamma * q_next.max(axis=1) * (1.0 - term)
+    targets = R + GAMMA * q_next.max(axis=1) * (1.0 - term)
     delta = q_all[np.arange(n), A] - targets
     loss = float(np.mean(delta ** 2))
     if not math.isfinite(loss):
@@ -331,8 +326,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, cfg: TrainConfig) -> 
             d = (d @ net.weights[i]) * (cache[i] > 0.0)
     # w -= lr * grad, in place in the gradient buffer and the weights
     for w, grad_w, b, grad_b in zip(net.weights, net._grad_w, net.biases, grads_b):
-        np.multiply(cfg.learning_rate, grad_w, out=grad_w)
+        np.multiply(LEARNING_RATE, grad_w, out=grad_w)
         np.subtract(w, grad_w, out=w)
-        b -= cfg.learning_rate * grad_b
+        b -= LEARNING_RATE * grad_b
     return loss
 

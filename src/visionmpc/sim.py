@@ -164,10 +164,11 @@ class Scenario:
             raise ValueError("half_width must be positive")
         if self.time_limit_s < 0.0:
             raise ValueError("time_limit_s must be non-negative")
+        self.route_polyline  # built now: a degenerate route raises here
 
     @cached_property
     def route_polyline(self) -> Polyline:
-        """Route as a polyline, built on first use; not part of equality."""
+        """Route as a polyline, built on construction; not part of equality."""
         return Polyline(self.route)
 
     @cached_property

@@ -30,6 +30,8 @@ from .geometry import read_only
 from .memory import Observation
 from .policy import (
     HIDDEN_LAYERS,
+    REPLAY_CAPACITY,
+    TARGET_SYNC_EVERY,
     CandidateSet,
     QNetwork,
     ReplayBuffer,
@@ -188,7 +190,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     net = initialize_network(suite, pipeline, candidates, rng)
     target = net.copy()
-    buffer = ReplayBuffer(cfg.replay_capacity)
+    buffer = ReplayBuffer(REPLAY_CAPACITY)
     log: list[EpisodeRecord] = []
     global_step = 0
 
@@ -231,8 +233,8 @@ def train(
                 pending = (features, action, r)
             if len(buffer) >= cfg.batch_size:
                 batch = buffer.sample(cfg.batch_size, rng)
-                losses.append(train_step(net, target, batch, cfg))
-            if global_step % cfg.target_sync_every == 0:
+                losses.append(train_step(net, target, batch))
+            if global_step % TARGET_SYNC_EVERY == 0:
                 target = net.copy()
             if steps == cfg.max_steps_per_episode:
                 break

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import visionmpc
 from visionmpc import cli, controllers, plot
 from visionmpc.cli import _build_controller, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
@@ -92,6 +96,21 @@ class TestSimulate:
                      "--out", str(tmp_path / "o"))
         assert rc == 1
         assert f"error: {path}:{line}: polyline contains a zero-length segment" in capsys.readouterr().err
+
+    def test_repeated_waypoint_is_refused_before_any_output(self, tmp_path, capsys):
+        root = tmp_path / "set"
+        root.mkdir()
+        path = root / "bad.scn"
+        text = Path(scenario_path("straight_corridor")).read_text()
+        path.write_text(text.replace("waypoint_m 1.5 0.0\n", "waypoint_m 1.5 0.0\nwaypoint_m 1.5 0.0\n"))
+        for argv, out in (
+            (("simulate", "--scenario", str(path), "--method", "direct", "--trials", "1"), tmp_path / "o"),
+            (("train", "--scenario-set", str(root)), tmp_path / "ckpt" / "n.json"),
+        ):
+            assert run_cli(*argv, "--out", str(out)) == 1
+            assert f"error: {path}: polyline contains a zero-length segment" in capsys.readouterr().err
+            # no output directory was made
+            assert [p.name for p in tmp_path.iterdir()] == ["set"]
 
     def test_non_finite_pipeline_value_is_an_error(self, tmp_path, capsys):
         # json accepts NaN, and a NaN grad_tol would stop every solve before its first iteration
@@ -435,6 +454,31 @@ class TestTrain:
         log_b = outs[1].with_suffix(".json.log.csv").read_bytes()
         assert log_a == log_b
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_unpinned_run_writes_the_checkpoint_of_a_one_thread_run(self, tmp_path):
+        # The package pins one BLAS thread unless the user set a count. At the
+        # default batch of 64 the first layer's product rounds differently at 2
+        # threads, which a smaller batch does not show. A 1-core machine runs
+        # one thread either way, so only a runner with 2 or more cores can
+        # show a lost pin. An explicitly set other count still rounds
+        # differently: the pin covers unset variables only.
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"episodes": 2, "max_steps_per_episode": 60}))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        src = str(Path(visionmpc.__file__).parents[1])
+        unset["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outs = []
+        for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name / "net.json"
+            subprocess.run(
+                [sys.executable, "-m", "visionmpc.cli", "train",
+                 "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
+                 "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "train.json"

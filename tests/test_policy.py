@@ -5,6 +5,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from visionmpc import policy
 from visionmpc.controllers import PipelineConfig
 from visionmpc.geometry import Polyline
 from visionmpc.memory import MemoryEntry, Observation
@@ -12,6 +13,7 @@ from visionmpc.nmpc import NmpcConfig
 from visionmpc.policy import (
     CandidateSet,
     QNetwork,
+    REPLAY_CAPACITY,
     REWARD_CROSS_TRACK_GAIN,
     REWARD_PROGRESS_GAIN,
     ReplayBuffer,
@@ -248,14 +250,15 @@ def make_batch(rng, net, n=8):
     return S, A, R, S2, term
 
 
-def reference_train_step(net, target_net, batch, cfg):
+def reference_train_step(net, target_net, batch):
     """The Bellman update with fresh gradient arrays on every call, as the
-    in-place update must reproduce bit for bit."""
+    in-place update must reproduce bit for bit; reads the module's GAMMA and
+    LEARNING_RATE at call time, so a monkeypatched value applies to both."""
     S, A, R, S2, term = batch
     n = S.shape[0]
     q_all, cache = net.forward_batch(S)
     q_next, _ = target_net.forward_batch(S2)
-    targets = R + cfg.gamma * q_next.max(axis=1) * (1.0 - term)
+    targets = R + policy.GAMMA * q_next.max(axis=1) * (1.0 - term)
     delta = q_all[np.arange(n), A] - targets
     d = np.zeros_like(q_all)
     d[np.arange(n), A] = 2.0 * delta / n
@@ -267,8 +270,8 @@ def reference_train_step(net, target_net, batch, cfg):
         if i > 0:
             d = (d @ net.weights[i]) * (cache[i] > 0.0)
     for i in range(len(net.weights)):
-        net.weights[i] -= cfg.learning_rate * grads_w[i]
-        net.biases[i] -= cfg.learning_rate * grads_b[i]
+        net.weights[i] -= policy.LEARNING_RATE * grads_w[i]
+        net.biases[i] -= policy.LEARNING_RATE * grads_b[i]
 
 
 class TestTrainStep:
@@ -276,14 +279,15 @@ class TestTrainStep:
         cand = CandidateSet((-0.5, 0.0, 0.5), (0.0,))
         return QNetwork.initialize((5, 6, 3), cand, rng)
 
-    def test_gamma_zero_targets_equal_rewards(self):
+    def test_gamma_zero_targets_equal_rewards(self, monkeypatch):
+        monkeypatch.setattr(policy, "GAMMA", 0.0)
         rng = np.random.default_rng(0)
         net = self._net(rng)
         target = net.copy()
         S, A, R, S2, term = make_batch(rng, net)
         q, _ = net.forward_batch(S)
         expect = float(np.mean((q[np.arange(len(A)), A] - R) ** 2))
-        loss = train_step(net, target, (S, A, R, S2, term), TrainConfig(gamma=0.0))
+        loss = train_step(net, target, (S, A, R, S2, term))
         assert loss == pytest.approx(expect, rel=1e-12)
 
     def test_all_terminal_batch_ignores_target_net(self):
@@ -293,57 +297,55 @@ class TestTrainStep:
         t2 = self._net(np.random.default_rng(99))
         S, A, R, S2, _ = make_batch(rng, net)
         term = np.ones(len(A))
-        cfg = TrainConfig()
         updated = [net.copy(), net.copy()]
-        assert train_step(updated[0], t1, (S, A, R, S2, term), cfg) == train_step(
-            updated[1], t2, (S, A, R, S2, term), cfg
-        )
+        assert train_step(updated[0], t1, (S, A, R, S2, term)) == train_step(updated[1], t2, (S, A, R, S2, term))
         for a, b in zip(updated[0].weights + updated[0].biases, updated[1].weights + updated[1].biases):
             assert np.array_equal(a, b)
 
-    def test_updates_are_bit_equal_to_the_allocating_expression(self):
+    def test_updates_are_bit_equal_to_the_allocating_expression(self, monkeypatch):
+        monkeypatch.setattr(policy, "LEARNING_RATE", 1e-2)
         rng = np.random.default_rng(2)
         cand = CandidateSet.grid()
         net = QNetwork.initialize((40, 16, 12, len(cand)), cand, rng)
         ref = net.copy()
         target = net.copy()
-        cfg = TrainConfig(learning_rate=1e-2)
         for _ in range(50):
             batch = make_batch(rng, net, n=16)
-            train_step(net, target, batch, cfg)
-            reference_train_step(ref, target, batch, cfg)
+            train_step(net, target, batch)
+            reference_train_step(ref, target, batch)
             for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
                 assert np.array_equal(a, b)
 
-    def test_target_copy_is_unchanged_by_later_steps(self):
+    def test_target_copy_is_unchanged_by_later_steps(self, monkeypatch):
+        monkeypatch.setattr(policy, "LEARNING_RATE", 0.1)
         rng = np.random.default_rng(6)
         net = self._net(rng)
         target = net.copy()
         frozen = [p.copy() for p in target.weights + target.biases]
         for _ in range(5):
-            train_step(net, target, make_batch(rng, net), TrainConfig(learning_rate=0.1))
+            train_step(net, target, make_batch(rng, net))
         assert not np.array_equal(net.weights[0], frozen[0])
         for a, b in zip(target.weights + target.biases, frozen):
             assert np.array_equal(a, b)
         assert all(g is not h for g, h in zip(net._grad_w, target._grad_w))
 
-    def test_bellman_update_faults_in_no_fresh_memory(self):
+    def test_bellman_update_faults_in_no_fresh_memory(self, monkeypatch):
+        monkeypatch.setattr(policy, "LEARNING_RATE", 1e-6)
         resource = pytest.importorskip("resource")
         rng = np.random.default_rng(8)
         cand = CandidateSet.grid()
         net = QNetwork.initialize((744, 128, 64, len(cand)), cand, rng)
         target = net.copy()
         batch = make_batch(rng, net, n=32)
-        cfg = TrainConfig(learning_rate=1e-6)
         for _ in range(5):
-            train_step(net, target, batch, cfg)
+            train_step(net, target, batch)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(50):
-            train_step(net, target, batch, cfg)
+            train_step(net, target, batch)
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
         assert faults < 20
 
-    def test_backprop_matches_finite_differences(self):
+    def test_backprop_matches_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(3)
         net = self._net(rng)
         target = self._net(np.random.default_rng(7))
@@ -359,7 +361,9 @@ class TestTrainStep:
 
         # with learning rate 1 the SGD update reveals the gradient exactly
         probe = net.copy()
-        train_step(probe, target, batch, TrainConfig(learning_rate=1.0, gamma=gamma))
+        monkeypatch.setattr(policy, "LEARNING_RATE", 1.0)
+        monkeypatch.setattr(policy, "GAMMA", gamma)
+        train_step(probe, target, batch)
         analytic = [a - b for a, b in zip(net.weights + net.biases, probe.weights + probe.biases)]
 
         worst = 0.0
@@ -389,7 +393,7 @@ class TestTrainStep:
         S, A, R, S2, term = make_batch(rng, net)
         R = R * float("inf")
         with pytest.raises(ValueError):
-            train_step(net, net.copy(), (S, A, R, S2, term), TrainConfig())
+            train_step(net, net.copy(), (S, A, R, S2, term))
 
 
 def perturbed(value, rng):
@@ -415,23 +419,39 @@ def perturbed(value, rng):
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("rate", [0.0, -1e-3])
-    def test_non_positive_learning_rate_is_refused(self, rate):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=rate)
+    @pytest.mark.parametrize(
+        "key", ["gamma", "learning_rate", "epsilon_start", "epsilon_end", "target_sync_every", "replay_capacity"]
+    )
+    def test_fixed_dqn_setting_is_an_unknown_key(self, key):
+        # these are module constants (policy.GAMMA and so on), not run settings
+        with pytest.raises(ValueError, match=rf"^unknown TrainConfig key\(s\): {key}$"):
+            config_from_dict(TrainConfig(), {key: getattr(policy, key.upper())})
 
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
-    def test_non_finite_learning_rate_is_refused(self, rate):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=rate)
-
-    def test_replay_capacity_below_batch_size_is_refused(self):
+    def test_batch_larger_than_the_replay_buffer_is_refused(self):
         # the buffer would never hold a batch, so train would run no update
-        with pytest.raises(ValueError, match="replay_capacity"):
-            TrainConfig(replay_capacity=31, batch_size=32)
-        with pytest.raises(ValueError, match="replay_capacity"):
-            config_from_dict(TrainConfig(), {"replay_capacity": 8, "batch_size": 16})
-        assert TrainConfig(replay_capacity=32, batch_size=32).replay_capacity == 32
+        assert TrainConfig(batch_size=REPLAY_CAPACITY).batch_size == REPLAY_CAPACITY
+        with pytest.raises(ValueError, match=rf"batch_size must be in \[1, REPLAY_CAPACITY = {REPLAY_CAPACITY}\]"):
+            TrainConfig(batch_size=REPLAY_CAPACITY + 1)
+        with pytest.raises(ValueError, match="batch_size"):
+            config_from_dict(TrainConfig(), {"batch_size": REPLAY_CAPACITY + 1})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("episodes", -1, "episodes must be non-negative, got -1"),
+            ("epsilon_decay_episodes", 0, "epsilon_decay_episodes must be positive, got 0"),
+            ("batch_size", 0, "batch_size must be in [1, "),
+            ("max_steps_per_episode", 0, "max_steps_per_episode must be positive, got 0"),
+            ("demo_episodes", -1, "demo_episodes must be non-negative, got -1"),
+        ],
+    )
+    def test_each_rule_names_its_own_field(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value).startswith(message)
+
+    def test_zero_episodes_is_accepted(self):
+        assert TrainConfig(episodes=0).episodes == 0
 
 
 class TestConfigFromDict:
@@ -475,9 +495,9 @@ class TestConfigFromDict:
             (PipelineConfig(), {"n_history": True}, r"PipelineConfig\.n_history must be a number, got True"),
             (TrainConfig(), {"episodes": True}, r"TrainConfig\.episodes must be a number, got True"),
             (TrainConfig(), {"seed": 2.5}, r"TrainConfig\.seed must be an integer, got 2\.5"),
-            (TrainConfig(), {"gamma": "0.9"}, r"TrainConfig\.gamma must be a number, got '0\.9'"),
-            (TrainConfig(), {"gamma": False}, r"TrainConfig\.gamma must be a number, got False"),
-            (TrainConfig(), {"learning_rate": None}, r"TrainConfig\.learning_rate must be a number, got None"),
+            (TrainConfig(), {"batch_size": "64"}, r"TrainConfig\.batch_size must be a number, got '64'"),
+            (TrainConfig(), {"demo_episodes": False}, r"TrainConfig\.demo_episodes must be a number, got False"),
+            (TrainConfig(), {"max_steps_per_episode": None}, r"TrainConfig\.max_steps_per_episode must be a number, got None"),
             (PipelineConfig(), {"nmpc": {"u_max": {"v_cmd": True}}}, r"ControlInput\.v_cmd must be a number, got True"),
             (CandidateSet.grid(), {"c_values": [0.5, "1"]}, r"CandidateSet\.c_values must be a number, got '1'"),
         ],
@@ -490,7 +510,7 @@ class TestConfigFromDict:
 
     def test_validation_still_runs(self):
         with pytest.raises(ValueError):
-            config_from_dict(TrainConfig(), {"gamma": 1.5})
+            config_from_dict(TrainConfig(), {"batch_size": 0})
         with pytest.raises(ValueError):
             config_from_dict(PipelineConfig(), {"nmpc": {"e_min": 1.0}})
         with pytest.raises(ValueError):

@@ -254,10 +254,14 @@ class TestCachedPolylines:
             expected = tuple(loop.sample((obstacle.speed * t) % loop.length)[0][0].tolist())
             assert obstacle.position_at(t) == expected
 
+    def test_degenerate_route_is_refused_on_construction(self):
+        with pytest.raises(ValueError, match="zero-length segment"):
+            replace(corridor(), route=((0.0, 0.0), (5.0, 0.0), (5.0, 0.0), (10.0, 0.0)))
+
     def test_scenario_equality_ignores_cached_polyline(self):
         a, b = corridor(), corridor()
-        assert a.route_polyline is a.route_polyline  # built once
-        assert "route_polyline" in vars(a) and "route_polyline" not in vars(b)
+        assert "route_polyline" in vars(a)  # built on construction, once
+        assert a.route_polyline is a.route_polyline and a.route_polyline is not b.route_polyline
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert replace(a, seed=9).route_polyline is not a.route_polyline
 
@@ -703,6 +707,14 @@ class TestScenarioFiles:
         path.write_text(text + "obstacle_dynamic_m 0.1 0.3 3.2 0.45 3.2 0.45\n")
         line = text.count("\n") + 1
         with pytest.raises(ScenarioFormatError, match=rf"bad\.scn:{line}: polyline contains a zero-length segment"):
+            load_scenario(path)
+
+    def test_repeated_waypoint_is_refused_with_the_file(self, tmp_path):
+        # the route's zero-length segment is found on load, not at its first use in a run
+        text = (resources.files("visionmpc.scenarios") / "straight_corridor.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace("waypoint_m 1.5 0.0\n", "waypoint_m 1.5 0.0\nwaypoint_m 1.5 0.0\n"))
+        with pytest.raises(ScenarioFormatError, match=r"bad\.scn: polyline contains a zero-length segment"):
             load_scenario(path)
 
     @pytest.mark.parametrize(

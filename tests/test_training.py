@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from visionmpc import nmpc
+from visionmpc import nmpc, training
 from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.metrics import MetricsReport, aggregate
 from visionmpc.nmpc import NmpcConfig, NmpcError
@@ -40,9 +40,14 @@ def tiny_config(episodes=2):
         epsilon_decay_episodes=max(1, episodes),
         batch_size=4,
         max_steps_per_episode=8,
-        target_sync_every=10,
         seed=11,
     )
+
+
+@pytest.fixture(autouse=True)
+def sync_inside_tiny_run(monkeypatch):
+    # tiny_config's two episodes take at most 16 steps, so one target sync falls inside them
+    monkeypatch.setattr(training, "TARGET_SYNC_EVERY", 10)
 
 
 def test_zero_episodes_returns_initialized_network_unchanged():
@@ -72,6 +77,24 @@ def test_different_seed_changes_the_run():
     _, log_a = train(suite, cfg_a, pipeline)
     _, log_b = train(suite, cfg_b, pipeline)
     assert log_a != log_b
+
+
+def test_target_network_syncs_every_target_sync_every_steps(monkeypatch):
+    monkeypatch.setattr(training, "TARGET_SYNC_EVERY", 5)
+    copies = []
+    original = QNetwork.copy
+
+    def counted(net):
+        copies.append(None)
+        return original(net)
+
+    monkeypatch.setattr(QNetwork, "copy", counted)
+    _, log = train([(tiny_scenario(), ModelParams(sigma_f=0.002))], tiny_config(), tiny_pipeline())
+    # an episode can end early, so the step count is read from the log
+    steps = sum(rec.steps for rec in log)
+    assert steps >= 5
+    # the initial target copy, then one per 5 training steps
+    assert len(copies) == 1 + steps // 5
 
 
 def test_suite_with_mismatched_sensors_rejected():
