@@ -63,43 +63,36 @@ def _load_scenario_set(raw_dir):
     return [_load_scenario(p) for p in paths]
 
 
-def _config_from_file(path, default):
-    """`default` with the keys of a JSON file decoded over it (`policy.config_from_dict`); without one, `default`."""
+def _train_config(path) -> TrainConfig:
+    """TrainConfig() with the keys of a JSON file decoded over it
+    (`policy.config_from_dict`); without one, TrainConfig()."""
     if path is None:
-        return default
-    name = type(default).__name__
+        return TrainConfig()
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"unreadable {name} file {path}: {exc}") from None
+        raise CliError(f"unreadable TrainConfig file {path}: {exc}") from None
     try:
-        return config_from_dict(default, raw)
+        return config_from_dict(TrainConfig(), raw)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid {name} file {path}: {exc}") from None
+        raise CliError(f"invalid TrainConfig file {path}: {exc}") from None
 
 
-def _run_pipeline(pipeline_path, checkpoint_path):
+def _run_pipeline(checkpoint_path):
     """The one pipeline a command runs, and the trained policy if given.
 
-    Every command starts from PipelineConfig(), which a --pipeline file
-    overrides. With a checkpoint, the pipeline it stores is the one; a
-    --pipeline file that decodes to a different one is an error, so a learned
-    policy never runs under other bounds, horizon or solver budget than the
-    baselines beside it. Returns (pipeline, (net, sensor) or None).
+    With a checkpoint, the pipeline it stores is the one, so a learned policy
+    never runs under other bounds, horizon or solver budget than the baselines
+    beside it; without one, PipelineConfig(). Returns (pipeline, (net, sensor)
+    or None).
     """
-    pipeline = _config_from_file(pipeline_path, PipelineConfig())
     if checkpoint_path is None:
-        return pipeline, None
+        return PipelineConfig(), None
     try:
-        net, sensor, trained = load_checkpoint(checkpoint_path)
+        net, sensor, pipeline = load_checkpoint(checkpoint_path)
     except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}") from None
-    if pipeline_path is not None and pipeline != trained:
-        raise CliError(
-            f"pipeline config {pipeline_path} differs from the pipeline checkpoint "
-            f"{checkpoint_path} was trained with; omit --pipeline to run the checkpoint's"
-        )
-    return trained, (net, sensor)
+    return pipeline, (net, sensor)
 
 
 def _check_periods(pipeline, suite) -> None:
@@ -130,7 +123,7 @@ def _cmd_simulate(args) -> int:
     scenario, params = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = with_seed(scenario, args.seed)
-    pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
+    pipeline, policy = _run_pipeline(args.checkpoint)
     _check_periods(pipeline, [(scenario, params)])
     controller = _build_controller(args.method, scenario, pipeline, policy)
     out_dir = _out_path(args.out)
@@ -168,10 +161,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     suite = _load_scenario_set(args.scenario_set)
-    cfg = _config_from_file(args.config, TrainConfig())
+    cfg = _train_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    pipeline, _ = _run_pipeline(args.pipeline, None)
+    pipeline = PipelineConfig()
     _check_periods(pipeline, suite)
     try:
         sensor = check_sensor_layout(suite)
@@ -249,7 +242,7 @@ def _cmd_offline_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     scenario, params = _load_scenario(args.scenario)
-    pipeline, _ = _run_pipeline(args.pipeline, args.checkpoint)
+    pipeline, _ = _run_pipeline(args.checkpoint)
     try:
         outcome = read_trial_log(args.log, scenario)
     except (OSError, ValueError) as exc:
@@ -265,7 +258,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_compare(args) -> int:
     suite = _load_scenario_set(args.scenario_set)
-    pipeline, policy = _run_pipeline(args.pipeline, args.checkpoint)
+    pipeline, policy = _run_pipeline(args.checkpoint)
     _check_periods(pipeline, suite)
     outcomes_by_method: dict[str, list] = {}
     for method in METHODS:
@@ -300,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--checkpoint", default=None, help="trained policy; required for lvd-nmpc")
-    p.add_argument("--pipeline", default=None, help="pipeline config JSON")
     p.add_argument("--wall-clock", action="store_true", help="record measured solve times in logs")
     p.set_defaults(func=_cmd_simulate)
 
@@ -309,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="training config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--pipeline", default=None, help="pipeline config JSON")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="aggregate metrics from simulate output logs")
@@ -327,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", default=None, help="trained policy the log ran with; its pipeline draws the paths")
-    p.add_argument("--pipeline", default=None, help="pipeline config JSON the log ran with")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("compare", help="benchmark-table comparison across all methods")
@@ -335,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint", default=None, help="trained policy; required, since every table runs lvd-nmpc")
-    p.add_argument("--pipeline", default=None)
     p.add_argument("--out", required=True, help="table path (.csv, .json, or stem for both)")
     p.set_defaults(func=_cmd_compare)
     return parser

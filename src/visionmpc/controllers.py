@@ -28,7 +28,7 @@ from .memory import AugmentedMemory, MemoryEntry, Observation
 # nmpc.solve is looked up on the module at each call, where perfbench/tracer.py wraps it
 from . import nmpc
 from .nmpc import NmpcConfig
-from .policy import QNetwork, featurize, select_dynamics
+from .policy import N_HISTORY, QNetwork, featurize, select_dynamics
 from .scene import SceneDynamics, desired_trajectory, gain_schedule, pair_of_control, reference_control
 # dynamics_from_trajectory is unused here; perfbench/tracer.py wraps it by attribute name on this module
 from .scene import dynamics_from_trajectory, residual_h  # noqa: F401
@@ -41,13 +41,12 @@ class PipelineConfig:
     """Scene-adaptive tracking pipeline settings.
 
     nmpc holds the horizon, period, bounds and solver budget every
-    controller runs under; n_history is the memory window the learned
-    network reads. The mapping from a scene pair (c, w) to the desired
-    trajectory, residual and gains is fixed in `scene`.
+    controller runs under. The memory window the learned network reads is
+    `policy.N_HISTORY`, and the mapping from a scene pair (c, w) to the
+    desired trajectory, residual and gains is fixed in `scene`.
     """
 
     nmpc: NmpcConfig = NmpcConfig()
-    n_history: int = 4
 
 
 def check_period(pipeline: PipelineConfig, params: ModelParams) -> None:
@@ -160,7 +159,7 @@ class LvdNmpcController(_BoundedController):
 
     def reset(self, scenario: Scenario, params: ModelParams) -> None:
         super().reset(scenario, params)
-        self._memory = AugmentedMemory(self.pipeline.n_history)
+        self._memory = AugmentedMemory(N_HISTORY)
         self.last_features = None
         self.last_action = None
         self._warm = None

@@ -166,7 +166,8 @@ def read_offline_dataset(path) -> list[OfflineRecord]:
 
 
 def offline_report(records: Sequence[OfflineRecord]) -> dict:
-    """Offline evaluation summary: e_xy plus curvature error when defined.
+    """Offline evaluation summary: e_xy, and the curvature error e_c, None
+    for fewer than 3 samples or a degenerate fit.
 
     Both paths are fitted in the frame of their first point, headed along
     the ground-truth chord from first to last point (wrapped as a
@@ -174,11 +175,13 @@ def offline_report(records: Sequence[OfflineRecord]) -> dict:
     """
     columns = np.array([(r.x_est, r.y_est, r.x_gt, r.y_gt, r.v) for r in records], dtype=float)
     x_est, y_est, x_gt, y_gt, v = columns.reshape(-1, 5).T
-    report: dict = {"samples": len(records), "e_xy_m": e_xy(x_est - x_gt, y_est - y_gt, v), "notes": REPORT_NOTES}
+    report: dict = {
+        "samples": len(records), "e_xy_m": e_xy(x_est - x_gt, y_est - y_gt, v), "notes": REPORT_NOTES, "e_c": None
+    }
     if len(records) >= 3:
         rho0 = wrap_angle(math.atan2(y_gt[-1] - y_gt[0], x_gt[-1] - x_gt[0]))
         try:
             report["e_c"] = abs(fit_curvature(x_est, y_est, rho0) - fit_curvature(x_gt, y_gt, rho0))
         except ValueError:
-            report["e_c"] = None
+            pass
     return report

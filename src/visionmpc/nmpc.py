@@ -66,6 +66,9 @@ _TWO_PI = 2.0 * math.pi
 # weight of the squared hinge penalties on the actuator, rate and corridor
 # bounds; every solve uses it as it is, with no rounds that raise it
 PENALTY_WEIGHT = 1e3
+# half-width of the soft cross-track corridor [-CORRIDOR_M, CORRIDOR_M] around
+# the desired path, in meters
+CORRIDOR_M = 0.5
 # Levenberg damping of the Gauss-Newton model: it keeps the model's curvature
 # positive along controls that move nothing the cost sees, such as the
 # steering of a car at rest under r = 0
@@ -90,7 +93,7 @@ class NmpcConfig:
     """Horizon, bounds, and solver settings.
 
     Rate bounds are per second; both rate intervals must contain zero so a
-    held control is always feasible. The cross-track corridor [e_min, e_max]
+    held control is always feasible. The cross-track corridor (CORRIDOR_M)
     is soft (penalty only); actuator and rate bounds are hard. The solver
     stops when the largest gradient component is below grad_tol, when an
     iteration lowers the cost by no more than f_tol relative to it, or after
@@ -112,16 +115,13 @@ class NmpcConfig:
     u_max: ControlInput = ControlInput(1.0, 0.35)
     du_min: ControlInput = ControlInput(-2.0, -4.0)
     du_max: ControlInput = ControlInput(2.0, 4.0)
-    e_min: float = -0.5
-    e_max: float = 0.5
     max_iters: int = 4
     grad_tol: float = 1e-4
     f_tol: float = 1e-8
 
     def __post_init__(self):
         require_finite(
-            "NmpcConfig", self.tau_o, self.dt, self.wheelbase_L, self.e_min, self.e_max,
-            self.max_iters, self.grad_tol, self.f_tol,
+            "NmpcConfig", self.tau_o, self.dt, self.wheelbase_L, self.max_iters, self.grad_tol, self.f_tol
         )
         if self.tau_o < 1:
             raise ValueError("tau_o must be at least 1")
@@ -133,8 +133,6 @@ class NmpcConfig:
             raise ValueError("velocity rate bounds must straddle zero")
         if not (self.du_min.omega_cmd < 0.0 < self.du_max.omega_cmd):
             raise ValueError("steering rate bounds must straddle zero")
-        if self.e_min >= self.e_max:
-            raise ValueError("e_min must be below e_max")
         if self.max_iters < 1 or self.grad_tol <= 0.0 or self.f_tol < 0.0:
             raise ValueError("max_iters must be at least 1, grad_tol positive and f_tol non-negative")
 
@@ -216,10 +214,10 @@ class _Problem:
         self.box = np.empty(2 + 5 * T)
         self.box[:2] = u_prev.v_cmd, u_prev.omega_cmd
         self.lo = np.array(
-            (cfg.u_min.v_cmd, cfg.u_min.omega_cmd) * T + (cfg.du_min.v_cmd, cfg.du_min.omega_cmd) * T + (cfg.e_min,) * T
+            (cfg.u_min.v_cmd, cfg.u_min.omega_cmd) * T + (cfg.du_min.v_cmd, cfg.du_min.omega_cmd) * T + (-CORRIDOR_M,) * T
         )
         self.hi = np.array(
-            (cfg.u_max.v_cmd, cfg.u_max.omega_cmd) * T + (cfg.du_max.v_cmd, cfg.du_max.omega_cmd) * T + (cfg.e_max,) * T
+            (cfg.u_max.v_cmd, cfg.u_max.omega_cmd) * T + (cfg.du_max.v_cmd, cfg.du_max.omega_cmd) * T + (CORRIDOR_M,) * T
         )
         # step[j] is the horizon step of flat control j; predicted state
         # k + 1 depends on control j where causal[k, j] holds

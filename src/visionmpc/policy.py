@@ -23,6 +23,8 @@ from .scene import SceneDynamics
 # hidden layer widths of every network `training.initialize_network` builds;
 # a network's shape is read from its weight matrices, so a checkpoint stores it nowhere else
 HIDDEN_LAYERS = (128, 64)
+# memory entries (scans and poses) each feature vector stacks, the Augmented Memory window
+N_HISTORY = 4
 
 # Deep Q-learning settings, one value for every run as DQN had (Mnih et al. 2015)
 GAMMA = 0.95  # Bellman discount
@@ -244,13 +246,10 @@ def reward(s_prev: float, s_next: float, lateral: float, crashed: bool, reached:
 
 
 class ReplayBuffer:
-    """Bounded transition store with uniform no-replacement batch sampling."""
+    """Transition store of the last REPLAY_CAPACITY transitions with uniform no-replacement batch sampling."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data = deque(maxlen=capacity)
+    def __init__(self):
+        self._data = deque(maxlen=REPLAY_CAPACITY)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -296,8 +295,8 @@ class TrainConfig:
             raise ValueError(f"demo_episodes must be non-negative, got {self.demo_episodes}")
 
 
-def epsilon_at(episode: int, cfg: TrainConfig) -> float:
-    frac = min(1.0, episode / cfg.epsilon_decay_episodes)
+def epsilon_at(episode: int, decay_episodes: int) -> float:
+    frac = min(1.0, episode / decay_episodes)
     return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 

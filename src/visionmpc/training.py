@@ -30,7 +30,7 @@ from .geometry import read_only
 from .memory import Observation
 from .policy import (
     HIDDEN_LAYERS,
-    REPLAY_CAPACITY,
+    N_HISTORY,
     TARGET_SYNC_EVERY,
     CandidateSet,
     QNetwork,
@@ -64,11 +64,11 @@ def initialize_network(
     candidates: CandidateSet,
     rng: np.random.Generator,
 ) -> QNetwork:
-    n_inputs = input_size(pipeline.n_history, check_sensor_layout(suite).n_rays, pipeline.nmpc.tau_o)
+    n_inputs = input_size(N_HISTORY, check_sensor_layout(suite).n_rays, pipeline.nmpc.tau_o)
     return QNetwork.initialize((n_inputs, *HIDDEN_LAYERS, len(candidates)), candidates, rng)
 
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 def _sensor_hash(sensor: RaySensorConfig) -> str:
@@ -92,11 +92,11 @@ def save_checkpoint(path, net: QNetwork, sensor: RaySensorConfig, pipeline: Pipe
 
 def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
     """Load a checkpoint; returns (net, sensor, pipeline), the pipeline block
-    decoded over PipelineConfig() as a --pipeline file is, so a missing key
-    keeps its default. Raises ValueError for a file that is not a JSON object,
-    another version, a missing key, a sensor that does not match its hash,
-    parameters QNetwork refuses, or an input size other than the pipeline's
-    and sensor's feature dimension."""
+    decoded over PipelineConfig() by `policy.config_from_dict`, so a missing
+    key keeps its default and an unknown one is refused. Raises ValueError for
+    a file that is not a JSON object, another version, a missing key, a sensor
+    that does not match its hash, parameters QNetwork refuses, or an input
+    size other than the pipeline's and sensor's feature dimension."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
@@ -114,7 +114,7 @@ def load_checkpoint(path) -> tuple[QNetwork, RaySensorConfig, PipelineConfig]:
         raise ValueError("checkpoint sensor hash does not match its stored sensor")
     cand = config_from_dict(CandidateSet.grid(), payload["candidates"])
     net = QNetwork(payload["weights"], payload["biases"], cand)
-    expected = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
+    expected = input_size(N_HISTORY, sensor.n_rays, pipeline.nmpc.tau_o)
     if net.layer_sizes[0] != expected:
         raise ValueError(f"network input size {net.layer_sizes[0]} differs from the feature dimension {expected}")
     return net, sensor, pipeline
@@ -190,13 +190,13 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     net = initialize_network(suite, pipeline, candidates, rng)
     target = net.copy()
-    buffer = ReplayBuffer(REPLAY_CAPACITY)
+    buffer = ReplayBuffer()
     log: list[EpisodeRecord] = []
     global_step = 0
 
     for ep in range(cfg.episodes):
         scenario, params = suite[ep % len(suite)]
-        eps = epsilon_at(ep, cfg)
+        eps = epsilon_at(ep, cfg.epsilon_decay_episodes)
         world = World(scenario, params, np.random.default_rng([cfg.seed, 101, ep]))
         if ep < cfg.demo_episodes:
             source = lambda obs, feats: demonstration_action(obs, candidates)  # noqa: E731

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import os
 import shutil
@@ -16,9 +17,9 @@ from visionmpc import cli, controllers, plot
 from visionmpc.cli import _build_controller, _run_pipeline, main
 from visionmpc.controllers import DirectController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig
-from visionmpc.policy import CandidateSet, QNetwork, input_size
+from visionmpc.policy import N_HISTORY, CandidateSet, QNetwork, TrainConfig, input_size
 from visionmpc.sim import RaySensorConfig, StepRecord, TrialOutcome, load_scenario, run_trial, write_csv
-from visionmpc.training import demonstration_action, initialize_network, save_checkpoint, train
+from visionmpc.training import check_sensor_layout, demonstration_action, initialize_network, save_checkpoint, train
 from visionmpc.vehicle import VehicleState
 
 
@@ -114,14 +115,34 @@ class TestSimulate:
 
     def test_non_finite_pipeline_value_is_an_error(self, tmp_path, capsys):
         # json accepts NaN, and a NaN grad_tol would stop every solve before its first iteration
-        pipeline = tmp_path / "p.json"
-        pipeline.write_text('{"nmpc": {"grad_tol": NaN}}')
+        ckpt = write_checkpoint_with_block(tmp_path, {"nmpc": {"grad_tol": float("nan")}})
+        assert "NaN" in ckpt.read_text()
         rc = run_cli("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "dwa-nmpc",
-                     "--trials", "1", "--pipeline", str(pipeline), "--out", str(tmp_path / "o"))
+                     "--trials", "1", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"))
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"error: invalid PipelineConfig file {pipeline}: NmpcConfig must be finite, got nan" in err
+        assert f"error: cannot load checkpoint {ckpt}: NmpcConfig must be finite, got nan" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct"),
+            ("train", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent)),
+            ("plot", "--log", "trial_000.csv", "--scenario", scenario_path("straight_corridor")),
+            ("compare", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent)),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_pipeline_option_is_a_usage_error_before_any_output(self, tmp_path, capsys, argv):
+        # a command's pipeline is its checkpoint's, or PipelineConfig() without one
+        pipeline = tmp_path / "p.json"
+        pipeline.write_text(json.dumps(asdict(PipelineConfig())))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--pipeline", str(pipeline), "--out", str(tmp_path / "out" / "o"))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --pipeline" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
 
     def test_lvd_without_checkpoint_is_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         # lvd-nmpc is its trained network; no untrained stand-in runs in its place
@@ -361,18 +382,11 @@ class TestPlot:
         assert "polyline" in svg
 
     def test_desired_paths_use_the_checkpoint_horizon(self, tmp_path):
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
         tau_o = 7
         assert tau_o != PipelineConfig().nmpc.tau_o
-        pipeline = tmp_path / "pipeline.json"
-        pipeline.write_text(json.dumps({"nmpc": {"tau_o": tau_o}}))
         ckpt = tmp_path / "net.json"
+        train_checkpoint(ckpt, PipelineConfig(nmpc=NmpcConfig(tau_o=tau_o)))
         scenario = scenario_path("straight_corridor")
-        assert run_cli(
-            "train", "--scenario-set", str(Path(scenario).parent), "--config", str(config),
-            "--pipeline", str(pipeline), "--out", str(ckpt),
-        ) == 0
         out = tmp_path / "sim"
         assert run_cli(
             "simulate", "--scenario", scenario, "--method", "lvd-nmpc", "--trials", "1",
@@ -480,6 +494,24 @@ class TestTrain:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_in_process_runs_use_the_pinned_blas_thread_count(self):
+        # tests/conftest.py imports visionmpc before numpy, so the tests run
+        # OpenBLAS at the count the CLI runs. A 1-core machine runs one
+        # thread either way, so only a runner with 2 or more cores can show
+        # a lost pin.
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            pytest.skip("the user set a BLAS thread count other than 1")
+        libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so*"))
+        try:
+            # RTLD_NOLOAD returns numpy's own copy and never loads a second one
+            blas = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+            get_num_threads = blas.scipy_openblas_get_num_threads64_
+        except (IndexError, OSError, AttributeError):
+            pytest.skip("numpy's BLAS is not a scipy-openblas64 build")
+        get_num_threads.argtypes = []
+        get_num_threads.restype = ctypes.c_int
+        assert get_num_threads() == 1
+
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "train.json"
         config.write_text("[1, 2]")
@@ -571,9 +603,9 @@ class TestCheckpointReload:
         )
         assert rc == 0
         scenario, _ = load_scenario(scenario_path("straight_corridor"))
-        # without --pipeline, train runs and stores the pipeline every command starts from
+        # train runs and stores the pipeline every command starts from
         assert json.loads(ckpt.read_text())["pipeline"] == asdict(PipelineConfig())
-        pipeline, policy = _run_pipeline(None, str(ckpt))
+        pipeline, policy = _run_pipeline(str(ckpt))
         _build_controller("lvd-nmpc", scenario, pipeline, policy)
         assert pipeline == PipelineConfig()
         assert pipeline.nmpc.max_iters == 4
@@ -630,29 +662,25 @@ class TestCheckpointReload:
         payload = json.loads(ckpt.read_text())
         del payload["pipeline"]
         ckpt.write_text(json.dumps(payload))
-        # at version 3 a pipeline file stood in for the missing block
-        pipeline = tmp_path / "pipeline.json"
-        pipeline.write_text(json.dumps(asdict(PipelineConfig())))
         rc = run_cli(
             "simulate",
             "--scenario", scenario_path("straight_corridor"),
             "--method", "lvd-nmpc",
             "--trials", "1",
             "--checkpoint", str(ckpt),
-            "--pipeline", str(pipeline),
             "--out", str(tmp_path / "out"),
         )
         assert rc == 1
         assert "stores no pipeline" in capsys.readouterr().err
 
     @staticmethod
-    def _train(tmp_path, *pipeline_args):
+    def _train(tmp_path):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 8}))
         ckpt = tmp_path / "net.json"
         assert run_cli(
             "train", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
-            "--config", str(config), "--out", str(ckpt), *pipeline_args,
+            "--config", str(config), "--out", str(ckpt),
         ) == 0
         return ckpt
 
@@ -663,25 +691,24 @@ class TestCheckpointReload:
             "--trials", "1", "--checkpoint", str(ckpt), "--out", str(out),
         )
 
-    def test_pipeline_block_without_n_history_keeps_the_default(self, tmp_path):
-        # the block decodes as a --pipeline file does: a missing key keeps its default
+    def test_pipeline_block_without_a_key_keeps_its_default(self, tmp_path):
+        # the block decodes by policy.config_from_dict: a missing key keeps its default
         ckpt = self._train(tmp_path)
         assert self._simulate(ckpt, tmp_path / "full") == 0
         payload = json.loads(ckpt.read_text())
-        del payload["pipeline"]["n_history"]
+        del payload["pipeline"]["nmpc"]["max_iters"]
         partial = tmp_path / "partial.json"
         partial.write_text(json.dumps(payload))
-        pipeline, _ = _run_pipeline(None, str(partial))
-        assert pipeline == PipelineConfig() and pipeline.n_history == 4
+        pipeline, _ = _run_pipeline(str(partial))
+        assert pipeline == PipelineConfig() and pipeline.nmpc.max_iters == 4
         assert self._simulate(partial, tmp_path / "partial") == 0
         assert (tmp_path / "partial" / "trial_000.csv").read_bytes() == (tmp_path / "full" / "trial_000.csv").read_bytes()
 
     def test_pipeline_block_without_its_horizon_fails_the_input_size_check(self, tmp_path, capsys):
         tau_o = 7
         assert tau_o != PipelineConfig().nmpc.tau_o
-        pipeline = tmp_path / "pipeline.json"
-        pipeline.write_text(json.dumps({"nmpc": {"tau_o": tau_o}}))
-        ckpt = self._train(tmp_path, "--pipeline", str(pipeline))
+        ckpt = tmp_path / "net.json"
+        train_checkpoint(ckpt, PipelineConfig(nmpc=NmpcConfig(tau_o=tau_o)))
         payload = json.loads(ckpt.read_text())
         del payload["pipeline"]["nmpc"]["tau_o"]
         ckpt.write_text(json.dumps(payload))
@@ -723,39 +750,40 @@ class TestCheckpointReload:
 def write_trained_checkpoint(path, pipeline, sensor=RaySensorConfig()):
     """A checkpoint that stores `pipeline` and `sensor`, by default the bundled scenarios' sensor."""
     cand = CandidateSet.grid()
-    n_inputs = input_size(pipeline.n_history, sensor.n_rays, pipeline.nmpc.tau_o)
+    n_inputs = input_size(N_HISTORY, sensor.n_rays, pipeline.nmpc.tau_o)
     net = QNetwork.initialize((n_inputs, 8, len(cand)), cand, np.random.default_rng(0))
     save_checkpoint(path, net, sensor, pipeline)
 
 
-class TestOnePipelinePerRun:
-    def test_pipeline_file_that_differs_from_the_checkpoint_is_an_error(self, tmp_path, capsys):
-        ckpt = tmp_path / "net.json"
-        trained = PipelineConfig(nmpc=NmpcConfig(tau_o=20))
-        assert trained != PipelineConfig()
-        write_trained_checkpoint(ckpt, trained)
-        pipeline = tmp_path / "pipeline.json"
-        pipeline.write_text(json.dumps(asdict(PipelineConfig())))
-        scenario_set = tmp_path / "set"
-        scenario_set.mkdir()
-        shutil.copy(scenario_path("straight_corridor"), scenario_set)
-        for argv in (
-            ("compare", "--scenario-set", str(scenario_set), "--trials", "1", "--out", str(tmp_path / "t.csv")),
-            ("simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
-             "--trials", "1", "--out", str(tmp_path / "out")),
-        ):
-            rc = run_cli(*argv, "--checkpoint", str(ckpt), "--pipeline", str(pipeline))
-            assert rc == 1
-            err = capsys.readouterr().err
-            assert str(pipeline) in err and str(ckpt) in err
+def write_checkpoint_with_block(tmp_path, block):
+    """A PipelineConfig() checkpoint whose stored pipeline block has `block`'s
+    keys written over it, one level of nesting deep."""
+    ckpt = tmp_path / "net.json"
+    write_trained_checkpoint(ckpt, PipelineConfig())
+    payload = json.loads(ckpt.read_text())
+    for key, value in block.items():
+        if isinstance(value, dict):
+            payload["pipeline"][key].update(value)
+        else:
+            payload["pipeline"][key] = value
+    ckpt.write_text(json.dumps(payload))
+    return ckpt
 
+
+def train_checkpoint(path, pipeline):
+    """The checkpoint `train` writes for a one-episode, 3-step run over the
+    bundled scenarios, trained under `pipeline` instead of PipelineConfig()."""
+    suite = [load_scenario(p) for p in sorted(Path(scenario_path("straight_corridor")).parent.glob("*.scn"))]
+    net, _ = train(suite, TrainConfig(episodes=1, max_steps_per_episode=3, batch_size=8), pipeline)
+    save_checkpoint(path, net, check_sensor_layout(suite), pipeline)
+
+
+class TestOnePipelinePerRun:
     def test_compare_runs_every_method_under_the_checkpoint_pipeline(self, tmp_path, monkeypatch):
         trained = PipelineConfig(nmpc=NmpcConfig(tau_o=20))
         assert trained != PipelineConfig()
         ckpt = tmp_path / "net.json"
         write_trained_checkpoint(ckpt, trained)
-        same = tmp_path / "pipeline.json"
-        same.write_text(json.dumps(asdict(trained)))
         scenario_set = tmp_path / "set"
         scenario_set.mkdir()
         shutil.copy(scenario_path("straight_corridor"), scenario_set)
@@ -767,67 +795,49 @@ class TestOnePipelinePerRun:
             return DirectController(pipeline)
 
         monkeypatch.setattr(cli, "_build_controller", record)
-        for extra in ((), ("--pipeline", str(same))):
-            seen.clear()
-            rc = run_cli(
-                "compare", "--scenario-set", str(scenario_set), "--trials", "1",
-                "--checkpoint", str(ckpt), "--out", str(tmp_path / "t.csv"), *extra,
-            )
-            assert rc == 0
-            assert seen == {m: (trained, True) for m in ("lvd-nmpc", "dwa-nmpc", "direct")}
-
-
-class TestPipelineFile:
-    def test_unknown_nested_key_is_an_error(self, tmp_path, capsys):
-        path = tmp_path / "pipeline.json"
-        path.write_text(json.dumps({"nmpc": {"max_iter": 5}}))
         rc = run_cli(
-            "simulate",
-            "--scenario", scenario_path("straight_corridor"),
-            "--method", "direct",
-            "--trials", "1",
-            "--pipeline", str(path),
-            "--out", str(tmp_path / "out"),
+            "compare", "--scenario-set", str(scenario_set), "--trials", "1",
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "t.csv"),
         )
-        assert rc == 1
-        assert "max_iter" in capsys.readouterr().err
+        assert rc == 0
+        assert seen == {m: (trained, True) for m in ("lvd-nmpc", "dwa-nmpc", "direct")}
 
-    def test_removed_scene_setting_is_named(self, tmp_path, capsys):
-        # the scene gains and look-ahead are constants, not pipeline keys
-        path = tmp_path / "pipeline.json"
-        path.write_text(json.dumps({"k_lat": 0.0}))
-        rc = run_cli(
-            "simulate",
-            "--scenario", scenario_path("straight_corridor"),
-            "--method", "direct",
-            "--trials", "1",
-            "--pipeline", str(path),
-            "--out", str(tmp_path / "out"),
-        )
-        assert rc == 1
-        assert "unknown PipelineConfig key(s): k_lat" in capsys.readouterr().err
 
+class TestConfigDecoding:
     @pytest.mark.parametrize(
-        "flag, raw, message",
+        "block, message",
         [
-            ("--pipeline", {"nmpc": {"tau_o": 10.9}}, "NmpcConfig.tau_o must be an integer, got 10.9"),
-            ("--pipeline", {"nmpc": {"max_iters": "6"}}, "NmpcConfig.max_iters must be a number, got '6'"),
-            ("--config", {"episodes": True}, "TrainConfig.episodes must be a number, got True"),
-            ("--config", {"seed": 2.5}, "TrainConfig.seed must be an integer, got 2.5"),
+            ({"nmpc": {"max_iter": 5}}, "unknown NmpcConfig key(s): max_iter"),
+            # the scene gains and look-ahead are constants, not pipeline keys
+            ({"k_lat": 0.0}, "unknown PipelineConfig key(s): k_lat"),
+            ({"nmpc": {"tau_o": 10.9}}, "NmpcConfig.tau_o must be an integer, got 10.9"),
+            ({"nmpc": {"max_iters": "6"}}, "NmpcConfig.max_iters must be a number, got '6'"),
         ],
     )
-    def test_value_the_decoder_would_round_or_coerce_is_an_error(self, tmp_path, capsys, flag, raw, message):
+    def test_checkpoint_pipeline_block_the_decoder_refuses_is_an_error(self, tmp_path, capsys, block, message):
+        ckpt = write_checkpoint_with_block(tmp_path, block)
+        rc = run_cli(
+            "simulate", "--scenario", scenario_path("straight_corridor"), "--method", "direct",
+            "--trials", "1", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert f"error: cannot load checkpoint {ckpt}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"episodes": True}, "TrainConfig.episodes must be a number, got True"),
+            ({"seed": 2.5}, "TrainConfig.seed must be an integer, got 2.5"),
+        ],
+    )
+    def test_train_config_value_the_decoder_would_round_or_coerce_is_an_error(self, tmp_path, capsys, raw, message):
         # a tiny run, so a decoder that let the value through fails fast
-        files = {"--config": {"episodes": 1, "max_steps_per_episode": 3, "batch_size": 4}, "--pipeline": {}}
-        files[flag] = {**files[flag], **raw}
-        args = []
-        for option, content in files.items():
-            path = tmp_path / f"{option[2:]}.json"
-            path.write_text(json.dumps(content))
-            args += [option, str(path)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"episodes": 1, "max_steps_per_episode": 3, "batch_size": 4, **raw}))
         rc = run_cli(
             "train", "--scenario-set", str(Path(scenario_path("straight_corridor")).parent),
-            *args, "--out", str(tmp_path / "n.json"),
+            "--config", str(config), "--out", str(tmp_path / "n.json"),
         )
         assert rc == 1
         assert message in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from visionmpc import controllers, nmpc
 from visionmpc.controllers import DirectController, DwaNmpcController, LvdNmpcController, PipelineConfig
 from visionmpc.nmpc import NmpcConfig, NmpcError
-from visionmpc.policy import CandidateSet, QNetwork, config_from_dict, input_size
+from visionmpc.policy import N_HISTORY, CandidateSet, QNetwork, config_from_dict, input_size
 from visionmpc.scene import SceneDynamics
 from visionmpc.sim import (
     Obstacle, RaySensorConfig, Scenario, StepRecord, load_scenario, run_trial, with_seed, write_csv,
@@ -37,7 +37,7 @@ def small_pipeline():
 
 def fresh_net(pipeline, scenario, seed=0, candidates=None):
     cand = candidates if candidates is not None else CandidateSet((-0.5, 0.0, 0.5), (0.5, 1.0))
-    n_inputs = input_size(pipeline.n_history, scenario.sensor.n_rays, pipeline.nmpc.tau_o)
+    n_inputs = input_size(N_HISTORY, scenario.sensor.n_rays, pipeline.nmpc.tau_o)
     return QNetwork.initialize((n_inputs, 16, len(cand)), cand, np.random.default_rng(seed))
 
 
@@ -386,9 +386,9 @@ class TestReset:
 
 class TestCheckpointPipelineRoundTrip:
     def test_meta_reconstructs_pipeline(self):
-        pipeline = PipelineConfig(nmpc=NmpcConfig(tau_o=9, dt=0.04, e_min=-0.4, e_max=0.4))
+        pipeline = PipelineConfig(nmpc=NmpcConfig(tau_o=9, dt=0.04, u_max=ControlInput(0.8, 0.3)))
         rebuilt = config_from_dict(PipelineConfig(), json.loads(json.dumps(asdict(pipeline))))
         assert rebuilt.nmpc.tau_o == 9
         assert rebuilt.nmpc.dt == 0.04
-        assert rebuilt.nmpc.e_max == 0.4
+        assert rebuilt.nmpc.u_max == ControlInput(0.8, 0.3)
         assert rebuilt == pipeline

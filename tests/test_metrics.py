@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import subprocess
 import sys
@@ -84,7 +85,7 @@ def record_trial_errors(outcome):
 def record_offline_report(records):
     """The record-based offline_report, kept as its oracle: two VehicleStates
     per sample, heading along the ground-truth chord, then the loops above."""
-    report = {"samples": len(records), "e_xy_m": loop_e_xy(records), "notes": REPORT_NOTES}
+    report = {"samples": len(records), "e_xy_m": loop_e_xy(records), "notes": REPORT_NOTES, "e_c": None}
     if len(records) >= 3:
         rho0 = math.atan2(records[-1].y_gt - records[0].y_gt, records[-1].x_gt - records[0].x_gt)
         est = [VehicleState(r.x_est, r.y_est, rho0) for r in records]
@@ -92,7 +93,7 @@ def record_offline_report(records):
         try:
             report["e_c"] = abs(loop_fit_curvature(est) - loop_fit_curvature(gt))
         except ValueError:
-            report["e_c"] = None
+            pass
     return report
 
 
@@ -164,6 +165,15 @@ class TestCurvatureError:
 
     def test_known_curvature_difference(self):
         assert fit_curvature(*self._path(0.3), 0.0) - fit_curvature(*self._path(0.1), 0.0) == pytest.approx(0.2, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "points", [[(0.0, 0.0), (1.0, 0.2)], [(1.0, 2.0)] * 3], ids=["two_rows", "three_rows_one_abscissa"]
+    )
+    def test_undefined_curvature_error_is_written_as_null(self, points):
+        # too few rows and a degenerate fit read alike: the key is there, and null
+        report = offline_report(offline_records(points, points))
+        assert report["e_c"] is None
+        assert '"e_c": null' in json.dumps(report)
 
     def test_lateral_offset_ignored(self):
         est = [(0.2 * i, 0.0) for i in range(8)]
@@ -309,7 +319,7 @@ class TestAgainstRecordOracle:
         for cols in datasets:
             records = [OfflineRecord(float(i), *map(float, row)) for i, row in enumerate(cols)]
             report = offline_report(records)
-            fits.append(report.get("e_c"))
+            fits.append(report["e_c"])
             assert repr(report) == repr(record_offline_report(records))
         assert None in fits and any(f is not None for f in fits)
 

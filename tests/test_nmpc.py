@@ -38,9 +38,13 @@ LOOSE = config(
     tau_o=4,
     du_min=ControlInput(-100.0, -100.0),
     du_max=ControlInput(100.0, 100.0),
-    e_min=-10.0,
-    e_max=10.0,
 )
+
+
+@pytest.fixture
+def loose_corridor(monkeypatch):
+    """A cross-track corridor of +-10 m, wider than any offset these tests' paths reach."""
+    monkeypatch.setattr(nmpc, "CORRIDOR_M", 10.0)
 
 
 def tracking_cost(z_seq, u_seq, z_d, g, u_ref):
@@ -128,6 +132,7 @@ class TestTrackingCost:
 
 @pytest.mark.parametrize("u_ref", [NO_REF, U_REF], ids=["no_ref", "u_ref"])
 class TestObjectiveInternals:
+    @pytest.mark.usefixtures("loose_corridor")
     def test_value_matches_public_tracking_cost(self, u_ref):
         rng = np.random.default_rng(0)
         cfg = LOOSE
@@ -139,10 +144,10 @@ class TestObjectiveInternals:
             z_seq = scalar_rollout(current, u_seq, model(cfg))
             assert problem.value(u) == pytest.approx(tracking_cost(z_seq, u_seq, z_d, g, u_ref), rel=1e-12)
 
+    @pytest.mark.usefixtures("loose_corridor")
     def test_gradient_matches_central_differences(self, u_ref):
         rng = np.random.default_rng(1)
-        cfg = config(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100),
-                     e_min=-10, e_max=10)
+        cfg = config(tau_o=6, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100))
         current, z_d, g, _ = random_problem(rng, cfg)
         problem = _Problem(current, path_of(z_d), [0.001, -0.002, 0.0005], g, cfg, AT_REST, u_ref, penalty=0.0)
         worst = 0.0
@@ -243,6 +248,14 @@ class TestBitEqualityOracle:
         # actuator, rate, corridor
         assert active[0] > 0 and active[2] > 0
         assert active[1] > 0
+
+    def test_the_corridor_is_corridor_m_either_side_of_the_desired_path(self, monkeypatch):
+        monkeypatch.setattr(nmpc, "CORRIDOR_M", 0.25)
+        rng = np.random.default_rng(5)
+        _, _, problem, reference = hinge_active_problem(rng, 10, True, True)
+        assert (problem.lo[-10:] == -0.25).all() and (problem.hi[-10:] == 0.25).all()
+        u = hinge_active_controls(rng, 10)
+        assert problem.value(u) == reference._eval(u, need_grad=False)[0]
 
     def test_zero_controls_and_exact_bounds(self):
         rng = np.random.default_rng(7)
@@ -450,11 +463,13 @@ FIXTURE = Path(__file__).parent / "data" / "nmpc_fixture.npz"
 def fixture_cases(data, tag):
     """The fixture's solve inputs for one workload, with the config they ran under."""
     c = data[f"{tag}_config"]
+    # the recorded corridor bounds are the one corridor every solve runs under
+    assert (c[11], c[12]) == (-nmpc.CORRIDOR_M, nmpc.CORRIDOR_M)
     cfg = NmpcConfig(
         tau_o=int(c[0]), dt=c[1], wheelbase_L=c[2],
         u_min=ControlInput(c[3], c[4]), u_max=ControlInput(c[5], c[6]),
         du_min=ControlInput(c[7], c[8]), du_max=ControlInput(c[9], c[10]),
-        e_min=c[11], e_max=c[12], max_iters=int(c[13]), grad_tol=c[14], f_tol=c[15],
+        max_iters=int(c[13]), grad_tol=c[14], f_tol=c[15],
     )
     for i in range(data[f"{tag}_cost"].size):
         warm = data[f"{tag}_warm"][i]
@@ -580,7 +595,7 @@ class TestConfig:
             NmpcConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["tau_o", "dt", "wheelbase_L", "e_min", "e_max", "max_iters", "grad_tol", "f_tol"])
+    @pytest.mark.parametrize("field", ["tau_o", "dt", "wheelbase_L", "max_iters", "grad_tol", "f_tol"])
     def test_non_finite_fields_are_refused(self, field, value):
         # NaN passes every `<= 0` test, so each field is checked for finiteness first
         with pytest.raises(ValueError, match="NmpcConfig must be finite"):
@@ -621,10 +636,10 @@ def rotate_scene(theta, current, z_d, residual):
 
 
 class TestSolve:
+    @pytest.mark.usefixtures("loose_corridor")
     def test_inverse_crime_recovery(self):
         # a near-zero input weight makes the generating sequence the optimum
-        cfg = config(tau_o=6, max_iters=300, du_min=ControlInput(-100, -100),
-                     du_max=ControlInput(100, 100), e_min=-10, e_max=10)
+        cfg = config(tau_o=6, max_iters=300, du_min=ControlInput(-100, -100), du_max=ControlInput(100, 100))
         g = GainSchedule(1.0, 1e-6)
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -635,6 +650,7 @@ class TestSolve:
                 assert v == pytest.approx(want.v_cmd, abs=1e-2)
                 assert omega == pytest.approx(want.omega_cmd, abs=1e-2)
 
+    @pytest.mark.usefixtures("loose_corridor")
     def test_brute_force_oracle_on_tiny_instances(self):
         cfg = LOOSE
         for seed in range(3):
@@ -973,7 +989,7 @@ class ScalarProblem:
             cost += pw * (hv * hv + hw * hw)
             # soft cross-track corridor in the desired-pose frame
             e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
-            he = max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat)
+            he = max(0.0, e_lat - nmpc.CORRIDOR_M) - max(0.0, -nmpc.CORRIDOR_M - e_lat)
             cost += pw * he * he
         # rate penalties
         prev = self.u_prev
@@ -1003,7 +1019,7 @@ class ScalarProblem:
             ey = ys[i] - self.yd[k]
             er = _wrap_fast(rs[i] - self.rd[k])
             e_lat = -self.sin_rd[k] * ex + self.cos_rd[k] * ey
-            dhinge = 2.0 * (max(0.0, e_lat - cfg.e_max) - max(0.0, cfg.e_min - e_lat))
+            dhinge = 2.0 * (max(0.0, e_lat - nmpc.CORRIDOR_M) - max(0.0, -nmpc.CORRIDOR_M - e_lat))
             gx = 2.0 * q * ex + pw * dhinge * (-self.sin_rd[k])
             gy = 2.0 * q * ey + pw * dhinge * self.cos_rd[k]
             gr = 2.0 * q * er
@@ -1071,5 +1087,5 @@ def scalar_violation(u, cfg, u_prev, problem):
         y = y + math.sin(head) * v * dt + ry
         r = r + math.sin(w) / problem.L * v * dt + rr
         e_lat = -problem.sin_rd[k] * (x - problem.xd[k]) + problem.cos_rd[k] * (y - problem.yd[k])
-        worst = max(worst, e_lat - cfg.e_max, cfg.e_min - e_lat)
+        worst = max(worst, e_lat - nmpc.CORRIDOR_M, -nmpc.CORRIDOR_M - e_lat)
     return worst

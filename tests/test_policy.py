@@ -19,6 +19,7 @@ from visionmpc.policy import (
     ReplayBuffer,
     TrainConfig,
     config_from_dict,
+    epsilon_at,
     featurize,
     input_size,
     reward,
@@ -217,14 +218,16 @@ class TestReward:
 
 
 class TestReplayBuffer:
-    def test_capacity_respected(self):
-        buf = ReplayBuffer(capacity=5)
+    def test_holds_the_last_replay_capacity_transitions(self, monkeypatch):
+        monkeypatch.setattr(policy, "REPLAY_CAPACITY", 5)
+        buf = ReplayBuffer()
         for i in range(9):
-            buf.push(np.array([float(i)]), 0, 0.0, np.array([0.0]), False)
+            buf.push(np.array([float(i)]), i, 0.0, np.array([0.0]), False)
         assert len(buf) == 5
+        assert sorted(buf.sample(5, np.random.default_rng(0))[1].tolist()) == [4, 5, 6, 7, 8]
 
     def test_sampling_reproducible_without_replacement(self):
-        buf = ReplayBuffer(capacity=16)
+        buf = ReplayBuffer()
         for i in range(10):
             buf.push(np.array([float(i)]), i, float(i), np.array([0.0]), False)
         a = buf.sample(4, np.random.default_rng(8))
@@ -233,10 +236,16 @@ class TestReplayBuffer:
         assert len(set(a[1].tolist())) == 4  # distinct transitions
 
     def test_sample_size_validation(self):
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer()
         buf.push(np.zeros(1), 0, 0.0, np.zeros(1), False)
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
+
+
+def test_epsilon_falls_linearly_to_its_end_over_the_decay_episodes():
+    assert epsilon_at(0, 180) == policy.EPSILON_START
+    assert epsilon_at(90, 180) == pytest.approx((policy.EPSILON_START + policy.EPSILON_END) / 2)
+    assert epsilon_at(180, 180) == epsilon_at(500, 180) == pytest.approx(policy.EPSILON_END)
 
 
 def make_batch(rng, net, n=8):
@@ -480,9 +489,9 @@ class TestConfigFromDict:
         assert replace(cfg, nmpc=replace(cfg.nmpc, tau_o=10)) == PipelineConfig()
 
     def test_numbers_take_the_default_type_and_lists_become_tuples(self):
-        cfg = config_from_dict(PipelineConfig(), {"n_history": 3.0, "nmpc": {"e_max": 1}})
-        assert type(cfg.n_history) is int and cfg.n_history == 3
-        assert type(cfg.nmpc.e_max) is float and cfg.nmpc.e_max == 1.0
+        cfg = config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 3.0, "grad_tol": 1}})
+        assert type(cfg.nmpc.tau_o) is int and cfg.nmpc.tau_o == 3
+        assert type(cfg.nmpc.grad_tol) is float and cfg.nmpc.grad_tol == 1.0
         grid = config_from_dict(CandidateSet.grid(), {"c_values": [-1, 0.5, 1]})
         assert grid.c_values == (-1.0, 0.5, 1.0) and all(type(c) is float for c in grid.c_values)
 
@@ -492,7 +501,7 @@ class TestConfigFromDict:
             (PipelineConfig(), {"nmpc": {"tau_o": 10.9}}, r"NmpcConfig\.tau_o must be an integer, got 10\.9"),
             (PipelineConfig(), {"nmpc": {"tau_o": float("inf")}}, r"NmpcConfig\.tau_o must be an integer, got inf"),
             (PipelineConfig(), {"nmpc": {"max_iters": "6"}}, r"NmpcConfig\.max_iters must be a number, got '6'"),
-            (PipelineConfig(), {"n_history": True}, r"PipelineConfig\.n_history must be a number, got True"),
+            (PipelineConfig(), {"nmpc": {"tau_o": True}}, r"NmpcConfig\.tau_o must be a number, got True"),
             (TrainConfig(), {"episodes": True}, r"TrainConfig\.episodes must be a number, got True"),
             (TrainConfig(), {"seed": 2.5}, r"TrainConfig\.seed must be an integer, got 2\.5"),
             (TrainConfig(), {"batch_size": "64"}, r"TrainConfig\.batch_size must be a number, got '64'"),
@@ -512,7 +521,7 @@ class TestConfigFromDict:
         with pytest.raises(ValueError):
             config_from_dict(TrainConfig(), {"batch_size": 0})
         with pytest.raises(ValueError):
-            config_from_dict(PipelineConfig(), {"nmpc": {"e_min": 1.0}})
+            config_from_dict(PipelineConfig(), {"nmpc": {"tau_o": 0}})
         with pytest.raises(ValueError):
             config_from_dict(PipelineConfig(), {"nmpc": 3})
 

@@ -9,7 +9,7 @@ from visionmpc import nmpc, training
 from visionmpc.controllers import DirectController, PipelineConfig
 from visionmpc.metrics import MetricsReport, aggregate
 from visionmpc.nmpc import NmpcConfig, NmpcError
-from visionmpc.policy import CandidateSet, QNetwork, TrainConfig, input_size
+from visionmpc.policy import N_HISTORY, CandidateSet, QNetwork, TrainConfig, input_size
 from visionmpc.sim import Obstacle, RaySensorConfig, Scenario, StepRecord, csv_cell, run_trial, write_csv
 from visionmpc.training import EpisodeRecord, initialize_network, load_checkpoint, save_checkpoint, train
 from visionmpc.vehicle import ModelParams, VehicleState
@@ -179,14 +179,14 @@ def test_csv_columns_are_the_record_fields(tmp_path, records):
     assert rows[1:] == [[csv_cell(getattr(rec, name)) for name in names] for rec in rows_in]
 
 
-PIPELINE = PipelineConfig(n_history=2, nmpc=NmpcConfig(tau_o=3))
+PIPELINE = PipelineConfig(nmpc=NmpcConfig(tau_o=3))
 SENSOR = RaySensorConfig(resolution_deg=60.0, max_range_m=2.0)
 SMALL_GRID = CandidateSet((-0.5, 0.5), (0.0, 1.0))
 
 
 def small_net(rng, candidates=SMALL_GRID, extra_inputs=0):
     """A network for PIPELINE and SENSOR (6 rays), extra_inputs wider than they give."""
-    n_inputs = input_size(PIPELINE.n_history, SENSOR.n_rays, PIPELINE.nmpc.tau_o) + extra_inputs
+    n_inputs = input_size(N_HISTORY, SENSOR.n_rays, PIPELINE.nmpc.tau_o) + extra_inputs
     return QNetwork.initialize((n_inputs, 4, len(candidates)), candidates, rng)
 
 
@@ -206,15 +206,15 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_checkpoint(path, small_net(np.random.default_rng(13)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 7
+        assert payload["format_version"] == 8
         assert set(payload) == {
             "format_version", "weights", "biases", "candidates", "pipeline", "sensor", "sensor_hash",
         }
         # the network's shape is stored once, as its weights' shapes
-        assert [np.shape(w) for w in payload["weights"]] == [(4, 20), (4, 4)]
-        assert set(payload["pipeline"]) == {"nmpc", "n_history"}
+        assert [np.shape(w) for w in payload["weights"]] == [(4, 34), (4, 4)]
+        assert set(payload["pipeline"]) == {"nmpc"}
         assert payload["sensor"] == asdict(SENSOR)
-        assert payload["pipeline"]["n_history"] == 2 and payload["pipeline"]["nmpc"]["tau_o"] == 3
+        assert payload["pipeline"]["nmpc"]["tau_o"] == 3
 
     def test_rejects_tampered_payload(self, tmp_path):
         path = tmp_path / "net.json"
@@ -229,19 +229,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_refuses_older_versions(self, tmp_path, version):
         # v1 stored part of the pipeline; a v2 pipeline block names scene
         # settings that are now constants; a v3 file may hold no pipeline;
         # a v4 file stores n_history and tau_o a second time, in its feature
         # block; a v5 pipeline block stores the hidden layers beside layer_sizes;
-        # a v6 file stores layer_sizes beside the weights that hold the shape
+        # a v6 file stores layer_sizes beside the weights that hold the shape;
+        # a v7 pipeline block names n_history, nmpc.e_min and nmpc.e_max, now constants
         path = tmp_path / "net.json"
         save_checkpoint(path, small_net(np.random.default_rng(15)), SENSOR, PIPELINE)
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 7"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this release reads 8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config, key, value", [
+        ("PipelineConfig", "n_history", 4), ("NmpcConfig", "e_min", -0.5), ("NmpcConfig", "e_max", 0.5),
+    ])
+    def test_refuses_a_pipeline_block_naming_a_constant(self, tmp_path, config, key, value):
+        # a v7 block's n_history, nmpc.e_min and nmpc.e_max are now the constants
+        # policy.N_HISTORY and nmpc.CORRIDOR_M, which no pipeline sets
+        path = tmp_path / "net.json"
+        save_checkpoint(path, small_net(np.random.default_rng(20)), SENSOR, PIPELINE)
+        payload = json.loads(path.read_text())
+        block = payload["pipeline"] if config == "PipelineConfig" else payload["pipeline"]["nmpc"]
+        block[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"^unknown {config} key\(s\): {key}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("stored", ["absent", None, {}])
@@ -277,7 +293,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(17)
         pipeline = perturbed(PipelineConfig(), rng)
         net = QNetwork.initialize(
-            (input_size(pipeline.n_history, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
+            (input_size(N_HISTORY, SENSOR.n_rays, pipeline.nmpc.tau_o), 4, len(SMALL_GRID)), SMALL_GRID, rng
         )
         path = tmp_path / "net.json"
         save_checkpoint(path, net, SENSOR, pipeline)
